@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import qsim
+from . import protocol, qsim
 from .qsim import Basis, BellKind, PureState
 from .protocol import (DECOY_STATES, ProtocolError, Role, SequenceSlot,
                        choice_basis, insert_decoys)
@@ -116,16 +116,7 @@ def load_ue_params(path) -> UeParams:
     Scalars a..d are Python complex literals (e.g. ``0.6+0.8j``); each ancilla
     vector e00..e11 is four comma-separated complex components.
     """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ProtocolError(f"malformed parameter line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    values = protocol.read_key_values(path)
     missing = [k for k in ("a", "b", "c", "d", "e00", "e01", "e10", "e11") if k not in values]
     if missing:
         raise ProtocolError(f"parameter file missing keys: {', '.join(missing)}")
@@ -200,7 +191,7 @@ def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot]
     slots = []
     for i in range(config.N + 2 * config.K):
         role = Role.PAYLOAD if i < config.N else Role.LOYALTY
-        slots.append(SequenceSlot(i, role, qsim.make_bell(BellKind.PHI_PLUS),
+        slots.append(SequenceSlot(role, qsim.make_bell(BellKind.PHI_PLUS),
                                   payload_index=i if role is Role.PAYLOAD else None))
     return insert_decoys(slots, config.M, rng)
 

@@ -17,26 +17,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import adversary, costmodel, experiments, protocol
 from .adversary import AttackScenario
 from .protocol import ProtocolError
 
 SCENARIO_NAMES = [s.value for s in AttackScenario]
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ProtocolError(f"malformed config line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
 
 
 def _resolve(flag_value, file_values: dict, key: str, default, cast):
@@ -51,10 +38,14 @@ def _default_seed() -> int:
     return int(os.environ.get("QOTSIM_SEED", "0"))
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """Stdout for no path or "-", else the file, closed when the block ends."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,15 +109,11 @@ def _cmd_honest(args, cfg_file) -> int:
     runs = _resolve(args.runs, cfg_file, "runs", 1, int)
     if runs < 1:
         raise ProtocolError("runs must be >= 1")
-    out, close = _open_out(args.transcript or args.out)
-    try:
+    with _output(args.transcript or args.out) as out:
         for r in range(runs):
             run_cfg = protocol.ProtocolConfig(config.N, config.M, config.M2, config.K,
                                               config.tau, config.seed + r)
             out.write(protocol.run_honest(run_cfg).to_json_line() + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -143,21 +130,14 @@ def _cmd_attack(args, cfg_file) -> int:
     ue_file = _resolve(args.ue_file, cfg_file, "ue_file", None, str)
     if ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
-    out, close = _open_out(args.out)
-    try:
-        if scenario is AttackScenario.INTERCEPT_RESEND:
-            m = _resolve(args.M, cfg_file, "M", None, int)
-            if m is None:
-                raise ProtocolError("intercept scenario requires --M")
+    with _output(args.out) as out:
+        if scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
+            flag = "M" if scenario is AttackScenario.INTERCEPT_RESEND else "K"
+            value = _resolve(getattr(args, flag), cfg_file, flag, None, int)
+            if value is None:
+                raise ProtocolError(f"{scenario.value} scenario requires --{flag}")
             row = experiments.estimate_detection_rate(
-                experiments.ExperimentSpec(scenario, m, trials, seed))
-            _estimate_rows_csv(out, [row])
-        elif scenario is AttackScenario.BOB_BELL_CHEAT:
-            k = _resolve(args.K, cfg_file, "K", None, int)
-            if k is None:
-                raise ProtocolError("bell scenario requires --K")
-            row = experiments.estimate_detection_rate(
-                experiments.ExperimentSpec(scenario, k, trials, seed))
+                experiments.ExperimentSpec(scenario, value, trials, seed))
             _estimate_rows_csv(out, [row])
         elif scenario is AttackScenario.ENTANGLING:
             if ue_file is None:
@@ -171,17 +151,14 @@ def _cmd_attack(args, cfg_file) -> int:
         else:
             policy = _resolve(args.policy, cfg_file, "policy", "guess", str)
             report = experiments.alice_attack_report(trials, seed=seed, policy=policy)
-            out.write("metric,empirical,closed_form,stderr,trials\n")
-            out.write(f"conclusive,{report.conclusive_rate:.10g},0.25,"
-                      f"{report.stderr(report.conclusive_rate):.10g},{trials}\n")
-            out.write(f"bit_error,{report.bit_error_rate:.10g},0.1875,"
-                      f"{report.stderr(report.bit_error_rate):.10g},{trials}\n")
+            rows = [("conclusive", report.conclusive_rate, 0.25),
+                    ("bit_error", report.bit_error_rate, 0.1875)]
             if scenario is AttackScenario.ALICE_MEASURE_RESEND_DUMMY:
-                out.write(f"dummy_error,{report.dummy_error_rate:.10g},0.09375,"
-                          f"{report.stderr(report.dummy_error_rate):.10g},{trials}\n")
-    finally:
-        if close:
-            out.close()
+                rows.append(("dummy_error", report.dummy_error_rate, 0.09375))
+            out.write("metric,empirical,closed_form,stderr,trials\n")
+            for name, rate, closed_form in rows:
+                out.write(f"{name},{rate:.10g},{closed_form:.10g},"
+                          f"{report.stderr(rate):.10g},{trials}\n")
     return 0
 
 
@@ -194,39 +171,27 @@ def _cmd_sweep(args, cfg_file) -> int:
     trials = _resolve(args.trials, cfg_file, "trials", experiments.DEFAULT_TRIALS, int)
     seed = _resolve(args.seed, cfg_file, "seed", _default_seed(), int)
     rows = experiments.sweep_curve(scenario, values, trials, seed)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _estimate_rows_csv(out, rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_oblivious(args, cfg_file) -> int:
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("choice,chosen_bit,trace_distance\n")
         for choice in (0, 1):
             for bit in (0, 1):
                 out.write(f"{choice},{bit},{experiments.obliviousness_report(choice, bit):.10g}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_cost(args, cfg_file) -> int:
     r_max = _resolve(args.rmax, cfg_file, "rmax", 100, int)
     rows = costmodel.emit_curve(r_max)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(costmodel.CURVE_HEADER + "\n")
         for row in rows:
             out.write(",".join(str(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
     print(f"# footnote: {costmodel.YSW_FOOTNOTE}", file=sys.stderr)
     return 0
 
@@ -249,7 +214,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg_file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        cfg_file = protocol.read_key_values(args.config) if getattr(args, "config", None) else {}
         if args.command == "honest":
             return _cmd_honest(args, cfg_file)
         if args.command == "attack":

@@ -36,6 +36,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.parameter < 0:
+            raise ProtocolError("parameter must be >= 0")
         if self.trials < 1:
             raise ProtocolError("trials must be >= 1")
 
@@ -56,8 +58,29 @@ class EstimateRow:
 CSV_HEADER = "parameter,empirical,closed_form,stderr,trials"
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+def _wald_stderr(rate: float, trials: int) -> float:
+    """Standard error of a rate estimated from ``trials`` Bernoulli trials."""
+    return float(np.sqrt(rate * (1.0 - rate) / trials))
+
+
+def _estimate_row(parameter: int, hits: int, closed_form: float, trials: int) -> EstimateRow:
+    p = hits / trials
+    return EstimateRow(parameter, p, closed_form, _wald_stderr(p, trials), trials)
+
+
+def _tally(kernel, arg, trials: int, seed: int, n_outcomes: int = 2) -> list[int]:
+    """Run ``kernel(arg, rng)`` once per trial and count the trials returning
+    each outcome code in ``range(n_outcomes)`` (a bool counts as 0 or 1).
+
+    Trial t draws from its own stream ``default_rng([seed, t])``, so results
+    do not depend on the order trials run in.
+    """
+    if trials < 1:
+        raise ProtocolError("trials must be >= 1")
+    counts = [0] * n_outcomes
+    for t in range(trials):
+        counts[kernel(arg, np.random.default_rng([seed, t]))] += 1
+    return counts
 
 
 def _intercept_trial(M: int, rng: np.random.Generator) -> bool:
@@ -96,10 +119,8 @@ def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
         trial, closed = _intercept_trial, intercept_detection_rate
     else:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
-    hits = sum(trial(spec.parameter, _trial_rng(spec.seed, t)) for t in range(spec.trials))
-    p = hits / spec.trials
-    stderr = float(np.sqrt(p * (1.0 - p) / spec.trials))
-    return EstimateRow(spec.parameter, p, closed(spec.parameter), stderr, spec.trials)
+    hits = _tally(trial, spec.parameter, spec.trials, spec.seed)[1]
+    return _estimate_row(spec.parameter, hits, closed(spec.parameter), spec.trials)
 
 
 def sweep_curve(scenario: AttackScenario, values, trials: int = DEFAULT_TRIALS,
@@ -140,7 +161,23 @@ class AliceAttackReport:
     trials: int
 
     def stderr(self, rate: float) -> float:
-        return float(np.sqrt(rate * (1.0 - rate) / self.trials))
+        return _wald_stderr(rate, self.trials)
+
+
+def _alice_trial(policy: str, rng: np.random.Generator) -> int:
+    """One slot through Alice's measure-and-resend; returns the outcome code
+    conclusive + 2 * wrong guess + 4 * bit error + 8 * dummy error."""
+    j = int(rng.integers(2))
+    slot = protocol.SequenceSlot(protocol.Role.PAYLOAD, choice_state(j), choice=j)
+    guesses, resent = adversary.alice_measure_resend([slot], rng, policy=policy)
+    pair = (int(rng.integers(2)), int(rng.integers(2)))
+    encoded = qsim.apply_gate(resent[0].state, protocol.PAULI_CODE[pair], 0)
+    bit, _ = qsim.measure(encoded, choice_basis(j), 0, rng)
+    bit_error = bit != pair[j]
+    dummy_error = bit_error and rng.random() < 0.5
+    guess = guesses[0]
+    return ((guess is not None) + 2 * (guess is not None and guess != j)
+            + 4 * bit_error + 8 * dummy_error)
 
 
 def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> AliceAttackReport:
@@ -152,69 +189,24 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
-    if trials < 1:
-        raise ProtocolError("trials must be >= 1")
-    conclusive = wrong_conclusive = bit_errors = dummy_errors = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        j = int(rng.integers(2))
-        slot = protocol.SequenceSlot(0, protocol.Role.PAYLOAD, choice_state(j), choice=j)
-        guesses, resent = adversary.alice_measure_resend([slot], rng, policy=policy)
-        if guesses[0] is not None:
-            conclusive += 1
-            if guesses[0] != j:
-                wrong_conclusive += 1
-        pair = (int(rng.integers(2)), int(rng.integers(2)))
-        encoded = qsim.apply_gate(resent[0].state, protocol.PAULI_CODE[pair], 0)
-        bit, _ = qsim.measure(encoded, choice_basis(j), 0, rng)
-        if bit != pair[j]:
-            bit_errors += 1
-            if rng.random() < 0.5:
-                dummy_errors += 1
-    return AliceAttackReport(conclusive / trials, wrong_conclusive,
-                             bit_errors / trials, dummy_errors / trials, trials)
+    counts = _tally(_alice_trial, policy, trials, seed, n_outcomes=16)
+    conclusive, wrong, bit_errors, dummy_errors = (
+        sum(n for code, n in enumerate(counts) if code >> k & 1) for k in range(4))
+    return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
+                             dummy_errors / trials, trials)
+
+
+def _entangling_trial(params, rng: np.random.Generator) -> bool:
+    """One decoy through Eve's entangling attack: True iff it reads flipped."""
+    did = int(rng.integers(4))
+    slot = protocol.SequenceSlot(protocol.Role.DECOY, DECOY_STATES[did], decoy_id=did)
+    attacked = adversary.eve_entangling_attack([slot], params)[0]
+    bit, _ = qsim.measure(attacked.state, decoy_basis(did), 0, rng)
+    return bit != decoy_bit(did)
 
 
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
-    if trials < 1:
-        raise ProtocolError("trials must be >= 1")
-    flips = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        did = int(rng.integers(4))
-        slot = protocol.SequenceSlot(0, protocol.Role.DECOY, DECOY_STATES[did], decoy_id=did)
-        attacked = adversary.eve_entangling_attack([slot], params)[0]
-        bit, _ = qsim.measure(attacked.state, decoy_basis(did), 0, rng)
-        if bit != decoy_bit(did):
-            flips += 1
-    p = flips / trials
-    stderr = float(np.sqrt(p * (1.0 - p) / trials))
-    return EstimateRow(0, p, adversary.ue_detection_probability(params), stderr, trials)
-
-
-@dataclass(frozen=True)
-class HonestBatchReport:
-    runs: int
-    decode_errors: int
-    aborts: int
-    qubits_used: list[int]
-
-
-def honest_batch(configs, choice_sets=None, pair_sets=None) -> HonestBatchReport:
-    """Run a batch of honest protocol executions and tally decode errors."""
-    errors = aborts = 0
-    qubits = []
-    configs = list(configs)
-    for i, cfg in enumerate(configs):
-        choices = choice_sets[i] if choice_sets else None
-        pairs = pair_sets[i] if pair_sets else None
-        t = protocol.run_honest(cfg, choices=choices, pairs=pairs)
-        qubits.append(t.qubits_used)
-        if t.verdict != "ok":
-            aborts += 1
-            continue
-        expected = [t.pairs[k][t.choices[k]] for k in range(cfg.N)]
-        errors += sum(1 for k in range(cfg.N) if t.decoded_bits[k] != expected[k])
-    return HonestBatchReport(len(configs), errors, aborts, qubits)
+    flips = _tally(_entangling_trial, params, trials, seed)[1]
+    return _estimate_row(0, flips, adversary.ue_detection_probability(params), trials)

@@ -10,7 +10,7 @@ other bit only ever shows up as a global phase on the carrier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -58,16 +58,31 @@ class ProtocolError(Exception):
     """Malformed input to a protocol step."""
 
 
+def read_key_values(path) -> dict[str, str]:
+    """Read a ``key = value`` text file; ``#`` starts a comment and blank
+    lines are skipped. Later keys override earlier ones."""
+    values: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ProtocolError(f"{path}:{lineno}: malformed line: {raw.strip()!r}")
+            key, val = line.split("=", 1)
+            values[key.strip()] = val.strip()
+    return values
+
+
 @dataclass
 class SequenceSlot:
-    """One position of the transmitted sequence.
+    """One qubit of the transmitted sequence; its position is its list index.
 
     ``choice``/``decoy_id`` are the owner's private preparation record; the
     counterparty's code must only rely on ``state`` (and, for adversary slots,
     the transmitted qubit is always tensor factor 0 of ``state``).
     """
 
-    position: int
     role: Role
     state: PureState
     choice: int | None = None
@@ -108,16 +123,10 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     total = len(slots) + m
     positions = sorted(int(p) for p in rng.choice(total, size=m, replace=False)) if m else []
     ids = [int(i) for i in rng.integers(0, 4, size=m)]
-    out: list[SequenceSlot] = []
-    it = iter(slots)
-    decoy_at = dict(zip(positions, ids))
-    for pos in range(total):
-        if pos in decoy_at:
-            did = decoy_at[pos]
-            out.append(SequenceSlot(pos, Role.DECOY, DECOY_STATES[did], decoy_id=did))
-        else:
-            s = next(it)
-            out.append(replace(s, position=pos))
+    out = list(slots)
+    # ascending insertion leaves each decoy at its drawn position
+    for pos, did in zip(positions, ids):
+        out.insert(pos, SequenceSlot(Role.DECOY, DECOY_STATES[did], decoy_id=did))
     return out, positions, ids
 
 
@@ -139,7 +148,7 @@ def bob_prepare_sequence(choices, M: int, rng: np.random.Generator, n_loyalty: i
     for i, c in enumerate(choices):
         role = Role.PAYLOAD if i < n_payload else Role.LOYALTY
         slots.append(SequenceSlot(
-            i, role, choice_state(c), choice=c,
+            role, choice_state(c), choice=c,
             payload_index=i if role is Role.PAYLOAD else None,
         ))
     return insert_decoys(slots, M, rng)
@@ -164,14 +173,15 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
         raise ProtocolError("published decoy position out of range")
     if len(positions) != len(published):
         raise ProtocolError("duplicate published decoy position")
+    if any(did not in range(len(DECOY_STATES)) for _, did in published):
+        raise ProtocolError("published decoy id out of range")
     mismatches = 0
     for pos, did in published:
         bit, _ = qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)
         if bit != decoy_bit(did):
             mismatches += 1
     error_rate = mismatches / len(published) if published else 0.0
-    remaining = [replace(s, position=i)
-                 for i, s in enumerate(s for s in slots if s.position not in positions)]
+    remaining = [s for i, s in enumerate(slots) if i not in positions]
     return CheckResult(error_rate, error_rate <= tau, remaining)
 
 
@@ -217,8 +227,7 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
         outcomes.append(bit)
     failure_rate = sum(outcomes) / K if K else 0.0
     tested = set(positions)
-    remaining = [replace(s, position=i)
-                 for i, s in enumerate(s for s in slots if s.position not in tested)]
+    remaining = [s for i, s in enumerate(slots) if i not in tested]
     return LoyaltyResult(failure_rate <= tau, positions, outcomes, remaining)
 
 
@@ -226,9 +235,11 @@ def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
     """Bob's side of Step 3: pick a permutation putting his intended choice
     string on the first N slots.
 
-    Surviving payload slots return to their own intended position; consumed
-    positions are backfilled by surviving loyalty slots carrying the needed
-    choice (falling back to any unused slot with that choice).
+    Surviving payload slots return to their own intended position when they
+    carry the choice wanted there; other positions are backfilled by unused
+    loyalty slots carrying the needed choice (falling back to any unused slot
+    with that choice). Every slot is used at most once, so the result is a
+    permutation whose first N slots carry ``intended``.
     """
     intended = [int(c) for c in intended]
     n = len(intended)
@@ -237,7 +248,7 @@ def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
     perm: list[int] = []
     for i, want in enumerate(intended):
         k = by_payload_index.get(i)
-        if k is None:
+        if k is None or used[k] or slots[k].choice != want:
             k = next((j for j, s in enumerate(slots)
                       if not used[j] and s.role is Role.LOYALTY and s.choice == want), None)
         if k is None:
@@ -256,8 +267,7 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
     permutation = [int(p) for p in permutation]
     if sorted(permutation) != list(range(len(slots))):
         raise ProtocolError("reorder request is not a permutation of the sequence")
-    reordered = [replace(slots[p], position=i) for i, p in enumerate(permutation)]
-    return reordered[:n_keep]
+    return [slots[p] for p in permutation[:n_keep]]
 
 
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
@@ -325,35 +335,36 @@ class Transcript:
     qubits_used: int
 
     def to_json_line(self) -> str:
-        d = {
-            "version": self.version,
-            "seed": self.seed,
-            "config": {"N": self.config.N, "M": self.config.M, "M2": self.config.M2,
-                       "K": self.config.K, "tau": self.config.tau},
-            "choices": self.choices,
-            "loyalty_choices": self.loyalty_choices,
-            "pairs": [list(p) for p in self.pairs],
-            "bob_decoy_positions": self.bob_decoy_positions,
-            "bob_decoy_ids": self.bob_decoy_ids,
-            "channel_error_rate": self.channel_error_rate,
-            "loyalty_positions": self.loyalty_positions,
-            "loyalty_outcomes": self.loyalty_outcomes,
-            "permutation": self.permutation,
-            "alice_decoy_positions": self.alice_decoy_positions,
-            "alice_decoy_ids": self.alice_decoy_ids,
-            "return_error_rate": self.return_error_rate,
-            "decoded_bits": self.decoded_bits,
-            "verdict": self.verdict,
-            "qubits_used": self.qubits_used,
-        }
+        d = {name: getattr(self, name) for name in TRANSCRIPT_FIELDS}
+        d["config"] = {name: getattr(self.config, name) for name in CONFIG_FIELDS}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def parse_json_line(line: str) -> dict:
+        """Decode one record and check it has exactly the transcript's keys."""
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ProtocolError("transcript record is not a JSON object")
         if d.get("version") != TRANSCRIPT_VERSION:
             raise ProtocolError(f"unsupported transcript version {d.get('version')!r}")
+        _check_keys("transcript record", d, TRANSCRIPT_FIELDS)
+        if not isinstance(d["config"], dict):
+            raise ProtocolError("transcript config is not a JSON object")
+        _check_keys("transcript config", d["config"], CONFIG_FIELDS)
         return d
+
+
+#: transcript record keys; the nested config omits ``seed``, which the record
+#: holds at top level
+TRANSCRIPT_FIELDS = tuple(f.name for f in fields(Transcript))
+CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if f.name != "seed")
+
+
+def _check_keys(what: str, record: dict, expected) -> None:
+    missing = sorted(set(expected) - set(record))
+    extra = sorted(set(record) - set(expected))
+    if missing or extra:
+        raise ProtocolError(f"{what} has missing keys {missing} and unexpected keys {extra}")
 
 
 def default_loyalty_choices(K: int) -> list[int]:
@@ -426,13 +437,16 @@ def replay_transcript(line: str) -> tuple[bool, str]:
     differing field.
     """
     d = Transcript.parse_json_line(line)
-    cfg = ProtocolConfig(seed=d["seed"], **d["config"])
-    fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])
+    try:
+        cfg = ProtocolConfig(seed=d["seed"], **d["config"])
+        fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed transcript record: {exc}") from exc
     fresh_line = fresh.to_json_line()
     if fresh_line == line.strip():
         return True, "verified"
     new = json.loads(fresh_line)
-    for key in sorted(set(d) | set(new)):
+    for key in sorted(new):
         if d.get(key) != new.get(key):
             return False, f"divergence at field {key!r}: stored {d.get(key)!r}, replayed {new.get(key)!r}"
     return False, "divergence in formatting"

@@ -87,14 +87,6 @@ ONE = PureState([0, 1], _checked=True)
 PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
 MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
 
-#: eigenstates by (basis, bit), matching the measurement outcome convention
-BASIS_STATES: dict[tuple[Basis, int], PureState] = {
-    (Basis.Z, 0): ZERO,
-    (Basis.Z, 1): ONE,
-    (Basis.X, 0): PLUS,
-    (Basis.X, 1): MINUS,
-}
-
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int, n: int) -> np.ndarray:
     cube = amps.reshape(1 << target, 2, -1)

@@ -47,7 +47,7 @@ def test_criterion_2_worked_example():
     slots = []
     for i, c in enumerate([0, 1, 0, 1]):
         role = Role.PAYLOAD if i < 2 else Role.LOYALTY
-        slots.append(SequenceSlot(i, role, protocol.choice_state(c), choice=c,
+        slots.append(SequenceSlot(role, protocol.choice_state(c), choice=c,
                                   payload_index=i if i < 2 else None))
     g = np.random.default_rng(0)
     loyal = protocol.alice_test_loyalty(slots, 1, g, positions=[3])

@@ -13,8 +13,8 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def decoy_slot(decoy_id, position=0):
-    return SequenceSlot(position, Role.DECOY, protocol.DECOY_STATES[decoy_id],
+def decoy_slot(decoy_id):
+    return SequenceSlot(Role.DECOY, protocol.DECOY_STATES[decoy_id],
                         decoy_id=decoy_id)
 
 
@@ -33,7 +33,7 @@ class TestInterceptResend:
 
     def test_no_decoys_no_detection(self):
         g = rng(2)
-        slots = [SequenceSlot(0, Role.PAYLOAD, qsim.ZERO, choice=0)]
+        slots = [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)]
         attacked = adversary.eve_intercept_resend(slots, g)
         assert len(attacked) == 1  # payload disturbance is invisible to the check
 
@@ -148,7 +148,7 @@ class TestEntanglingAttack:
                 assert adversary.ue_detection_probability(p) > 0.0
 
     def test_rejects_multi_qubit_slot(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.make_bell(BellKind.PHI_PLUS))
+        slot = SequenceSlot(Role.PAYLOAD, qsim.make_bell(BellKind.PHI_PLUS))
         with pytest.raises(ProtocolError):
             adversary.eve_entangling_attack([slot], UeParams.no_detection_point())
 
@@ -215,7 +215,7 @@ class TestAliceMeasureResend:
         conclusive = 0
         for _ in range(n):
             j = int(g.integers(2))
-            slot = SequenceSlot(0, Role.PAYLOAD, protocol.choice_state(j), choice=j)
+            slot = SequenceSlot(Role.PAYLOAD, protocol.choice_state(j), choice=j)
             guesses, _ = adversary.alice_measure_resend([slot], g)
             if guesses[0] is not None:
                 conclusive += 1
@@ -225,7 +225,7 @@ class TestAliceMeasureResend:
 
     def test_guess_policy_resends_legal_preparations(self):
         g = rng(6)
-        slots = [SequenceSlot(i, Role.PAYLOAD, protocol.choice_state(i % 2), choice=i % 2)
+        slots = [SequenceSlot(Role.PAYLOAD, protocol.choice_state(i % 2), choice=i % 2)
                  for i in range(50)]
         _, resent = adversary.alice_measure_resend(slots, g)
         legal = [qsim.ZERO.amps, qsim.PLUS.amps]

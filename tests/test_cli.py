@@ -70,6 +70,20 @@ class TestHonest:
         code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 1 and "divergence" in err
 
+    @pytest.mark.parametrize("malform", [
+        lambda r: {k: v for k, v in r.items() if k != "seed"},
+        lambda r: {**r, "config": {**r["config"], "extra": 1}},
+        lambda r: {**r, "config": {**r["config"], "seed": 1}},
+        lambda r: {**r, "choices": 5},
+        lambda r: [r],
+    ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "not-an-object"])
+    def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
+        path = tmp_path / "runs.jsonl"
+        run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
+        path.write_text(json.dumps(malform(json.loads(path.read_text()))) + "\n")
+        code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 2 and err.startswith("error:")
+
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QOTSIM_SEED", "42")
         path = tmp_path / "runs.jsonl"
@@ -121,6 +135,12 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "--scenario", "intercept",
                                "--trials", "10")
         assert code == 2 and "requires --M" in err
+
+    @pytest.mark.parametrize("argv", [["--scenario", "intercept", "--M", "-3"],
+                                      ["--scenario", "bell", "--K", "-2"]])
+    def test_negative_parameter_is_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "attack", *argv, "--trials", "10")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_ue_file_wrong_scenario(self, capsys, tmp_path):
         path = tmp_path / "ue.txt"

@@ -59,6 +59,11 @@ class TestEstimateDetectionRate:
         with pytest.raises(ProtocolError):
             ExperimentSpec(AttackScenario.BOB_BELL_CHEAT, 1, trials=0)
 
+    def test_rejects_negative_parameter(self):
+        for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
+            with pytest.raises(ProtocolError):
+                ExperimentSpec(scenario, -3, trials=10)
+
 
 class TestSweep:
     def test_bell_sweep_monotone(self):
@@ -155,10 +160,3 @@ class TestEntanglingEstimate:
             adversary.UeParams.no_detection_point(), trials=500, seed=0)
         assert row.empirical == 0.0 and row.closed_form == 0.0
 
-
-class TestHonestBatch:
-    def test_small_batch_clean(self):
-        cfgs = [ProtocolConfig(N=2 + i % 4, M=1, M2=1, K=1, seed=i) for i in range(50)]
-        rep = experiments.honest_batch(cfgs)
-        assert rep.decode_errors == 0 and rep.aborts == 0
-        assert all(q == c.sequence_length + c.M2 for q, c in zip(rep.qubits_used, cfgs))

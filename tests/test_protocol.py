@@ -18,7 +18,7 @@ def make_worked_example_slots():
     slots = []
     for i, c in enumerate([0, 1, 0, 1]):
         role = Role.PAYLOAD if i < 2 else Role.LOYALTY
-        slots.append(SequenceSlot(i, role, choice_state(c), choice=c,
+        slots.append(SequenceSlot(role, choice_state(c), choice=c,
                                   payload_index=i if i < 2 else None))
     return slots
 
@@ -72,8 +72,14 @@ class TestChannelCheck:
         with pytest.raises(ProtocolError):
             protocol.alice_check_channel(slots, [(9, 0)], rng())
 
+    @pytest.mark.parametrize("decoy_id", [9, 4, -1])
+    def test_decoy_id_out_of_range(self, decoy_id):
+        slot = SequenceSlot(Role.DECOY, qsim.MINUS, decoy_id=3)
+        with pytest.raises(ProtocolError):
+            protocol.check_published_decoys([slot], [(0, decoy_id)], rng())
+
     def test_flipped_decoy_detected(self):
-        slot = SequenceSlot(0, Role.DECOY, qsim.ONE, decoy_id=0)  # claims |0>, holds |1>
+        slot = SequenceSlot(Role.DECOY, qsim.ONE, decoy_id=0)  # claims |0>, holds |1>
         res = protocol.alice_check_channel([slot], [(0, 0)], rng())
         assert not res.ok and res.error_rate == 1.0
 
@@ -146,47 +152,72 @@ class TestReorder:
         perm = protocol.plan_reorder(slots, [0, 1, 1])
         assert perm == [0, 1, 2]
 
+    def test_plan_reorder_does_not_reuse_a_backfilled_payload_slot(self):
+        slots = [SequenceSlot(Role.PAYLOAD, qsim.PLUS, choice=1, payload_index=1)]
+        with pytest.raises(ProtocolError):
+            protocol.plan_reorder(slots, [1, 1])
+        slots.append(SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0, payload_index=2))
+        with pytest.raises(ProtocolError):
+            protocol.plan_reorder(slots, [1, 1, 0])
+
+    @given(st.lists(st.tuples(st.sampled_from([Role.PAYLOAD, Role.LOYALTY]),
+                              st.sampled_from([0, 1, None]), st.integers(0, 4)), max_size=8),
+           st.lists(st.integers(0, 1), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_reorder_is_a_permutation_or_raises(self, specs, intended):
+        slots = [SequenceSlot(role, qsim.ZERO, choice=choice,
+                              payload_index=index if role is Role.PAYLOAD else None)
+                 for role, choice, index in specs]
+        feasible = all(intended.count(c) <= [s.choice for s in slots].count(c) for c in (0, 1))
+        try:
+            perm = protocol.plan_reorder(slots, intended)
+        except ProtocolError:
+            assert not feasible
+            return
+        assert sorted(perm) == list(range(len(slots)))
+        assert [slots[k].choice for k in perm[:len(intended)]] == intended
+
 
 class TestEncodeDecode:
     def test_pair_01_turns_plus_into_minus(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.PLUS, choice=1)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.PLUS, choice=1)
         out = protocol.alice_encode([slot], [(0, 1)])
         assert np.allclose(out[0].state.amps, qsim.MINUS.amps)
 
     def test_pair_10_turns_zero_into_one(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.ZERO, choice=0)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
         out = protocol.alice_encode([slot], [(1, 0)])
         assert np.allclose(out[0].state.amps, qsim.ONE.amps)
 
     def test_pair_00_leaves_state_unchanged(self):
         for state in (qsim.ZERO, qsim.PLUS):
-            slot = SequenceSlot(0, Role.PAYLOAD, state, choice=0)
+            slot = SequenceSlot(Role.PAYLOAD, state, choice=0)
             out = protocol.alice_encode([slot], [(0, 0)])
             assert np.allclose(out[0].state.amps, state.amps)
 
     def test_pair_count_mismatch(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.ZERO, choice=0)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
         with pytest.raises(ProtocolError):
             protocol.alice_encode([slot], [(0, 0), (1, 1)])
 
     def test_decode_minus_in_x_gives_one(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.MINUS)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.MINUS)
         res = protocol.bob_check_and_decode([slot], [], [1], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_one_in_z_gives_one(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.ONE)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.ONE)
         res = protocol.bob_check_and_decode([slot], [], [0], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_identity_encoded_zero(self):
-        slot = SequenceSlot(0, Role.PAYLOAD, qsim.ZERO)
+        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO)
         encoded = protocol.alice_encode([slot], [(0, 0)])
         res = protocol.bob_check_and_decode(encoded, [], [0], rng())
         assert res.bits == [0]
 
     def test_alice_decoy_insertion_lengths(self):
-        slots = [SequenceSlot(i, Role.PAYLOAD, qsim.ZERO, choice=0) for i in range(3)]
+        slots = [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0) for _ in range(3)]
         grown, pos, ids = protocol.alice_insert_decoys(slots, 5, rng(1))
         assert len(grown) == 8 and len(pos) == 5
         same, pos0, _ = protocol.alice_insert_decoys(slots, 0, rng(1))
@@ -198,7 +229,7 @@ class TestEncodeDecode:
         counts = np.zeros(4)
         for _ in range(200):
             _, _, ids = protocol.alice_insert_decoys(
-                [SequenceSlot(0, Role.PAYLOAD, qsim.ZERO, choice=0)], 10, g)
+                [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)], 10, g)
             for i in ids:
                 counts[i] += 1
         n = counts.sum()
@@ -243,6 +274,14 @@ class TestHonestRuns:
         assert len(payload) == cfg.N
         outbound, _, _ = protocol.alice_insert_decoys(payload, cfg.M2, g)
         assert len(outbound) == cfg.N + cfg.M2
+
+    def test_small_batch_clean(self):
+        for i in range(50):
+            cfg = ProtocolConfig(N=2 + i % 4, M=1, M2=1, K=1, seed=i)
+            t = protocol.run_honest(cfg)
+            assert t.verdict == "ok"
+            assert t.decoded_bits == [t.pairs[k][t.choices[k]] for k in range(cfg.N)]
+            assert t.qubits_used == cfg.sequence_length + cfg.M2
 
     def test_qubit_accounting(self):
         cfg = ProtocolConfig(N=6, M=50, M2=50, K=20, seed=3)

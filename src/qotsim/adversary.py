@@ -8,11 +8,14 @@ Covered strategies:
     reading Alice's Pauli encoding out with a Bell measurement (dense coding);
   * dishonest Alice measuring Bob's sequence to guess his choices, then
     resending replacement states.
+
+Eve's two attacks and Alice's measure-and-resend each take one transmitted
+state and return the state forwarded in its place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,10 +55,15 @@ class UeParams:
     e11: np.ndarray
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            if not np.isfinite(complex(getattr(self, name))):
+                raise ProtocolError(f"amplitude {name} must be finite")
         for name in ("e00", "e01", "e10", "e11"):
             v = np.asarray(getattr(self, name), dtype=complex)
             if v.shape != (4,):
                 raise ProtocolError(f"{name} must be a 4-dimensional vector")
+            if not np.all(np.isfinite(v)):
+                raise ProtocolError(f"{name} must have finite components")
             if abs(np.vdot(v, v).real - 1.0) > 1e-10:
                 raise ProtocolError(f"{name} must be a unit vector")
             object.__setattr__(self, name, v)
@@ -126,30 +134,22 @@ def load_ue_params(path) -> UeParams:
     return UeParams(**scalars, **vectors)
 
 
-def eve_intercept_resend(slots: list[SequenceSlot], rng: np.random.Generator) -> list[SequenceSlot]:
-    """Measure every in-transit qubit in a uniformly random basis and forward
-    the collapsed state."""
-    out = []
-    for slot in slots:
-        basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        _, collapsed = qsim.measure(slot.state, basis, 0, rng)
-        out.append(replace(slot, state=collapsed))
-    return out
+def eve_intercept_resend(state: PureState, rng: np.random.Generator) -> PureState:
+    """Measure an in-transit qubit in a uniformly random basis and forward the
+    collapsed state."""
+    _, collapsed = qsim.measure(state, choice_basis(rng.integers(2)), 0, rng)
+    return collapsed
 
 
-def eve_entangling_attack(slots: list[SequenceSlot], params: UeParams) -> list[SequenceSlot]:
-    """Extend each single-qubit slot with Eve's 4-dim ancilla per the isometry.
+def eve_entangling_attack(state: PureState, params: UeParams) -> PureState:
+    """Extend a single-qubit state with Eve's 4-dim ancilla per the isometry.
 
     The transmitted qubit stays tensor factor 0; Eve keeps factors 1-2.
     """
-    img0, img1 = params.image_of_zero(), params.image_of_one()
-    out = []
-    for slot in slots:
-        if slot.state.n_qubits != 1:
-            raise ProtocolError("entangling attack applies to single-qubit slots")
-        alpha, beta = slot.state.amps
-        out.append(replace(slot, state=PureState(alpha * img0 + beta * img1)))
-    return out
+    if state.n_qubits != 1:
+        raise ProtocolError("entangling attack applies to single-qubit states")
+    alpha, beta = state.amps
+    return PureState(alpha * params.image_of_zero() + beta * params.image_of_one())
 
 
 def ue_detection_probability(params: UeParams) -> float:
@@ -199,7 +199,7 @@ def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot]
 def random_published_bases(slots, rng: np.random.Generator) -> list[Basis]:
     """A cheating Bob's loyalty-test declarations: one uniformly random basis
     per slot (his Bell halves have no honest basis to publish)."""
-    return [Basis.Z if b == 0 else Basis.X for b in rng.integers(0, 2, size=len(slots))]
+    return [choice_basis(b) for b in rng.integers(0, 2, size=len(slots))]
 
 
 #: dense-coding readout: which Bell state Alice's gate turns a Phi+ pair into
@@ -216,37 +216,30 @@ def bob_bell_cheat_readout(state: PureState) -> tuple[int, int]:
     return BELL_TO_PAIR[qsim.bell_measure(state)]
 
 
-def alice_measure_resend(slots: list[SequenceSlot], rng: np.random.Generator,
-                         policy: str = "guess") -> tuple[list[int | None], list[SequenceSlot]]:
-    """Dishonest Alice measures Bob's Step-1 sequence in random bases.
+#: what a dishonest Alice resends after measuring; see alice_measure_resend
+RESEND_POLICIES = ("guess", "collapsed", "random")
 
-    A conclusive choice guess is recorded exactly when the outcome is
-    impossible for one preparation: outcome |1> implies |+> was sent, outcome
-    |-> implies |0> was sent. Resend policy:
-      * ``guess`` (default): conclusive slots are replaced by the identified
-        preparation; inconclusive slots by a uniform draw from {|0>, |+>};
-      * ``collapsed``: every slot is replaced by its post-measurement state;
-      * ``random``: every slot is replaced by a uniform draw from the four
-        decoy states.
+
+def alice_measure_resend(state: PureState, rng: np.random.Generator,
+                         policy: str = "guess") -> tuple[int | None, PureState]:
+    """Dishonest Alice measures one of Bob's Step-1 qubits in a random basis.
+
+    Returns her choice guess and the state she resends. The guess is
+    conclusive (not None) exactly when the outcome is impossible for one
+    preparation: outcome |1> implies |+> was sent, outcome |-> implies |0> was
+    sent. Resend policy:
+      * ``guess`` (default): the identified preparation if conclusive, else a
+        uniform draw from {|0>, |+>};
+      * ``collapsed``: the post-measurement state;
+      * ``random``: a uniform draw from the four decoy states.
     """
-    if policy not in ("guess", "collapsed", "random"):
+    if policy not in RESEND_POLICIES:
         raise ProtocolError(f"unknown resend policy {policy!r}")
-    guesses: list[int | None] = []
-    out = []
-    for slot in slots:
-        basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        bit, collapsed = qsim.measure(slot.state, basis, 0, rng)
-        guess = None
-        if bit == 1:
-            guess = 1 if basis is Basis.Z else 0
-        guesses.append(guess)
-        if policy == "collapsed":
-            resent = collapsed
-        elif policy == "random":
-            resent = DECOY_STATES[int(rng.integers(4))]
-        elif guess is not None:
-            resent = qsim.ZERO if guess == 0 else qsim.PLUS
-        else:
-            resent = qsim.ZERO if rng.integers(2) == 0 else qsim.PLUS
-        out.append(replace(slot, state=resent))
-    return guesses, out
+    basis = choice_basis(rng.integers(2))
+    bit, collapsed = qsim.measure(state, basis, 0, rng)
+    guess = (1 if basis is Basis.Z else 0) if bit == 1 else None
+    if policy == "collapsed":
+        return guess, collapsed
+    if policy == "random":
+        return guess, DECOY_STATES[int(rng.integers(4))]
+    return guess, protocol.choice_state(rng.integers(2) if guess is None else guess)

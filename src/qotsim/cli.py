@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--policy", choices=["guess", "collapsed", "random"], default=None)
+    p.add_argument("--policy", choices=adversary.RESEND_POLICIES, default=None)
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
     p = sub.add_parser("sweep", help="detection-rate curve over M or K")
@@ -117,53 +117,44 @@ def _cmd_honest(args, cfg_file) -> int:
     return 0
 
 
-def _estimate_rows_csv(out, rows):
-    out.write(experiments.CSV_HEADER + "\n")
+def _estimate_rows_csv(out, rows, header=experiments.CSV_HEADER):
+    out.write(header + "\n")
     for row in rows:
         out.write(row.as_csv() + "\n")
 
 
 def _cmd_attack(args, cfg_file) -> int:
-    scenario = AttackScenario(_resolve(args.scenario, cfg_file, "scenario", None, str))
+    scenario = AttackScenario(args.scenario)
     seed = _resolve(args.seed, cfg_file, "seed", _default_seed(), int)
     trials = _resolve(args.trials, cfg_file, "trials", experiments.DEFAULT_TRIALS, int)
     ue_file = _resolve(args.ue_file, cfg_file, "ue_file", None, str)
     if ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
+    header = experiments.CSV_HEADER
+    if scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
+        flag = "M" if scenario is AttackScenario.INTERCEPT_RESEND else "K"
+        value = _resolve(getattr(args, flag), cfg_file, flag, None, int)
+        if value is None:
+            raise ProtocolError(f"{scenario.value} scenario requires --{flag}")
+        rows = [experiments.estimate_detection_rate(
+            experiments.ExperimentSpec(scenario, value, trials, seed))]
+    elif scenario is AttackScenario.ENTANGLING:
+        if ue_file is None:
+            raise ProtocolError("entangling scenario requires --ue-file")
+        rows = experiments.entangling_rows(adversary.load_ue_params(ue_file), trials, seed)
+    else:
+        policy = _resolve(args.policy, cfg_file, "policy", "guess", str)
+        rows = experiments.alice_attack_report(trials, seed=seed, policy=policy).rows()
+        if scenario is AttackScenario.ALICE_MEASURE_RESEND:
+            rows = [row for row in rows if row.parameter != "dummy_error"]
+        header = experiments.ALICE_CSV_HEADER
     with _output(args.out) as out:
-        if scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
-            flag = "M" if scenario is AttackScenario.INTERCEPT_RESEND else "K"
-            value = _resolve(getattr(args, flag), cfg_file, flag, None, int)
-            if value is None:
-                raise ProtocolError(f"{scenario.value} scenario requires --{flag}")
-            row = experiments.estimate_detection_rate(
-                experiments.ExperimentSpec(scenario, value, trials, seed))
-            _estimate_rows_csv(out, [row])
-        elif scenario is AttackScenario.ENTANGLING:
-            if ue_file is None:
-                raise ProtocolError("entangling scenario requires --ue-file")
-            params = adversary.load_ue_params(ue_file)
-            row = experiments.entangling_detection_estimate(params, trials, seed)
-            out.write(experiments.CSV_HEADER + "\n")
-            out.write("detection," + row.as_csv().split(",", 1)[1] + "\n")
-            leak = adversary.ue_leakage(params)
-            out.write(f"leakage,{leak:.10g},{leak:.10g},0,{trials}\n")
-        else:
-            policy = _resolve(args.policy, cfg_file, "policy", "guess", str)
-            report = experiments.alice_attack_report(trials, seed=seed, policy=policy)
-            rows = [("conclusive", report.conclusive_rate, 0.25),
-                    ("bit_error", report.bit_error_rate, 0.1875)]
-            if scenario is AttackScenario.ALICE_MEASURE_RESEND_DUMMY:
-                rows.append(("dummy_error", report.dummy_error_rate, 0.09375))
-            out.write("metric,empirical,closed_form,stderr,trials\n")
-            for name, rate, closed_form in rows:
-                out.write(f"{name},{rate:.10g},{closed_form:.10g},"
-                          f"{report.stderr(rate):.10g},{trials}\n")
+        _estimate_rows_csv(out, rows, header)
     return 0
 
 
 def _cmd_sweep(args, cfg_file) -> int:
-    scenario = AttackScenario(_resolve(args.scenario, cfg_file, "scenario", None, str))
+    scenario = AttackScenario(args.scenario)
     raw = _resolve(args.values, cfg_file, "values", None, str)
     if raw is None:
         raise ProtocolError("sweep requires --values")

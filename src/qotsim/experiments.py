@@ -6,14 +6,14 @@ trial index), so results are identical regardless of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import adversary, protocol, qsim
 from .adversary import AttackScenario
 from .protocol import DECOY_STATES, ProtocolError, choice_basis, choice_state, decoy_basis, decoy_bit
-from .qsim import Basis, BellKind
+from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
 
@@ -26,6 +26,11 @@ def bell_cheat_detection_rate(K: int) -> float:
 def intercept_detection_rate(M: int) -> float:
     """Closed-form channel-check detection rate against intercept-and-resend."""
     return 1.0 - 0.75 ** M
+
+
+#: closed-form rates of a dishonest Alice's guess-policy measure-and-resend:
+#: conclusive choice guesses, carrier bit errors, and dummy-message errors
+ALICE_CLOSED_FORMS = {"conclusive": 0.25, "bit_error": 0.1875, "dummy_error": 0.09375}
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    parameter: int
+    """One empirical rate against its closed form; ``parameter`` is the swept
+    value (M or K) or the name of the estimated metric."""
+
+    parameter: int | str
     empirical: float
     closed_form: float
     stderr: float
@@ -56,6 +64,8 @@ class EstimateRow:
 
 
 CSV_HEADER = "parameter,empirical,closed_form,stderr,trials"
+#: header of the dishonest-Alice scenarios, whose rows are named metrics
+ALICE_CSV_HEADER = "metric,empirical,closed_form,stderr,trials"
 
 
 def _wald_stderr(rate: float, trials: int) -> float:
@@ -63,9 +73,8 @@ def _wald_stderr(rate: float, trials: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / trials))
 
 
-def _estimate_row(parameter: int, hits: int, closed_form: float, trials: int) -> EstimateRow:
-    p = hits / trials
-    return EstimateRow(parameter, p, closed_form, _wald_stderr(p, trials), trials)
+def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials: int) -> EstimateRow:
+    return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
 def _tally(kernel, arg, trials: int, seed: int, n_outcomes: int = 2) -> list[int]:
@@ -87,9 +96,7 @@ def _intercept_trial(M: int, rng: np.random.Generator) -> bool:
     """One channel check with Eve intercepting: True iff any decoy mismatches."""
     for _ in range(M):
         did = int(rng.integers(4))
-        slot_state = DECOY_STATES[did]
-        eve_basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        _, resent = qsim.measure(slot_state, eve_basis, 0, rng)
+        resent = adversary.eve_intercept_resend(DECOY_STATES[did], rng)
         bit, _ = qsim.measure(resent, decoy_basis(did), 0, rng)
         if bit != decoy_bit(did):
             return True
@@ -104,7 +111,7 @@ def _bell_cheat_trial(K: int, rng: np.random.Generator) -> bool:
     """
     for _ in range(K):
         pair = qsim.make_bell(BellKind.PHI_PLUS)
-        declared = Basis.Z if rng.integers(2) == 0 else Basis.X
+        declared = choice_basis(rng.integers(2))
         bit, _ = qsim.measure(pair, declared, 0, rng)
         if bit == 1:
             return True
@@ -120,7 +127,7 @@ def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
     else:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
     hits = _tally(trial, spec.parameter, spec.trials, spec.seed)[1]
-    return _estimate_row(spec.parameter, hits, closed(spec.parameter), spec.trials)
+    return _estimate_row(spec.parameter, hits / spec.trials, closed(spec.parameter), spec.trials)
 
 
 def sweep_curve(scenario: AttackScenario, values, trials: int = DEFAULT_TRIALS,
@@ -160,22 +167,25 @@ class AliceAttackReport:
     dummy_error_rate: float
     trials: int
 
-    def stderr(self, rate: float) -> float:
-        return _wald_stderr(rate, self.trials)
+    def rows(self) -> list[EstimateRow]:
+        """The conclusive, bit-error and dummy-error rates against
+        :data:`ALICE_CLOSED_FORMS`, in that order."""
+        rates = {"conclusive": self.conclusive_rate, "bit_error": self.bit_error_rate,
+                 "dummy_error": self.dummy_error_rate}
+        return [_estimate_row(name, rates[name], closed, self.trials)
+                for name, closed in ALICE_CLOSED_FORMS.items()]
 
 
 def _alice_trial(policy: str, rng: np.random.Generator) -> int:
     """One slot through Alice's measure-and-resend; returns the outcome code
     conclusive + 2 * wrong guess + 4 * bit error + 8 * dummy error."""
     j = int(rng.integers(2))
-    slot = protocol.SequenceSlot(protocol.Role.PAYLOAD, choice_state(j), choice=j)
-    guesses, resent = adversary.alice_measure_resend([slot], rng, policy=policy)
+    guess, resent = adversary.alice_measure_resend(choice_state(j), rng, policy)
     pair = (int(rng.integers(2)), int(rng.integers(2)))
-    encoded = qsim.apply_gate(resent[0].state, protocol.PAULI_CODE[pair], 0)
+    encoded = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
     bit, _ = qsim.measure(encoded, choice_basis(j), 0, rng)
     bit_error = bit != pair[j]
     dummy_error = bit_error and rng.random() < 0.5
-    guess = guesses[0]
     return ((guess is not None) + 2 * (guess is not None and guess != j)
             + 4 * bit_error + 8 * dummy_error)
 
@@ -199,9 +209,8 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
 def _entangling_trial(params, rng: np.random.Generator) -> bool:
     """One decoy through Eve's entangling attack: True iff it reads flipped."""
     did = int(rng.integers(4))
-    slot = protocol.SequenceSlot(protocol.Role.DECOY, DECOY_STATES[did], decoy_id=did)
-    attacked = adversary.eve_entangling_attack([slot], params)[0]
-    bit, _ = qsim.measure(attacked.state, decoy_basis(did), 0, rng)
+    attacked = adversary.eve_entangling_attack(DECOY_STATES[did], params)
+    bit, _ = qsim.measure(attacked, decoy_basis(did), 0, rng)
     return bit != decoy_bit(did)
 
 
@@ -209,4 +218,12 @@ def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: in
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
     flips = _tally(_entangling_trial, params, trials, seed)[1]
-    return _estimate_row(0, flips, adversary.ue_detection_probability(params), trials)
+    return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
+
+
+def entangling_rows(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[EstimateRow]:
+    """The ``detection`` estimate and the ``leakage`` row: Eve's trace distance
+    between choices, computed exactly (its stderr is 0)."""
+    detection = entangling_detection_estimate(params, trials, seed)
+    leak = adversary.ue_leakage(params)
+    return [replace(detection, parameter="detection"), EstimateRow("leakage", leak, leak, 0.0, trials)]

@@ -88,7 +88,6 @@ class SequenceSlot:
     choice: int | None = None
     decoy_id: int | None = None
     payload_index: int | None = None
-    pair: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -275,11 +274,10 @@ def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
-    out = []
-    for slot, pair in zip(slots, pairs):
-        gate = PAULI_CODE[pair]
-        out.append(replace(slot, state=qsim.apply_gate(slot.state, gate, 0), pair=pair))
-    return out
+    if any(pair not in PAULI_CODE for pair in pairs):
+        raise ProtocolError("message pairs must be pairs of bits")
+    return [replace(slot, state=qsim.apply_gate(slot.state, PAULI_CODE[pair], 0))
+            for slot, pair in zip(slots, pairs)]
 
 
 def alice_insert_decoys(slots, M2: int, rng) -> tuple[list[SequenceSlot], list[int], list[int]]:

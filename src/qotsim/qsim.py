@@ -88,7 +88,7 @@ PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
 MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
 
 
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int, n: int) -> np.ndarray:
+def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
     cube = amps.reshape(1 << target, 2, -1)
     return np.einsum("ij,ajb->aib", mat, cube).reshape(-1)
 
@@ -98,7 +98,7 @@ def apply_gate(state: PureState, gate: str, target: int) -> PureState:
     if not 0 <= target < state.n_qubits:
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
     mat = GATES[gate]
-    return PureState(_apply_matrix(state.amps, mat, target, state.n_qubits), _checked=True)
+    return PureState(_apply_matrix(state.amps, mat, target), _checked=True)
 
 
 def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
@@ -111,7 +111,7 @@ def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generato
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
     amps = state.amps
     if basis is Basis.X:
-        amps = _apply_matrix(amps, GATES["H"], target, state.n_qubits)
+        amps = _apply_matrix(amps, GATES["H"], target)
     cube = amps.reshape(1 << target, 2, -1)
     p1 = float(np.sum(np.abs(cube[:, 1, :]) ** 2))
     bit = 1 if rng.random() < p1 else 0
@@ -120,7 +120,7 @@ def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generato
     p = p1 if bit else 1.0 - p1
     out = collapsed.reshape(-1) / np.sqrt(p)
     if basis is Basis.X:
-        out = _apply_matrix(out, GATES["H"], target, state.n_qubits)
+        out = _apply_matrix(out, GATES["H"], target)
     return bit, PureState(out, _checked=True)
 
 

@@ -13,11 +13,6 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def decoy_slot(decoy_id):
-    return SequenceSlot(Role.DECOY, protocol.DECOY_STATES[decoy_id],
-                        decoy_id=decoy_id)
-
-
 class TestInterceptResend:
     def test_per_decoy_detection_is_one_quarter(self):
         g = rng(1)
@@ -25,23 +20,25 @@ class TestInterceptResend:
         hits = 0
         for _ in range(n):
             did = int(g.integers(4))
-            attacked = adversary.eve_intercept_resend([decoy_slot(did)], g)[0]
-            bit, _ = qsim.measure(attacked.state, protocol.decoy_basis(did), 0, g)
+            attacked = adversary.eve_intercept_resend(protocol.DECOY_STATES[did], g)
+            bit, _ = qsim.measure(attacked, protocol.decoy_basis(did), 0, g)
             hits += bit != protocol.decoy_bit(did)
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 4 * se
 
     def test_no_decoys_no_detection(self):
         g = rng(2)
-        slots = [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)]
-        attacked = adversary.eve_intercept_resend(slots, g)
-        assert len(attacked) == 1  # payload disturbance is invisible to the check
+        attacked = adversary.eve_intercept_resend(qsim.ZERO, g)
+        # payload disturbance is invisible to a check that publishes no decoys
+        slots = [SequenceSlot(Role.PAYLOAD, attacked, choice=0)]
+        check = protocol.check_published_decoys(slots, [], g)
+        assert check.ok and check.error_rate == 0.0 and len(check.remaining) == 1
 
     def test_resent_states_are_basis_eigenstates(self):
         g = rng(3)
-        attacked = adversary.eve_intercept_resend([decoy_slot(2)], g)[0]
+        attacked = adversary.eve_intercept_resend(protocol.DECOY_STATES[2], g)
         eigen = [s.amps for s in protocol.DECOY_STATES]
-        assert any(abs(abs(np.vdot(e, attacked.state.amps)) - 1) < 1e-10 for e in eigen)
+        assert any(abs(abs(np.vdot(e, attacked.amps)) - 1) < 1e-10 for e in eigen)
 
 
 def orthogonal_ancilla_params():
@@ -73,6 +70,19 @@ class TestUeParams:
         with pytest.raises(ProtocolError):
             UeParams(inv_sqrt2, inv_sqrt2, inv_sqrt2, inv_sqrt2, e, e, e, e)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf"), complex(0, float("nan"))])
+    def test_rejects_non_finite_amplitude(self, name, value):
+        e, e_perp = np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)
+        amps = {"a": 1, "b": 0, "c": 0, "d": 1, name: value}
+        with pytest.raises(ProtocolError, match=f"amplitude {name} must be finite"):
+            UeParams(**amps, e00=e, e01=e, e10=e_perp, e11=e)
+
+    def test_rejects_non_finite_ancilla_component(self):
+        e = np.array([1, 0, 0, 0], dtype=complex)
+        with pytest.raises(ProtocolError, match="e01 must have finite components"):
+            UeParams(1, 0, 0, 1, e, np.array([np.nan, 0, 0, 0]), e, e)
+
     def test_sampler_yields_valid_params(self):
         g = rng(5)
         for _ in range(50):
@@ -99,10 +109,10 @@ class TestEntanglingAttack:
     def test_constrained_params_leave_qubits_unchanged(self):
         p = UeParams.no_detection_point()
         for did in range(4):
-            attacked = adversary.eve_entangling_attack([decoy_slot(did)], p)[0]
+            attacked = adversary.eve_entangling_attack(protocol.DECOY_STATES[did], p)
             # qubit factor unchanged, ancilla in the fixed state e00
             expected = np.kron(protocol.DECOY_STATES[did].amps, p.e00)
-            assert np.allclose(attacked.state.amps, expected, atol=1e-12)
+            assert np.allclose(attacked.amps, expected, atol=1e-12)
 
     def test_constrained_params_zero_detection_and_leakage(self):
         p = UeParams.no_detection_point()
@@ -113,9 +123,9 @@ class TestEntanglingAttack:
         e = np.array([1, 0, 0, 0], dtype=complex)
         p = UeParams(0, 1, 1, 0, e, e, e, e)
         g = rng(7)
-        attacked = adversary.eve_entangling_attack([decoy_slot(0)], p)[0]
+        attacked = adversary.eve_entangling_attack(protocol.DECOY_STATES[0], p)
         for seed in range(10):
-            bit, _ = qsim.measure(attacked.state, Basis.Z, 0, rng(seed))
+            bit, _ = qsim.measure(attacked, Basis.Z, 0, rng(seed))
             assert bit == 1
 
     def test_full_flip_average_detection_is_half(self):
@@ -148,9 +158,9 @@ class TestEntanglingAttack:
                 assert adversary.ue_detection_probability(p) > 0.0
 
     def test_rejects_multi_qubit_slot(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.make_bell(BellKind.PHI_PLUS))
         with pytest.raises(ProtocolError):
-            adversary.eve_entangling_attack([slot], UeParams.no_detection_point())
+            adversary.eve_entangling_attack(qsim.make_bell(BellKind.PHI_PLUS),
+                                            UeParams.no_detection_point())
 
 
 class TestBobBellCheat:
@@ -215,23 +225,20 @@ class TestAliceMeasureResend:
         conclusive = 0
         for _ in range(n):
             j = int(g.integers(2))
-            slot = SequenceSlot(Role.PAYLOAD, protocol.choice_state(j), choice=j)
-            guesses, _ = adversary.alice_measure_resend([slot], g)
-            if guesses[0] is not None:
+            guess, _ = adversary.alice_measure_resend(protocol.choice_state(j), g)
+            if guess is not None:
                 conclusive += 1
-                assert guesses[0] == j
+                assert guess == j
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(conclusive / n - 0.25) <= 4 * se
 
     def test_guess_policy_resends_legal_preparations(self):
         g = rng(6)
-        slots = [SequenceSlot(Role.PAYLOAD, protocol.choice_state(i % 2), choice=i % 2)
-                 for i in range(50)]
-        _, resent = adversary.alice_measure_resend(slots, g)
         legal = [qsim.ZERO.amps, qsim.PLUS.amps]
-        for s in resent:
-            assert any(np.allclose(s.state.amps, e) for e in legal)
+        for i in range(50):
+            _, resent = adversary.alice_measure_resend(protocol.choice_state(i % 2), g)
+            assert any(np.allclose(resent.amps, e) for e in legal)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ProtocolError):
-            adversary.alice_measure_resend([], rng(), policy="bogus")
+            adversary.alice_measure_resend(qsim.ZERO, rng(), policy="bogus")

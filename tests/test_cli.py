@@ -76,7 +76,9 @@ class TestHonest:
         lambda r: {**r, "config": {**r["config"], "seed": 1}},
         lambda r: {**r, "choices": 5},
         lambda r: [r],
-    ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "not-an-object"])
+        lambda r: {**r, "pairs": [[0, 2]] + r["pairs"][1:]},
+    ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "not-an-object",
+            "non-bit-pair"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         path = tmp_path / "runs.jsonl"
         run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
@@ -148,6 +150,18 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "--scenario", "bell", "--K", "1",
                                "--trials", "10", "--ue-file", str(path))
         assert code == 2 and "entangling" in err
+
+    @pytest.mark.parametrize("line", ["a = nan", "d = inf", "e11 = 1,0,0,nan"])
+    def test_non_finite_ue_file_is_error(self, capsys, tmp_path, line):
+        values = dict(ln.split(" = ") for ln in (
+            "a = 1+0j", "b = 0j", "c = 0j", "d = 1+0j",
+            "e00 = 1,0,0,0", "e01 = 1,0,0,0", "e10 = 0,1,0,0", "e11 = 1,0,0,0", line))
+        path = tmp_path / "ue.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, out, err = run_cli(capsys, "attack", "--scenario", "entangling",
+                                 "--trials", "10", "--ue-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and line.split(" = ")[0] in err and "finite" in err
 
     def test_unreadable_ue_file(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scenario", "entangling",

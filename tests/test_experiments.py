@@ -144,10 +144,23 @@ class TestAliceAttackReport:
 
     def test_monte_carlo_matches_oracle(self):
         rep = experiments.alice_attack_report(30_000, seed=2)
-        assert abs(rep.conclusive_rate - 0.25) <= 4 * rep.stderr(rep.conclusive_rate)
-        assert abs(rep.bit_error_rate - 0.1875) <= 5 * rep.stderr(rep.bit_error_rate)
-        assert abs(rep.dummy_error_rate - 0.09375) <= 5 * rep.stderr(rep.dummy_error_rate)
+        conclusive, bit_error, dummy_error = rep.rows()
+        assert abs(rep.conclusive_rate - 0.25) <= 4 * conclusive.stderr
+        assert abs(rep.bit_error_rate - 0.1875) <= 5 * bit_error.stderr
+        assert abs(rep.dummy_error_rate - 0.09375) <= 5 * dummy_error.stderr
         assert rep.false_conclusive == 0
+
+    def test_rows_carry_rates_and_closed_forms(self):
+        rep = experiments.alice_attack_report(400, seed=3, policy="collapsed")
+        rows = rep.rows()
+        assert [r.parameter for r in rows] == ["conclusive", "bit_error", "dummy_error"]
+        assert [r.empirical for r in rows] == [rep.conclusive_rate, rep.bit_error_rate,
+                                               rep.dummy_error_rate]
+        assert [r.closed_form for r in rows] == [0.25, 0.1875, 0.09375]
+        for r in rows:
+            assert r.trials == 400
+            assert r.stderr == pytest.approx(np.sqrt(r.empirical * (1 - r.empirical) / 400))
+        assert rows[0].as_csv().startswith("conclusive,")
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ProtocolError):
@@ -160,3 +173,13 @@ class TestEntanglingEstimate:
             adversary.UeParams.no_detection_point(), trials=500, seed=0)
         assert row.empirical == 0.0 and row.closed_form == 0.0
 
+
+    def test_rows_name_detection_and_leakage(self):
+        params = adversary.sample_ue_params(np.random.default_rng(4))
+        detection, leakage = experiments.entangling_rows(params, trials=300, seed=6)
+        estimate = experiments.entangling_detection_estimate(params, trials=300, seed=6)
+        assert detection == EstimateRow("detection", estimate.empirical, estimate.closed_form,
+                                        estimate.stderr, 300)
+        leak = adversary.ue_leakage(params)
+        assert leakage == EstimateRow("leakage", leak, leak, 0.0, 300)
+        assert leakage.as_csv() == f"leakage,{leak:.10g},{leak:.10g},0,300"

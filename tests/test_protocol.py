@@ -200,6 +200,22 @@ class TestEncodeDecode:
         with pytest.raises(ProtocolError):
             protocol.alice_encode([slot], [(0, 0), (1, 1)])
 
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (1, 3)])
+    def test_rejects_non_bit_pair(self, pair):
+        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
+        with pytest.raises(ProtocolError, match="bits"):
+            protocol.alice_encode([slot], [pair])
+
+    @given(st.integers(0, 1), st.tuples(st.integers(0, 1), st.integers(0, 1)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_then_decode_returns_chosen_bit(self, choice, pair, seed):
+        g = rng(seed)
+        slots, _, _ = protocol.bob_prepare_sequence([choice], 0, g)
+        encoded = protocol.alice_encode(slots, [pair])
+        res = protocol.bob_check_and_decode(encoded, [], [choice], g)
+        assert res.ok and res.bits == [pair[choice]]
+
     def test_decode_minus_in_x_gives_one(self):
         slot = SequenceSlot(Role.PAYLOAD, qsim.MINUS)
         res = protocol.bob_check_and_decode([slot], [], [1], rng())
@@ -248,6 +264,10 @@ class TestHonestRuns:
         cfg = ProtocolConfig(N=5, M=2, M2=2, K=2, seed=9)
         t = protocol.run_honest(cfg, pairs=[(0, 0)] * 5)
         assert t.verdict == "ok" and t.decoded_bits == [0] * 5
+
+    def test_rejects_non_bit_pair(self):
+        with pytest.raises(ProtocolError, match="bits"):
+            protocol.run_honest(ProtocolConfig(N=1, seed=0), pairs=[(0, 2)])
 
     def test_monte_carlo_honest_correctness(self):
         errors = 0

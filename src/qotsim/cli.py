@@ -8,8 +8,13 @@ Subcommands:
   cost       quantum-cost comparison curve for the four protocols
   replay     verify stored transcripts byte-for-byte
 
-Flags may be preloaded from a key=value config file via --config; explicit
-flags override file values. QOTSIM_SEED provides the default seed.
+Each flag's type and default are declared once, in :func:`build_parser`.
+``--config FILE`` reads ``key = value`` lines; a key naming a flag of the
+subcommand by its dest (``N``, ``trials``, ``ue_file``, ...; every flag but
+``--config``, ``--out`` and ``--transcript``) becomes that flag's default and
+the arguments are parsed again, so a file value is checked like the flag (a
+bad one exits 2 naming the flag). Other keys are ignored. Precedence: explicit
+flag > config file > QOTSIM_SEED (the ``--seed`` default) > built-in default.
 """
 
 from __future__ import annotations
@@ -18,24 +23,29 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 from . import adversary, costmodel, experiments, protocol
 from .adversary import AttackScenario
 from .protocol import ProtocolError
 
-SCENARIO_NAMES = [s.value for s in AttackScenario]
+#: dests that a --config file cannot set
+_NOT_FROM_FILE = {"command", "handler", "config", "out", "transcript"}
 
 
-def _resolve(flag_value, file_values: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return cast(file_values[key])
-    return default
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QOTSIM_SEED", "0"))
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; empty items are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 @contextmanager
@@ -48,72 +58,65 @@ def _output(path):
             yield fh
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The qotsim parser. ``defaults`` maps dests to values that replace the
+    declared defaults in every subcommand; argparse converts a string default
+    with the flag's ``type`` when the flag is not given."""
     parser = argparse.ArgumentParser(prog="qotsim",
                                      description="Oblivious-transfer protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if name != "replay":
+            p.add_argument("--config", help="key=value config file; flags override it")
+            p.add_argument("--seed", type=int, default=os.environ.get("QOTSIM_SEED", "0"))
+            p.add_argument("--out", default=None, help="output path (default: stdout)")
+        return p
 
-    p = sub.add_parser("honest", help="honest protocol runs, JSONL transcripts")
-    common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--M2", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--runs", type=int, default=None)
+    p = command("honest", _cmd_honest, "honest protocol runs, JSONL transcripts")
+    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--M", type=int, default=0)
+    p.add_argument("--M2", type=int, default=0)
+    p.add_argument("--K", type=int, default=0)
+    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--runs", type=positive_int, default=1)
     p.add_argument("--transcript", default=None, help="alias for --out")
 
-    p = sub.add_parser("attack", help="single attack-scenario rate estimate")
-    common(p)
-    p.add_argument("--scenario", choices=SCENARIO_NAMES, required=True)
+    p = command("attack", _cmd_attack, "single attack-scenario rate estimate")
+    p.add_argument("--scenario", choices=[s.value for s in AttackScenario], required=True)
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--policy", choices=adversary.RESEND_POLICIES, default=None)
+    p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
+    p.add_argument("--policy", choices=adversary.RESEND_POLICIES, default="guess")
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
-    p = sub.add_parser("sweep", help="detection-rate curve over M or K")
-    common(p)
+    p = command("sweep", _cmd_sweep, "detection-rate curve over M or K")
     p.add_argument("--scenario", choices=[AttackScenario.INTERCEPT_RESEND.value,
                                           AttackScenario.BOB_BELL_CHEAT.value], required=True)
-    p.add_argument("--values", default=None, help="comma-separated parameter values")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--values", type=int_list, default=None,
+                   help="comma-separated parameter values")
+    p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
 
-    p = sub.add_parser("oblivious", help="unchosen-bit trace distances")
-    common(p)
+    command("oblivious", _cmd_oblivious, "unchosen-bit trace distances")
 
-    p = sub.add_parser("cost", help="quantum-cost comparison curve")
-    common(p)
-    p.add_argument("--rmax", type=int, default=None)
+    p = command("cost", _cmd_cost, "quantum-cost comparison curve")
+    p.add_argument("--rmax", type=positive_int, default=100)
 
-    p = sub.add_parser("replay", help="verify stored transcripts")
+    p = command("replay", _cmd_replay, "verify stored transcripts")
     p.add_argument("--transcript", required=True, help="JSONL transcript file")
+
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-def _cmd_honest(args, cfg_file) -> int:
-    n = _resolve(args.N, cfg_file, "N", 2, int)
-    config = protocol.ProtocolConfig(
-        N=n,
-        M=_resolve(args.M, cfg_file, "M", 0, int),
-        M2=_resolve(args.M2, cfg_file, "M2", 0, int),
-        K=_resolve(args.K, cfg_file, "K", 0, int),
-        tau=_resolve(args.tau, cfg_file, "tau", 0.0, float),
-        seed=_resolve(args.seed, cfg_file, "seed", _default_seed(), int),
-    )
-    runs = _resolve(args.runs, cfg_file, "runs", 1, int)
-    if runs < 1:
-        raise ProtocolError("runs must be >= 1")
+def _cmd_honest(args) -> int:
+    config = protocol.ProtocolConfig(args.N, args.M, args.M2, args.K, args.tau, args.seed)
     with _output(args.transcript or args.out) as out:
-        for r in range(runs):
-            run_cfg = protocol.ProtocolConfig(config.N, config.M, config.M2, config.K,
-                                              config.tau, config.seed + r)
-            out.write(protocol.run_honest(run_cfg).to_json_line() + "\n")
+        for r in range(args.runs):
+            out.write(protocol.run_honest(replace(config, seed=config.seed + r)).to_json_line() + "\n")
     return 0
 
 
@@ -123,28 +126,26 @@ def _estimate_rows_csv(out, rows, header=experiments.CSV_HEADER):
         out.write(row.as_csv() + "\n")
 
 
-def _cmd_attack(args, cfg_file) -> int:
+def _cmd_attack(args) -> int:
     scenario = AttackScenario(args.scenario)
-    seed = _resolve(args.seed, cfg_file, "seed", _default_seed(), int)
-    trials = _resolve(args.trials, cfg_file, "trials", experiments.DEFAULT_TRIALS, int)
-    ue_file = _resolve(args.ue_file, cfg_file, "ue_file", None, str)
-    if ue_file is not None and scenario is not AttackScenario.ENTANGLING:
+    if args.ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
     header = experiments.CSV_HEADER
     if scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
         flag = "M" if scenario is AttackScenario.INTERCEPT_RESEND else "K"
-        value = _resolve(getattr(args, flag), cfg_file, flag, None, int)
+        value = getattr(args, flag)
         if value is None:
             raise ProtocolError(f"{scenario.value} scenario requires --{flag}")
         rows = [experiments.estimate_detection_rate(
-            experiments.ExperimentSpec(scenario, value, trials, seed))]
+            experiments.ExperimentSpec(scenario, value, args.trials, args.seed))]
     elif scenario is AttackScenario.ENTANGLING:
-        if ue_file is None:
+        if args.ue_file is None:
             raise ProtocolError("entangling scenario requires --ue-file")
-        rows = experiments.entangling_rows(adversary.load_ue_params(ue_file), trials, seed)
+        rows = experiments.entangling_rows(adversary.load_ue_params(args.ue_file), args.trials,
+                                           args.seed)
     else:
-        policy = _resolve(args.policy, cfg_file, "policy", "guess", str)
-        rows = experiments.alice_attack_report(trials, seed=seed, policy=policy).rows()
+        rows = experiments.alice_attack_report(args.trials, seed=args.seed,
+                                               policy=args.policy).rows()
         if scenario is AttackScenario.ALICE_MEASURE_RESEND:
             rows = [row for row in rows if row.parameter != "dummy_error"]
         header = experiments.ALICE_CSV_HEADER
@@ -153,21 +154,17 @@ def _cmd_attack(args, cfg_file) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg_file) -> int:
-    scenario = AttackScenario(args.scenario)
-    raw = _resolve(args.values, cfg_file, "values", None, str)
-    if raw is None:
+def _cmd_sweep(args) -> int:
+    if args.values is None:
         raise ProtocolError("sweep requires --values")
-    values = [int(v) for v in raw.split(",") if v.strip()]
-    trials = _resolve(args.trials, cfg_file, "trials", experiments.DEFAULT_TRIALS, int)
-    seed = _resolve(args.seed, cfg_file, "seed", _default_seed(), int)
-    rows = experiments.sweep_curve(scenario, values, trials, seed)
+    rows = experiments.sweep_curve(AttackScenario(args.scenario), args.values, args.trials,
+                                   args.seed)
     with _output(args.out) as out:
         _estimate_rows_csv(out, rows)
     return 0
 
 
-def _cmd_oblivious(args, cfg_file) -> int:
+def _cmd_oblivious(args) -> int:
     with _output(args.out) as out:
         out.write("choice,chosen_bit,trace_distance\n")
         for choice in (0, 1):
@@ -176,9 +173,8 @@ def _cmd_oblivious(args, cfg_file) -> int:
     return 0
 
 
-def _cmd_cost(args, cfg_file) -> int:
-    r_max = _resolve(args.rmax, cfg_file, "rmax", 100, int)
-    rows = costmodel.emit_curve(r_max)
+def _cmd_cost(args) -> int:
+    rows = costmodel.emit_curve(args.rmax)
     with _output(args.out) as out:
         out.write(costmodel.CURVE_HEADER + "\n")
         for row in rows:
@@ -202,23 +198,17 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The first pass only finds the subcommand and its --config file. It reads
+    # no QOTSIM_SEED, since a file seed may override a malformed one.
+    args = build_parser({"seed": None}).parse_args(argv)
     try:
-        cfg_file = protocol.read_key_values(args.config) if getattr(args, "config", None) else {}
-        if args.command == "honest":
-            return _cmd_honest(args, cfg_file)
-        if args.command == "attack":
-            return _cmd_attack(args, cfg_file)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg_file)
-        if args.command == "oblivious":
-            return _cmd_oblivious(args, cfg_file)
-        if args.command == "cost":
-            return _cmd_cost(args, cfg_file)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        raise ProtocolError(f"unknown command {args.command!r}")
+        file_values = {}
+        if getattr(args, "config", None):
+            settable = vars(args).keys() - _NOT_FROM_FILE
+            file_values = {key: value for key, value in protocol.read_key_values(args.config).items()
+                           if key in settable}
+        args = build_parser(file_values).parse_args(argv)
+        return args.handler(args)
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,9 +28,15 @@ def intercept_detection_rate(M: int) -> float:
     return 1.0 - 0.75 ** M
 
 
-#: closed-form rates of a dishonest Alice's guess-policy measure-and-resend:
-#: conclusive choice guesses, carrier bit errors, and dummy-message errors
-ALICE_CLOSED_FORMS = {"conclusive": 0.25, "bit_error": 0.1875, "dummy_error": 0.09375}
+#: closed-form rates of a dishonest Alice's measure-and-resend, by resend
+#: policy: conclusive choice guesses, carrier bit errors, and dummy-message
+#: errors. A bit error is the resent state, measured in Bob's basis, giving the
+#: wrong eigenstate; a dummy error is half of that.
+ALICE_CLOSED_FORMS = {
+    "guess": {"conclusive": 0.25, "bit_error": 0.1875, "dummy_error": 0.09375},
+    "collapsed": {"conclusive": 0.25, "bit_error": 0.25, "dummy_error": 0.125},
+    "random": {"conclusive": 0.25, "bit_error": 0.5, "dummy_error": 0.25},
+}
 
 
 @dataclass(frozen=True)
@@ -166,14 +172,15 @@ class AliceAttackReport:
     bit_error_rate: float
     dummy_error_rate: float
     trials: int
+    policy: str = "guess"
 
     def rows(self) -> list[EstimateRow]:
-        """The conclusive, bit-error and dummy-error rates against
-        :data:`ALICE_CLOSED_FORMS`, in that order."""
+        """The conclusive, bit-error and dummy-error rates against the
+        policy's :data:`ALICE_CLOSED_FORMS`, in that order."""
         rates = {"conclusive": self.conclusive_rate, "bit_error": self.bit_error_rate,
                  "dummy_error": self.dummy_error_rate}
         return [_estimate_row(name, rates[name], closed, self.trials)
-                for name, closed in ALICE_CLOSED_FORMS.items()]
+                for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
 def _alice_trial(policy: str, rng: np.random.Generator) -> int:
@@ -203,7 +210,7 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     conclusive, wrong, bit_errors, dummy_errors = (
         sum(n for code, n in enumerate(counts) if code >> k & 1) for k in range(4))
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
-                             dummy_errors / trials, trials)
+                             dummy_errors / trials, trials, policy)
 
 
 def _entangling_trial(params, rng: np.random.Generator) -> bool:

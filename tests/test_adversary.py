@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import adversary, protocol, qsim
 from qotsim.adversary import UeParams
@@ -89,6 +91,13 @@ class TestUeParams:
             p = adversary.sample_ue_params(g)
             assert 0.0 <= adversary.ue_detection_probability(p) <= 1.0
             assert 0.0 <= adversary.ue_leakage(p) <= 1.0 + 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_params_give_probabilities(self, seed):
+        params = adversary.sample_ue_params(np.random.default_rng(seed))
+        assert -1e-12 <= adversary.ue_detection_probability(params) <= 1 + 1e-12
+        assert -1e-12 <= adversary.ue_leakage(params) <= 1 + 1e-12
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "ue.txt"

@@ -6,7 +6,12 @@ from qotsim import cli, protocol
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr of one command; argparse usage errors
+    exit through SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -27,6 +32,12 @@ class TestCost:
         code, _, _ = run_cli(capsys, "cost", "--rmax", "5", "--out", str(path))
         assert code == 0
         assert path.read_text().startswith("R,yang")
+
+    @pytest.mark.parametrize("rmax", ["-5", "0"])
+    def test_rmax_below_one_names_flag(self, capsys, rmax):
+        code, out, err = run_cli(capsys, "cost", "--rmax", rmax)
+        assert code == 2 and out == ""
+        assert "error:" in err and "--rmax" in err
 
 
 class TestOblivious:
@@ -92,6 +103,44 @@ class TestHonest:
         code, _, _ = run_cli(capsys, "honest", "--N", "2", "--transcript", str(path))
         assert code == 0
         assert json.loads(path.read_text())["seed"] == 42
+
+
+class TestSeedEnvironment:
+    HONEST = ("honest", "--N", "2", "--K", "1")
+
+    def test_flag_seed_ignores_malformed_env(self, capsys, monkeypatch):
+        monkeypatch.delenv("QOTSIM_SEED", raising=False)
+        code, expected, _ = run_cli(capsys, *self.HONEST, "--seed", "5")
+        assert code == 0
+        monkeypatch.setenv("QOTSIM_SEED", "x")
+        code, out, _ = run_cli(capsys, *self.HONEST, "--seed", "5")
+        assert code == 0 and out == expected
+
+    def test_file_seed_ignores_malformed_env(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("QOTSIM_SEED", raising=False)
+        code, expected, _ = run_cli(capsys, *self.HONEST, "--seed", "5")
+        assert code == 0
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 5\n")
+        monkeypatch.setenv("QOTSIM_SEED", "x")
+        code, out, _ = run_cli(capsys, *self.HONEST, "--config", str(cfg))
+        assert code == 0 and out == expected
+
+    def test_malformed_env_seed_names_flag(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("QOTSIM_SEED", "x")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("N = 2\n")
+        for config in ([], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, *self.HONEST, *config)
+            assert code == 2 and out == ""
+            assert "error:" in err and "--seed" in err
+
+    def test_file_seed_beats_env(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 9\n")
+        monkeypatch.setenv("QOTSIM_SEED", "42")
+        code, out, _ = run_cli(capsys, *self.HONEST, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["seed"] == 9
 
 
 class TestAttack:
@@ -182,6 +231,12 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--scenario", "bell", "--trials", "10")
         assert code == 2 and "--values" in err
 
+    def test_malformed_values_names_flag(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "bell", "--values", "1,x",
+                                 "--trials", "10")
+        assert code == 2 and out == ""
+        assert "error:" in err and "--values" in err
+
     def test_sweep_deterministic(self, capsys):
         outs = []
         for _ in range(2):
@@ -189,6 +244,32 @@ class TestSweep:
                                 "--values", "1,2", "--trials", "300", "--seed", "8")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def as_flags(values):
+    return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+#: argv, every file-settable key of the command that it uses, and other values
+#: for the same keys
+EQUIVALENCE_CASES = {
+    "honest": (["honest"],
+               {"N": "3", "M": "2", "M2": "3", "K": "1", "tau": "0.0", "runs": "3", "seed": "4"},
+               {"N": "2", "M": "1", "M2": "2", "K": "2", "tau": "0.25", "runs": "2", "seed": "5"}),
+    "attack-intercept": (["attack", "--scenario", "intercept"],
+                         {"M": "3", "K": "1", "policy": "guess", "trials": "200", "seed": "4"},
+                         {"M": "2", "K": "2", "policy": "random", "trials": "100", "seed": "5"}),
+    "attack-bell": (["attack", "--scenario", "bell"],
+                    {"M": "1", "K": "2", "policy": "guess", "trials": "200", "seed": "4"},
+                    {"M": "2", "K": "3", "policy": "random", "trials": "100", "seed": "5"}),
+    "attack-alice": (["attack", "--scenario", "alice-dummy"],
+                     {"M": "1", "K": "1", "policy": "collapsed", "trials": "200", "seed": "4"},
+                     {"M": "2", "K": "2", "policy": "random", "trials": "100", "seed": "5"}),
+    "sweep": (["sweep", "--scenario", "intercept"],
+              {"values": "1,3", "trials": "200", "seed": "4"},
+              {"values": "2", "trials": "100", "seed": "5"}),
+    "cost": (["cost"], {"rmax": "20", "seed": "4"}, {"rmax": "10", "seed": "5"}),
+}
 
 
 class TestConfigFile:
@@ -210,6 +291,35 @@ class TestConfigFile:
                              "--transcript", str(path))
         assert code == 0
         assert json.loads(path.read_text())["config"]["N"] == 5
+
+    def test_malformed_value_names_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("N = x\n")
+        code, out, err = run_cli(capsys, "honest", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "error:" in err and "--N" in err
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_file_matches_flags(self, capsys, tmp_path, name):
+        argv, values, _ = EQUIVALENCE_CASES[name]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        code, from_flags, _ = run_cli(capsys, *argv, *as_flags(values))
+        assert code == 0
+        code, from_file, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and from_file == from_flags
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_flags_beat_every_file_key(self, capsys, tmp_path, name):
+        argv, values, others = EQUIVALENCE_CASES[name]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in others.items()))
+        code, from_flags, _ = run_cli(capsys, *argv, *as_flags(values))
+        assert code == 0
+        code, overridden, _ = run_cli(capsys, *argv, "--config", str(cfg), *as_flags(values))
+        assert code == 0 and overridden == from_flags
+        code, from_file, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and from_file != from_flags
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"

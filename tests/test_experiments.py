@@ -112,7 +112,7 @@ class TestObliviousness:
 
 class TestAliceAttackReport:
     def test_exact_rates_by_enumeration(self):
-        # independent oracle: enumerate the guess-policy strategy exactly
+        # independent oracle: enumerate each resend policy's strategy exactly
         def born(state, basis):
             out = {}
             for bit in (0, 1):
@@ -120,27 +120,37 @@ class TestAliceAttackReport:
                 out[bit] = abs(np.vdot(eig.amps, state.amps)) ** 2
             return out
 
-        err = conc = 0.0
-        for j in (0, 1):
-            prep = protocol.choice_state(j)
-            for basis in (Basis.Z, Basis.X):
-                for bit, p in born(prep, basis).items():
-                    if p == 0:
-                        continue
-                    p_event = 0.25 * p
-                    if bit == 1:
-                        conc += p_event
-                        resends = [(protocol.choice_state(1 if basis is Basis.Z else 0), 1.0)]
-                    else:
-                        resends = [(qsim.ZERO, 0.5), (qsim.PLUS, 0.5)]
-                    for resent, pr in resends:
-                        for pair in itertools.product((0, 1), (0, 1)):
-                            enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
-                            pb = born(enc, Basis.Z if j == 0 else Basis.X)
-                            err += p_event * pr * 0.25 * sum(
-                                q for b, q in pb.items() if b != pair[j])
-        assert conc == pytest.approx(0.25)
-        assert err == pytest.approx(0.1875)
+        def resends(policy, basis, bit):
+            if policy == "collapsed":
+                return [(protocol.DECOY_STATES[bit if basis is Basis.Z else 2 + bit], 1.0)]
+            if policy == "random":
+                return [(state, 0.25) for state in protocol.DECOY_STATES]
+            if bit == 1:
+                return [(protocol.choice_state(1 if basis is Basis.Z else 0), 1.0)]
+            return [(qsim.ZERO, 0.5), (qsim.PLUS, 0.5)]
+
+        expected = {"guess": (0.25, 0.1875), "collapsed": (0.25, 0.25), "random": (0.25, 0.5)}
+        for policy, (conclusive, bit_error) in expected.items():
+            err = conc = 0.0
+            for j in (0, 1):
+                prep = protocol.choice_state(j)
+                for basis in (Basis.Z, Basis.X):
+                    for bit, p in born(prep, basis).items():
+                        if p == 0:
+                            continue
+                        p_event = 0.25 * p
+                        if bit == 1:
+                            conc += p_event
+                        for resent, pr in resends(policy, basis, bit):
+                            for pair in itertools.product((0, 1), (0, 1)):
+                                enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
+                                pb = born(enc, Basis.Z if j == 0 else Basis.X)
+                                err += p_event * pr * 0.25 * sum(
+                                    q for b, q in pb.items() if b != pair[j])
+            assert conc == pytest.approx(conclusive), policy
+            assert err == pytest.approx(bit_error), policy
+            assert experiments.ALICE_CLOSED_FORMS[policy] == pytest.approx(
+                {"conclusive": conc, "bit_error": err, "dummy_error": err / 2}), policy
 
     def test_monte_carlo_matches_oracle(self):
         rep = experiments.alice_attack_report(30_000, seed=2)
@@ -150,13 +160,26 @@ class TestAliceAttackReport:
         assert abs(rep.dummy_error_rate - 0.09375) <= 5 * dummy_error.stderr
         assert rep.false_conclusive == 0
 
+    @pytest.mark.parametrize("policy, closed", [("collapsed", (0.25, 0.25, 0.125)),
+                                                ("random", (0.25, 0.5, 0.25))],
+                             ids=["collapsed", "random"])
+    def test_monte_carlo_matches_other_policies(self, policy, closed):
+        rep = experiments.alice_attack_report(30_000, seed=2, policy=policy)
+        rows = rep.rows()
+        assert rep.policy == policy and [r.closed_form for r in rows] == list(closed)
+        conclusive, bit_error, dummy_error = rows
+        assert abs(rep.conclusive_rate - closed[0]) <= 4 * conclusive.stderr
+        assert abs(rep.bit_error_rate - closed[1]) <= 5 * bit_error.stderr
+        assert abs(rep.dummy_error_rate - closed[2]) <= 5 * dummy_error.stderr
+        assert rep.false_conclusive == 0
+
     def test_rows_carry_rates_and_closed_forms(self):
         rep = experiments.alice_attack_report(400, seed=3, policy="collapsed")
         rows = rep.rows()
         assert [r.parameter for r in rows] == ["conclusive", "bit_error", "dummy_error"]
         assert [r.empirical for r in rows] == [rep.conclusive_rate, rep.bit_error_rate,
                                                rep.dummy_error_rate]
-        assert [r.closed_form for r in rows] == [0.25, 0.1875, 0.09375]
+        assert [r.closed_form for r in rows] == [0.25, 0.25, 0.125]
         for r in rows:
             assert r.trials == 400
             assert r.stderr == pytest.approx(np.sqrt(r.empirical * (1 - r.empirical) / 400))

@@ -41,10 +41,10 @@ GOLDEN_ATTACK_CSVS = {
                     + "bit_error,0.22,0.1875,0.02929163703,200\n"),
     "alice-collapsed": (["--scenario", "alice", "--policy", "collapsed"],
                         ALICE_HEADER + ALICE_CONCLUSIVE
-                        + "bit_error,0.25,0.1875,0.03061862178,200\n"),
+                        + "bit_error,0.25,0.25,0.03061862178,200\n"),
     "alice-random": (["--scenario", "alice", "--policy", "random"],
                      ALICE_HEADER + ALICE_CONCLUSIVE
-                     + "bit_error,0.515,0.1875,0.03533942558,200\n"),
+                     + "bit_error,0.515,0.5,0.03533942558,200\n"),
     "alice-dummy": (["--scenario", "alice-dummy"],
                     ALICE_HEADER + ALICE_CONCLUSIVE
                     + "bit_error,0.22,0.1875,0.02929163703,200\n"

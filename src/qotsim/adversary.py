@@ -9,8 +9,9 @@ Covered strategies:
   * dishonest Alice measuring Bob's sequence to guess his choices, then
     resending replacement states.
 
-Eve's two attacks and Alice's measure-and-resend each take one transmitted
-state and return the state forwarded in its place.
+Eve's two attacks and Alice's measure-and-resend each take a ``(T, 2)`` block
+of transmitted single-qubit states, one per row, and return the block
+forwarded in its place.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import protocol, qsim
 from .qsim import Basis, BellKind, PureState
-from .protocol import (DECOY_STATES, ProtocolError, Role, SequenceSlot,
-                       choice_basis, insert_decoys)
+from .protocol import (CHOICE_AMPS, CHOICE_X_BASIS, DECOY_AMPS, ProtocolError, Role,
+                       SequenceSlot, choice_basis, insert_decoys)
 
 ISOMETRY_ATOL = 1e-9
 
@@ -134,22 +135,23 @@ def load_ue_params(path) -> UeParams:
     return UeParams(**scalars, **vectors)
 
 
-def eve_intercept_resend(state: PureState, rng: np.random.Generator) -> PureState:
-    """Measure an in-transit qubit in a uniformly random basis and forward the
-    collapsed state."""
-    _, collapsed = qsim.measure(state, choice_basis(rng.integers(2)), 0, rng)
+def eve_intercept_resend(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Measure each in-transit qubit of a ``(T, 2)`` block in a uniformly
+    random basis and forward the collapsed states."""
+    n = len(states)
+    _, collapsed = qsim.measure_batch(states, CHOICE_X_BASIS[rng.integers(2, size=n)], rng.random(n))
     return collapsed
 
 
-def eve_entangling_attack(state: PureState, params: UeParams) -> PureState:
-    """Extend a single-qubit state with Eve's 4-dim ancilla per the isometry.
+def eve_entangling_attack(states: np.ndarray, params: UeParams) -> np.ndarray:
+    """Extend each single-qubit row of a ``(T, 2)`` block with Eve's 4-dim
+    ancilla per the isometry, giving a ``(T, 8)`` block.
 
     The transmitted qubit stays tensor factor 0; Eve keeps factors 1-2.
     """
-    if state.n_qubits != 1:
+    if states.ndim != 2 or states.shape[1] != 2:
         raise ProtocolError("entangling attack applies to single-qubit states")
-    alpha, beta = state.amps
-    return PureState(alpha * params.image_of_zero() + beta * params.image_of_one())
+    return states[:, :1] * params.image_of_zero() + states[:, 1:] * params.image_of_one()
 
 
 def ue_detection_probability(params: UeParams) -> float:
@@ -220,14 +222,15 @@ def bob_bell_cheat_readout(state: PureState) -> tuple[int, int]:
 RESEND_POLICIES = ("guess", "collapsed", "random")
 
 
-def alice_measure_resend(state: PureState, rng: np.random.Generator,
-                         policy: str = "guess") -> tuple[int | None, PureState]:
-    """Dishonest Alice measures one of Bob's Step-1 qubits in a random basis.
+def alice_measure_resend(states: np.ndarray, rng: np.random.Generator,
+                         policy: str = "guess") -> tuple[np.ndarray, np.ndarray]:
+    """Dishonest Alice measures each of Bob's Step-1 qubits, the rows of a
+    ``(T, 2)`` block, in a random basis.
 
-    Returns her choice guess and the state she resends. The guess is
-    conclusive (not None) exactly when the outcome is impossible for one
-    preparation: outcome |1> implies |+> was sent, outcome |-> implies |0> was
-    sent. Resend policy:
+    Returns her choice guesses (-1 where inconclusive) and the block she
+    resends. A guess is conclusive exactly when the outcome is impossible for
+    one preparation: outcome |1> implies |+> was sent, outcome |-> implies |0>
+    was sent. Resend policy:
       * ``guess`` (default): the identified preparation if conclusive, else a
         uniform draw from {|0>, |+>};
       * ``collapsed``: the post-measurement state;
@@ -235,11 +238,14 @@ def alice_measure_resend(state: PureState, rng: np.random.Generator,
     """
     if policy not in RESEND_POLICIES:
         raise ProtocolError(f"unknown resend policy {policy!r}")
-    basis = choice_basis(rng.integers(2))
-    bit, collapsed = qsim.measure(state, basis, 0, rng)
-    guess = (1 if basis is Basis.Z else 0) if bit == 1 else None
+    n = len(states)
+    # each row is measured in the basis of a random choice a, whose outcome 0
+    # is choice_state(a); outcome 1 rules a out, so the preparation was 1 - a
+    a = rng.integers(2, size=n)
+    bits, collapsed = qsim.measure_batch(states, CHOICE_X_BASIS[a], rng.random(n))
+    guesses = np.where(bits, 1 - a, -1)
     if policy == "collapsed":
-        return guess, collapsed
+        return guesses, collapsed
     if policy == "random":
-        return guess, DECOY_STATES[int(rng.integers(4))]
-    return guess, protocol.choice_state(rng.integers(2) if guess is None else guess)
+        return guesses, DECOY_AMPS[rng.integers(len(DECOY_AMPS), size=n)]
+    return guesses, CHOICE_AMPS[np.where(bits, guesses, rng.integers(2, size=n))]

@@ -48,6 +48,16 @@ def int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
+def resend_policy(text: str) -> str:
+    """``--policy``: checked by its ``type`` rather than ``choices=``, because
+    argparse applies a type to a string default too, so a --config value is
+    checked like the flag."""
+    if text not in adversary.RESEND_POLICIES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, adversary.RESEND_POLICIES))})")
+    return text
+
+
 @contextmanager
 def _output(path):
     """Stdout for no path or "-", else the file, closed when the block ends."""
@@ -89,7 +99,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
-    p.add_argument("--policy", choices=adversary.RESEND_POLICIES, default="guess")
+    p.add_argument("--policy", type=resend_policy, default="guess",
+                   metavar="{" + ",".join(adversary.RESEND_POLICIES) + "}")
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
     p = command("sweep", _cmd_sweep, "detection-rate curve over M or K")

@@ -1,7 +1,10 @@
 """Monte Carlo harness comparing empirical rates against their closed forms.
 
-Every probabilistic trial derives its random stream from (experiment seed,
-trial index), so results are identical regardless of execution order.
+Trials run in chunks of CHUNK_TRIALS, each simulated as one amplitude block
+(a row per trial) through the Born rule. Chunk c of an estimate at point p
+(its M or K; 0 for the scenarios without one) draws from its own stream
+(seed, p, c), so results are identical regardless of execution order, and no
+two points or seeds share a stream.
 """
 
 from __future__ import annotations
@@ -12,10 +15,14 @@ import numpy as np
 
 from . import adversary, protocol, qsim
 from .adversary import AttackScenario
-from .protocol import DECOY_STATES, ProtocolError, choice_basis, choice_state, decoy_basis, decoy_bit
+from .protocol import (CHOICE_AMPS, CHOICE_X_BASIS, DECOY_AMPS, DECOY_X_BASIS, ProtocolError,
+                       choice_state, decoy_bit)
 from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
+#: trials simulated together as one amplitude block; bounds the kernels'
+#: working set (a few hundred kB) while keeping numpy's per-call cost small
+CHUNK_TRIALS = 256
 
 
 def bell_cheat_detection_rate(K: int) -> float:
@@ -83,67 +90,86 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
-def _tally(kernel, arg, trials: int, seed: int, n_outcomes: int = 2) -> list[int]:
-    """Run ``kernel(arg, rng)`` once per trial and count the trials returning
-    each outcome code in ``range(n_outcomes)`` (a bool counts as 0 or 1).
+def _tally(kernel, arg, trials: int, seed: int, point: int = 0, n_outcomes: int = 2) -> list[int]:
+    """Run ``kernel(arg, rng, T)`` on chunks of at most CHUNK_TRIALS trials and
+    sum the per-outcome counts it returns for each chunk (``n_outcomes`` of
+    them).
 
-    Trial t draws from its own stream ``default_rng([seed, t])``, so results
-    do not depend on the order trials run in.
+    Chunk c draws from its own stream ``default_rng([seed, point, c])``, so
+    results do not depend on the order chunks run in. A detection estimate's
+    point is its parameter, so the rows of a sweep share no stream with each
+    other or with another seed.
     """
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
-    counts = [0] * n_outcomes
-    for t in range(trials):
-        counts[kernel(arg, np.random.default_rng([seed, t]))] += 1
-    return counts
+    counts = np.zeros(n_outcomes, dtype=np.int64)
+    for c, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        counts += kernel(arg, np.random.default_rng([seed, point, c]), min(CHUNK_TRIALS, trials - start))
+    return counts.tolist()
 
 
-def _intercept_trial(M: int, rng: np.random.Generator) -> bool:
-    """One channel check with Eve intercepting: True iff any decoy mismatches."""
+def _decoy_ids(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` uniform decoy ids with their amplitudes and X-basis flags."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return ids, DECOY_AMPS[ids], DECOY_X_BASIS[ids]
+
+
+def _intercept_chunk(M: int, rng: np.random.Generator, trials: int) -> list[int]:
+    """Channel checks with Eve intercepting: [undetected, detected] counts.
+
+    A trial is detected at its first mismatching decoy and stops there; only
+    the trials still undetected go on to the next decoy.
+    """
+    active = trials
     for _ in range(M):
-        did = int(rng.integers(4))
-        resent = adversary.eve_intercept_resend(DECOY_STATES[did], rng)
-        bit, _ = qsim.measure(resent, decoy_basis(did), 0, rng)
-        if bit != decoy_bit(did):
-            return True
-    return False
+        if not active:
+            break
+        ids, states, x_basis = _decoy_ids(rng, active)
+        resent = adversary.eve_intercept_resend(states, rng)
+        bits, _ = qsim.measure_batch(resent, x_basis, rng.random(active))
+        active -= int(np.count_nonzero(bits != decoy_bit(ids)))
+    return [active, trials - active]
 
 
-def _bell_cheat_trial(K: int, rng: np.random.Generator) -> bool:
-    """One loyalty test against a Bell-pair cheat: True iff any slot fails.
+def _bell_cheat_chunk(K: int, rng: np.random.Generator, trials: int) -> list[int]:
+    """Loyalty tests against a Bell-pair cheat: [passed, failed] counts.
 
     The cheating Bob declares a uniformly random basis per tested slot; his
-    transmitted half is maximally mixed, so each test fails with probability 1/2.
+    transmitted half is maximally mixed, so each test fails with probability
+    1/2. A trial stops at its first failing slot.
     """
+    pair = qsim.make_bell(BellKind.PHI_PLUS).amps
+    active = trials
     for _ in range(K):
-        pair = qsim.make_bell(BellKind.PHI_PLUS)
-        declared = choice_basis(rng.integers(2))
-        bit, _ = qsim.measure(pair, declared, 0, rng)
-        if bit == 1:
-            return True
-    return False
+        if not active:
+            break
+        declared_x = CHOICE_X_BASIS[rng.integers(2, size=active)]
+        bits, _ = qsim.measure_batch(np.broadcast_to(pair, (active, 4)), declared_x, rng.random(active))
+        active -= int(np.count_nonzero(bits))
+    return [active, trials - active]
 
 
 def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
     """Monte Carlo detection estimate with its matching closed form."""
     if spec.scenario is AttackScenario.BOB_BELL_CHEAT:
-        trial, closed = _bell_cheat_trial, bell_cheat_detection_rate
+        kernel, closed = _bell_cheat_chunk, bell_cheat_detection_rate
     elif spec.scenario is AttackScenario.INTERCEPT_RESEND:
-        trial, closed = _intercept_trial, intercept_detection_rate
+        kernel, closed = _intercept_chunk, intercept_detection_rate
     else:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
-    hits = _tally(trial, spec.parameter, spec.trials, spec.seed)[1]
+    hits = _tally(kernel, spec.parameter, spec.trials, spec.seed, spec.parameter)[1]
     return _estimate_row(spec.parameter, hits / spec.trials, closed(spec.parameter), spec.trials)
 
 
 def sweep_curve(scenario: AttackScenario, values, trials: int = DEFAULT_TRIALS,
                 seed: int = 0) -> list[EstimateRow]:
-    """One EstimateRow per parameter value, in order."""
+    """One EstimateRow per parameter value, in order; each is
+    :func:`estimate_detection_rate` of that value with the same seed, so a
+    repeated value repeats its row."""
     values = [int(v) for v in values]
     if not values:
         raise ProtocolError("sweep range must be nonempty")
-    return [estimate_detection_rate(ExperimentSpec(scenario, v, trials, seed + i))
-            for i, v in enumerate(values)]
+    return [estimate_detection_rate(ExperimentSpec(scenario, v, trials, seed)) for v in values]
 
 
 def obliviousness_report(choice: int, chosen_bit: int) -> float:
@@ -183,18 +209,24 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
-def _alice_trial(policy: str, rng: np.random.Generator) -> int:
-    """One slot through Alice's measure-and-resend; returns the outcome code
+#: the Pauli encoding of each message pair (m0, m1), indexed 2 * m0 + m1
+_PAULI_MATRICES = np.array([qsim.GATES[protocol.PAULI_CODE[divmod(code, 2)]] for code in range(4)])
+
+
+def _alice_chunk(policy: str, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Slots through Alice's measure-and-resend: counts of each outcome code
     conclusive + 2 * wrong guess + 4 * bit error + 8 * dummy error."""
-    j = int(rng.integers(2))
-    guess, resent = adversary.alice_measure_resend(choice_state(j), rng, policy)
-    pair = (int(rng.integers(2)), int(rng.integers(2)))
-    encoded = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
-    bit, _ = qsim.measure(encoded, choice_basis(j), 0, rng)
-    bit_error = bit != pair[j]
-    dummy_error = bit_error and rng.random() < 0.5
-    return ((guess is not None) + 2 * (guess is not None and guess != j)
-            + 4 * bit_error + 8 * dummy_error)
+    j = rng.integers(2, size=trials)
+    guesses, resent = adversary.alice_measure_resend(CHOICE_AMPS[j], rng, policy)
+    m0, m1 = rng.integers(2, size=(2, trials))
+    gates = _PAULI_MATRICES[2 * m0 + m1]
+    encoded = gates[:, :, 0] * resent[:, :1] + gates[:, :, 1] * resent[:, 1:]
+    bits, _ = qsim.measure_batch(encoded, CHOICE_X_BASIS[j], rng.random(trials))
+    bit_error = bits != np.choose(j, (m0, m1))
+    dummy_error = bit_error & (rng.random(trials) < 0.5)
+    conclusive = guesses >= 0
+    codes = conclusive + 2 * (conclusive & (guesses != j)) + 4 * bit_error + 8 * dummy_error
+    return np.bincount(codes, minlength=16)
 
 
 def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> AliceAttackReport:
@@ -206,25 +238,25 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
-    counts = _tally(_alice_trial, policy, trials, seed, n_outcomes=16)
+    counts = _tally(_alice_chunk, policy, trials, seed, n_outcomes=16)
     conclusive, wrong, bit_errors, dummy_errors = (
         sum(n for code, n in enumerate(counts) if code >> k & 1) for k in range(4))
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
                              dummy_errors / trials, trials, policy)
 
 
-def _entangling_trial(params, rng: np.random.Generator) -> bool:
-    """One decoy through Eve's entangling attack: True iff it reads flipped."""
-    did = int(rng.integers(4))
-    attacked = adversary.eve_entangling_attack(DECOY_STATES[did], params)
-    bit, _ = qsim.measure(attacked, decoy_basis(did), 0, rng)
-    return bit != decoy_bit(did)
+def _entangling_chunk(params, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Decoys through Eve's entangling attack: [intact, flipped] counts."""
+    ids, states, x_basis = _decoy_ids(rng, trials)
+    attacked = adversary.eve_entangling_attack(states, params)
+    bits, _ = qsim.measure_batch(attacked, x_basis, rng.random(trials))
+    return np.bincount(bits != decoy_bit(ids), minlength=2)
 
 
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
-    flips = _tally(_entangling_trial, params, trials, seed)[1]
+    flips = _tally(_entangling_chunk, params, trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
 
 

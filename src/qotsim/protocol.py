@@ -48,6 +48,16 @@ def choice_state(choice: int) -> PureState:
     return qsim.ZERO if choice == 0 else qsim.PLUS
 
 
+#: the encoding above as arrays indexed by decoy id or choice, for code that
+#: handles a block of slots at once: the states as amplitude rows, and the
+#: basis as an X-basis flag (``qsim.measure_batch``'s ``x_basis``);
+#: ``decoy_bit`` already works elementwise
+DECOY_AMPS = np.array([state.amps for state in DECOY_STATES])
+DECOY_X_BASIS = np.array([decoy_basis(did) is Basis.X for did in range(len(DECOY_STATES))])
+CHOICE_AMPS = np.array([choice_state(choice).amps for choice in (0, 1)])
+CHOICE_X_BASIS = np.array([choice_basis(choice) is Basis.X for choice in (0, 1)])
+
+
 class Role(Enum):
     PAYLOAD = "payload"
     LOYALTY = "loyalty"

@@ -86,6 +86,8 @@ ZERO = PureState([1, 0], _checked=True)
 ONE = PureState([0, 1], _checked=True)
 PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
 MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
+#: qubit-0 outcome eigenstates, indexed 2 * (X basis) + bit
+_EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
@@ -122,6 +124,28 @@ def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generato
     if basis is Basis.X:
         out = _apply_matrix(out, GATES["H"], target)
     return bit, PureState(out, _checked=True)
+
+
+def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure qubit 0 of every row of a ``(T, 2^n)`` amplitude block.
+
+    Row t is measured in the X basis where ``x_basis[t]`` is set, else in the
+    Z basis, and reads 1 iff ``u[t]`` is below its Born probability of 1, as
+    :func:`measure` reads its ``rng.random()``. Returns the bits (bool, shape
+    ``(T,)``) and the collapsed block: each row is the measured eigenstate of
+    qubit 0 (|0>, |1>, |+> or |->) times the renormalised projection of the
+    row onto it, which is what :func:`measure`'s H conjugation gives.
+    """
+    half = amps.shape[1] // 2
+    lo, hi = amps[:, :half], amps[:, half:]
+    # project qubit 0 onto the eigenstates of each row's basis, which are real
+    base = 2 * x_basis
+    one = _EIGENSTATES[base + 1]
+    p1 = (np.abs(one[:, :1] * lo + one[:, 1:] * hi) ** 2).sum(axis=1)
+    bits = u < p1
+    eigen = _EIGENSTATES[base + bits]
+    rest = (eigen[:, :1] * lo + eigen[:, 1:] * hi) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
+    return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
 
 
 _BELL_AMPS: dict[BellKind, np.ndarray] = {

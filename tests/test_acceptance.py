@@ -78,6 +78,7 @@ def test_criterion_3_bell_cheat_detection():
 
 
 def test_criterion_4_intercept_detection():
+    start = time.monotonic()
     failures = []
     for i, m in enumerate((1, 5, 10, 20, 50)):
         row = experiments.estimate_detection_rate(
@@ -87,8 +88,10 @@ def test_criterion_4_intercept_detection():
         if abs(row.empirical - p) > band:
             failures.append((m, row.empirical, p))
     closed_50 = experiments.intercept_detection_rate(50)
-    report(4, not failures and closed_50 >= 0.999999,
-           f"abort rate vs 1-(3/4)^M; closed form at M=50 is {closed_50:.8f}; failures: {failures}")
+    elapsed = time.monotonic() - start
+    report(4, not failures and closed_50 >= 0.999999 and elapsed < 30.0,
+           f"abort rate vs 1-(3/4)^M, {elapsed:.1f}s; closed form at M=50 is {closed_50:.8f}; "
+           f"failures: {failures}")
 
 
 def test_criterion_5_internal_attack_rates():

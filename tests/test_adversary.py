@@ -15,32 +15,36 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def block(state, rows=1):
+    """``rows`` copies of a state's amplitudes as a ``(rows, 2^n)`` block."""
+    return np.tile(state.amps, (rows, 1))
+
+
 class TestInterceptResend:
     def test_per_decoy_detection_is_one_quarter(self):
         g = rng(1)
         n = 40_000
-        hits = 0
-        for _ in range(n):
-            did = int(g.integers(4))
-            attacked = adversary.eve_intercept_resend(protocol.DECOY_STATES[did], g)
-            bit, _ = qsim.measure(attacked, protocol.decoy_basis(did), 0, g)
-            hits += bit != protocol.decoy_bit(did)
+        dids = g.integers(4, size=n)
+        attacked = adversary.eve_intercept_resend(protocol.DECOY_AMPS[dids], g)
+        bits, _ = qsim.measure_batch(attacked, protocol.DECOY_X_BASIS[dids], g.random(n))
+        hits = int(np.count_nonzero(bits != protocol.decoy_bit(dids)))
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 4 * se
 
     def test_no_decoys_no_detection(self):
         g = rng(2)
-        attacked = adversary.eve_intercept_resend(qsim.ZERO, g)
+        attacked = adversary.eve_intercept_resend(block(qsim.ZERO), g)
         # payload disturbance is invisible to a check that publishes no decoys
-        slots = [SequenceSlot(Role.PAYLOAD, attacked, choice=0)]
+        slots = [SequenceSlot(Role.PAYLOAD, qsim.PureState(attacked[0]), choice=0)]
         check = protocol.check_published_decoys(slots, [], g)
         assert check.ok and check.error_rate == 0.0 and len(check.remaining) == 1
 
     def test_resent_states_are_basis_eigenstates(self):
         g = rng(3)
-        attacked = adversary.eve_intercept_resend(protocol.DECOY_STATES[2], g)
+        attacked = adversary.eve_intercept_resend(block(protocol.DECOY_STATES[2], 50), g)
         eigen = [s.amps for s in protocol.DECOY_STATES]
-        assert any(abs(abs(np.vdot(e, attacked.amps)) - 1) < 1e-10 for e in eigen)
+        for row in attacked:
+            assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in eigen)
 
 
 def orthogonal_ancilla_params():
@@ -117,11 +121,12 @@ class TestUeParams:
 class TestEntanglingAttack:
     def test_constrained_params_leave_qubits_unchanged(self):
         p = UeParams.no_detection_point()
+        attacked = adversary.eve_entangling_attack(protocol.DECOY_AMPS, p)
+        assert attacked.shape == (4, 8)
         for did in range(4):
-            attacked = adversary.eve_entangling_attack(protocol.DECOY_STATES[did], p)
             # qubit factor unchanged, ancilla in the fixed state e00
             expected = np.kron(protocol.DECOY_STATES[did].amps, p.e00)
-            assert np.allclose(attacked.amps, expected, atol=1e-12)
+            assert np.allclose(attacked[did], expected, atol=1e-12)
 
     def test_constrained_params_zero_detection_and_leakage(self):
         p = UeParams.no_detection_point()
@@ -131,11 +136,10 @@ class TestEntanglingAttack:
     def test_full_flip_detected_on_zero_decoy(self):
         e = np.array([1, 0, 0, 0], dtype=complex)
         p = UeParams(0, 1, 1, 0, e, e, e, e)
-        g = rng(7)
-        attacked = adversary.eve_entangling_attack(protocol.DECOY_STATES[0], p)
+        attacked = adversary.eve_entangling_attack(block(protocol.DECOY_STATES[0], 10), p)
         for seed in range(10):
-            bit, _ = qsim.measure(attacked, Basis.Z, 0, rng(seed))
-            assert bit == 1
+            bits, _ = qsim.measure_batch(attacked, np.zeros(10, dtype=bool), rng(seed).random(10))
+            assert bits.all()
 
     def test_full_flip_average_detection_is_half(self):
         # with e01 = e10 the X decoys are returned intact; only Z decoys flip
@@ -168,7 +172,7 @@ class TestEntanglingAttack:
 
     def test_rejects_multi_qubit_slot(self):
         with pytest.raises(ProtocolError):
-            adversary.eve_entangling_attack(qsim.make_bell(BellKind.PHI_PLUS),
+            adversary.eve_entangling_attack(block(qsim.make_bell(BellKind.PHI_PLUS)),
                                             UeParams.no_detection_point())
 
 
@@ -231,23 +235,25 @@ class TestAliceMeasureResend:
     def test_conclusive_rate_and_no_false_guesses(self):
         g = rng(5)
         n = 40_000
-        conclusive = 0
-        for _ in range(n):
-            j = int(g.integers(2))
-            guess, _ = adversary.alice_measure_resend(protocol.choice_state(j), g)
-            if guess is not None:
-                conclusive += 1
-                assert guess == j
+        choices = g.integers(2, size=n)
+        guesses, _ = adversary.alice_measure_resend(protocol.CHOICE_AMPS[choices], g)
+        conclusive = guesses >= 0
+        assert np.array_equal(guesses[conclusive], choices[conclusive])
+        assert set(np.unique(guesses)) <= {-1, 0, 1}
         se = np.sqrt(0.25 * 0.75 / n)
-        assert abs(conclusive / n - 0.25) <= 4 * se
+        assert abs(np.count_nonzero(conclusive) / n - 0.25) <= 4 * se
 
     def test_guess_policy_resends_legal_preparations(self):
         g = rng(6)
         legal = [qsim.ZERO.amps, qsim.PLUS.amps]
-        for i in range(50):
-            _, resent = adversary.alice_measure_resend(protocol.choice_state(i % 2), g)
-            assert any(np.allclose(resent.amps, e) for e in legal)
+        states = protocol.CHOICE_AMPS[np.arange(50) % 2]
+        guesses, resent = adversary.alice_measure_resend(states, g)
+        assert resent.shape == (50, 2)
+        for guess, row in zip(guesses, resent):
+            assert any(np.allclose(row, e) for e in legal)
+            if guess >= 0:
+                assert np.allclose(row, protocol.choice_state(guess).amps)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ProtocolError):
-            adversary.alice_measure_resend(qsim.ZERO, rng(), policy="bogus")
+            adversary.alice_measure_resend(block(qsim.ZERO), rng(), policy="bogus")

@@ -245,6 +245,26 @@ class TestSweep:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_points_do_not_share_streams_across_seeds(self, capsys):
+        # with a stream per (seed + point index), seed 0's second point was
+        # seed 1's first
+        _, seed0, _ = run_cli(capsys, "sweep", "--scenario", "intercept", "--values", "5,5",
+                              "--trials", "2000", "--seed", "0")
+        _, seed1, _ = run_cli(capsys, "sweep", "--scenario", "intercept", "--values", "5",
+                              "--trials", "2000", "--seed", "1")
+        assert seed0.splitlines()[2] != seed1.splitlines()[1]
+        assert seed0.splitlines()[1] == seed0.splitlines()[2]
+
+    @pytest.mark.parametrize("scenario, flag", [("intercept", "--M"), ("bell", "--K")])
+    def test_every_row_equals_attack(self, capsys, scenario, flag):
+        _, sweep, _ = run_cli(capsys, "sweep", "--scenario", scenario, "--values", "3,4,3",
+                              "--trials", "600", "--seed", "6")
+        rows = sweep.splitlines()
+        for value, row in zip((3, 4, 3), rows[1:]):
+            _, attack, _ = run_cli(capsys, "attack", "--scenario", scenario, flag, str(value),
+                                   "--trials", "600", "--seed", "6")
+            assert attack.splitlines() == [rows[0], row]
+
 
 def as_flags(values):
     return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
@@ -320,6 +340,16 @@ class TestConfigFile:
         assert code == 0 and overridden == from_flags
         code, from_file, _ = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 0 and from_file != from_flags
+
+    @pytest.mark.parametrize("scenario", [["intercept", "--M", "2"], ["alice"]],
+                             ids=["intercept", "alice"])
+    def test_policy_outside_choices_names_flag(self, capsys, tmp_path, scenario):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("policy = bogus\n")
+        code, out, err = run_cli(capsys, "attack", "--scenario", *scenario, "--trials", "10",
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "error:" in err and "--policy" in err and "bogus" in err
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"

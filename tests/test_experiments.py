@@ -88,6 +88,49 @@ class TestSweep:
         with pytest.raises(ProtocolError):
             experiments.sweep_curve(AttackScenario.BOB_BELL_CHEAT, [], trials=50)
 
+    def test_points_draw_independent_streams(self):
+        # on one shared stream, M=2 would detect every trial that M=1 detects
+        def m2_detects_fewer(seed):
+            m1, m2 = experiments.sweep_curve(AttackScenario.INTERCEPT_RESEND, [1, 2],
+                                             trials=10, seed=seed)
+            return m2.empirical < m1.empirical
+
+        assert any(m2_detects_fewer(seed) for seed in range(60))
+
+
+#: each chunk kernel with an argument and its number of outcome codes
+CHUNK_KERNELS = {
+    "intercept": (experiments._intercept_chunk, 3, 2),
+    "bell": (experiments._bell_cheat_chunk, 2, 2),
+    "alice": (experiments._alice_chunk, "guess", 16),
+    "entangling": (experiments._entangling_chunk,
+                   adversary.sample_ue_params(np.random.default_rng(4)), 2),
+}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
+    def test_tallies_add_over_chunks(self, name):
+        kernel, arg, n_outcomes = CHUNK_KERNELS[name]
+        chunk = experiments.CHUNK_TRIALS
+        first = experiments._tally(kernel, arg, chunk, seed=5, n_outcomes=n_outcomes)
+        second = kernel(arg, np.random.default_rng([5, 0, 1]), chunk)
+        both = experiments._tally(kernel, arg, 2 * chunk, seed=5, n_outcomes=n_outcomes)
+        assert sum(first) == sum(second) == chunk
+        assert both == [a + b for a, b in zip(first, second)]
+
+    def test_one_past_a_chunk_runs(self):
+        trials = experiments.CHUNK_TRIALS + 1
+        rows = [experiments.estimate_detection_rate(ExperimentSpec(scenario, 2, trials, seed=1))
+                for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT)]
+        rows.append(experiments.entangling_detection_estimate(CHUNK_KERNELS["entangling"][1],
+                                                              trials, seed=1))
+        rows += experiments.alice_attack_report(trials, seed=1).rows()
+        for row in rows:
+            assert row.trials == trials
+            assert 0.0 <= row.empirical <= 1.0
+            assert row.empirical * trials == pytest.approx(round(row.empirical * trials))
+
 
 class TestObliviousness:
     def test_z_slot_chosen_one(self):

@@ -1,5 +1,9 @@
-"""Output bytes pinned for a fixed seed: within one transcript version a
-refactor may not change a single byte of a transcript or a CSV row."""
+"""Output bytes pinned for a fixed seed: within one package version a
+refactor may not change a single byte of a transcript or a CSV row.
+
+The transcript line is unchanged since 0.1.0; the Monte Carlo CSVs were
+regenerated at 0.2.0, whose trial-batched kernels draw different streams (the
+intercept row happens to read as it did at 0.1.0)."""
 
 import pytest
 
@@ -29,33 +33,33 @@ UE_FILES = {
 }
 
 ALICE_HEADER = "metric,empirical,closed_form,stderr,trials\n"
-ALICE_CONCLUSIVE = "conclusive,0.26,0.25,0.03101612484,200\n"
+ALICE_CONCLUSIVE = "conclusive,0.255,0.25,0.03082004218,200\n"
 
 #: ``attack ... --trials 200 --seed 7`` output by extra arguments
 GOLDEN_ATTACK_CSVS = {
     "bell": (["--scenario", "bell", "--K", "3"],
              "parameter,empirical,closed_form,stderr,trials\n"
-             "3,0.895,0.875,0.02167660029,200\n"),
+             "3,0.88,0.875,0.02297825059,200\n"),
     "alice-guess": (["--scenario", "alice", "--policy", "guess"],
                     ALICE_HEADER + ALICE_CONCLUSIVE
-                    + "bit_error,0.22,0.1875,0.02929163703,200\n"),
+                    + "bit_error,0.2,0.1875,0.02828427125,200\n"),
     "alice-collapsed": (["--scenario", "alice", "--policy", "collapsed"],
                         ALICE_HEADER + ALICE_CONCLUSIVE
-                        + "bit_error,0.25,0.25,0.03061862178,200\n"),
+                        + "bit_error,0.235,0.25,0.02998124414,200\n"),
     "alice-random": (["--scenario", "alice", "--policy", "random"],
                      ALICE_HEADER + ALICE_CONCLUSIVE
                      + "bit_error,0.515,0.5,0.03533942558,200\n"),
     "alice-dummy": (["--scenario", "alice-dummy"],
                     ALICE_HEADER + ALICE_CONCLUSIVE
-                    + "bit_error,0.22,0.1875,0.02929163703,200\n"
-                    "dummy_error,0.12,0.09375,0.02297825059,200\n"),
+                    + "bit_error,0.2,0.1875,0.02828427125,200\n"
+                    "dummy_error,0.085,0.09375,0.01971991379,200\n"),
     "entangling-constrained": (["--scenario", "entangling", "--ue-file", "constrained"],
                                "parameter,empirical,closed_form,stderr,trials\n"
                                "detection,0,0,0,200\n"
                                "leakage,0,0,0,200\n"),
     "entangling-mixed": (["--scenario", "entangling", "--ue-file", "mixed"],
                          "parameter,empirical,closed_form,stderr,trials\n"
-                         "detection,0.605,0.57,0.034566964,200\n"
+                         "detection,0.52,0.57,0.03532704347,200\n"
                          "leakage,0.693108938,0.693108938,0,200\n"),
 }
 

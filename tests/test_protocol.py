@@ -178,6 +178,18 @@ class TestReorder:
         assert [slots[k].choice for k in perm[:len(intended)]] == intended
 
 
+class TestEncodingArrays:
+    def test_arrays_follow_the_scalar_encoding(self):
+        for did, state in enumerate(protocol.DECOY_STATES):
+            assert np.array_equal(protocol.DECOY_AMPS[did], state.amps)
+            assert protocol.DECOY_X_BASIS[did] == (protocol.decoy_basis(did) is Basis.X)
+        for choice in (0, 1):
+            assert np.array_equal(protocol.CHOICE_AMPS[choice], choice_state(choice).amps)
+            assert protocol.CHOICE_X_BASIS[choice] == (protocol.choice_basis(choice) is Basis.X)
+        ids = np.arange(len(protocol.DECOY_STATES))
+        assert protocol.decoy_bit(ids).tolist() == [protocol.decoy_bit(int(d)) for d in ids]
+
+
 class TestEncodeDecode:
     def test_pair_01_turns_plus_into_minus(self):
         slot = SequenceSlot(Role.PAYLOAD, qsim.PLUS, choice=1)

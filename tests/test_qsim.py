@@ -129,6 +129,49 @@ class TestMeasure:
                     assert qsim.measure(out, Basis.X, 0, rng(seed))[0] == bit
 
 
+class FixedUniform:
+    """Stands in for a Generator whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def random_state(n_qubits, seed):
+    g = rng(seed)
+    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
+    return PureState(amps / np.linalg.norm(amps))
+
+
+#: states whose Born probabilities are 0, 1/2 or 1, over one to three qubits
+EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(BellKind.PSI_MINUS),
+                qsim.tensor(qsim.MINUS, qsim.make_bell(BellKind.PHI_PLUS))]
+
+
+class TestMeasureBatch:
+    @given(st.one_of(st.sampled_from(EXACT_STATES),
+                     st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+           st.lists(st.booleans(), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_scalar_measure(self, state, x_basis, seed):
+        u = rng(seed).random(len(x_basis))
+        bits, collapsed = qsim.measure_batch(np.tile(state.amps, (len(u), 1)), np.array(x_basis), u)
+        assert bits.shape == u.shape and collapsed.shape == (len(u), 1 << state.n_qubits)
+        for t, x in enumerate(x_basis):
+            bit, post = qsim.measure(state, Basis.X if x else Basis.Z, 0, FixedUniform(u[t]))
+            assert bits[t] == bit
+            assert np.max(np.abs(collapsed[t] - post.amps)) <= 1e-12
+
+    def test_reads_u_against_born_probability(self):
+        # 0.6|0> + 0.8|1>: P(1) = 0.64 in Z, P(-) = 0.02 in X
+        state = np.array([[0.6, 0.8]] * 4, dtype=complex)
+        bits, _ = qsim.measure_batch(state, np.array([False, False, True, True]),
+                                     np.array([0.63, 0.65, 0.01, 0.03]))
+        assert bits.tolist() == [True, False, True, False]
+
+
 class TestBell:
     def test_phi_plus_amplitudes(self):
         b = qsim.make_bell(BellKind.PHI_PLUS)

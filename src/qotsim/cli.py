@@ -40,6 +40,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     """Comma-separated integers; empty items are skipped."""
     try:
@@ -81,7 +88,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if name != "replay":
             p.add_argument("--config", help="key=value config file; flags override it")
-            p.add_argument("--seed", type=int, default=os.environ.get("QOTSIM_SEED", "0"))
+            p.add_argument("--seed", type=nonnegative_int, default=os.environ.get("QOTSIM_SEED", "0"))
             p.add_argument("--out", default=None, help="output path (default: stdout)")
         return p
 
@@ -200,7 +207,10 @@ def _cmd_replay(args) -> int:
     if not lines:
         raise ProtocolError(f"no transcripts found in {args.transcript}")
     for i, line in enumerate(lines, start=1):
-        ok, detail = protocol.replay_transcript(line)
+        try:
+            ok, detail = protocol.replay_transcript(line)
+        except ProtocolError as exc:
+            raise ProtocolError(f"record {i}: {exc}") from exc
         if not ok:
             print(f"replay failed at record {i}: {detail}", file=sys.stderr)
             return 1

@@ -20,6 +20,10 @@ from .qsim import Basis, PureState
 
 TRANSCRIPT_VERSION = 1
 
+#: most qubits one run may use (N + M + 2K + M2), checked before anything is
+#: allocated; far above the paper's R + 140 and every configuration it studies
+MAX_QUBITS_USED = 100_000
+
 #: decoy preparations by id: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->
 DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
 
@@ -88,15 +92,15 @@ def read_key_values(path) -> dict[str, str]:
 class SequenceSlot:
     """One qubit of the transmitted sequence; its position is its list index.
 
-    ``choice``/``decoy_id`` are the owner's private preparation record; the
-    counterparty's code must only rely on ``state`` (and, for adversary slots,
-    the transmitted qubit is always tensor factor 0 of ``state``).
+    ``choice`` is the owner's private preparation record (a decoy's is the
+    published (position, id) list); the counterparty's code must only rely on
+    ``state`` (and, for adversary slots, the transmitted qubit is always
+    tensor factor 0 of ``state``).
     """
 
     role: Role
     state: PureState
     choice: int | None = None
-    decoy_id: int | None = None
     payload_index: int | None = None
 
 
@@ -116,6 +120,9 @@ class ProtocolConfig:
             raise ProtocolError("M, M2 and K must be nonnegative")
         if not 0.0 <= self.tau < 1.0:
             raise ProtocolError("tau must lie in [0, 1)")
+        if self.sequence_length + self.M2 > MAX_QUBITS_USED:
+            raise ProtocolError(f"a run may use at most {MAX_QUBITS_USED} qubits "
+                                f"(N + M + 2K + M2), got {self.sequence_length + self.M2}")
 
     @property
     def sequence_length(self) -> int:
@@ -135,7 +142,7 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
     for pos, did in zip(positions, ids):
-        out.insert(pos, SequenceSlot(Role.DECOY, DECOY_STATES[did], decoy_id=did))
+        out.insert(pos, SequenceSlot(Role.DECOY, DECOY_STATES[did]))
     return out, positions, ids
 
 
@@ -165,33 +172,38 @@ def bob_prepare_sequence(choices, M: int, rng: np.random.Generator, n_loyalty: i
 
 @dataclass
 class CheckResult:
+    """``outcomes[i]`` is 1 where the slot at ``positions[i]`` gave the wrong
+    bit for its published preparation; ``remaining`` is the unpublished slots."""
+
     error_rate: float
     ok: bool
+    positions: list[int]
+    outcomes: list[int]
     remaining: list[SequenceSlot] = field(repr=False)
 
 
 def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.Generator,
                            tau: float = 0.0) -> CheckResult:
-    """Measure each published decoy in its published basis and strip them out.
+    """Measure each published slot in the basis of its published preparation
+    and strip the published slots out.
 
     ``published`` is a list of (position, decoy_id) pairs indexing the sequence
-    as sent. Used for both directions of channel checking (Steps 2 and 6).
+    as sent. This is the protocol's one measurement: both directions of
+    channel checking (Steps 2 and 6), the loyalty test and Bob's decode.
     """
-    positions = {pos for pos, _ in published}
-    if any(not 0 <= pos < len(slots) for pos in positions):
+    tested = {pos for pos, _ in published}
+    if any(not 0 <= pos < len(slots) for pos in tested):
         raise ProtocolError("published decoy position out of range")
-    if len(positions) != len(published):
+    if len(tested) != len(published):
         raise ProtocolError("duplicate published decoy position")
     if any(did not in range(len(DECOY_STATES)) for _, did in published):
         raise ProtocolError("published decoy id out of range")
-    mismatches = 0
-    for pos, did in published:
-        bit, _ = qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)
-        if bit != decoy_bit(did):
-            mismatches += 1
-    error_rate = mismatches / len(published) if published else 0.0
-    remaining = [s for i, s in enumerate(slots) if i not in positions]
-    return CheckResult(error_rate, error_rate <= tau, remaining)
+    outcomes = [int(qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)[0] != decoy_bit(did))
+                for pos, did in published]
+    error_rate = sum(outcomes) / len(published) if published else 0.0
+    remaining = [s for i, s in enumerate(slots) if i not in tested]
+    return CheckResult(error_rate, error_rate <= tau, [pos for pos, _ in published], outcomes,
+                       remaining)
 
 
 def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
@@ -199,21 +211,15 @@ def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
     return check_published_decoys(slots, published, rng, tau)
 
 
-@dataclass
-class LoyaltyResult:
-    ok: bool
-    positions: list[int]
-    outcomes: list[int]
-    remaining: list[SequenceSlot] = field(repr=False)
-
-
 def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generator,
-                       tau: float = 0.0, positions=None, published_bases=None) -> LoyaltyResult:
+                       tau: float = 0.0, positions=None, published_bases=None) -> CheckResult:
     """Step 2b: Alice measures K randomly chosen slots in Bob's published bases.
 
-    An honest slot is a basis eigenstate and always yields outcome 0; any
-    outcome 1 counts as a loyalty failure. ``positions`` and ``published_bases``
-    may be forced (the latter models a dishonest Bob's declarations).
+    Each tested slot is published as the outcome-0 eigenstate of its basis
+    (|0> or |+>, decoy id 0 or 2) and checked against it: an honest slot always
+    passes, and an outcome 1 (the measured bit) is a loyalty failure. ``positions`` and
+    ``published_bases`` may be forced (the latter models a dishonest Bob's
+    declarations).
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
@@ -223,21 +229,16 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
         positions = sorted(int(p) for p in positions)
         if len(set(positions)) != K or any(not 0 <= p < len(slots) for p in positions):
             raise ProtocolError("invalid loyalty test positions")
-    outcomes = []
+    published = []
     for p in positions:
-        slot = slots[p]
         if published_bases is not None:
             basis = published_bases[p]
         else:
-            if slot.choice is None:
+            if slots[p].choice is None:
                 raise ProtocolError(f"slot {p} has no preparation basis to publish")
-            basis = choice_basis(slot.choice)
-        bit, _ = qsim.measure(slot.state, basis, 0, rng)
-        outcomes.append(bit)
-    failure_rate = sum(outcomes) / K if K else 0.0
-    tested = set(positions)
-    remaining = [s for i, s in enumerate(slots) if i not in tested]
-    return LoyaltyResult(failure_rate <= tau, positions, outcomes, remaining)
+            basis = choice_basis(slots[p].choice)
+        published.append((p, 0 if basis is Basis.Z else 2))
+    return check_published_decoys(slots, published, rng, tau)
 
 
 def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
@@ -312,16 +313,21 @@ def bob_check_and_decode(slots: list[SequenceSlot], published, choices,
         raise ProtocolError("payload length does not match Bob's choice record")
     if not check.ok:
         return DecodeResult(False, check.error_rate, [])
-    bits = []
-    for slot, c in zip(check.remaining, choices):
-        bit, _ = qsim.measure(slot.state, choice_basis(c), 0, rng)
-        bits.append(bit)
+    # a message bit is 1 iff Bob's own |0> or |+> (decoy id 0 or 2) came back
+    # flipped: X/Y flip |0> exactly when m0 = 1, and Z/Y flip |+> exactly when m1 = 1
+    bits = check_published_decoys(check.remaining, [(i, 2 * c) for i, c in enumerate(choices)],
+                                  rng).outcomes
     return DecodeResult(True, check.error_rate, bits)
 
 
 @dataclass
 class Transcript:
-    """Seeded, replayable record of one protocol run."""
+    """Seeded, replayable record of one protocol run.
+
+    Each step writes its own fields; a field left at its default is what a
+    run that aborts before that step records. ``verdict`` is set where the
+    run ends.
+    """
 
     version: int
     seed: int
@@ -329,18 +335,18 @@ class Transcript:
     choices: list[int]
     loyalty_choices: list[int]
     pairs: list[tuple[int, int]]
-    bob_decoy_positions: list[int]
-    bob_decoy_ids: list[int]
-    channel_error_rate: float
-    loyalty_positions: list[int]
-    loyalty_outcomes: list[int]
-    permutation: list[int]
-    alice_decoy_positions: list[int]
-    alice_decoy_ids: list[int]
-    return_error_rate: float
-    decoded_bits: list[int]
-    verdict: str
     qubits_used: int
+    bob_decoy_positions: list[int] = field(default_factory=list)
+    bob_decoy_ids: list[int] = field(default_factory=list)
+    channel_error_rate: float = 0.0
+    loyalty_positions: list[int] = field(default_factory=list)
+    loyalty_outcomes: list[int] = field(default_factory=list)
+    permutation: list[int] = field(default_factory=list)
+    alice_decoy_positions: list[int] = field(default_factory=list)
+    alice_decoy_ids: list[int] = field(default_factory=list)
+    return_error_rate: float = 0.0
+    decoded_bits: list[int] = field(default_factory=list)
+    verdict: str = ""
 
     def to_json_line(self) -> str:
         d = {name: getattr(self, name) for name in TRANSCRIPT_FIELDS}
@@ -350,7 +356,10 @@ class Transcript:
     @staticmethod
     def parse_json_line(line: str) -> dict:
         """Decode one record and check it has exactly the transcript's keys."""
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"transcript record is not JSON: {exc}") from None
         if not isinstance(d, dict):
             raise ProtocolError("transcript record is not a JSON object")
         if d.get("version") != TRANSCRIPT_VERSION:
@@ -401,41 +410,37 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     if len(choices) != config.N or len(pairs) != config.N:
         raise ProtocolError("need exactly N choices and N message pairs")
 
-    loyalty_choices = default_loyalty_choices(config.K)
-    qubits_used = config.sequence_length + config.M2
-
-    def finish(verdict, channel_err=0.0, loyalty=None, perm=None,
-               a_pos=None, a_ids=None, ret_err=0.0, bits=None,
-               b_pos=None, b_ids=None):
-        return Transcript(
-            TRANSCRIPT_VERSION, config.seed, config, choices, loyalty_choices, pairs,
-            b_pos or [], b_ids or [], channel_err,
-            loyalty.positions if loyalty else [], loyalty.outcomes if loyalty else [],
-            perm or [], a_pos or [], a_ids or [], ret_err, bits or [], verdict, qubits_used,
-        )
-
+    t = Transcript(TRANSCRIPT_VERSION, config.seed, config, choices,
+                   default_loyalty_choices(config.K), pairs, config.sequence_length + config.M2)
     # Step 1
-    slots, b_pos, b_ids = bob_prepare_sequence(
-        choices + loyalty_choices, config.M, rng, n_loyalty=2 * config.K)
+    slots, t.bob_decoy_positions, t.bob_decoy_ids = bob_prepare_sequence(
+        choices + t.loyalty_choices, config.M, rng, n_loyalty=2 * config.K)
     # Step 2
-    check = alice_check_channel(slots, list(zip(b_pos, b_ids)), rng, config.tau)
+    check = alice_check_channel(slots, list(zip(t.bob_decoy_positions, t.bob_decoy_ids)), rng,
+                                config.tau)
+    t.channel_error_rate = check.error_rate
     if not check.ok:
-        return finish("abort:channel", check.error_rate, b_pos=b_pos, b_ids=b_ids)
+        t.verdict = "abort:channel"
+        return t
     loyalty = alice_test_loyalty(check.remaining, config.K, rng, config.tau)
+    t.loyalty_positions, t.loyalty_outcomes = loyalty.positions, loyalty.outcomes
     if not loyalty.ok:
-        return finish("abort:loyalty", check.error_rate, loyalty, b_pos=b_pos, b_ids=b_ids)
+        t.verdict = "abort:loyalty"
+        return t
     # Step 3
-    perm = plan_reorder(loyalty.remaining, choices)
-    payload = bob_reorder(loyalty.remaining, perm, config.N)
+    t.permutation = plan_reorder(loyalty.remaining, choices)
+    payload = bob_reorder(loyalty.remaining, t.permutation, config.N)
     # Step 4
     payload = alice_encode(payload, pairs)
     # Step 5
-    outbound, a_pos, a_ids = alice_insert_decoys(payload, config.M2, rng)
+    outbound, t.alice_decoy_positions, t.alice_decoy_ids = alice_insert_decoys(
+        payload, config.M2, rng)
     # Step 6
-    decode = bob_check_and_decode(outbound, list(zip(a_pos, a_ids)), choices, rng, config.tau)
-    verdict = "ok" if decode.ok else "abort:return-channel"
-    return finish(verdict, check.error_rate, loyalty, perm, a_pos, a_ids,
-                  decode.error_rate, decode.bits, b_pos, b_ids)
+    decode = bob_check_and_decode(outbound, list(zip(t.alice_decoy_positions, t.alice_decoy_ids)),
+                                  choices, rng, config.tau)
+    t.return_error_rate, t.decoded_bits = decode.error_rate, decode.bits
+    t.verdict = "ok" if decode.ok else "abort:return-channel"
+    return t
 
 
 def replay_transcript(line: str) -> tuple[bool, str]:

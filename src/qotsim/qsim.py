@@ -74,9 +74,6 @@ class PureState:
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
 
-    def probability(self, index: int) -> float:
-        return float(abs(self.amps[index]) ** 2)
-
     def __repr__(self):
         return f"PureState({np.array2string(self.amps, precision=4)})"
 

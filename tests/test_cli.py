@@ -88,14 +88,23 @@ class TestHonest:
         lambda r: {**r, "choices": 5},
         lambda r: [r],
         lambda r: {**r, "pairs": [[0, 2]] + r["pairs"][1:]},
+        lambda r: {**r, "config": {**r["config"], "K": 10**9}},
+        lambda r: json.dumps(r)[:-1],
     ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "not-an-object",
-            "non-bit-pair"])
+            "non-bit-pair", "huge-register", "not-json"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
+        """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"
         run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
-        path.write_text(json.dumps(malform(json.loads(path.read_text()))) + "\n")
+        valid = path.read_text()
+        bad = malform(json.loads(valid))
+        path.write_text(valid + (bad if isinstance(bad, str) else json.dumps(bad)) + "\n")
         code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and err.startswith("error: record 2:")
+
+    def test_huge_register_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "honest", "--K", "1000000000")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QOTSIM_SEED", "42")
@@ -134,6 +143,24 @@ class TestSeedEnvironment:
             code, out, err = run_cli(capsys, *self.HONEST, *config)
             assert code == 2 and out == ""
             assert "error:" in err and "--seed" in err
+
+    @pytest.mark.parametrize("command", [HONEST, ("attack", "--scenario", "bell", "--K", "1")],
+                             ids=["honest", "attack"])
+    @pytest.mark.parametrize("form", ["flag", "env", "config"])
+    def test_negative_seed_names_flag(self, capsys, monkeypatch, tmp_path, command, form):
+        monkeypatch.delenv("QOTSIM_SEED", raising=False)
+        argv = list(command)
+        if form == "flag":
+            argv += ["--seed", "-1"]
+        elif form == "env":
+            monkeypatch.setenv("QOTSIM_SEED", "-3")
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text("seed = -2\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and "--seed" in err and ">= 0" in err
 
     def test_file_seed_beats_env(self, capsys, monkeypatch, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -7,7 +7,7 @@ intercept row happens to read as it did at 0.1.0)."""
 
 import pytest
 
-from qotsim import cli, protocol
+from qotsim import cli, protocol, qsim
 from qotsim.protocol import ProtocolConfig
 
 GOLDEN_TRANSCRIPT = (
@@ -18,6 +18,37 @@ GOLDEN_TRANSCRIPT = (
     '"pairs":[[1,0],[0,1],[1,0]],"permutation":[2,0,1,3,4],"qubits_used":16,'
     '"return_error_rate":0.0,"seed":1,"verdict":"ok","version":1}'
 )
+
+#: abort-path transcripts by verdict: (config, the ``protocol`` preparation
+#: swapped, its replacement, record). An honest run never aborts, so each one
+#: prepares every decoy, or every choice slot, as its orthogonal partner.
+FLIPPED_DECOYS = (qsim.ONE, qsim.ZERO, qsim.MINUS, qsim.PLUS)
+GOLDEN_ABORTS = {
+    "channel": (
+        ProtocolConfig(N=3, M=4, M2=2, K=1, seed=1), "DECOY_STATES", FLIPPED_DECOYS,
+        '{"alice_decoy_ids":[],"alice_decoy_positions":[],"bob_decoy_ids":[0,3,3,1],'
+        '"bob_decoy_positions":[2,3,5,7],"channel_error_rate":1.0,"choices":[0,1,1],'
+        '"config":{"K":1,"M":4,"M2":2,"N":3,"tau":0.0},"decoded_bits":[],"loyalty_choices":[0,1],'
+        '"loyalty_outcomes":[],"loyalty_positions":[],"pairs":[[1,0],[0,1],[1,0]],"permutation":[],'
+        '"qubits_used":11,"return_error_rate":0.0,"seed":1,"verdict":"abort:channel","version":1}'),
+    "return-channel": (
+        ProtocolConfig(N=3, M=0, M2=3, K=1, seed=2), "DECOY_STATES", FLIPPED_DECOYS,
+        '{"alice_decoy_ids":[3,0,0],"alice_decoy_positions":[0,1,3],"bob_decoy_ids":[],'
+        '"bob_decoy_positions":[],"channel_error_rate":0.0,"choices":[1,0,0],'
+        '"config":{"K":1,"M":0,"M2":3,"N":3,"tau":0.0},"decoded_bits":[],"loyalty_choices":[0,1],'
+        '"loyalty_outcomes":[0],"loyalty_positions":[1],"pairs":[[0,0],[1,0],[0,0]],'
+        '"permutation":[0,2,1,3],"qubits_used":8,"return_error_rate":1.0,"seed":2,'
+        '"verdict":"abort:return-channel","version":1}'),
+    "loyalty": (
+        ProtocolConfig(N=3, M=2, M2=2, K=2, seed=3), "choice_state",
+        lambda choice: qsim.ONE if choice == 0 else qsim.MINUS,
+        '{"alice_decoy_ids":[],"alice_decoy_positions":[],"bob_decoy_ids":[1,3],'
+        '"bob_decoy_positions":[2,7],"channel_error_rate":0.0,"choices":[1,0,0],'
+        '"config":{"K":2,"M":2,"M2":2,"N":3,"tau":0.0},"decoded_bits":[],"loyalty_choices":[0,0,1,1],'
+        '"loyalty_outcomes":[1,1],"loyalty_positions":[2,3],"pairs":[[0,0],[1,1],[1,0]],'
+        '"permutation":[],"qubits_used":11,"return_error_rate":0.0,"seed":3,'
+        '"verdict":"abort:loyalty","version":1}'),
+}
 
 GOLDEN_INTERCEPT_CSV = (
     "parameter,empirical,closed_form,stderr,trials\n"
@@ -73,6 +104,16 @@ def test_transcript_line_is_pinned(capsys):
 
 def test_pinned_transcript_replays():
     assert protocol.replay_transcript(GOLDEN_TRANSCRIPT) == (True, "verified")
+
+
+@pytest.mark.parametrize("verdict", sorted(GOLDEN_ABORTS))
+def test_abort_transcript_is_pinned(monkeypatch, verdict):
+    cfg, attr, flipped, expected = GOLDEN_ABORTS[verdict]
+    monkeypatch.setattr(protocol, attr, flipped)
+    transcript = protocol.run_honest(cfg)
+    assert transcript.verdict == "abort:" + verdict
+    assert transcript.to_json_line() == expected
+    assert protocol.replay_transcript(expected) == (True, "verified")
 
 
 def test_intercept_csv_is_pinned(capsys):

@@ -74,12 +74,12 @@ class TestChannelCheck:
 
     @pytest.mark.parametrize("decoy_id", [9, 4, -1])
     def test_decoy_id_out_of_range(self, decoy_id):
-        slot = SequenceSlot(Role.DECOY, qsim.MINUS, decoy_id=3)
+        slot = SequenceSlot(Role.DECOY, qsim.MINUS)
         with pytest.raises(ProtocolError):
             protocol.check_published_decoys([slot], [(0, decoy_id)], rng())
 
     def test_flipped_decoy_detected(self):
-        slot = SequenceSlot(Role.DECOY, qsim.ONE, decoy_id=0)  # claims |0>, holds |1>
+        slot = SequenceSlot(Role.DECOY, qsim.ONE)  # claims |0>, holds |1>
         res = protocol.alice_check_channel([slot], [(0, 0)], rng())
         assert not res.ok and res.error_rate == 1.0
 
@@ -314,6 +314,16 @@ class TestHonestRuns:
             assert t.verdict == "ok"
             assert t.decoded_bits == [t.pairs[k][t.choices[k]] for k in range(cfg.N)]
             assert t.qubits_used == cfg.sequence_length + cfg.M2
+
+    @pytest.mark.parametrize("sizes", [{"N": 10**9}, {"N": 1, "K": 10**9},
+                                       {"N": 1, "M2": protocol.MAX_QUBITS_USED}])
+    def test_register_size_is_capped(self, sizes):
+        with pytest.raises(ProtocolError, match="at most"):
+            ProtocolConfig(**sizes)
+
+    def test_register_size_cap_is_inclusive(self):
+        cfg = ProtocolConfig(N=1, M2=protocol.MAX_QUBITS_USED - 1)
+        assert cfg.sequence_length + cfg.M2 == protocol.MAX_QUBITS_USED
 
     def test_qubit_accounting(self):
         cfg = ProtocolConfig(N=6, M=50, M2=50, K=20, seed=3)

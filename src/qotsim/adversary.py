@@ -22,9 +22,8 @@ from enum import Enum
 import numpy as np
 
 from . import protocol, qsim
-from .qsim import Basis, BellKind, PureState
-from .protocol import (CHOICE_AMPS, CHOICE_X_BASIS, DECOY_AMPS, ProtocolError, Role,
-                       SequenceSlot, choice_basis, insert_decoys)
+from .qsim import BellKind, PureState
+from .protocol import DECOY_AMPS, ProtocolError, SequenceSlot, insert_decoys
 
 ISOMETRY_ATOL = 1e-9
 
@@ -115,10 +114,6 @@ def sample_ue_params(rng: np.random.Generator) -> UeParams:
     return UeParams(a, b, c, d, e00, e01, e10, e11)
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", ""))
-
-
 def load_ue_params(path) -> UeParams:
     """Read entangling-attack parameters from a key=value text file.
 
@@ -129,8 +124,15 @@ def load_ue_params(path) -> UeParams:
     missing = [k for k in ("a", "b", "c", "d", "e00", "e01", "e10", "e11") if k not in values]
     if missing:
         raise ProtocolError(f"parameter file missing keys: {', '.join(missing)}")
-    scalars = {k: _parse_complex(values[k]) for k in ("a", "b", "c", "d")}
-    vectors = {k: np.array([_parse_complex(x) for x in values[k].split(",")], dtype=complex)
+
+    def parse(key: str, text: str) -> complex:
+        try:
+            return complex(text.strip().replace(" ", ""))
+        except ValueError:
+            raise ProtocolError(f"{path}: {key}: malformed complex literal {text.strip()!r}") from None
+
+    scalars = {k: parse(k, values[k]) for k in ("a", "b", "c", "d")}
+    vectors = {k: np.array([parse(k, x) for x in values[k].split(",")], dtype=complex)
                for k in ("e00", "e01", "e10", "e11")}
     return UeParams(**scalars, **vectors)
 
@@ -139,7 +141,7 @@ def eve_intercept_resend(states: np.ndarray, rng: np.random.Generator) -> np.nda
     """Measure each in-transit qubit of a ``(T, 2)`` block in a uniformly
     random basis and forward the collapsed states."""
     n = len(states)
-    _, collapsed = qsim.measure_batch(states, CHOICE_X_BASIS[rng.integers(2, size=n)], rng.random(n))
+    _, collapsed = qsim.measure_batch(states, rng.integers(2, size=n), rng.random(n))
     return collapsed
 
 
@@ -190,18 +192,15 @@ def ue_leakage(params: UeParams) -> float:
 def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot], list[int], list[int]]:
     """Step-1 replacement for a dishonest Bob: every non-decoy slot is his half
     of a fresh Bell pair (transmitted qubit = factor 0, kept half = factor 1)."""
-    slots = []
-    for i in range(config.N + 2 * config.K):
-        role = Role.PAYLOAD if i < config.N else Role.LOYALTY
-        slots.append(SequenceSlot(role, qsim.make_bell(BellKind.PHI_PLUS),
-                                  payload_index=i if role is Role.PAYLOAD else None))
+    slots = [SequenceSlot(qsim.make_bell(BellKind.PHI_PLUS), payload_index=i if i < config.N else None)
+             for i in range(config.N + 2 * config.K)]
     return insert_decoys(slots, config.M, rng)
 
 
-def random_published_bases(slots, rng: np.random.Generator) -> list[Basis]:
-    """A cheating Bob's loyalty-test declarations: one uniformly random basis
-    per slot (his Bell halves have no honest basis to publish)."""
-    return [choice_basis(b) for b in rng.integers(0, 2, size=len(slots))]
+def random_published_bases(slots, rng: np.random.Generator) -> list[int]:
+    """A cheating Bob's loyalty-test declarations: one uniformly random choice
+    bit per slot (his Bell halves have no honest choice to publish)."""
+    return [int(c) for c in rng.integers(0, 2, size=len(slots))]
 
 
 #: dense-coding readout: which Bell state Alice's gate turns a Phi+ pair into
@@ -240,12 +239,13 @@ def alice_measure_resend(states: np.ndarray, rng: np.random.Generator,
         raise ProtocolError(f"unknown resend policy {policy!r}")
     n = len(states)
     # each row is measured in the basis of a random choice a, whose outcome 0
-    # is choice_state(a); outcome 1 rules a out, so the preparation was 1 - a
+    # is choice a's preparation (decoy id 2a); outcome 1 rules a out, so the
+    # preparation was 1 - a
     a = rng.integers(2, size=n)
-    bits, collapsed = qsim.measure_batch(states, CHOICE_X_BASIS[a], rng.random(n))
+    bits, collapsed = qsim.measure_batch(states, a, rng.random(n))
     guesses = np.where(bits, 1 - a, -1)
     if policy == "collapsed":
         return guesses, collapsed
     if policy == "random":
         return guesses, DECOY_AMPS[rng.integers(len(DECOY_AMPS), size=n)]
-    return guesses, CHOICE_AMPS[np.where(bits, guesses, rng.integers(2, size=n))]
+    return guesses, DECOY_AMPS[2 * np.where(bits, guesses, rng.integers(2, size=n))]

@@ -13,6 +13,8 @@ from enum import Enum
 
 
 class ProtocolId(Enum):
+    """The compared protocols, in the order of the cost curve's columns."""
+
     YANG2013 = "yang"
     YSW2015 = "ysw"
     YYLSZ2015 = "yylsz"
@@ -21,7 +23,6 @@ class ProtocolId(Enum):
 
 @dataclass(frozen=True)
 class ProtocolCost:
-    id: ProtocolId
     qubits_per_message: int
     transmissions: int
     decoy_qubits: int
@@ -32,10 +33,10 @@ class ProtocolCost:
 
 
 TABLE: dict[ProtocolId, ProtocolCost] = {
-    ProtocolId.YANG2013: ProtocolCost(ProtocolId.YANG2013, 4, 1, 50, 0),
-    ProtocolId.YSW2015: ProtocolCost(ProtocolId.YSW2015, 4, 1, 50, 0),
-    ProtocolId.YYLSZ2015: ProtocolCost(ProtocolId.YYLSZ2015, 4, 2, 2 * 50, 0),
-    ProtocolId.PROPOSED: ProtocolCost(ProtocolId.PROPOSED, 1, 2, 2 * 50, 2 * 20),
+    ProtocolId.YANG2013: ProtocolCost(4, 1, 50, 0),
+    ProtocolId.YSW2015: ProtocolCost(4, 1, 50, 0),
+    ProtocolId.YYLSZ2015: ProtocolCost(4, 2, 2 * 50, 0),
+    ProtocolId.PROPOSED: ProtocolCost(1, 2, 2 * 50, 2 * 20),
 }
 
 YSW_FOOTNOTE = ("ysw: table lists 2x50 decoy qubits but a 4R+50 total; "
@@ -59,12 +60,12 @@ def crossover(limit: int = 10_000) -> int:
     raise RuntimeError("no crossover found within limit")
 
 
-CURVE_HEADER = "R,yang,ysw,yylsz,proposed"
+CURVE_HEADER = ",".join(["R", *(p.value for p in ProtocolId)])
 
 
-def emit_curve(r_max: int) -> list[tuple[int, int, int, int, int]]:
-    """Cost rows (R, yang, ysw, yylsz, proposed) for R = 1..r_max."""
+def emit_curve(r_max: int) -> list[tuple[int, ...]]:
+    """Cost rows (R, then each protocol's total in ProtocolId order, as in
+    CURVE_HEADER) for R = 1..r_max."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    order = (ProtocolId.YANG2013, ProtocolId.YSW2015, ProtocolId.YYLSZ2015, ProtocolId.PROPOSED)
-    return [(R, *(total_cost(p, R) for p in order)) for R in range(1, r_max + 1)]
+    return [(R, *(total_cost(p, R) for p in ProtocolId)) for R in range(1, r_max + 1)]

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import adversary, protocol, qsim
 from .adversary import AttackScenario
-from .protocol import (CHOICE_AMPS, CHOICE_X_BASIS, DECOY_AMPS, DECOY_X_BASIS, ProtocolError,
-                       choice_state, decoy_bit)
+from .protocol import DECOY_AMPS, DECOY_STATES, ProtocolError
 from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
@@ -90,10 +89,9 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
-def _tally(kernel, arg, trials: int, seed: int, point: int = 0, n_outcomes: int = 2) -> list[int]:
+def _tally(kernel, arg, trials: int, seed: int, point: int = 0) -> list[int]:
     """Run ``kernel(arg, rng, T)`` on chunks of at most CHUNK_TRIALS trials and
-    sum the per-outcome counts it returns for each chunk (``n_outcomes`` of
-    them).
+    sum the counts it returns for each chunk.
 
     Chunk c draws from its own stream ``default_rng([seed, point, c])``, so
     results do not depend on the order chunks run in. A detection estimate's
@@ -102,16 +100,10 @@ def _tally(kernel, arg, trials: int, seed: int, point: int = 0, n_outcomes: int 
     """
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
-    counts = np.zeros(n_outcomes, dtype=np.int64)
-    for c, start in enumerate(range(0, trials, CHUNK_TRIALS)):
-        counts += kernel(arg, np.random.default_rng([seed, point, c]), min(CHUNK_TRIALS, trials - start))
+    counts = sum(np.asarray(kernel(arg, np.random.default_rng([seed, point, c]),
+                                   min(CHUNK_TRIALS, trials - start)), dtype=np.int64)
+                 for c, start in enumerate(range(0, trials, CHUNK_TRIALS)))
     return counts.tolist()
-
-
-def _decoy_ids(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``n`` uniform decoy ids with their amplitudes and X-basis flags."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return ids, DECOY_AMPS[ids], DECOY_X_BASIS[ids]
 
 
 def _intercept_chunk(M: int, rng: np.random.Generator, trials: int) -> list[int]:
@@ -124,28 +116,28 @@ def _intercept_chunk(M: int, rng: np.random.Generator, trials: int) -> list[int]
     for _ in range(M):
         if not active:
             break
-        ids, states, x_basis = _decoy_ids(rng, active)
-        resent = adversary.eve_intercept_resend(states, rng)
-        bits, _ = qsim.measure_batch(resent, x_basis, rng.random(active))
-        active -= int(np.count_nonzero(bits != decoy_bit(ids)))
+        ids = rng.integers(len(DECOY_STATES), size=active)
+        resent = adversary.eve_intercept_resend(DECOY_AMPS[ids], rng)
+        active -= int(np.count_nonzero(protocol.decoy_flips(resent, ids, rng.random(active))))
     return [active, trials - active]
 
 
 def _bell_cheat_chunk(K: int, rng: np.random.Generator, trials: int) -> list[int]:
     """Loyalty tests against a Bell-pair cheat: [passed, failed] counts.
 
-    The cheating Bob declares a uniformly random basis per tested slot; his
-    transmitted half is maximally mixed, so each test fails with probability
-    1/2. A trial stops at its first failing slot.
+    The cheating Bob declares a uniformly random choice c per tested slot,
+    which is checked against decoy id 2c; his transmitted half is maximally
+    mixed, so each test fails with probability 1/2. A trial stops at its first
+    failing slot.
     """
     pair = qsim.make_bell(BellKind.PHI_PLUS).amps
     active = trials
     for _ in range(K):
         if not active:
             break
-        declared_x = CHOICE_X_BASIS[rng.integers(2, size=active)]
-        bits, _ = qsim.measure_batch(np.broadcast_to(pair, (active, 4)), declared_x, rng.random(active))
-        active -= int(np.count_nonzero(bits))
+        declared = 2 * rng.integers(2, size=active)
+        fails = protocol.decoy_flips(np.broadcast_to(pair, (active, 4)), declared, rng.random(active))
+        active -= int(np.count_nonzero(fails))
     return [active, trials - active]
 
 
@@ -179,7 +171,7 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
     The unchosen bit toggles I <-> Z (Z-basis slot) or X <-> Y, a global phase
     on a basis eigenstate, so the distance is exactly zero.
     """
-    carrier = choice_state(choice)
+    carrier = protocol.choice_state(choice)
     if choice == 0:
         variants = [(chosen_bit, 0), (chosen_bit, 1)]
     else:
@@ -213,20 +205,20 @@ class AliceAttackReport:
 _PAULI_MATRICES = np.array([qsim.GATES[protocol.PAULI_CODE[divmod(code, 2)]] for code in range(4)])
 
 
-def _alice_chunk(policy: str, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Slots through Alice's measure-and-resend: counts of each outcome code
-    conclusive + 2 * wrong guess + 4 * bit error + 8 * dummy error."""
+def _alice_chunk(policy: str, rng: np.random.Generator, trials: int) -> list[int]:
+    """Slots through Alice's measure-and-resend: the counts of conclusive
+    guesses, wrong conclusive guesses, bit errors and dummy errors."""
     j = rng.integers(2, size=trials)
-    guesses, resent = adversary.alice_measure_resend(CHOICE_AMPS[j], rng, policy)
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
     gates = _PAULI_MATRICES[2 * m0 + m1]
     encoded = gates[:, :, 0] * resent[:, :1] + gates[:, :, 1] * resent[:, 1:]
-    bits, _ = qsim.measure_batch(encoded, CHOICE_X_BASIS[j], rng.random(trials))
-    bit_error = bits != np.choose(j, (m0, m1))
+    # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
+    bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
     dummy_error = bit_error & (rng.random(trials) < 0.5)
     conclusive = guesses >= 0
-    codes = conclusive + 2 * (conclusive & (guesses != j)) + 4 * bit_error + 8 * dummy_error
-    return np.bincount(codes, minlength=16)
+    return [int(np.count_nonzero(event)) for event in
+            (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
 
 
 def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> AliceAttackReport:
@@ -238,19 +230,16 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
-    counts = _tally(_alice_chunk, policy, trials, seed, n_outcomes=16)
-    conclusive, wrong, bit_errors, dummy_errors = (
-        sum(n for code, n in enumerate(counts) if code >> k & 1) for k in range(4))
+    conclusive, wrong, bit_errors, dummy_errors = _tally(_alice_chunk, policy, trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
                              dummy_errors / trials, trials, policy)
 
 
 def _entangling_chunk(params, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Decoys through Eve's entangling attack: [intact, flipped] counts."""
-    ids, states, x_basis = _decoy_ids(rng, trials)
-    attacked = adversary.eve_entangling_attack(states, params)
-    bits, _ = qsim.measure_batch(attacked, x_basis, rng.random(trials))
-    return np.bincount(bits != decoy_bit(ids), minlength=2)
+    ids = rng.integers(len(DECOY_STATES), size=trials)
+    attacked = adversary.eve_entangling_attack(DECOY_AMPS[ids], params)
+    return np.bincount(protocol.decoy_flips(attacked, ids, rng.random(trials)), minlength=2)
 
 
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:

@@ -1,7 +1,6 @@
 """Honest-party state machines for the six-step oblivious transfer run.
 
-Bob encodes his per-slot choice j as a preparation in {|0>, |+>} (j=0 -> |0>,
-j=1 -> |+>). Alice encodes a message pair (m0, m1) with a Pauli gate:
+Bob encodes his per-slot choice j as decoy state 2j, |0> or |+>. Alice encodes a message pair (m0, m1) with a Pauli gate:
 00 -> I, 01 -> Z, 10 -> X, 11 -> Y. Bob measures each payload slot in the basis
 he prepared, so a Z-basis slot yields m0 and an X-basis slot yields m1; the
 other bit only ever shows up as a global phase on the carrier.
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 
 import numpy as np
 
@@ -24,8 +22,12 @@ TRANSCRIPT_VERSION = 1
 #: allocated; far above the paper's R + 140 and every configuration it studies
 MAX_QUBITS_USED = 100_000
 
-#: decoy preparations by id: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->
+#: decoy preparations by id d = 2 * [X basis] + bit, qsim's eigenstate order:
+#: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one key for a state,
+#: its basis and its bit; Bob's choice c is id 2c.
 DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
+#: the same states as amplitude rows, for code that handles a block of slots
+DECOY_AMPS = np.array([state.amps for state in DECOY_STATES])
 
 #: message-pair to gate encoding
 PAULI_CODE: dict[tuple[int, int], str] = {
@@ -40,32 +42,24 @@ def decoy_basis(decoy_id: int) -> Basis:
     return Basis.Z if decoy_id < 2 else Basis.X
 
 
-def decoy_bit(decoy_id: int) -> int:
-    return decoy_id & 1
+def decoy_flipped(decoy_id, bit):
+    """Whether ``bit``, read in the basis of decoy state ``decoy_id``, is not
+    that state's bit: the slot came back flipped. Works elementwise."""
+    return bit != decoy_id & 1
 
 
-def choice_basis(choice: int) -> Basis:
-    return Basis.Z if choice == 0 else Basis.X
+def decoy_flips(amps: np.ndarray, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`decoy_flipped` for a block: qubit 0 of each row of a
+    ``(T, 2^n)`` amplitude block is measured in the basis of the decoy id at
+    its row, reading ``u`` as :func:`qsim.measure_batch` does."""
+    bits, _ = qsim.measure_batch(amps, ids >= 2, u)
+    return decoy_flipped(ids, bits)
 
 
 def choice_state(choice: int) -> PureState:
+    """Bob's preparation of choice c, decoy state 2c. It names the states
+    itself, so a run with other decoy states keeps its choice slots."""
     return qsim.ZERO if choice == 0 else qsim.PLUS
-
-
-#: the encoding above as arrays indexed by decoy id or choice, for code that
-#: handles a block of slots at once: the states as amplitude rows, and the
-#: basis as an X-basis flag (``qsim.measure_batch``'s ``x_basis``);
-#: ``decoy_bit`` already works elementwise
-DECOY_AMPS = np.array([state.amps for state in DECOY_STATES])
-DECOY_X_BASIS = np.array([decoy_basis(did) is Basis.X for did in range(len(DECOY_STATES))])
-CHOICE_AMPS = np.array([choice_state(choice).amps for choice in (0, 1)])
-CHOICE_X_BASIS = np.array([choice_basis(choice) is Basis.X for choice in (0, 1)])
-
-
-class Role(Enum):
-    PAYLOAD = "payload"
-    LOYALTY = "loyalty"
-    DECOY = "decoy"
 
 
 class ProtocolError(Exception):
@@ -92,13 +86,15 @@ def read_key_values(path) -> dict[str, str]:
 class SequenceSlot:
     """One qubit of the transmitted sequence; its position is its list index.
 
-    ``choice`` is the owner's private preparation record (a decoy's is the
-    published (position, id) list); the counterparty's code must only rely on
-    ``state`` (and, for adversary slots, the transmitted qubit is always
-    tensor factor 0 of ``state``).
+    A slot is payload iff ``payload_index`` (the intended choice it carries)
+    is set. ``choice`` is the owner's private preparation record: Bob's choice
+    bit c (decoy id 2c) on payload and loyalty slots, None on decoys, whose
+    record is the published (position, id) list, and on a cheating Bob's Bell
+    slots. The counterparty's code must only rely on ``state`` (and, for
+    adversary slots, the transmitted qubit is always tensor factor 0 of
+    ``state``).
     """
 
-    role: Role
     state: PureState
     choice: int | None = None
     payload_index: int | None = None
@@ -142,7 +138,7 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
     for pos, did in zip(positions, ids):
-        out.insert(pos, SequenceSlot(Role.DECOY, DECOY_STATES[did]))
+        out.insert(pos, SequenceSlot(DECOY_STATES[did]))
     return out, positions, ids
 
 
@@ -160,13 +156,8 @@ def bob_prepare_sequence(choices, M: int, rng: np.random.Generator, n_loyalty: i
     if not 0 <= n_loyalty <= len(choices):
         raise ProtocolError("loyalty count exceeds choice count")
     n_payload = len(choices) - n_loyalty
-    slots = []
-    for i, c in enumerate(choices):
-        role = Role.PAYLOAD if i < n_payload else Role.LOYALTY
-        slots.append(SequenceSlot(
-            role, choice_state(c), choice=c,
-            payload_index=i if role is Role.PAYLOAD else None,
-        ))
+    slots = [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < n_payload else None)
+             for i, c in enumerate(choices)]
     return insert_decoys(slots, M, rng)
 
 
@@ -198,7 +189,7 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
         raise ProtocolError("duplicate published decoy position")
     if any(did not in range(len(DECOY_STATES)) for _, did in published):
         raise ProtocolError("published decoy id out of range")
-    outcomes = [int(qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)[0] != decoy_bit(did))
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)[0]))
                 for pos, did in published]
     error_rate = sum(outcomes) / len(published) if published else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]
@@ -215,11 +206,11 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
                        tau: float = 0.0, positions=None, published_bases=None) -> CheckResult:
     """Step 2b: Alice measures K randomly chosen slots in Bob's published bases.
 
-    Each tested slot is published as the outcome-0 eigenstate of its basis
-    (|0> or |+>, decoy id 0 or 2) and checked against it: an honest slot always
-    passes, and an outcome 1 (the measured bit) is a loyalty failure. ``positions`` and
-    ``published_bases`` may be forced (the latter models a dishonest Bob's
-    declarations).
+    Bob publishes each tested slot's choice bit c, and the slot is checked
+    against decoy id 2c (|0> or |+>): an honest slot always passes, and a flip
+    is a loyalty failure. ``positions`` and ``published_bases`` (choice bits
+    by position) may be forced; the latter models a dishonest Bob's
+    declarations.
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
@@ -229,16 +220,11 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
         positions = sorted(int(p) for p in positions)
         if len(set(positions)) != K or any(not 0 <= p < len(slots) for p in positions):
             raise ProtocolError("invalid loyalty test positions")
-    published = []
+    declared = published_bases if published_bases is not None else [s.choice for s in slots]
     for p in positions:
-        if published_bases is not None:
-            basis = published_bases[p]
-        else:
-            if slots[p].choice is None:
-                raise ProtocolError(f"slot {p} has no preparation basis to publish")
-            basis = choice_basis(slots[p].choice)
-        published.append((p, 0 if basis is Basis.Z else 2))
-    return check_published_decoys(slots, published, rng, tau)
+        if declared[p] is None:
+            raise ProtocolError(f"slot {p} has no preparation basis to publish")
+    return check_published_decoys(slots, [(p, 2 * declared[p]) for p in positions], rng, tau)
 
 
 def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
@@ -254,13 +240,13 @@ def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
     intended = [int(c) for c in intended]
     n = len(intended)
     used = [False] * len(slots)
-    by_payload_index = {s.payload_index: k for k, s in enumerate(slots) if s.role is Role.PAYLOAD}
+    by_payload_index = {s.payload_index: k for k, s in enumerate(slots) if s.payload_index is not None}
     perm: list[int] = []
     for i, want in enumerate(intended):
         k = by_payload_index.get(i)
         if k is None or used[k] or slots[k].choice != want:
             k = next((j for j, s in enumerate(slots)
-                      if not used[j] and s.role is Role.LOYALTY and s.choice == want), None)
+                      if not used[j] and s.payload_index is None and s.choice == want), None)
         if k is None:
             k = next((j for j, s in enumerate(slots) if not used[j] and s.choice == want), None)
         if k is None:
@@ -313,7 +299,7 @@ def bob_check_and_decode(slots: list[SequenceSlot], published, choices,
         raise ProtocolError("payload length does not match Bob's choice record")
     if not check.ok:
         return DecodeResult(False, check.error_rate, [])
-    # a message bit is 1 iff Bob's own |0> or |+> (decoy id 0 or 2) came back
+    # a message bit is 1 iff Bob's own |0> or |+> (decoy id 2c) came back
     # flipped: X/Y flip |0> exactly when m0 = 1, and Z/Y flip |+> exactly when m1 = 1
     bits = check_published_decoys(check.remaining, [(i, 2 * c) for i, c in enumerate(choices)],
                                   rng).outcomes

@@ -14,7 +14,7 @@ from qotsim import adversary, cli, costmodel, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario, UeParams
 from qotsim.costmodel import ProtocolId
 from qotsim.experiments import ExperimentSpec
-from qotsim.protocol import ProtocolConfig, Role, SequenceSlot
+from qotsim.protocol import ProtocolConfig, SequenceSlot
 from qotsim.qsim import Basis, BellKind
 
 
@@ -44,11 +44,8 @@ def test_criterion_2_worked_example():
     # sequence |0+0+>: payload choices (0,1), loyalty copies (0,1); Alice tests
     # slot 4, Bob reorders the survivors as "21", Alice applies Z then X for the
     # pairs (0,1) and (1,0)
-    slots = []
-    for i, c in enumerate([0, 1, 0, 1]):
-        role = Role.PAYLOAD if i < 2 else Role.LOYALTY
-        slots.append(SequenceSlot(role, protocol.choice_state(c), choice=c,
-                                  payload_index=i if i < 2 else None))
+    slots = [SequenceSlot(protocol.choice_state(c), choice=c, payload_index=i if i < 2 else None)
+             for i, c in enumerate([0, 1, 0, 1])]
     g = np.random.default_rng(0)
     loyal = protocol.alice_test_loyalty(slots, 1, g, positions=[3])
     payload = protocol.bob_reorder(loyal.remaining, [1, 0, 2], n_keep=2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qotsim import adversary, protocol, qsim
 from qotsim.adversary import UeParams
-from qotsim.protocol import ProtocolConfig, ProtocolError, Role, SequenceSlot
+from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot
 from qotsim.qsim import Basis, BellKind
 
 
@@ -26,8 +26,7 @@ class TestInterceptResend:
         n = 40_000
         dids = g.integers(4, size=n)
         attacked = adversary.eve_intercept_resend(protocol.DECOY_AMPS[dids], g)
-        bits, _ = qsim.measure_batch(attacked, protocol.DECOY_X_BASIS[dids], g.random(n))
-        hits = int(np.count_nonzero(bits != protocol.decoy_bit(dids)))
+        hits = int(np.count_nonzero(protocol.decoy_flips(attacked, dids, g.random(n))))
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 4 * se
 
@@ -35,7 +34,7 @@ class TestInterceptResend:
         g = rng(2)
         attacked = adversary.eve_intercept_resend(block(qsim.ZERO), g)
         # payload disturbance is invisible to a check that publishes no decoys
-        slots = [SequenceSlot(Role.PAYLOAD, qsim.PureState(attacked[0]), choice=0)]
+        slots = [SequenceSlot(qsim.PureState(attacked[0]), choice=0, payload_index=0)]
         check = protocol.check_published_decoys(slots, [], g)
         assert check.ok and check.error_rate == 0.0 and len(check.remaining) == 1
 
@@ -181,10 +180,11 @@ class TestBobBellCheat:
         cfg = ProtocolConfig(N=3, M=4, K=2, seed=0)
         slots, pos, ids = adversary.bob_bell_cheat(cfg, rng(1))
         assert len(slots) == 3 + 4 + 4
-        bell = [s for s in slots if s.role is not Role.DECOY]
-        assert len(bell) == 7
+        assert [slots[p].state.n_qubits for p in pos] == [1] * 4
+        bell = [s for k, s in enumerate(slots) if k not in pos]
+        assert [s.payload_index for s in bell] == [0, 1, 2, None, None, None, None]
         for s in bell:
-            assert s.state.n_qubits == 2
+            assert s.state.n_qubits == 2 and s.choice is None
 
     def test_per_test_detection_is_half(self):
         g = rng(2)
@@ -236,7 +236,7 @@ class TestAliceMeasureResend:
         g = rng(5)
         n = 40_000
         choices = g.integers(2, size=n)
-        guesses, _ = adversary.alice_measure_resend(protocol.CHOICE_AMPS[choices], g)
+        guesses, _ = adversary.alice_measure_resend(protocol.DECOY_AMPS[2 * choices], g)
         conclusive = guesses >= 0
         assert np.array_equal(guesses[conclusive], choices[conclusive])
         assert set(np.unique(guesses)) <= {-1, 0, 1}
@@ -246,7 +246,7 @@ class TestAliceMeasureResend:
     def test_guess_policy_resends_legal_preparations(self):
         g = rng(6)
         legal = [qsim.ZERO.amps, qsim.PLUS.amps]
-        states = protocol.CHOICE_AMPS[np.arange(50) % 2]
+        states = protocol.DECOY_AMPS[2 * (np.arange(50) % 2)]
         guesses, resent = adversary.alice_measure_resend(states, g)
         assert resent.shape == (50, 2)
         for guess, row in zip(guesses, resent):

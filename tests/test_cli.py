@@ -239,6 +239,18 @@ class TestAttack:
         assert code == 2 and out == ""
         assert err.startswith("error:") and line.split(" = ")[0] in err and "finite" in err
 
+    @pytest.mark.parametrize("line", ["a = 1+", "c = 0.8k", "e00 = 1,0,0,0,", "e10 = 0,,1,0"])
+    def test_malformed_complex_in_ue_file_names_file_and_key(self, capsys, tmp_path, line):
+        values = dict(ln.split(" = ") for ln in (
+            "a = 1+0j", "b = 0j", "c = 0j", "d = 1+0j",
+            "e00 = 1,0,0,0", "e01 = 1,0,0,0", "e10 = 0,1,0,0", "e11 = 1,0,0,0", line))
+        path = tmp_path / "ue.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, out, err = run_cli(capsys, "attack", "--scenario", "entangling",
+                                 "--trials", "10", "--ue-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {line.split(' = ')[0]}: malformed complex literal")
+
     def test_unreadable_ue_file(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scenario", "entangling",
                                "--trials", "10", "--ue-file", "/nonexistent/ue.txt")

@@ -98,26 +98,32 @@ class TestSweep:
         assert any(m2_detects_fewer(seed) for seed in range(60))
 
 
-#: each chunk kernel with an argument and its number of outcome codes
+#: each chunk kernel with an argument
 CHUNK_KERNELS = {
-    "intercept": (experiments._intercept_chunk, 3, 2),
-    "bell": (experiments._bell_cheat_chunk, 2, 2),
-    "alice": (experiments._alice_chunk, "guess", 16),
+    "intercept": (experiments._intercept_chunk, 3),
+    "bell": (experiments._bell_cheat_chunk, 2),
+    "alice": (experiments._alice_chunk, "guess"),
     "entangling": (experiments._entangling_chunk,
-                   adversary.sample_ue_params(np.random.default_rng(4)), 2),
+                   adversary.sample_ue_params(np.random.default_rng(4))),
 }
 
 
 class TestChunks:
     @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
     def test_tallies_add_over_chunks(self, name):
-        kernel, arg, n_outcomes = CHUNK_KERNELS[name]
+        kernel, arg = CHUNK_KERNELS[name]
         chunk = experiments.CHUNK_TRIALS
-        first = experiments._tally(kernel, arg, chunk, seed=5, n_outcomes=n_outcomes)
+        first = experiments._tally(kernel, arg, chunk, seed=5)
         second = kernel(arg, np.random.default_rng([5, 0, 1]), chunk)
-        both = experiments._tally(kernel, arg, 2 * chunk, seed=5, n_outcomes=n_outcomes)
-        assert sum(first) == sum(second) == chunk
+        both = experiments._tally(kernel, arg, 2 * chunk, seed=5)
         assert both == [a + b for a, b in zip(first, second)]
+        if name == "alice":
+            # conclusive, wrong, bit-error and dummy-error counts: a wrong
+            # guess is conclusive and a dummy error is a bit error
+            assert chunk >= first[0] >= first[1] and chunk >= first[2] >= first[3]
+        else:
+            # [unflipped, flipped]: every trial is counted once
+            assert sum(first) == sum(second) == chunk
 
     def test_one_past_a_chunk_runs(self):
         trials = experiments.CHUNK_TRIALS + 1

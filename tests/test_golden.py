@@ -5,6 +5,9 @@ The transcript line is unchanged since 0.1.0; the Monte Carlo CSVs were
 regenerated at 0.2.0, whose trial-batched kernels draw different streams (the
 intercept row happens to read as it did at 0.1.0)."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from qotsim import cli, protocol, qsim
@@ -131,3 +134,18 @@ def test_attack_csv_is_pinned(capsys, tmp_path, name):
         args = args[:-1] + [str(path)]
     code = cli.main(["attack", *args, "--trials", "200", "--seed", "7"])
     assert code == 0 and capsys.readouterr().out == expected
+
+
+#: sha256 of 256 seeded ``run_honest`` records, one per (N, M = M2, K) with N
+#: in 1..16, M in {0, 1, 5, 50} and K in {0, 1, 3, 20}, seeded by grid index,
+#: with tau = 0.3 where N + K is odd; pins paper-scale and tau > 0 bytes
+HONEST_GRID_SHA256 = "86e7bb7ebe503741d9b67b0ebecce0131ccc2fe374d74c734524c0ec3aad3666"
+
+
+def test_honest_grid_digest_is_pinned():
+    digest = hashlib.sha256()
+    grid = itertools.product(range(1, 17), (0, 1, 5, 50), (0, 1, 3, 20))
+    for seed, (n, m, k) in enumerate(grid):
+        cfg = ProtocolConfig(N=n, M=m, M2=m, K=k, tau=0.3 * ((n + k) % 2), seed=seed)
+        digest.update(protocol.run_honest(cfg).to_json_line().encode() + b"\n")
+    assert digest.hexdigest() == HONEST_GRID_SHA256

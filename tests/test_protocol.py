@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim import protocol, qsim
-from qotsim.protocol import (ProtocolConfig, ProtocolError, Role, SequenceSlot,
-                             choice_state)
+from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot, choice_state
 from qotsim.qsim import Basis
 
 
@@ -15,12 +14,8 @@ def rng(seed=0):
 
 def make_worked_example_slots():
     """The four-qubit sequence |0+0+>: payload choices (0, 1), loyalty (0, 1)."""
-    slots = []
-    for i, c in enumerate([0, 1, 0, 1]):
-        role = Role.PAYLOAD if i < 2 else Role.LOYALTY
-        slots.append(SequenceSlot(role, choice_state(c), choice=c,
-                                  payload_index=i if i < 2 else None))
-    return slots
+    return [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < 2 else None)
+            for i, c in enumerate([0, 1, 0, 1])]
 
 
 class TestPrepare:
@@ -30,7 +25,7 @@ class TestPrepare:
         expected = [qsim.ZERO, qsim.PLUS, qsim.ZERO, qsim.PLUS]
         for slot, want in zip(slots, expected):
             assert np.allclose(slot.state.amps, want.amps)
-        assert [s.role for s in slots] == [Role.PAYLOAD, Role.PAYLOAD, Role.LOYALTY, Role.LOYALTY]
+        assert [s.payload_index for s in slots] == [0, 1, None, None]
 
     def test_sequence_length_with_decoys(self):
         choices = [0] * 7  # N=3 plus 2K=4
@@ -44,7 +39,7 @@ class TestPrepare:
             choices = [int(b) for b in g.integers(0, 2, size=6)]
             slots, _, _ = protocol.bob_prepare_sequence(choices, 4, g, n_loyalty=2)
             for s in slots:
-                if s.role is Role.DECOY:
+                if s.choice is None:  # a decoy
                     continue
                 assert any(np.allclose(s.state.amps, t.amps) for t in (qsim.ZERO, qsim.PLUS))
 
@@ -74,12 +69,12 @@ class TestChannelCheck:
 
     @pytest.mark.parametrize("decoy_id", [9, 4, -1])
     def test_decoy_id_out_of_range(self, decoy_id):
-        slot = SequenceSlot(Role.DECOY, qsim.MINUS)
+        slot = SequenceSlot(qsim.MINUS)
         with pytest.raises(ProtocolError):
             protocol.check_published_decoys([slot], [(0, decoy_id)], rng())
 
     def test_flipped_decoy_detected(self):
-        slot = SequenceSlot(Role.DECOY, qsim.ONE)  # claims |0>, holds |1>
+        slot = SequenceSlot(qsim.ONE)  # claims |0>, holds |1>
         res = protocol.alice_check_channel([slot], [(0, 0)], rng())
         assert not res.ok and res.error_rate == 1.0
 
@@ -153,21 +148,20 @@ class TestReorder:
         assert perm == [0, 1, 2]
 
     def test_plan_reorder_does_not_reuse_a_backfilled_payload_slot(self):
-        slots = [SequenceSlot(Role.PAYLOAD, qsim.PLUS, choice=1, payload_index=1)]
+        slots = [SequenceSlot(qsim.PLUS, choice=1, payload_index=1)]
         with pytest.raises(ProtocolError):
             protocol.plan_reorder(slots, [1, 1])
-        slots.append(SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0, payload_index=2))
+        slots.append(SequenceSlot(qsim.ZERO, choice=0, payload_index=2))
         with pytest.raises(ProtocolError):
             protocol.plan_reorder(slots, [1, 1, 0])
 
-    @given(st.lists(st.tuples(st.sampled_from([Role.PAYLOAD, Role.LOYALTY]),
-                              st.sampled_from([0, 1, None]), st.integers(0, 4)), max_size=8),
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from([0, 1, None]), st.integers(0, 4)),
+                    max_size=8),
            st.lists(st.integers(0, 1), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_plan_reorder_is_a_permutation_or_raises(self, specs, intended):
-        slots = [SequenceSlot(role, qsim.ZERO, choice=choice,
-                              payload_index=index if role is Role.PAYLOAD else None)
-                 for role, choice, index in specs]
+        slots = [SequenceSlot(qsim.ZERO, choice=choice, payload_index=index if payload else None)
+                 for payload, choice, index in specs]
         feasible = all(intended.count(c) <= [s.choice for s in slots].count(c) for c in (0, 1))
         try:
             perm = protocol.plan_reorder(slots, intended)
@@ -182,39 +176,68 @@ class TestEncodingArrays:
     def test_arrays_follow_the_scalar_encoding(self):
         for did, state in enumerate(protocol.DECOY_STATES):
             assert np.array_equal(protocol.DECOY_AMPS[did], state.amps)
-            assert protocol.DECOY_X_BASIS[did] == (protocol.decoy_basis(did) is Basis.X)
+        ids, bits = np.meshgrid(np.arange(4), np.arange(2))
+        assert protocol.decoy_flipped(ids, bits).tolist() == [
+            [bool(protocol.decoy_flipped(int(d), int(b))) for d in range(4)] for b in range(2)]
+
+
+class TestDecoyIds:
+    def test_id_is_basis_then_bit_in_qsim_order(self):
+        for did, state in enumerate(protocol.DECOY_STATES):
+            basis = protocol.decoy_basis(did)
+            assert did == 2 * (basis is Basis.X) + did % 2
+            # each decoy state reads its own bit in its own basis
+            bit, _ = qsim.measure(state, basis, 0, rng())
+            assert bit == did % 2 and not protocol.decoy_flipped(did, bit)
         for choice in (0, 1):
-            assert np.array_equal(protocol.CHOICE_AMPS[choice], choice_state(choice).amps)
-            assert protocol.CHOICE_X_BASIS[choice] == (protocol.choice_basis(choice) is Basis.X)
-        ids = np.arange(len(protocol.DECOY_STATES))
-        assert protocol.decoy_bit(ids).tolist() == [protocol.decoy_bit(int(d)) for d in ids]
+            assert choice_state(choice) is protocol.DECOY_STATES[2 * choice]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_check_matches_block_flips(self, seed, bell, specs, data):
+        # a published set of same-width slots: decoy states, or Bell pairs
+        if bell:
+            kinds = list(qsim.BellKind)
+            slots = [SequenceSlot(qsim.make_bell(kinds[k])) for k, _ in specs]
+        else:
+            slots = [SequenceSlot(protocol.DECOY_STATES[k]) for k, _ in specs]
+        positions = data.draw(st.permutations(range(len(slots))))[:data.draw(
+            st.integers(1, len(slots)))]
+        published = [(p, specs[p][1]) for p in positions]
+        check = protocol.check_published_decoys(slots, published, rng(seed))
+        amps = np.array([slots[p].state.amps for p in positions])
+        ids = np.array([did for _, did in published])
+        flips = protocol.decoy_flips(amps, ids, rng(seed).random(len(published)))
+        assert check.outcomes == flips.astype(int).tolist()
 
 
 class TestEncodeDecode:
     def test_pair_01_turns_plus_into_minus(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.PLUS, choice=1)
+        slot = SequenceSlot(qsim.PLUS, choice=1)
         out = protocol.alice_encode([slot], [(0, 1)])
         assert np.allclose(out[0].state.amps, qsim.MINUS.amps)
 
     def test_pair_10_turns_zero_into_one(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
+        slot = SequenceSlot(qsim.ZERO, choice=0)
         out = protocol.alice_encode([slot], [(1, 0)])
         assert np.allclose(out[0].state.amps, qsim.ONE.amps)
 
     def test_pair_00_leaves_state_unchanged(self):
         for state in (qsim.ZERO, qsim.PLUS):
-            slot = SequenceSlot(Role.PAYLOAD, state, choice=0)
+            slot = SequenceSlot(state, choice=0)
             out = protocol.alice_encode([slot], [(0, 0)])
             assert np.allclose(out[0].state.amps, state.amps)
 
     def test_pair_count_mismatch(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
+        slot = SequenceSlot(qsim.ZERO, choice=0)
         with pytest.raises(ProtocolError):
             protocol.alice_encode([slot], [(0, 0), (1, 1)])
 
     @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (1, 3)])
     def test_rejects_non_bit_pair(self, pair):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)
+        slot = SequenceSlot(qsim.ZERO, choice=0)
         with pytest.raises(ProtocolError, match="bits"):
             protocol.alice_encode([slot], [pair])
 
@@ -229,23 +252,23 @@ class TestEncodeDecode:
         assert res.ok and res.bits == [pair[choice]]
 
     def test_decode_minus_in_x_gives_one(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.MINUS)
+        slot = SequenceSlot(qsim.MINUS)
         res = protocol.bob_check_and_decode([slot], [], [1], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_one_in_z_gives_one(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.ONE)
+        slot = SequenceSlot(qsim.ONE)
         res = protocol.bob_check_and_decode([slot], [], [0], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_identity_encoded_zero(self):
-        slot = SequenceSlot(Role.PAYLOAD, qsim.ZERO)
+        slot = SequenceSlot(qsim.ZERO)
         encoded = protocol.alice_encode([slot], [(0, 0)])
         res = protocol.bob_check_and_decode(encoded, [], [0], rng())
         assert res.bits == [0]
 
     def test_alice_decoy_insertion_lengths(self):
-        slots = [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0) for _ in range(3)]
+        slots = [SequenceSlot(qsim.ZERO, choice=0) for _ in range(3)]
         grown, pos, ids = protocol.alice_insert_decoys(slots, 5, rng(1))
         assert len(grown) == 8 and len(pos) == 5
         same, pos0, _ = protocol.alice_insert_decoys(slots, 0, rng(1))
@@ -257,7 +280,7 @@ class TestEncodeDecode:
         counts = np.zeros(4)
         for _ in range(200):
             _, _, ids = protocol.alice_insert_decoys(
-                [SequenceSlot(Role.PAYLOAD, qsim.ZERO, choice=0)], 10, g)
+                [SequenceSlot(qsim.ZERO, choice=0)], 10, g)
             for i in ids:
                 counts[i] += 1
         n = counts.sum()

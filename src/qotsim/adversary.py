@@ -83,18 +83,6 @@ class UeParams:
         e = np.array([1, 0, 0, 0], dtype=complex)
         return cls(1, 0, 0, 1, e, e.copy(), np.array([0, 1, 0, 0], dtype=complex), e.copy())
 
-    def image_of_zero(self) -> np.ndarray:
-        out = np.zeros(8, dtype=complex)
-        out[:4] = self.a * self.e00
-        out[4:] = self.b * self.e01
-        return out
-
-    def image_of_one(self) -> np.ndarray:
-        out = np.zeros(8, dtype=complex)
-        out[:4] = self.c * self.e10
-        out[4:] = self.d * self.e11
-        return out
-
 
 def sample_ue_params(rng: np.random.Generator) -> UeParams:
     """Draw a uniformly random valid isometry (Haar via QR of a Gaussian matrix)."""
@@ -153,7 +141,9 @@ def eve_entangling_attack(states: np.ndarray, params: UeParams) -> np.ndarray:
     """
     if states.ndim != 2 or states.shape[1] != 2:
         raise ProtocolError("entangling attack applies to single-qubit states")
-    return states[:, :1] * params.image_of_zero() + states[:, 1:] * params.image_of_one()
+    image_of_zero = np.concatenate([params.a * params.e00, params.b * params.e01])
+    image_of_one = np.concatenate([params.c * params.e10, params.d * params.e11])
+    return states[:, :1] * image_of_zero + states[:, 1:] * image_of_one
 
 
 def ue_detection_probability(params: UeParams) -> float:

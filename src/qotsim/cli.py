@@ -111,8 +111,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
     p = command("sweep", _cmd_sweep, "detection-rate curve over M or K")
-    p.add_argument("--scenario", choices=[AttackScenario.INTERCEPT_RESEND.value,
-                                          AttackScenario.BOB_BELL_CHEAT.value], required=True)
+    p.add_argument("--scenario", choices=[s.value for s in experiments.DETECTION], required=True)
     p.add_argument("--values", type=int_list, default=None,
                    help="comma-separated parameter values")
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
@@ -149,8 +148,8 @@ def _cmd_attack(args) -> int:
     if args.ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
     header = experiments.CSV_HEADER
-    if scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
-        flag = "M" if scenario is AttackScenario.INTERCEPT_RESEND else "K"
+    if scenario in experiments.DETECTION:
+        flag, _, _ = experiments.DETECTION[scenario]
         value = getattr(args, flag)
         if value is None:
             raise ProtocolError(f"{scenario.value} scenario requires --{flag}")

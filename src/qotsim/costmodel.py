@@ -8,6 +8,7 @@ consistent with it) and the discrepancy is surfaced as a footnote.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,9 +64,10 @@ def crossover(limit: int = 10_000) -> int:
 CURVE_HEADER = ",".join(["R", *(p.value for p in ProtocolId)])
 
 
-def emit_curve(r_max: int) -> list[tuple[int, ...]]:
+def emit_curve(r_max: int) -> Iterator[tuple[int, ...]]:
     """Cost rows (R, then each protocol's total in ProtocolId order, as in
-    CURVE_HEADER) for R = 1..r_max."""
+    CURVE_HEADER) for R = 1..r_max, yielded one at a time so that a long
+    curve is never held in memory; ``r_max`` is checked at the call."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    return [(R, *(total_cost(p, R) for p in ProtocolId)) for R in range(1, r_max + 1)]
+    return ((R, *(total_cost(p, R) for p in ProtocolId)) for R in range(1, r_max + 1))

@@ -10,6 +10,7 @@ two points or seeds share a stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,14 +25,10 @@ DEFAULT_TRIALS = 100_000
 CHUNK_TRIALS = 256
 
 
-def bell_cheat_detection_rate(K: int) -> float:
-    """Closed-form loyalty-test detection rate against a Bell-pair cheat."""
-    return 1.0 - 0.5 ** K
-
-
-def intercept_detection_rate(M: int) -> float:
-    """Closed-form channel-check detection rate against intercept-and-resend."""
-    return 1.0 - 0.75 ** M
+def detection_rate(q: float, n: int) -> float:
+    """Closed-form rate at which n independent checks, each flipping with
+    probability q, find at least one flip."""
+    return 1.0 - (1.0 - q) ** n
 
 
 #: closed-form rates of a dishonest Alice's measure-and-resend, by resend
@@ -89,8 +86,8 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
-def _tally(kernel, arg, trials: int, seed: int, point: int = 0) -> list[int]:
-    """Run ``kernel(arg, rng, T)`` on chunks of at most CHUNK_TRIALS trials and
+def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
+    """Run ``kernel(rng, T)`` on chunks of at most CHUNK_TRIALS trials and
     sum the counts it returns for each chunk.
 
     Chunk c draws from its own stream ``default_rng([seed, point, c])``, so
@@ -100,57 +97,68 @@ def _tally(kernel, arg, trials: int, seed: int, point: int = 0) -> list[int]:
     """
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
-    counts = sum(np.asarray(kernel(arg, np.random.default_rng([seed, point, c]),
+    counts = sum(np.asarray(kernel(np.random.default_rng([seed, point, c]),
                                    min(CHUNK_TRIALS, trials - start)), dtype=np.int64)
                  for c, start in enumerate(range(0, trials, CHUNK_TRIALS)))
     return counts.tolist()
 
 
-def _intercept_chunk(M: int, rng: np.random.Generator, trials: int) -> list[int]:
-    """Channel checks with Eve intercepting: [undetected, detected] counts.
+def _first_flip_chunk(draw, rounds: int, rng: np.random.Generator, trials: int) -> list[int]:
+    """Sequential decoy checks: [unflipped, flipped] counts.
 
-    A trial is detected at its first mismatching decoy and stops there; only
-    the trials still undetected go on to the next decoy.
+    Each of up to ``rounds`` rounds draws the checked states of the trials not
+    yet flipped, ``draw(rng, n) -> (block, ids)``, and checks each row against
+    its decoy id; a trial stops at its first flip.
     """
     active = trials
-    for _ in range(M):
+    for _ in range(rounds):
         if not active:
             break
-        ids = rng.integers(len(DECOY_STATES), size=active)
-        resent = adversary.eve_intercept_resend(DECOY_AMPS[ids], rng)
-        active -= int(np.count_nonzero(protocol.decoy_flips(resent, ids, rng.random(active))))
+        block, ids = draw(rng, active)
+        active -= int(np.count_nonzero(protocol.decoy_flips(block, ids, rng.random(active))))
     return [active, trials - active]
 
 
-def _bell_cheat_chunk(K: int, rng: np.random.Generator, trials: int) -> list[int]:
-    """Loyalty tests against a Bell-pair cheat: [passed, failed] counts.
+def _intercept_round(rng: np.random.Generator, n: int):
+    """Random decoys, each measured and resent by Eve in a random basis."""
+    ids = rng.integers(len(DECOY_STATES), size=n)
+    return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
 
-    The cheating Bob declares a uniformly random choice c per tested slot,
-    which is checked against decoy id 2c; his transmitted half is maximally
-    mixed, so each test fails with probability 1/2. A trial stops at its first
-    failing slot.
-    """
-    pair = qsim.make_bell(BellKind.PHI_PLUS).amps
-    active = trials
-    for _ in range(K):
-        if not active:
-            break
-        declared = 2 * rng.integers(2, size=active)
-        fails = protocol.decoy_flips(np.broadcast_to(pair, (active, 4)), declared, rng.random(active))
-        active -= int(np.count_nonzero(fails))
-    return [active, trials - active]
+
+#: a cheating Bob's tested slot: the Bell pair whose half he transmitted
+_PHI_PLUS = qsim.make_bell(BellKind.PHI_PLUS).amps
+
+
+def _bell_round(rng: np.random.Generator, n: int):
+    """Loyalty tests of Bell slots, each declared as a uniformly random choice
+    c (decoy id 2c); the transmitted half is maximally mixed, so each test
+    fails with probability 1/2."""
+    return np.broadcast_to(_PHI_PLUS, (n, 4)), 2 * rng.integers(2, size=n)
+
+
+def _entangling_round(params, rng: np.random.Generator, n: int):
+    """Random decoys through Eve's entangling attack."""
+    ids = rng.integers(len(DECOY_STATES), size=n)
+    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
+
+
+#: the scenarios with a detection closed form: each maps to the CLI flag that
+#: gives its number of checks, the probability q that one check flips, and the
+#: round drawer of :func:`_first_flip_chunk`
+DETECTION = {
+    AttackScenario.INTERCEPT_RESEND: ("M", 0.25, _intercept_round),
+    AttackScenario.BOB_BELL_CHEAT: ("K", 0.5, _bell_round),
+}
 
 
 def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
     """Monte Carlo detection estimate with its matching closed form."""
-    if spec.scenario is AttackScenario.BOB_BELL_CHEAT:
-        kernel, closed = _bell_cheat_chunk, bell_cheat_detection_rate
-    elif spec.scenario is AttackScenario.INTERCEPT_RESEND:
-        kernel, closed = _intercept_chunk, intercept_detection_rate
-    else:
+    if spec.scenario not in DETECTION:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
-    hits = _tally(kernel, spec.parameter, spec.trials, spec.seed, spec.parameter)[1]
-    return _estimate_row(spec.parameter, hits / spec.trials, closed(spec.parameter), spec.trials)
+    _, q, draw = DETECTION[spec.scenario]
+    n = spec.parameter
+    hits = _tally(partial(_first_flip_chunk, draw, n), spec.trials, spec.seed, n)[1]
+    return _estimate_row(n, hits / spec.trials, detection_rate(q, n), spec.trials)
 
 
 def sweep_curve(scenario: AttackScenario, values, trials: int = DEFAULT_TRIALS,
@@ -230,22 +238,16 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
-    conclusive, wrong, bit_errors, dummy_errors = _tally(_alice_chunk, policy, trials, seed)
+    conclusive, wrong, bit_errors, dummy_errors = _tally(partial(_alice_chunk, policy), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
                              dummy_errors / trials, trials, policy)
-
-
-def _entangling_chunk(params, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Decoys through Eve's entangling attack: [intact, flipped] counts."""
-    ids = rng.integers(len(DECOY_STATES), size=trials)
-    attacked = adversary.eve_entangling_attack(DECOY_AMPS[ids], params)
-    return np.bincount(protocol.decoy_flips(attacked, ids, rng.random(trials)), minlength=2)
 
 
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
-    flips = _tally(_entangling_chunk, params, trials, seed)[1]
+    kernel = partial(_first_flip_chunk, partial(_entangling_round, params), 1)
+    flips = _tally(kernel, trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
 
 

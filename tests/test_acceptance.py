@@ -84,7 +84,7 @@ def test_criterion_4_intercept_detection():
         band = 4 * np.sqrt(p * (1 - p) / row.trials)
         if abs(row.empirical - p) > band:
             failures.append((m, row.empirical, p))
-    closed_50 = experiments.intercept_detection_rate(50)
+    closed_50 = experiments.detection_rate(0.25, 50)
     elapsed = time.monotonic() - start
     report(4, not failures and closed_50 >= 0.999999 and elapsed < 30.0,
            f"abort rate vs 1-(3/4)^M, {elapsed:.1f}s; closed form at M=50 is {closed_50:.8f}; "

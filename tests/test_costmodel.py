@@ -45,21 +45,25 @@ class TestCrossover:
 
 class TestCurve:
     def test_row_count_and_minimality(self):
-        rows = costmodel.emit_curve(100)
+        rows = list(costmodel.emit_curve(100))
         assert len(rows) == 100
         for R, yang, ysw, yylsz, proposed in rows:
             if R > 30:
                 assert proposed < min(yang, ysw, yylsz)
 
     def test_single_row(self):
-        rows = costmodel.emit_curve(1)
+        rows = list(costmodel.emit_curve(1))
         assert rows == [(1, 54, 54, 104, 141)]
 
     def test_columns_nondecreasing(self):
-        rows = costmodel.emit_curve(50)
+        rows = list(costmodel.emit_curve(50))
         for col in range(1, 5):
             values = [r[col] for r in rows]
             assert values == sorted(values)
+
+    def test_long_curve_is_lazy(self):
+        # a curve too long to hold in memory yields its first row at once
+        assert next(iter(costmodel.emit_curve(10 ** 12))) == (1, 54, 54, 104, 141)
 
     def test_rmax_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,17 +10,21 @@ from qotsim.experiments import EstimateRow, ExperimentSpec
 from qotsim.protocol import ProtocolConfig, ProtocolError
 from qotsim.qsim import Basis
 
+UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
+
 
 class TestClosedForms:
     def test_bell_cheat_values(self):
-        assert experiments.bell_cheat_detection_rate(1) == 0.5
-        assert abs(experiments.bell_cheat_detection_rate(20) - (1 - 0.5 ** 20)) == 0.0
-        assert experiments.bell_cheat_detection_rate(20) > 0.999999
+        assert experiments.detection_rate(0.5, 1) == 0.5
+        assert abs(experiments.detection_rate(0.5, 20) - (1 - 0.5 ** 20)) == 0.0
+        assert experiments.detection_rate(0.5, 20) > 0.999999
+        assert experiments.DETECTION[AttackScenario.BOB_BELL_CHEAT][:2] == ("K", 0.5)
 
     def test_intercept_values(self):
-        assert experiments.intercept_detection_rate(0) == 0.0
-        assert abs(experiments.intercept_detection_rate(10) - (1 - 0.75 ** 10)) == 0.0
-        assert experiments.intercept_detection_rate(50) >= 0.999999
+        assert experiments.detection_rate(0.25, 0) == 0.0
+        assert abs(experiments.detection_rate(0.25, 10) - (1 - 0.75 ** 10)) == 0.0
+        assert experiments.detection_rate(0.25, 50) >= 0.999999
+        assert experiments.DETECTION[AttackScenario.INTERCEPT_RESEND][:2] == ("M", 0.25)
 
 
 class TestEstimateDetectionRate:
@@ -98,24 +103,24 @@ class TestSweep:
         assert any(m2_detects_fewer(seed) for seed in range(60))
 
 
-#: each chunk kernel with an argument
+#: each chunk kernel, bound to its argument
 CHUNK_KERNELS = {
-    "intercept": (experiments._intercept_chunk, 3),
-    "bell": (experiments._bell_cheat_chunk, 2),
-    "alice": (experiments._alice_chunk, "guess"),
-    "entangling": (experiments._entangling_chunk,
-                   adversary.sample_ue_params(np.random.default_rng(4))),
+    "intercept": partial(experiments._first_flip_chunk, experiments._intercept_round, 3),
+    "bell": partial(experiments._first_flip_chunk, experiments._bell_round, 2),
+    "alice": partial(experiments._alice_chunk, "guess"),
+    "entangling": partial(experiments._first_flip_chunk,
+                          partial(experiments._entangling_round, UE_PARAMS), 1),
 }
 
 
 class TestChunks:
     @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
     def test_tallies_add_over_chunks(self, name):
-        kernel, arg = CHUNK_KERNELS[name]
+        kernel = CHUNK_KERNELS[name]
         chunk = experiments.CHUNK_TRIALS
-        first = experiments._tally(kernel, arg, chunk, seed=5)
-        second = kernel(arg, np.random.default_rng([5, 0, 1]), chunk)
-        both = experiments._tally(kernel, arg, 2 * chunk, seed=5)
+        first = experiments._tally(kernel, chunk, seed=5)
+        second = kernel(np.random.default_rng([5, 0, 1]), chunk)
+        both = experiments._tally(kernel, 2 * chunk, seed=5)
         assert both == [a + b for a, b in zip(first, second)]
         if name == "alice":
             # conclusive, wrong, bit-error and dummy-error counts: a wrong
@@ -129,8 +134,7 @@ class TestChunks:
         trials = experiments.CHUNK_TRIALS + 1
         rows = [experiments.estimate_detection_rate(ExperimentSpec(scenario, 2, trials, seed=1))
                 for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT)]
-        rows.append(experiments.entangling_detection_estimate(CHUNK_KERNELS["entangling"][1],
-                                                              trials, seed=1))
+        rows.append(experiments.entangling_detection_estimate(UE_PARAMS, trials, seed=1))
         rows += experiments.alice_attack_report(trials, seed=1).rows()
         for row in rows:
             assert row.trials == trials

@@ -136,6 +136,36 @@ def test_attack_csv_is_pinned(capsys, tmp_path, name):
     assert code == 0 and capsys.readouterr().out == expected
 
 
+#: full argv -> output, for the sequential-check paths: zero rounds, a round
+#: count that every trial exits early from, and more than one trial chunk
+GOLDEN_CLI_CSVS = {
+    "sweep-intercept": (["sweep", "--scenario", "intercept", "--values", "0,1,50"],
+                        "parameter,empirical,closed_form,stderr,trials\n"
+                        "0,0,0,0,600\n"
+                        "1,0.235,0.25,0.01730967937,600\n"
+                        "50,1,0.9999994337,0,600\n"),
+    "sweep-bell": (["sweep", "--scenario", "bell", "--values", "0,20"],
+                   "parameter,empirical,closed_form,stderr,trials\n"
+                   "0,0,0,0,600\n"
+                   "20,1,0.9999990463,0,600\n"),
+    "attack-entangling-mixed": (["attack", "--scenario", "entangling", "--ue-file", "mixed"],
+                                "parameter,empirical,closed_form,stderr,trials\n"
+                                "detection,0.595,0.57,0.02004058382,600\n"
+                                "leakage,0.693108938,0.693108938,0,600\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_CSVS))
+def test_cli_csv_at_600_trials_is_pinned(capsys, tmp_path, name):
+    args, expected = GOLDEN_CLI_CSVS[name]
+    if "--ue-file" in args:
+        path = tmp_path / "ue.txt"
+        path.write_text(UE_FILES[args[-1]])
+        args = args[:-1] + [str(path)]
+    code = cli.main([*args, "--trials", "600", "--seed", "7"])
+    assert code == 0 and capsys.readouterr().out == expected
+
+
 #: sha256 of 256 seeded ``run_honest`` records, one per (N, M = M2, K) with N
 #: in 1..16, M in {0, 1, 5, 50} and K in {0, 1, 3, 20}, seeded by grid index,
 #: with tau = 0.3 where N + K is odd; pins paper-scale and tau > 0 bytes

@@ -23,7 +23,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from . import adversary, costmodel, experiments, protocol
 from .adversary import AttackScenario
@@ -73,6 +73,20 @@ def _output(path):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+
+
+def csv_line(fields) -> str:
+    """One CSV line of every command that writes CSV: a float field is
+    written ``.10g``, any other field ``str``."""
+    return ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in fields)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one :func:`csv_line` per row, to :func:`_output`."""
+    with _output(path) as out:
+        out.write(header + "\n")
+        for row in rows:
+            out.write(csv_line(row) + "\n")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -137,12 +151,6 @@ def _cmd_honest(args) -> int:
     return 0
 
 
-def _estimate_rows_csv(out, rows, header=experiments.CSV_HEADER):
-    out.write(header + "\n")
-    for row in rows:
-        out.write(row.as_csv() + "\n")
-
-
 def _cmd_attack(args) -> int:
     scenario = AttackScenario(args.scenario)
     if args.ue_file is not None and scenario is not AttackScenario.ENTANGLING:
@@ -166,8 +174,7 @@ def _cmd_attack(args) -> int:
         if scenario is AttackScenario.ALICE_MEASURE_RESEND:
             rows = [row for row in rows if row.parameter != "dummy_error"]
         header = experiments.ALICE_CSV_HEADER
-    with _output(args.out) as out:
-        _estimate_rows_csv(out, rows, header)
+    _write_csv(args.out, header, map(astuple, rows))
     return 0
 
 
@@ -176,44 +183,38 @@ def _cmd_sweep(args) -> int:
         raise ProtocolError("sweep requires --values")
     rows = experiments.sweep_curve(AttackScenario(args.scenario), args.values, args.trials,
                                    args.seed)
-    with _output(args.out) as out:
-        _estimate_rows_csv(out, rows)
+    _write_csv(args.out, experiments.CSV_HEADER, map(astuple, rows))
     return 0
 
 
 def _cmd_oblivious(args) -> int:
-    with _output(args.out) as out:
-        out.write("choice,chosen_bit,trace_distance\n")
-        for choice in (0, 1):
-            for bit in (0, 1):
-                out.write(f"{choice},{bit},{experiments.obliviousness_report(choice, bit):.10g}\n")
+    rows = [(choice, bit, experiments.obliviousness_report(choice, bit))
+            for choice in (0, 1) for bit in (0, 1)]
+    _write_csv(args.out, "choice,chosen_bit,trace_distance", rows)
     return 0
 
 
 def _cmd_cost(args) -> int:
-    rows = costmodel.emit_curve(args.rmax)
-    with _output(args.out) as out:
-        out.write(costmodel.CURVE_HEADER + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
+    _write_csv(args.out, costmodel.CURVE_HEADER, costmodel.emit_curve(args.rmax))
     print(f"# footnote: {costmodel.YSW_FOOTNOTE}", file=sys.stderr)
     return 0
 
 
 def _cmd_replay(args) -> int:
+    # one record at a time, so that a file of any length fits in memory
+    count = 0
     with open(args.transcript, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
+        for count, line in enumerate((ln.rstrip("\n") for ln in fh if ln.strip()), start=1):
+            try:
+                ok, detail = protocol.replay_transcript(line)
+            except ProtocolError as exc:
+                raise ProtocolError(f"record {count}: {exc}") from exc
+            if not ok:
+                print(f"replay failed at record {count}: {detail}", file=sys.stderr)
+                return 1
+    if not count:
         raise ProtocolError(f"no transcripts found in {args.transcript}")
-    for i, line in enumerate(lines, start=1):
-        try:
-            ok, detail = protocol.replay_transcript(line)
-        except ProtocolError as exc:
-            raise ProtocolError(f"record {i}: {exc}") from exc
-        if not ok:
-            print(f"replay failed at record {i}: {detail}", file=sys.stderr)
-            return 1
-    print(f"verified {len(lines)} transcript(s)")
+    print(f"verified {count} transcript(s)")
     return 0
 
 

@@ -40,6 +40,8 @@ TABLE: dict[ProtocolId, ProtocolCost] = {
     ProtocolId.PROPOSED: ProtocolCost(1, 2, 2 * 50, 2 * 20),
 }
 
+CROSSOVER_LIMIT = 10_000
+
 YSW_FOOTNOTE = ("ysw: table lists 2x50 decoy qubits but a 4R+50 total; "
                 "the total-cost column is used here")
 
@@ -51,11 +53,11 @@ def total_cost(protocol_id: ProtocolId, R: int) -> int:
     return TABLE[protocol_id].total(R)
 
 
-def crossover(limit: int = 10_000) -> int:
+def crossover() -> int:
     """Smallest R at which the proposed protocol is at least as cheap as every
     alternative (and stays so, since it has the smallest slope)."""
     others = [p for p in ProtocolId if p is not ProtocolId.PROPOSED]
-    for R in range(limit + 1):
+    for R in range(CROSSOVER_LIMIT + 1):
         if all(total_cost(ProtocolId.PROPOSED, R) <= total_cost(o, R) for o in others):
             return R
     raise RuntimeError("no crossover found within limit")

@@ -67,10 +67,6 @@ class EstimateRow:
     stderr: float
     trials: int
 
-    def as_csv(self) -> str:
-        return (f"{self.parameter},{self.empirical:.10g},{self.closed_form:.10g},"
-                f"{self.stderr:.10g},{self.trials}")
-
 
 CSV_HEADER = "parameter,empirical,closed_form,stderr,trials"
 #: header of the dishonest-Alice scenarios, whose rows are named metrics

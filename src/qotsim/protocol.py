@@ -26,8 +26,8 @@ MAX_QUBITS_USED = 100_000
 #: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one key for a state,
 #: its basis and its bit; Bob's choice c is id 2c.
 DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
-#: the same states as amplitude rows, for code that handles a block of slots
-DECOY_AMPS = np.array([state.amps for state in DECOY_STATES])
+#: qsim's table of the same states as amplitude rows, for code handling blocks
+DECOY_AMPS = qsim.EIGENSTATES
 
 #: message-pair to gate encoding
 PAULI_CODE: dict[tuple[int, int], str] = {
@@ -231,24 +231,28 @@ def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
     """Bob's side of Step 3: pick a permutation putting his intended choice
     string on the first N slots.
 
-    Surviving payload slots return to their own intended position when they
-    carry the choice wanted there; other positions are backfilled by unused
-    loyalty slots carrying the needed choice (falling back to any unused slot
-    with that choice). Every slot is used at most once, so the result is a
-    permutation whose first N slots carry ``intended``.
+    A surviving payload slot returns to its own intended position when it
+    carries the choice wanted there. Any other position takes the next unused
+    slot from the one queue of its choice: the slots carrying that choice,
+    loyalty slots first and then payload slots, each group in index order. A
+    used slot never becomes unused again, so each queue is read once and the
+    plan takes linear time. The result is a permutation whose first N slots
+    carry ``intended``.
     """
     intended = [int(c) for c in intended]
-    n = len(intended)
     used = [False] * len(slots)
     by_payload_index = {s.payload_index: k for k, s in enumerate(slots) if s.payload_index is not None}
+
+    def queue(want):
+        yield from (j for j, s in enumerate(slots) if s.payload_index is None and s.choice == want)
+        yield from (j for j, s in enumerate(slots) if s.payload_index is not None and s.choice == want)
+
+    queues = {want: queue(want) for want in set(intended)}
     perm: list[int] = []
     for i, want in enumerate(intended):
         k = by_payload_index.get(i)
         if k is None or used[k] or slots[k].choice != want:
-            k = next((j for j, s in enumerate(slots)
-                      if not used[j] and s.payload_index is None and s.choice == want), None)
-        if k is None:
-            k = next((j for j, s in enumerate(slots) if not used[j] and s.choice == want), None)
+            k = next((j for j in queues[want] if not used[j]), None)
         if k is None:
             raise ProtocolError(f"no surviving slot can realize choice {want} at position {i}")
         used[k] = True

@@ -21,7 +21,7 @@ import numpy as np
 ALGEBRA_ATOL = 1e-12
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
-#: default tolerance for global-phase comparison
+#: tolerance for global-phase comparison
 PHASE_TOL = 1e-9
 
 MAX_QUBITS = 3
@@ -58,10 +58,10 @@ class PureState:
 
     def __init__(self, amps, _checked: bool = False):
         amps = np.asarray(amps, dtype=complex)
-        dim = amps.shape[0]
-        n = dim.bit_length() - 1
-        if amps.ndim != 1 or dim != 1 << n or not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"amplitude vector of dimension {dim} is not a 1..{MAX_QUBITS} qubit register")
+        # the rank is checked before the length is read, and the length before it is shifted
+        n = amps.shape[0].bit_length() - 1 if amps.ndim == 1 else 0
+        if not 1 <= n <= MAX_QUBITS or amps.shape != (1 << n,):
+            raise ValueError(f"amplitudes of shape {amps.shape} are not a 1..{MAX_QUBITS} qubit register")
         if not _checked:
             if not np.all(np.isfinite(amps.view(float))):
                 raise ValueError("amplitudes must be finite")
@@ -84,7 +84,7 @@ ONE = PureState([0, 1], _checked=True)
 PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
 MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
 #: qubit-0 outcome eigenstates, indexed 2 * (X basis) + bit
-_EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
+EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
 
 
 def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
@@ -137,10 +137,10 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
     lo, hi = amps[:, :half], amps[:, half:]
     # project qubit 0 onto the eigenstates of each row's basis, which are real
     base = 2 * x_basis
-    one = _EIGENSTATES[base + 1]
+    one = EIGENSTATES[base + 1]
     p1 = (np.abs(one[:, :1] * lo + one[:, 1:] * hi) ** 2).sum(axis=1)
     bits = u < p1
-    eigen = _EIGENSTATES[base + bits]
+    eigen = EIGENSTATES[base + bits]
     rest = (eigen[:, :1] * lo + eigen[:, 1:] * hi) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
     return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
 
@@ -158,21 +158,17 @@ def make_bell(kind: BellKind) -> PureState:
     return PureState(_BELL_AMPS[kind].copy(), _checked=True)
 
 
-def bell_measure(state: PureState, qubits: tuple[int, int] = (0, 1)) -> BellKind:
+def bell_measure(state: PureState) -> BellKind:
     """Identify which Bell state a two-qubit register is in (up to global phase).
 
-    Only full two-qubit registers are supported; the protocol never needs a
-    Bell measurement embedded in a larger register.
+    A qubit swap maps each Bell state to itself up to a sign, so the answer
+    does not depend on qubit order. Only full two-qubit registers are
+    supported; the protocol never needs a Bell measurement in a larger one.
     """
     if state.n_qubits != 2:
         raise ValueError("bell_measure requires a two-qubit state")
-    if sorted(qubits) != [0, 1]:
-        raise ValueError(f"invalid qubit pair {qubits}")
-    amps = state.amps
-    if qubits == (1, 0):
-        amps = amps.reshape(2, 2).T.reshape(-1)
     for kind, bell in _BELL_AMPS.items():
-        if abs(np.vdot(bell, amps)) >= 1.0 - NORM_ATOL:
+        if abs(np.vdot(bell, state.amps)) >= 1.0 - NORM_ATOL:
             return kind
     raise ValueError("state is not within tolerance of any Bell state")
 
@@ -258,8 +254,8 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(eig)))
 
 
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = PHASE_TOL) -> bool:
-    """True iff |<a|b>| >= 1 - tol."""
+def equal_up_to_global_phase(a: PureState, b: PureState) -> bool:
+    """True iff |<a|b>| >= 1 - PHASE_TOL."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("dimension mismatch")
-    return abs(np.vdot(a.amps, b.amps)) >= 1.0 - tol
+    return abs(np.vdot(a.amps, b.amps)) >= 1.0 - PHASE_TOL

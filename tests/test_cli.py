@@ -102,6 +102,19 @@ class TestHonest:
         code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 2 and err.startswith("error: record 2:")
 
+    def test_replay_stops_reading_at_the_first_failed_record(self, capsys, tmp_path):
+        """Records are read one at a time: bytes well past a failed record,
+        beyond any read-ahead buffer, are never read, even ones that are not
+        UTF-8."""
+        path = tmp_path / "runs.jsonl"
+        run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
+        record = json.loads(path.read_text())
+        record["decoded_bits"] = [b ^ 1 for b in record["decoded_bits"]]
+        tampered = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_bytes(tampered.encode() + b"\n" * 2**20 + b"\xff\xfe\n")
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 1 and out == "" and err.startswith("replay failed at record 1:")
+
     def test_huge_register_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "honest", "--K", "1000000000")
         assert code == 2 and out == "" and err.startswith("error:")

@@ -1,10 +1,11 @@
 import itertools
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
 import pytest
 
-from qotsim import adversary, experiments, protocol, qsim
+from qotsim import adversary, cli, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario
 from qotsim.experiments import EstimateRow, ExperimentSpec
 from qotsim.protocol import ProtocolConfig, ProtocolError
@@ -236,7 +237,7 @@ class TestAliceAttackReport:
         for r in rows:
             assert r.trials == 400
             assert r.stderr == pytest.approx(np.sqrt(r.empirical * (1 - r.empirical) / 400))
-        assert rows[0].as_csv().startswith("conclusive,")
+        assert cli.csv_line(astuple(rows[0])).startswith("conclusive,")
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ProtocolError):
@@ -258,4 +259,4 @@ class TestEntanglingEstimate:
                                         estimate.stderr, 300)
         leak = adversary.ue_leakage(params)
         assert leakage == EstimateRow("leakage", leak, leak, 0.0, 300)
-        assert leakage.as_csv() == f"leakage,{leak:.10g},{leak:.10g},0,300"
+        assert cli.csv_line(astuple(leakage)) == f"leakage,{leak:.10g},{leak:.10g},0,300"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,36 @@ def make_worked_example_slots():
     """The four-qubit sequence |0+0+>: payload choices (0, 1), loyalty (0, 1)."""
     return [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < 2 else None)
             for i, c in enumerate([0, 1, 0, 1])]
+
+
+def reference_plan_reorder(slots, intended):
+    """The three-tier scan that ``plan_reorder`` replaced, kept verbatim as
+    the reference its queue must reproduce."""
+    intended = [int(c) for c in intended]
+    n = len(intended)
+    used = [False] * len(slots)
+    by_payload_index = {s.payload_index: k for k, s in enumerate(slots) if s.payload_index is not None}
+    perm: list[int] = []
+    for i, want in enumerate(intended):
+        k = by_payload_index.get(i)
+        if k is None or used[k] or slots[k].choice != want:
+            k = next((j for j, s in enumerate(slots)
+                      if not used[j] and s.payload_index is None and s.choice == want), None)
+        if k is None:
+            k = next((j for j, s in enumerate(slots) if not used[j] and s.choice == want), None)
+        if k is None:
+            raise ProtocolError(f"no surviving slot can realize choice {want} at position {i}")
+        used[k] = True
+        perm.append(k)
+    perm.extend(j for j in range(len(slots)) if not used[j])
+    return perm
+
+
+def plan_or_error(plan, slots, intended):
+    try:
+        return plan(slots, intended)
+    except ProtocolError as exc:
+        return str(exc)
 
 
 class TestPrepare:
@@ -170,6 +202,34 @@ class TestReorder:
             return
         assert sorted(perm) == list(range(len(slots)))
         assert [slots[k].choice for k in perm[:len(intended)]] == intended
+
+    # a slot is (choice, payload_index): payload and loyalty slots carry a bit,
+    # decoys and a cheating Bob's Bell slots carry None, and payload indices
+    # repeat; the intended string may hold a non-bit entry
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, None]), st.none() | st.integers(0, 5)),
+                    max_size=12),
+           st.lists(st.integers(0, 1) | st.just(2), max_size=10))
+    @settings(max_examples=500, deadline=None)
+    def test_plan_reorder_matches_the_three_tier_scan(self, specs, intended):
+        slots = [SequenceSlot(qsim.ZERO, choice=choice, payload_index=index)
+                 for choice, index in specs]
+        assert (plan_or_error(protocol.plan_reorder, slots, intended)
+                == plan_or_error(reference_plan_reorder, slots, intended))
+
+    def test_plan_reorder_is_linear_at_paper_scale(self):
+        """N = 20,000 and K = 10,000 after the loyalty test has taken K
+        slots; a scan from index 0 for every vacated position takes seconds."""
+        N, K = 20_000, 10_000
+        g = rng(5)
+        choices = [int(c) for c in g.integers(0, 2, size=N)]
+        slots = [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < N else None)
+                 for i, c in enumerate(choices + protocol.default_loyalty_choices(K))]
+        tested = set(g.choice(len(slots), size=K, replace=False).tolist())
+        remaining = [s for k, s in enumerate(slots) if k not in tested]
+        start = time.perf_counter()
+        perm = protocol.plan_reorder(remaining, choices)
+        assert time.perf_counter() - start < 2.0
+        assert [remaining[k].choice for k in perm[:N]] == choices
 
 
 class TestEncodingArrays:

@@ -62,6 +62,10 @@ class TestPureState:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             PureState([1, 0, 0])
+        # a scalar and an empty vector fail the register check, not numpy indexing
+        for amps in (1.0, []):
+            with pytest.raises(ValueError, match="not a 1..3 qubit register"):
+                PureState(amps)
 
     def test_rejects_more_than_three_qubits(self):
         amps = np.zeros(16)
@@ -204,9 +208,12 @@ class TestBell:
         assert qsim.bell_measure(qsim.apply_gate(b, "Y", 0)) == BellKind.PSI_MINUS
         assert qsim.bell_measure(qsim.apply_gate(b, "Z", 0)) == BellKind.PHI_MINUS
 
-    def test_bell_measure_swapped_pair(self):
-        b = qsim.make_bell(BellKind.PSI_PLUS)
-        assert qsim.bell_measure(b, (1, 0)) == BellKind.PSI_PLUS
+    @pytest.mark.parametrize("kind", list(BellKind), ids=lambda kind: kind.value)
+    def test_bell_measure_ignores_qubit_order(self, kind):
+        """A qubit swap maps each Bell state to itself up to a sign, which is
+        why bell_measure takes no qubit order."""
+        swapped = qsim.make_bell(kind).amps.reshape(2, 2).T.reshape(-1)
+        assert qsim.bell_measure(PureState(swapped)) == kind
 
     def test_bell_measure_rejects_product_state(self):
         with pytest.raises(ValueError):

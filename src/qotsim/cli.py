@@ -31,6 +31,8 @@ from .protocol import ProtocolError
 
 #: dests that a --config file cannot set
 _NOT_FROM_FILE = {"command", "handler", "config", "out", "transcript"}
+#: the attack scenarios that take --policy (None unless given, so others reject it)
+_ALICE = {AttackScenario.ALICE_MEASURE_RESEND, AttackScenario.ALICE_MEASURE_RESEND_DUMMY}
 
 
 def positive_int(text: str) -> int:
@@ -120,7 +122,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
-    p.add_argument("--policy", type=resend_policy, default="guess",
+    p.add_argument("--policy", type=resend_policy, default=None,
                    metavar="{" + ",".join(adversary.RESEND_POLICIES) + "}")
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
@@ -155,9 +157,12 @@ def _cmd_attack(args) -> int:
     scenario = AttackScenario(args.scenario)
     if args.ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
+    flag = experiments.DETECTION[scenario][0] if scenario in experiments.DETECTION else None
+    for dest, applies in (("M", flag == "M"), ("K", flag == "K"), ("policy", scenario in _ALICE)):
+        if getattr(args, dest) is not None and not applies:
+            raise ProtocolError(f"--{dest} does not apply to the {scenario.value} scenario")
     header = experiments.CSV_HEADER
-    if scenario in experiments.DETECTION:
-        flag, _, _ = experiments.DETECTION[scenario]
+    if flag is not None:
         value = getattr(args, flag)
         if value is None:
             raise ProtocolError(f"{scenario.value} scenario requires --{flag}")
@@ -170,7 +175,7 @@ def _cmd_attack(args) -> int:
                                            args.seed)
     else:
         rows = experiments.alice_attack_report(args.trials, seed=args.seed,
-                                               policy=args.policy).rows()
+                                               policy=args.policy or "guess").rows()
         if scenario is AttackScenario.ALICE_MEASURE_RESEND:
             rows = [row for row in rows if row.parameter != "dummy_error"]
         header = experiments.ALICE_CSV_HEADER

@@ -205,18 +205,13 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
-#: the Pauli encoding of each message pair (m0, m1), indexed 2 * m0 + m1
-_PAULI_MATRICES = np.array([qsim.GATES[protocol.PAULI_CODE[divmod(code, 2)]] for code in range(4)])
-
-
 def _alice_chunk(policy: str, rng: np.random.Generator, trials: int) -> list[int]:
     """Slots through Alice's measure-and-resend: the counts of conclusive
     guesses, wrong conclusive guesses, bit errors and dummy errors."""
     j = rng.integers(2, size=trials)
     guesses, resent = adversary.alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
-    gates = _PAULI_MATRICES[2 * m0 + m1]
-    encoded = gates[:, :, 0] * resent[:, :1] + gates[:, :, 1] * resent[:, 1:]
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[2 * m0 + m1])
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
     bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
     dummy_error = bit_error & (rng.random(trials) < 0.5)

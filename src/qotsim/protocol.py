@@ -36,6 +36,8 @@ PAULI_CODE: dict[tuple[int, int], str] = {
     (1, 0): "X",
     (1, 1): "Y",
 }
+#: the same gates as matrices, indexed 2 * m0 + m1
+PAULI_MATRICES = np.array([qsim.GATES[PAULI_CODE[divmod(code, 2)]] for code in range(4)])
 
 
 def decoy_basis(decoy_id: int) -> Basis:
@@ -49,11 +51,10 @@ def decoy_flipped(decoy_id, bit):
 
 
 def decoy_flips(amps: np.ndarray, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`decoy_flipped` for a block: qubit 0 of each row of a
-    ``(T, 2^n)`` amplitude block is measured in the basis of the decoy id at
-    its row, reading ``u`` as :func:`qsim.measure_batch` does."""
-    bits, _ = qsim.measure_batch(amps, ids >= 2, u)
-    return decoy_flipped(ids, bits)
+    """:func:`decoy_flipped` for a block: qubit 0 of row t of a ``(T, 2^n)`` amplitude
+    block reads 1, in the basis of decoy id ``ids[t]``, iff ``u[t]`` is below its
+    :func:`qsim.probability_of_one`, as in :func:`qsim.measure_batch`; nothing collapses."""
+    return decoy_flipped(ids, u < qsim.probability_of_one(amps, ids >= 2))
 
 
 def choice_state(choice: int) -> PureState:
@@ -271,14 +272,18 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
 
 
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
-    """Step 4: apply the Pauli encoding of each message pair to its slot."""
+    """Step 4: apply the Pauli encoding of each message pair to qubit 0 of
+    its slot, for all slots (of one register width) as one amplitude block."""
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
     if any(pair not in PAULI_CODE for pair in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
-    return [replace(slot, state=qsim.apply_gate(slot.state, PAULI_CODE[pair], 0))
-            for slot, pair in zip(slots, pairs)]
+    if not slots:
+        return []
+    gates = PAULI_MATRICES[[2 * m0 + m1 for m0, m1 in pairs]]
+    rows = qsim.apply_batch(np.array([slot.state.amps for slot in slots]), gates)
+    return [replace(slot, state=PureState(row, _checked=True)) for slot, row in zip(slots, rows)]
 
 
 def alice_insert_decoys(slots, M2: int, rng) -> tuple[list[SequenceSlot], list[int], list[int]]:

@@ -12,6 +12,7 @@ are replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,61 +88,68 @@ MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
 EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
 
 
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
-    cube = amps.reshape(1 << target, 2, -1)
-    return np.einsum("ij,ajb->aib", mat, cube).reshape(-1)
+def _project(amps: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """Qubit 0 of each amplitude row (last axis of ``amps``) projected onto
+    the real single-qubit ``bras`` (last axis), broadcast: the amplitudes of
+    the rest of the register. The one projection behind every gate and
+    measurement below, column arithmetic on a row's two halves."""
+    half = amps.shape[-1] // 2
+    return bras[..., :1] * amps[..., :half] + bras[..., 1:] * amps[..., half:]
+
+
+def apply_batch(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply ``mats[t]`` (a ``(T, 2, 2)`` stack, or one ``(2, 2)`` matrix for
+    every row) to qubit 0 of row t of a ``(T, 2^n)`` amplitude block."""
+    return _project(amps[:, None, :], mats).reshape(amps.shape)
 
 
 def apply_gate(state: PureState, gate: str, target: int) -> PureState:
     """Apply one of the named 2x2 gates to the target qubit."""
     if not 0 <= target < state.n_qubits:
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    mat = GATES[gate]
-    return PureState(_apply_matrix(state.amps, mat, target), _checked=True)
+    rows = state.amps.reshape(1 << target, -1)  # each row begins with the target
+    return PureState(apply_batch(rows, GATES[gate]).reshape(-1), _checked=True)
+
+
+def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
+    """Born probability that qubit 0 of each row of a ``(T, 2^n)`` block
+    reads 1: the squared norm of its projection onto |1> (Z basis) or |->
+    (``x_basis``, a bool per row). Nothing is collapsed."""
+    return np.square(np.abs(_project(amps, EIGENSTATES[2 * x_basis + 1]))).sum(axis=1)
 
 
 def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
     """Projective measurement of one qubit; returns (bit, collapsed state).
 
-    The X basis is handled by conjugating a Z measurement with H, so the
-    collapsed state is the corresponding X eigenstate on the target factor.
+    The target factor is projected onto both eigenstates of the basis. The
+    bit is 1 iff ``rng.random()`` is below the outcome-1 projection's squared
+    norm, the float :func:`probability_of_one` gives; the collapsed state is
+    the measured eigenstate on the target factor times the renormalised
+    projection onto it.
     """
     if not 0 <= target < state.n_qubits:
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    amps = state.amps
-    if basis is Basis.X:
-        amps = _apply_matrix(amps, GATES["H"], target)
-    cube = amps.reshape(1 << target, 2, -1)
-    p1 = float(np.sum(np.abs(cube[:, 1, :]) ** 2))
+    pair = EIGENSTATES[2:] if basis is Basis.X else EIGENSTATES[:2]
+    proj = _project(state.amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
+    p1 = float(np.square(np.abs(proj[:, 1])).sum())
     bit = 1 if rng.random() < p1 else 0
-    collapsed = np.zeros_like(cube)
-    collapsed[:, bit, :] = cube[:, bit, :]
-    p = p1 if bit else 1.0 - p1
-    out = collapsed.reshape(-1) / np.sqrt(p)
-    if basis is Basis.X:
-        out = _apply_matrix(out, GATES["H"], target)
-    return bit, PureState(out, _checked=True)
+    rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
+    return bit, PureState((rest[:, None, :] * pair[bit][:, None]).reshape(-1), _checked=True)
 
 
 def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure qubit 0 of every row of a ``(T, 2^n)`` amplitude block.
 
     Row t is measured in the X basis where ``x_basis[t]`` is set, else in the
-    Z basis, and reads 1 iff ``u[t]`` is below its Born probability of 1, as
-    :func:`measure` reads its ``rng.random()``. Returns the bits (bool, shape
-    ``(T,)``) and the collapsed block: each row is the measured eigenstate of
-    qubit 0 (|0>, |1>, |+> or |->) times the renormalised projection of the
-    row onto it, which is what :func:`measure`'s H conjugation gives.
+    Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`,
+    as :func:`measure` reads its ``rng.random()``. Returns the bits (bool,
+    shape ``(T,)``) and the block with each row collapsed as :func:`measure`
+    collapses a state.
     """
-    half = amps.shape[1] // 2
-    lo, hi = amps[:, :half], amps[:, half:]
-    # project qubit 0 onto the eigenstates of each row's basis, which are real
-    base = 2 * x_basis
-    one = EIGENSTATES[base + 1]
-    p1 = (np.abs(one[:, :1] * lo + one[:, 1:] * hi) ** 2).sum(axis=1)
+    p1 = probability_of_one(amps, x_basis)
     bits = u < p1
-    eigen = EIGENSTATES[base + bits]
-    rest = (eigen[:, :1] * lo + eigen[:, 1:] * hi) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
+    eigen = EIGENSTATES[2 * x_basis + bits]
+    rest = _project(amps, eigen) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
     return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
 
 

@@ -240,6 +240,39 @@ class TestAttack:
                                "--trials", "10", "--ue-file", str(path))
         assert code == 2 and "entangling" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["intercept", "--M", "3", "--K", "7"], "--K"),
+        (["bell", "--K", "2", "--M", "1"], "--M"),
+        (["alice", "--M", "3"], "--M"),
+        (["alice-dummy", "--K", "3"], "--K"),
+        (["intercept", "--M", "3", "--policy", "random"], "--policy"),
+        (["bell", "--K", "2", "--policy", "guess"], "--policy"),
+        (["entangling", "--M", "3"], "--M"),
+        (["entangling", "--policy", "collapsed"], "--policy"),
+    ])
+    def test_flag_outside_its_scenario_is_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "attack", "--scenario", *argv, "--trials", "10")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} does not apply to the {argv[0]} scenario\n"
+
+    @pytest.mark.parametrize("line, argv, flag", [
+        ("K = 7", ["intercept", "--M", "3"], "--K"),
+        ("policy = random", ["bell", "--K", "2"], "--policy"),
+        ("M = 3", ["alice"], "--M"),
+    ])
+    def test_file_value_outside_its_scenario_is_error(self, capsys, tmp_path, line, argv, flag):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "attack", "--scenario", *argv, "--trials", "10",
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} does not apply to the {argv[0]} scenario\n"
+
+    def test_policy_defaults_to_guess(self, capsys):
+        argv = ["attack", "--scenario", "alice-dummy", "--trials", "50", "--seed", "3"]
+        _, default, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--policy", "guess") == (0, default, "")
+
     @pytest.mark.parametrize("line", ["a = nan", "d = inf", "e11 = 1,0,0,nan"])
     def test_non_finite_ue_file_is_error(self, capsys, tmp_path, line):
         values = dict(ln.split(" = ") for ln in (
@@ -329,14 +362,14 @@ EQUIVALENCE_CASES = {
                {"N": "3", "M": "2", "M2": "3", "K": "1", "tau": "0.0", "runs": "3", "seed": "4"},
                {"N": "2", "M": "1", "M2": "2", "K": "2", "tau": "0.25", "runs": "2", "seed": "5"}),
     "attack-intercept": (["attack", "--scenario", "intercept"],
-                         {"M": "3", "K": "1", "policy": "guess", "trials": "200", "seed": "4"},
-                         {"M": "2", "K": "2", "policy": "random", "trials": "100", "seed": "5"}),
+                         {"M": "3", "trials": "200", "seed": "4"},
+                         {"M": "2", "trials": "100", "seed": "5"}),
     "attack-bell": (["attack", "--scenario", "bell"],
-                    {"M": "1", "K": "2", "policy": "guess", "trials": "200", "seed": "4"},
-                    {"M": "2", "K": "3", "policy": "random", "trials": "100", "seed": "5"}),
+                    {"K": "2", "trials": "200", "seed": "4"},
+                    {"K": "3", "trials": "100", "seed": "5"}),
     "attack-alice": (["attack", "--scenario", "alice-dummy"],
-                     {"M": "1", "K": "1", "policy": "collapsed", "trials": "200", "seed": "4"},
-                     {"M": "2", "K": "2", "policy": "random", "trials": "100", "seed": "5"}),
+                     {"policy": "collapsed", "trials": "200", "seed": "4"},
+                     {"policy": "random", "trials": "100", "seed": "5"}),
     "sweep": (["sweep", "--scenario", "intercept"],
               {"values": "1,3", "trials": "200", "seed": "4"},
               {"values": "2", "trials": "100", "seed": "5"}),

@@ -273,7 +273,65 @@ class TestDecoyIds:
         assert check.outcomes == flips.astype(int).tolist()
 
 
+#: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
+EXACT_ROWS = [s.amps for s in (
+    *protocol.DECOY_STATES, *(qsim.make_bell(k) for k in qsim.BellKind),
+    qsim.tensor(qsim.PLUS, qsim.ONE), qsim.tensor(qsim.MINUS, qsim.make_bell(qsim.BellKind.PHI_PLUS)),
+    qsim.tensor(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO))]
+
+
+def random_row(n_qubits, seed):
+    g = rng(seed)
+    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def decoy_check_blocks(draw):
+    """A block of same-width rows, exact or random, with a decoy id per row."""
+    n = draw(st.integers(1, 3))
+    row = st.one_of(st.sampled_from([r for r in EXACT_ROWS if len(r) == 1 << n]),
+                    st.integers(0, 2 ** 32 - 1).map(lambda seed: random_row(n, seed)))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    ids = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows), np.array(ids)
+
+
+class TestFlipCheck:
+    @given(decoy_check_blocks(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_flips_match_full_measurement(self, block, seed):
+        # decoy_flips reads only the Born probability; the full block and
+        # scalar measurements, reading the same uniforms, must agree with it
+        amps, ids = block
+        u = rng(seed).random(len(ids))
+        flips = protocol.decoy_flips(amps, ids, u)
+        bits, _ = qsim.measure_batch(amps, ids >= 2, u)
+        assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
+        g = rng(seed)
+        scalar = [protocol.decoy_flipped(int(did), qsim.measure(
+            qsim.PureState(row), protocol.decoy_basis(int(did)), 0, g)[0])
+            for row, did in zip(amps, ids)]
+        assert flips.tolist() == scalar
+
+
 class TestEncodeDecode:
+    @pytest.mark.parametrize("pair", sorted(protocol.PAULI_CODE))
+    @pytest.mark.parametrize("state", [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS)],
+                             ids=["0", "1", "+", "-", "phi+"])
+    def test_encoding_equals_the_gate(self, pair, state):
+        encoded = protocol.alice_encode([SequenceSlot(state)], [pair])[0].state.amps
+        assert np.array_equal(encoded, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0).amps)
+
+    def test_block_encoding_equals_the_gate_per_slot(self):
+        # one block of every pair over every decoy state, so rows cannot mix
+        cases = [(did, pair) for did in range(4) for pair in sorted(protocol.PAULI_CODE)]
+        slots = [SequenceSlot(protocol.DECOY_STATES[did]) for did, _ in cases]
+        encoded = protocol.alice_encode(slots, [pair for _, pair in cases])
+        for slot, (did, pair) in zip(encoded, cases):
+            expected = qsim.apply_gate(protocol.DECOY_STATES[did], protocol.PAULI_CODE[pair], 0)
+            assert np.array_equal(slot.state.amps, expected.amps)
+
     def test_pair_01_turns_plus_into_minus(self):
         slot = SequenceSlot(qsim.PLUS, choice=1)
         out = protocol.alice_encode([slot], [(0, 1)])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adversary, protocol, qsim
 from .adversary import AttackScenario
-from .protocol import DECOY_AMPS, DECOY_STATES, ProtocolError
+from .protocol import DECOY_AMPS, ProtocolError
 from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
@@ -117,7 +117,7 @@ def _first_flip_chunk(draw, rounds: int, rng: np.random.Generator, trials: int) 
 
 def _intercept_round(rng: np.random.Generator, n: int):
     """Random decoys, each measured and resent by Eve in a random basis."""
-    ids = rng.integers(len(DECOY_STATES), size=n)
+    ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
 
 
@@ -134,7 +134,7 @@ def _bell_round(rng: np.random.Generator, n: int):
 
 def _entangling_round(params, rng: np.random.Generator, n: int):
     """Random decoys through Eve's entangling attack."""
-    ids = rng.integers(len(DECOY_STATES), size=n)
+    ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import qsim
-from .qsim import Basis, PureState
+from .qsim import PureState
 
 TRANSCRIPT_VERSION = 1
 
@@ -38,10 +38,6 @@ PAULI_CODE: dict[tuple[int, int], str] = {
 }
 #: the same gates as matrices, indexed 2 * m0 + m1
 PAULI_MATRICES = np.array([qsim.GATES[PAULI_CODE[divmod(code, 2)]] for code in range(4)])
-
-
-def decoy_basis(decoy_id: int) -> Basis:
-    return Basis.Z if decoy_id < 2 else Basis.X
 
 
 def decoy_flipped(decoy_id, bit):
@@ -190,7 +186,7 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
         raise ProtocolError("duplicate published decoy position")
     if any(did not in range(len(DECOY_STATES)) for _, did in published):
         raise ProtocolError("published decoy id out of range")
-    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, decoy_basis(did), 0, rng)[0]))
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, 0, rng)[0]))
                 for pos, did in published]
     error_rate = sum(outcomes) / len(published) if published else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]
@@ -445,6 +441,9 @@ def replay_transcript(line: str) -> tuple[bool, str]:
     differing field.
     """
     d = Transcript.parse_json_line(line)
+    for key in ("choices", "pairs"):
+        if not isinstance(d[key], list):
+            raise ProtocolError(f"malformed transcript record: {key} is not a JSON array")
     try:
         cfg = ProtocolConfig(seed=d["seed"], **d["config"])
         fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])

@@ -3,7 +3,9 @@
 Conventions:
   * qubit 0 is the leftmost tensor factor (most significant amplitude index bit);
   * the Y gate is the real matrix [[0, 1], [-1, 0]] (= ZX), so Y|0> = -|1>;
-  * Z-basis outcomes map |0> -> 0, |1> -> 1; X-basis outcomes map |+> -> 0, |-> -> 1.
+  * a basis is named by the bit ``x_basis`` (0 for Z, 1 for X); Z-basis outcomes
+    map |0> -> 0, |1> -> 1 and X-basis outcomes map |+> -> 0, |-> -> 1, so the
+    eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``.
 
 All operations are pure functions of (state, rng); states are immutable after
 construction. Probabilistic operations take an explicit numpy Generator so runs
@@ -28,11 +30,6 @@ PHASE_TOL = 1e-9
 MAX_QUBITS = 3
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-class Basis(Enum):
-    Z = "Z"
-    X = "X"
 
 
 class BellKind(Enum):
@@ -118,8 +115,10 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
     return np.square(np.abs(_project(amps, EIGENSTATES[2 * x_basis + 1]))).sum(axis=1)
 
 
-def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Projective measurement of one qubit; returns (bit, collapsed state).
+def measure(state: PureState, x_basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
+    """Projective measurement of one qubit in the X basis if ``x_basis`` is
+    set, else the Z basis; returns (bit, collapsed state). The scalar
+    reference the block functions below are tested against.
 
     The target factor is projected onto both eigenstates of the basis. The
     bit is 1 iff ``rng.random()`` is below the outcome-1 projection's squared
@@ -129,7 +128,7 @@ def measure(state: PureState, basis: Basis, target: int, rng: np.random.Generato
     """
     if not 0 <= target < state.n_qubits:
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    pair = EIGENSTATES[2:] if basis is Basis.X else EIGENSTATES[:2]
+    pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = _project(state.amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
     p1 = float(np.square(np.abs(proj[:, 1])).sum())
     bit = 1 if rng.random() < p1 else 0

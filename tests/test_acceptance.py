@@ -15,7 +15,7 @@ from qotsim.adversary import AttackScenario, UeParams
 from qotsim.costmodel import ProtocolId
 from qotsim.experiments import ExperimentSpec
 from qotsim.protocol import ProtocolConfig, SequenceSlot
-from qotsim.qsim import Basis, BellKind
+from qotsim.qsim import BellKind
 
 
 def report(number, ok, detail=""):

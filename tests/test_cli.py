@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -86,12 +89,14 @@ class TestHonest:
         lambda r: {**r, "config": {**r["config"], "extra": 1}},
         lambda r: {**r, "config": {**r["config"], "seed": 1}},
         lambda r: {**r, "choices": 5},
+        lambda r: {**r, "choices": None},
+        lambda r: {**r, "pairs": None},
         lambda r: [r],
         lambda r: {**r, "pairs": [[0, 2]] + r["pairs"][1:]},
         lambda r: {**r, "config": {**r["config"], "K": 10**9}},
         lambda r: json.dumps(r)[:-1],
-    ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "not-an-object",
-            "non-bit-pair", "huge-register", "not-json"])
+    ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "null-choices",
+            "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"
@@ -451,3 +456,15 @@ class TestUsageErrors:
     def test_unknown_scenario(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["attack", "--scenario", "nope"])
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        """Every ``qotsim`` line of README.md's ``sh`` blocks parses."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        commands = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+                    for line in block.splitlines() if line.startswith("qotsim ")]
+        assert commands
+        for line in commands:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            assert callable(args.handler), line

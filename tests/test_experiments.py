@@ -9,7 +9,6 @@ from qotsim import adversary, cli, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario
 from qotsim.experiments import EstimateRow, ExperimentSpec
 from qotsim.protocol import ProtocolConfig, ProtocolError
-from qotsim.qsim import Basis
 
 UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
 
@@ -167,20 +166,20 @@ class TestObliviousness:
 class TestAliceAttackReport:
     def test_exact_rates_by_enumeration(self):
         # independent oracle: enumerate each resend policy's strategy exactly
-        def born(state, basis):
+        def born(state, x_basis):
             out = {}
             for bit in (0, 1):
-                eig = protocol.DECOY_STATES[bit if basis is Basis.Z else 2 + bit]
+                eig = protocol.DECOY_STATES[2 * x_basis + bit]
                 out[bit] = abs(np.vdot(eig.amps, state.amps)) ** 2
             return out
 
-        def resends(policy, basis, bit):
+        def resends(policy, x_basis, bit):
             if policy == "collapsed":
-                return [(protocol.DECOY_STATES[bit if basis is Basis.Z else 2 + bit], 1.0)]
+                return [(protocol.DECOY_STATES[2 * x_basis + bit], 1.0)]
             if policy == "random":
                 return [(state, 0.25) for state in protocol.DECOY_STATES]
             if bit == 1:
-                return [(protocol.choice_state(1 if basis is Basis.Z else 0), 1.0)]
+                return [(protocol.choice_state(1 - x_basis), 1.0)]
             return [(qsim.ZERO, 0.5), (qsim.PLUS, 0.5)]
 
         expected = {"guess": (0.25, 0.1875), "collapsed": (0.25, 0.25), "random": (0.25, 0.5)}
@@ -188,17 +187,17 @@ class TestAliceAttackReport:
             err = conc = 0.0
             for j in (0, 1):
                 prep = protocol.choice_state(j)
-                for basis in (Basis.Z, Basis.X):
-                    for bit, p in born(prep, basis).items():
+                for x_basis in (0, 1):
+                    for bit, p in born(prep, x_basis).items():
                         if p == 0:
                             continue
                         p_event = 0.25 * p
                         if bit == 1:
                             conc += p_event
-                        for resent, pr in resends(policy, basis, bit):
+                        for resent, pr in resends(policy, x_basis, bit):
                             for pair in itertools.product((0, 1), (0, 1)):
                                 enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
-                                pb = born(enc, Basis.Z if j == 0 else Basis.X)
+                                pb = born(enc, j)
                                 err += p_event * pr * 0.25 * sum(
                                     q for b, q in pb.items() if b != pair[j])
             assert conc == pytest.approx(conclusive), policy

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qotsim import protocol, qsim
 from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot, choice_state
-from qotsim.qsim import Basis
 
 
 def rng(seed=0):
@@ -244,10 +243,8 @@ class TestEncodingArrays:
 class TestDecoyIds:
     def test_id_is_basis_then_bit_in_qsim_order(self):
         for did, state in enumerate(protocol.DECOY_STATES):
-            basis = protocol.decoy_basis(did)
-            assert did == 2 * (basis is Basis.X) + did % 2
             # each decoy state reads its own bit in its own basis
-            bit, _ = qsim.measure(state, basis, 0, rng())
+            bit, _ = qsim.measure(state, did >= 2, 0, rng())
             assert bit == did % 2 and not protocol.decoy_flipped(did, bit)
         for choice in (0, 1):
             assert choice_state(choice) is protocol.DECOY_STATES[2 * choice]
@@ -310,7 +307,7 @@ class TestFlipCheck:
         assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
         g = rng(seed)
         scalar = [protocol.decoy_flipped(int(did), qsim.measure(
-            qsim.PureState(row), protocol.decoy_basis(int(did)), 0, g)[0])
+            qsim.PureState(row), did >= 2, 0, g)[0])
             for row, did in zip(amps, ids)]
         assert flips.tolist() == scalar
 
@@ -483,14 +480,14 @@ class TestChoiceHiding:
         n = 20_000
         se = np.sqrt(0.25 / n)
         strategies = [
-            (Basis.Z, {0: 0, 1: 1}), (Basis.Z, {0: 1, 1: 1}), (Basis.Z, {0: 0, 1: 0}),
-            (Basis.X, {0: 1, 1: 0}), (Basis.X, {0: 0, 1: 0}), (Basis.X, {0: 1, 1: 1}),
+            (False, {0: 0, 1: 1}), (False, {0: 1, 1: 1}), (False, {0: 0, 1: 0}),
+            (True, {0: 1, 1: 0}), (True, {0: 0, 1: 0}), (True, {0: 1, 1: 1}),
         ]
-        for basis, rule in strategies:
+        for x_basis, rule in strategies:
             wins = 0
             for _ in range(n):
                 j = int(g.integers(2))
-                bit, _ = qsim.measure(choice_state(j), basis, 0, g)
+                bit, _ = qsim.measure(choice_state(j), x_basis, 0, g)
                 wins += rule[bit] == j
             assert wins / n <= 0.75 + 4 * se
 

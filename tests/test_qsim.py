@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim import qsim
-from qotsim.qsim import Basis, BellKind, PureState
+from qotsim.qsim import BellKind, PureState
 
 
 def rng(seed=0):
@@ -81,19 +81,19 @@ class TestPureState:
 class TestMeasure:
     def test_zero_in_z_is_deterministic(self):
         for seed in range(20):
-            bit, post = qsim.measure(qsim.ZERO, Basis.Z, 0, rng(seed))
+            bit, post = qsim.measure(qsim.ZERO, False, 0, rng(seed))
             assert bit == 0
             assert np.allclose(post.amps, qsim.ZERO.amps)
 
     def test_x_eigenstates_in_x_are_deterministic(self):
         for seed in range(10):
-            assert qsim.measure(qsim.PLUS, Basis.X, 0, rng(seed))[0] == 0
-            assert qsim.measure(qsim.MINUS, Basis.X, 0, rng(seed))[0] == 1
+            assert qsim.measure(qsim.PLUS, True, 0, rng(seed))[0] == 0
+            assert qsim.measure(qsim.MINUS, True, 0, rng(seed))[0] == 1
 
     def test_minus_in_z_is_unbiased(self):
         g = rng(7)
         n = 20_000
-        ones = sum(qsim.measure(qsim.MINUS, Basis.Z, 0, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(qsim.MINUS, False, 0, g)[0] for _ in range(n))
         se = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 4 * se
 
@@ -102,7 +102,7 @@ class TestMeasure:
         state = PureState([0.6, 0.8])
         g = rng(11)
         n = 100_000
-        ones = sum(qsim.measure(state, Basis.Z, 0, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(state, False, 0, g)[0] for _ in range(n))
         p = 0.64
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) <= 4 * se
@@ -110,13 +110,13 @@ class TestMeasure:
     def test_bell_halves_agree_in_z(self):
         g = rng(3)
         for _ in range(200):
-            b0, post = qsim.measure(qsim.make_bell(BellKind.PHI_PLUS), Basis.Z, 0, g)
-            b1, _ = qsim.measure(post, Basis.Z, 1, g)
+            b0, post = qsim.measure(qsim.make_bell(BellKind.PHI_PLUS), False, 0, g)
+            b1, _ = qsim.measure(post, False, 1, g)
             assert b0 == b1
 
     def test_collapse_renormalizes(self):
         state = PureState([0.6, 0.8])
-        _, post = qsim.measure(state, Basis.Z, 0, rng(0))
+        _, post = qsim.measure(state, False, 0, rng(0))
         assert abs(np.vdot(post.amps, post.amps).real - 1.0) <= 1e-10
 
     def test_immunity_of_encodings(self):
@@ -125,12 +125,12 @@ class TestMeasure:
             for state, bit in [(qsim.ZERO, 0), (qsim.ONE, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate, 0)
-                    assert qsim.measure(out, Basis.Z, 0, rng(seed))[0] == bit
+                    assert qsim.measure(out, False, 0, rng(seed))[0] == bit
         for gate in ("I", "X"):
             for state, bit in [(qsim.PLUS, 0), (qsim.MINUS, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate, 0)
-                    assert qsim.measure(out, Basis.X, 0, rng(seed))[0] == bit
+                    assert qsim.measure(out, True, 0, rng(seed))[0] == bit
 
 
 class FixedUniform:
@@ -164,7 +164,7 @@ class TestMeasureBatch:
         bits, collapsed = qsim.measure_batch(np.tile(state.amps, (len(u), 1)), np.array(x_basis), u)
         assert bits.shape == u.shape and collapsed.shape == (len(u), 1 << state.n_qubits)
         for t, x in enumerate(x_basis):
-            bit, post = qsim.measure(state, Basis.X if x else Basis.Z, 0, FixedUniform(u[t]))
+            bit, post = qsim.measure(state, x, 0, FixedUniform(u[t]))
             assert bits[t] == bit
             assert np.max(np.abs(collapsed[t] - post.amps)) <= 1e-12
 

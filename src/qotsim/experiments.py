@@ -1,10 +1,11 @@
 """Monte Carlo harness comparing empirical rates against their closed forms.
 
-Trials run in chunks of CHUNK_TRIALS, each simulated as one amplitude block
-(a row per trial) through the Born rule. Chunk c of an estimate at point p
-(its M or K; 0 for the scenarios without one) draws from its own stream
-(seed, p, c), so results are identical regardless of execution order, and no
-two points or seeds share a stream.
+Trials are drawn in chunks of CHUNK_TRIALS, the stream unit: chunk c of an
+estimate at point p (its M or K; 0 for the scenarios without one) draws from
+its own stream (seed, p, c), so results do not depend on how chunks are
+grouped, and no two points or seeds share a stream. Up to GROUP_CHUNKS chunks
+are simulated together as one amplitude block (a row per trial) through the
+Born rule, each drawing its rows from its own stream.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .protocol import DECOY_AMPS, ProtocolError
 from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
-#: trials simulated together as one amplitude block; bounds the kernels'
-#: working set (a few hundred kB) while keeping numpy's per-call cost small
+#: trials per stream: chunk c of an estimate draws from its own stream
 CHUNK_TRIALS = 256
+#: chunks simulated together as one amplitude block; bounds the kernels'
+#: working set (a few MB) for any trial count while spreading numpy's
+#: per-call cost over many rows
+GROUP_CHUNKS = 64
 
 
 def detection_rate(q: float, n: int) -> float:
@@ -82,40 +86,80 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
+class _ChunkStreams:
+    """Generator stand-in for chunks simulated as one block.
+
+    ``rows[i]`` of the block's live rows belong to chunk i, in chunk order.
+    ``integers`` and ``random`` draw each chunk's rows from that chunk's own
+    stream and concatenate them along the trial axis, the last, so each stream
+    sees the draws it would see if its chunk ran alone; the last entry of
+    ``size`` is the live-row total, which ``rows`` already splits. A chunk
+    with no live rows is not drawn from.
+    """
+
+    def __init__(self, streams: list[np.random.Generator], rows: list[int]):
+        self._streams = streams
+        self._rows = rows
+
+    def _draw(self, method: str, size, *args) -> np.ndarray:
+        lead = size[:-1] if isinstance(size, tuple) else ()
+        return np.concatenate([getattr(g, method)(*args, size=(*lead, n))
+                               for g, n in zip(self._streams, self._rows) if n], axis=-1)
+
+    def integers(self, high: int, size) -> np.ndarray:
+        return self._draw("integers", size, high)
+
+    def random(self, size) -> np.ndarray:
+        return self._draw("random", size)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the live rows where the boolean ``rows`` is set."""
+        chunk = np.repeat(np.arange(len(self._rows)), self._rows)
+        self._rows = np.bincount(chunk[rows], minlength=len(self._rows)).tolist()
+
+
 def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
-    """Run ``kernel(rng, T)`` on chunks of at most CHUNK_TRIALS trials and
-    sum the counts it returns for each chunk.
+    """Run ``kernel(streams, T)`` on groups of up to GROUP_CHUNKS chunks of at
+    most CHUNK_TRIALS trials, ``streams`` a :class:`_ChunkStreams` over the
+    group's T trials, and sum the counts it returns for each group.
 
     Chunk c draws from its own stream ``default_rng([seed, point, c])``, so
-    results do not depend on the order chunks run in. A detection estimate's
+    results do not depend on how chunks are grouped. A detection estimate's
     point is its parameter, so the rows of a sweep share no stream with each
     other or with another seed.
     """
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
-    counts = sum(np.asarray(kernel(np.random.default_rng([seed, point, c]),
-                                   min(CHUNK_TRIALS, trials - start)), dtype=np.int64)
-                 for c, start in enumerate(range(0, trials, CHUNK_TRIALS)))
+    chunks = -(-trials // CHUNK_TRIALS)
+    counts = 0
+    for first in range(0, chunks, GROUP_CHUNKS):
+        group = range(first, min(first + GROUP_CHUNKS, chunks))
+        rows = [min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS) for c in group]
+        streams = _ChunkStreams([np.random.default_rng([seed, point, c]) for c in group], rows)
+        counts += np.asarray(kernel(streams, sum(rows)), dtype=np.int64)
     return counts.tolist()
 
 
-def _first_flip_chunk(draw, rounds: int, rng: np.random.Generator, trials: int) -> list[int]:
+def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
     """Sequential decoy checks: [unflipped, flipped] counts.
 
     Each of up to ``rounds`` rounds draws the checked states of the trials not
-    yet flipped, ``draw(rng, n) -> (block, ids)``, and checks each row against
-    its decoy id; a trial stops at its first flip.
+    yet flipped, ``draw(rng, n) -> (block, ids)``, checks each row against its
+    decoy id and drops the flipped rows from ``rng``; a trial stops at its
+    first flip.
     """
     active = trials
     for _ in range(rounds):
         if not active:
             break
         block, ids = draw(rng, active)
-        active -= int(np.count_nonzero(protocol.decoy_flips(block, ids, rng.random(active))))
+        flips = protocol.decoy_flips(block, ids, rng.random(active))
+        rng.keep(~flips)
+        active -= int(np.count_nonzero(flips))
     return [active, trials - active]
 
 
-def _intercept_round(rng: np.random.Generator, n: int):
+def _intercept_round(rng: _ChunkStreams, n: int):
     """Random decoys, each measured and resent by Eve in a random basis."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
@@ -125,14 +169,14 @@ def _intercept_round(rng: np.random.Generator, n: int):
 _PHI_PLUS = qsim.make_bell(BellKind.PHI_PLUS).amps
 
 
-def _bell_round(rng: np.random.Generator, n: int):
+def _bell_round(rng: _ChunkStreams, n: int):
     """Loyalty tests of Bell slots, each declared as a uniformly random choice
     c (decoy id 2c); the transmitted half is maximally mixed, so each test
     fails with probability 1/2."""
     return np.broadcast_to(_PHI_PLUS, (n, 4)), 2 * rng.integers(2, size=n)
 
 
-def _entangling_round(params, rng: np.random.Generator, n: int):
+def _entangling_round(params, rng: _ChunkStreams, n: int):
     """Random decoys through Eve's entangling attack."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
@@ -205,7 +249,7 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
-def _alice_chunk(policy: str, rng: np.random.Generator, trials: int) -> list[int]:
+def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     """Slots through Alice's measure-and-resend: the counts of conclusive
     guesses, wrong conclusive guesses, bit errors and dummy errors."""
     j = rng.integers(2, size=trials)

@@ -434,6 +434,12 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     return t
 
 
+def _is_bit_array(value) -> bool:
+    """Whether a decoded JSON value is an array of the integers 0 and 1 (a
+    bool or a float is not a bit)."""
+    return isinstance(value, list) and all(type(v) is int and v in (0, 1) for v in value)
+
+
 def replay_transcript(line: str) -> tuple[bool, str]:
     """Re-execute a recorded run from its seed and inputs.
 
@@ -441,9 +447,11 @@ def replay_transcript(line: str) -> tuple[bool, str]:
     differing field.
     """
     d = Transcript.parse_json_line(line)
-    for key in ("choices", "pairs"):
-        if not isinstance(d[key], list):
-            raise ProtocolError(f"malformed transcript record: {key} is not a JSON array")
+    if not _is_bit_array(d["choices"]):
+        raise ProtocolError("malformed transcript record: choices is not a JSON array of bits")
+    if not (isinstance(d["pairs"], list)
+            and all(_is_bit_array(p) and len(p) == 2 for p in d["pairs"])):
+        raise ProtocolError("malformed transcript record: pairs is not a JSON array of bit pairs")
     try:
         cfg = ProtocolConfig(seed=d["seed"], **d["config"])
         fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])

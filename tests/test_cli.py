@@ -95,8 +95,12 @@ class TestHonest:
         lambda r: {**r, "pairs": [[0, 2]] + r["pairs"][1:]},
         lambda r: {**r, "config": {**r["config"], "K": 10**9}},
         lambda r: json.dumps(r)[:-1],
+        lambda r: {**r, "pairs": ["".join(map(str, p)) for p in r["pairs"]]},
+        lambda r: {**r, "choices": [bool(c) for c in r["choices"]]},
+        lambda r: {**r, "choices": [float(c) for c in r["choices"]]},
     ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "null-choices",
-            "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json"])
+            "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json",
+            "string-pairs", "bool-choices", "float-choices"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"

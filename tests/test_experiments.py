@@ -113,13 +113,18 @@ CHUNK_KERNELS = {
 }
 
 
+def one_stream(key, trials):
+    """A chunk run alone: the kernels' stream stand-in over one stream."""
+    return experiments._ChunkStreams([np.random.default_rng(key)], [trials])
+
+
 class TestChunks:
     @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
     def test_tallies_add_over_chunks(self, name):
         kernel = CHUNK_KERNELS[name]
         chunk = experiments.CHUNK_TRIALS
         first = experiments._tally(kernel, chunk, seed=5)
-        second = kernel(np.random.default_rng([5, 0, 1]), chunk)
+        second = kernel(one_stream([5, 0, 1], chunk), chunk)
         both = experiments._tally(kernel, 2 * chunk, seed=5)
         assert both == [a + b for a, b in zip(first, second)]
         if name == "alice":
@@ -129,6 +134,30 @@ class TestChunks:
         else:
             # [unflipped, flipped]: every trial is counted once
             assert sum(first) == sum(second) == chunk
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
+    def test_a_group_sums_its_chunks_run_alone(self, name):
+        # 65 chunks, the last partial: one full group and a group of one
+        kernel = CHUNK_KERNELS[name]
+        chunk = experiments.CHUNK_TRIALS
+        trials = experiments.GROUP_CHUNKS * chunk + 100
+        rows = [min(chunk, trials - c * chunk) for c in range(experiments.GROUP_CHUNKS + 1)]
+        alone = [kernel(one_stream([5, 0, c], n), n) for c, n in enumerate(rows)]
+        assert experiments._tally(kernel, trials, seed=5) == [sum(col) for col in zip(*alone)]
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
+    def test_one_stream_per_chunk(self, monkeypatch, name):
+        keys = []
+        real = np.random.default_rng
+
+        def counted(key):
+            keys.append(key)
+            return real(key)
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", counted)
+        chunks = experiments.GROUP_CHUNKS + 1
+        experiments._tally(CHUNK_KERNELS[name], chunks * experiments.CHUNK_TRIALS, seed=5, point=3)
+        assert keys == [[5, 3, c] for c in range(chunks)]
 
     def test_one_past_a_chunk_runs(self):
         trials = experiments.CHUNK_TRIALS + 1

@@ -179,3 +179,23 @@ def test_honest_grid_digest_is_pinned():
         cfg = ProtocolConfig(N=n, M=m, M2=m, K=k, tau=0.3 * ((n + k) % 2), seed=seed)
         digest.update(protocol.run_honest(cfg).to_json_line().encode() + b"\n")
     assert digest.hexdigest() == HONEST_GRID_SHA256
+
+
+#: sha256 of the concatenated stdout of these commands, each run with
+#: ``--trials 16641 --seed 7``: 65 chunks, past one group of simulated chunks
+GROUPED_CHUNK_COMMANDS = (
+    ["sweep", "--scenario", "intercept", "--values", "1,5,50"],
+    ["sweep", "--scenario", "bell", "--values", "1,20"],
+    ["attack", "--scenario", "alice-dummy"],
+    ["attack", "--scenario", "alice", "--policy", "collapsed"],
+    ["attack", "--scenario", "alice", "--policy", "random"],
+)
+GROUPED_CHUNK_SHA256 = "a9bc80538d45b2232c9eee1aef241102120539097039b1b56360a5c4a04755e0"
+
+
+def test_csvs_past_a_chunk_group_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for args in GROUPED_CHUNK_COMMANDS:
+        assert cli.main([*args, "--trials", "16641", "--seed", "7"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GROUPED_CHUNK_SHA256

@@ -179,18 +179,23 @@ def ue_leakage(params: UeParams) -> float:
     return qsim.trace_distance(rho_zero, rho_plus)
 
 
+#: every slot of a cheating Bob: the Phi+ pair whose factor 0 he transmits
+BELL_SLOT = qsim.make_bell(BellKind.PHI_PLUS)
+
+
+def bell_slots(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` :data:`BELL_SLOT` rows as an ``(n, 4)`` block, with the choice bit Bob
+    declares for each if tested: uniformly random, as a Bell half has none."""
+    return np.broadcast_to(BELL_SLOT.amps, (n, 4)), rng.integers(2, size=n)
+
+
 def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot], list[int], list[int]]:
-    """Step-1 replacement for a dishonest Bob: every non-decoy slot is his half
-    of a fresh Bell pair (transmitted qubit = factor 0, kept half = factor 1)."""
-    slots = [SequenceSlot(qsim.make_bell(BellKind.PHI_PLUS), payload_index=i if i < config.N else None)
-             for i in range(config.N + 2 * config.K)]
+    """Step-1 replacement for a dishonest Bob: every non-decoy slot is his
+    :data:`BELL_SLOT`, recorded with the choice he will declare for it."""
+    _, declared = bell_slots(config.N + 2 * config.K, rng)
+    slots = [SequenceSlot(BELL_SLOT, choice=int(c), payload_index=i if i < config.N else None)
+             for i, c in enumerate(declared)]
     return insert_decoys(slots, config.M, rng)
-
-
-def random_published_bases(slots, rng: np.random.Generator) -> list[int]:
-    """A cheating Bob's loyalty-test declarations: one uniformly random choice
-    bit per slot (his Bell halves have no honest choice to publish)."""
-    return [int(c) for c in rng.integers(0, 2, size=len(slots))]
 
 
 #: dense-coding readout: which Bell state Alice's gate turns a Phi+ pair into

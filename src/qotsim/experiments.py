@@ -18,7 +18,6 @@ import numpy as np
 from . import adversary, protocol, qsim
 from .adversary import AttackScenario
 from .protocol import DECOY_AMPS, ProtocolError
-from .qsim import BellKind
 
 DEFAULT_TRIALS = 100_000
 #: trials per stream: chunk c of an estimate draws from its own stream
@@ -165,15 +164,12 @@ def _intercept_round(rng: _ChunkStreams, n: int):
     return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
 
 
-#: a cheating Bob's tested slot: the Bell pair whose half he transmitted
-_PHI_PLUS = qsim.make_bell(BellKind.PHI_PLUS).amps
-
-
 def _bell_round(rng: _ChunkStreams, n: int):
-    """Loyalty tests of Bell slots, each declared as a uniformly random choice
-    c (decoy id 2c); the transmitted half is maximally mixed, so each test
-    fails with probability 1/2."""
-    return np.broadcast_to(_PHI_PLUS, (n, 4)), 2 * rng.integers(2, size=n)
+    """Loyalty tests of a cheating Bob's Bell slots, each checked against the
+    id 2c of the choice c he declares; the transmitted half is maximally
+    mixed, so each test fails with probability 1/2."""
+    block, declared = adversary.bell_slots(n, rng)
+    return block, 2 * declared
 
 
 def _entangling_round(params, rng: _ChunkStreams, n: int):

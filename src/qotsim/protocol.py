@@ -85,16 +85,23 @@ class SequenceSlot:
 
     A slot is payload iff ``payload_index`` (the intended choice it carries)
     is set. ``choice`` is the owner's private preparation record: Bob's choice
-    bit c (decoy id 2c) on payload and loyalty slots, None on decoys, whose
-    record is the published (position, id) list, and on a cheating Bob's Bell
-    slots. The counterparty's code must only rely on ``state`` (and, for
-    adversary slots, the transmitted qubit is always tensor factor 0 of
-    ``state``).
+    bit c (decoy id 2c) on payload and loyalty slots, which he publishes if
+    the slot is loyalty-tested, and None on decoys, whose record is the
+    published (position, id) list. A cheating Bob's Bell slot has no
+    preparation; its ``choice`` is the bit he will declare. The
+    counterparty's code must only rely on ``state`` (and, for adversary
+    slots, the transmitted qubit is always tensor factor 0 of ``state``).
     """
 
     state: PureState
     choice: int | None = None
     payload_index: int | None = None
+
+
+#: Python and numpy numbers (a bool is not one), named concretely: isinstance
+#: against the ``numbers`` ABCs costs more than the rest of the config's checks
+_INTEGER_TYPES = (int, np.integer)
+_REAL_TYPES = (*_INTEGER_TYPES, float, np.floating)
 
 
 @dataclass(frozen=True)
@@ -107,12 +114,17 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("N", "M", "M2", "K", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _INTEGER_TYPES):
+                raise ProtocolError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # json cannot write a numpy integer
+        if isinstance(self.tau, bool) or not isinstance(self.tau, _REAL_TYPES) or not 0 <= self.tau < 1:
+            raise ProtocolError(f"tau must be a real number in [0, 1), got {self.tau!r}")
         if self.N < 1:
             raise ProtocolError("N must be >= 1")
         if min(self.M, self.M2, self.K) < 0:
             raise ProtocolError("M, M2 and K must be nonnegative")
-        if not 0.0 <= self.tau < 1.0:
-            raise ProtocolError("tau must lie in [0, 1)")
         if self.sequence_length + self.M2 > MAX_QUBITS_USED:
             raise ProtocolError(f"a run may use at most {MAX_QUBITS_USED} qubits "
                                 f"(N + M + 2K + M2), got {self.sequence_length + self.M2}")
@@ -200,14 +212,12 @@ def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
 
 
 def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generator,
-                       tau: float = 0.0, positions=None, published_bases=None) -> CheckResult:
+                       tau: float = 0.0, positions=None) -> CheckResult:
     """Step 2b: Alice measures K randomly chosen slots in Bob's published bases.
 
-    Bob publishes each tested slot's choice bit c, and the slot is checked
-    against decoy id 2c (|0> or |+>): an honest slot always passes, and a flip
-    is a loyalty failure. ``positions`` and ``published_bases`` (choice bits
-    by position) may be forced; the latter models a dishonest Bob's
-    declarations.
+    Bob publishes each tested slot's recorded choice bit c, and the slot is
+    checked against decoy id 2c (|0> or |+>): an honest slot always passes,
+    and a flip is a loyalty failure. ``positions`` may be forced.
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
@@ -217,11 +227,10 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
         positions = sorted(int(p) for p in positions)
         if len(set(positions)) != K or any(not 0 <= p < len(slots) for p in positions):
             raise ProtocolError("invalid loyalty test positions")
-    declared = published_bases if published_bases is not None else [s.choice for s in slots]
     for p in positions:
-        if declared[p] is None:
+        if slots[p].choice is None:
             raise ProtocolError(f"slot {p} has no preparation basis to publish")
-    return check_published_decoys(slots, [(p, 2 * declared[p]) for p in positions], rng, tau)
+    return check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in positions], rng, tau)
 
 
 def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
@@ -353,7 +362,7 @@ class Transcript:
             raise ProtocolError(f"transcript record is not JSON: {exc}") from None
         if not isinstance(d, dict):
             raise ProtocolError("transcript record is not a JSON object")
-        if d.get("version") != TRANSCRIPT_VERSION:
+        if type(d.get("version")) is not int or d["version"] != TRANSCRIPT_VERSION:
             raise ProtocolError(f"unsupported transcript version {d.get('version')!r}")
         _check_keys("transcript record", d, TRANSCRIPT_FIELDS)
         if not isinstance(d["config"], dict):

@@ -222,11 +222,10 @@ def _partial_trace(rho: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray
     return t.reshape(d, d)
 
 
-def density_of(states, weights=None, keep=None) -> DensityMatrix:
-    """Weighted mixture of pure states, reduced to the kept qubits.
+def density_of(states, keep=None) -> DensityMatrix:
+    """Uniform mixture of pure states, reduced to the kept qubits.
 
-    ``weights`` defaults to the uniform distribution; ``keep`` defaults to all
-    qubits of the (common-size) input states.
+    ``keep`` defaults to all qubits of the (common-size) input states.
     """
     states = list(states)
     if not states:
@@ -234,22 +233,12 @@ def density_of(states, weights=None, keep=None) -> DensityMatrix:
     n = states[0].n_qubits
     if any(s.n_qubits != n for s in states):
         raise ValueError("all states must have the same qubit count")
-    if weights is None:
-        weights = [1.0 / len(states)] * len(states)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(states):
-        raise ValueError("one weight per state required")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > NORM_ATOL:
-        raise ValueError("weights must be nonnegative and sum to 1")
     if keep is None:
         keep = tuple(range(n))
     keep = tuple(sorted(set(int(q) for q in keep)))
     if any(not 0 <= q < n for q in keep) or not keep:
         raise ValueError(f"invalid kept qubit set {keep}")
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, s in zip(weights, states):
-        rho += w * np.outer(s.amps, s.amps.conj())
+    rho = sum(np.outer(s.amps, s.amps.conj()) for s in states) / len(states)
     return DensityMatrix(_partial_trace(rho, n, keep))
 
 

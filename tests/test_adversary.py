@@ -184,7 +184,7 @@ class TestBobBellCheat:
         bell = [s for k, s in enumerate(slots) if k not in pos]
         assert [s.payload_index for s in bell] == [0, 1, 2, None, None, None, None]
         for s in bell:
-            assert s.state.n_qubits == 2 and s.choice is None
+            assert s.state is adversary.BELL_SLOT and s.choice in (0, 1)
 
     def test_per_test_detection_is_half(self):
         g = rng(2)
@@ -196,15 +196,15 @@ class TestBobBellCheat:
         se = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 4 * se
 
-    def test_loyalty_test_with_random_declared_bases(self):
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_loyalty_test_with_random_declared_bases(self, K):
         g = rng(3)
-        cfg = ProtocolConfig(N=2, M=0, K=4, seed=0)
+        cfg = ProtocolConfig(N=2, M=0, K=K, seed=0)
         detections = 0
         n = 2_000
         for _ in range(n):
             slots, _, _ = adversary.bob_bell_cheat(cfg, g)
-            bases = adversary.random_published_bases(slots, g)
-            res = protocol.alice_test_loyalty(slots, cfg.K, g, published_bases=dict(enumerate(bases)))
+            res = protocol.alice_test_loyalty(slots, cfg.K, g)
             detections += not res.ok
         expected = 1 - 0.5 ** cfg.K
         se = np.sqrt(expected * (1 - expected) / n)

@@ -98,9 +98,15 @@ class TestHonest:
         lambda r: {**r, "pairs": ["".join(map(str, p)) for p in r["pairs"]]},
         lambda r: {**r, "choices": [bool(c) for c in r["choices"]]},
         lambda r: {**r, "choices": [float(c) for c in r["choices"]]},
+        lambda r: {**r, "config": {**r["config"], "N": True}, "choices": r["choices"][:1],
+                   "pairs": r["pairs"][:1]},
+        lambda r: {**r, "config": {**r["config"], "tau": False}},
+        lambda r: {**r, "version": True},
+        lambda r: {**r, "seed": True},
     ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "null-choices",
             "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json",
-            "string-pairs", "bool-choices", "float-choices"])
+            "string-pairs", "bool-choices", "float-choices", "bool-N", "bool-tau", "bool-version",
+            "bool-seed"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"

@@ -135,6 +135,14 @@ class TestLoyalty:
         assert res.positions == [3] and res.outcomes == [0]
         assert [s.choice for s in res.remaining] == [0, 1, 0]
 
+    def test_decoy_position_names_the_slot(self):
+        """A decoy has no choice for Bob to publish, so forcing a loyalty
+        test onto one is rejected, naming its position."""
+        slots, positions, _ = protocol.bob_prepare_sequence([0, 1, 0, 1], 3, rng(2), n_loyalty=2)
+        p = positions[1]
+        with pytest.raises(ProtocolError, match=rf"^slot {p} has no preparation basis"):
+            protocol.alice_test_loyalty(slots, 1, rng(), positions=[p])
+
 
 class TestReorder:
     def test_worked_example_permutation(self):
@@ -533,3 +541,20 @@ class TestConfigValidation:
             ProtocolConfig(N=1, M=-1)
         with pytest.raises(ProtocolError):
             ProtocolConfig(N=1, tau=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", True), ("N", 2.0), ("N", "2"), ("M", False), ("M2", 1.0), ("K", True),
+        ("seed", True), ("seed", 3.0), ("seed", None), ("tau", False), ("tau", "0.1"),
+        ("tau", None), ("tau", 0.1j),
+    ])
+    def test_rejects_non_numbers_and_bools(self, field, value):
+        with pytest.raises(ProtocolError, match=f"^{field} must be"):
+            ProtocolConfig(**{"N": 1, field: value})
+
+    def test_accepts_numpy_integers_and_integer_tau(self):
+        """Numpy integers are stored as ints, so a run's transcript can be
+        written and replayed."""
+        cfg = ProtocolConfig(N=np.int64(2), M=np.uint8(1), K=np.int32(1), seed=np.int64(5), tau=0)
+        assert cfg.sequence_length == 5 and type(cfg.N) is int and type(cfg.seed) is int
+        line = protocol.run_honest(cfg).to_json_line()
+        assert protocol.replay_transcript(line) == (True, "verified")

@@ -257,12 +257,6 @@ class TestDensity:
         rho = qsim.density_of([qsim.PLUS, qsim.MINUS])
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            qsim.density_of([qsim.ZERO, qsim.ONE], weights=[0.7, 0.7])
-        with pytest.raises(ValueError):
-            qsim.density_of([qsim.ZERO, qsim.ONE], weights=[-0.5, 1.5])
-
 
 def random_density(seed, dim=2):
     g = np.random.default_rng(seed)

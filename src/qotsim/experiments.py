@@ -129,6 +129,8 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
     """
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
+    if seed < 0:
+        raise ProtocolError("seed must be >= 0")
     chunks = -(-trials // CHUNK_TRIALS)
     counts = 0
     for first in range(0, chunks, GROUP_CHUNKS):

@@ -125,6 +125,8 @@ class ProtocolConfig:
             raise ProtocolError("N must be >= 1")
         if min(self.M, self.M2, self.K) < 0:
             raise ProtocolError("M, M2 and K must be nonnegative")
+        if self.seed < 0:
+            raise ProtocolError("seed must be >= 0")
         if self.sequence_length + self.M2 > MAX_QUBITS_USED:
             raise ProtocolError(f"a run may use at most {MAX_QUBITS_USED} qubits "
                                 f"(N + M + 2K + M2), got {self.sequence_length + self.M2}")

@@ -7,13 +7,14 @@ Conventions:
     map |0> -> 0, |1> -> 1 and X-basis outcomes map |+> -> 0, |-> -> 1, so the
     eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``.
 
-All operations are pure functions of (state, rng); states are immutable after
-construction. Probabilistic operations take an explicit numpy Generator so runs
-are replayable.
+All operations are pure functions of (state, rng); states and their amplitude
+arrays are immutable after construction. Probabilistic operations take an
+explicit numpy Generator so runs are replayable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,10 @@ NORM_ATOL = 1e-10
 PHASE_TOL = 1e-9
 
 MAX_QUBITS = 3
+
+#: distinct (register, basis, target) measurements whose outcomes
+#: :func:`measure` keeps; bounds memory when many random states are measured
+OUTCOME_CACHE = 256
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -50,12 +55,14 @@ GATES: dict[str, np.ndarray] = {
 
 
 class PureState:
-    """Unit-norm complex amplitude vector over 1..3 qubits."""
+    """Unit-norm complex amplitude vector over 1..3 qubits. ``amps`` is a
+    read-only copy of the input, so a state and its measurement outcomes can
+    be shared."""
 
     __slots__ = ("n_qubits", "amps")
 
     def __init__(self, amps, _checked: bool = False):
-        amps = np.asarray(amps, dtype=complex)
+        amps = np.array(amps, dtype=complex)
         # the rank is checked before the length is read, and the length before it is shifted
         n = amps.shape[0].bit_length() - 1 if amps.ndim == 1 else 0
         if not 1 <= n <= MAX_QUBITS or amps.shape != (1 << n,):
@@ -66,6 +73,7 @@ class PureState:
             norm2 = float(np.vdot(amps, amps).real)
             if abs(norm2 - 1.0) > NORM_ATOL:
                 raise ValueError(f"state is not normalized (|amps|^2 = {norm2})")
+        amps.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amps", amps)
 
@@ -83,6 +91,7 @@ PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
 MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
 #: qubit-0 outcome eigenstates, indexed 2 * (X basis) + bit
 EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
+EIGENSTATES.flags.writeable = False
 
 
 def _project(amps: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -115,6 +124,27 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
     return np.square(np.abs(_project(amps, EIGENSTATES[2 * x_basis + 1]))).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=OUTCOME_CACHE)
+def _born(amps_bytes: bytes, x_basis: bool, target: int) -> tuple[float, np.ndarray]:
+    """The Born probability of reading 1 on the target of the register with
+    these amplitude bytes, and the target factor's projection onto both
+    eigenstates of the basis (indexed by bit)."""
+    amps = np.frombuffer(amps_bytes, complex)
+    pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
+    proj = _project(amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
+    return float(np.square(np.abs(proj[:, 1])).sum()), proj
+
+
+@functools.lru_cache(maxsize=OUTCOME_CACHE)
+def _collapsed(amps_bytes: bytes, x_basis: bool, target: int, bit: int) -> PureState:
+    """The state after reading ``bit``: the measured eigenstate on the target
+    factor times the renormalised projection onto it."""
+    p1, proj = _born(amps_bytes, x_basis, target)
+    rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
+    eigen = EIGENSTATES[2 * x_basis + bit]
+    return PureState((rest[:, None, :] * eigen[:, None]).reshape(-1), _checked=True)
+
+
 def measure(state: PureState, x_basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
     """Projective measurement of one qubit in the X basis if ``x_basis`` is
     set, else the Z basis; returns (bit, collapsed state). The scalar
@@ -124,16 +154,15 @@ def measure(state: PureState, x_basis, target: int, rng: np.random.Generator) ->
     bit is 1 iff ``rng.random()`` is below the outcome-1 projection's squared
     norm, the float :func:`probability_of_one` gives; the collapsed state is
     the measured eigenstate on the target factor times the renormalised
-    projection onto it.
+    projection onto it. Both are computed once per register, basis and
+    target, keyed by the amplitude bytes, and shared by later calls; each
+    call still draws its own uniform.
     """
     if not 0 <= target < state.n_qubits:
         raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
-    proj = _project(state.amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
-    p1 = float(np.square(np.abs(proj[:, 1])).sum())
-    bit = 1 if rng.random() < p1 else 0
-    rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
-    return bit, PureState((rest[:, None, :] * pair[bit][:, None]).reshape(-1), _checked=True)
+    key = (state.amps.tobytes(), bool(x_basis), target)
+    bit = 1 if rng.random() < _born(*key)[0] else 0
+    return bit, _collapsed(*key, bit)
 
 
 def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +191,7 @@ _BELL_AMPS: dict[BellKind, np.ndarray] = {
 
 def make_bell(kind: BellKind) -> PureState:
     """Return one of the four maximally entangled two-qubit states."""
-    return PureState(_BELL_AMPS[kind].copy(), _checked=True)
+    return PureState(_BELL_AMPS[kind], _checked=True)
 
 
 def bell_measure(state: PureState) -> BellKind:

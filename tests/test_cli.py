@@ -103,10 +103,11 @@ class TestHonest:
         lambda r: {**r, "config": {**r["config"], "tau": False}},
         lambda r: {**r, "version": True},
         lambda r: {**r, "seed": True},
+        lambda r: {**r, "seed": -3},
     ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "null-choices",
             "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json",
             "string-pairs", "bool-choices", "float-choices", "bool-N", "bool-tau", "bool-version",
-            "bool-seed"])
+            "bool-seed", "negative-seed"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"

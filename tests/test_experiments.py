@@ -64,6 +64,14 @@ class TestEstimateDetectionRate:
         with pytest.raises(ProtocolError):
             ExperimentSpec(AttackScenario.BOB_BELL_CHEAT, 1, trials=0)
 
+    def test_rejects_negative_seed(self):
+        """Every estimator names the seed, not numpy's stream construction."""
+        spec = ExperimentSpec(AttackScenario.INTERCEPT_RESEND, 3, trials=10, seed=-1)
+        for estimate in (lambda: experiments.estimate_detection_rate(spec),
+                         lambda: experiments.alice_attack_report(10, seed=-1)):
+            with pytest.raises(ProtocolError, match="^seed must be >= 0$"):
+                estimate()
+
     def test_rejects_negative_parameter(self):
         for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
             with pytest.raises(ProtocolError):

@@ -7,10 +7,12 @@ intercept row happens to read as it did at 0.1.0)."""
 
 import hashlib
 import itertools
+import json
 
+import numpy as np
 import pytest
 
-from qotsim import cli, protocol, qsim
+from qotsim import adversary, cli, protocol, qsim
 from qotsim.protocol import ProtocolConfig
 
 GOLDEN_TRANSCRIPT = (
@@ -199,3 +201,29 @@ def test_csvs_past_a_chunk_group_are_pinned(capsys):
         assert cli.main([*args, "--trials", "16641", "--seed", "7"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == GROUPED_CHUNK_SHA256
+
+
+#: sha256 over chained seeded ``qsim.measure`` bits and collapsed amplitude
+#: bytes on random one- to three-qubit registers at every target, then over
+#: the Bell cheat's protocol path: channel check, loyalty positions and outcomes
+MULTI_QUBIT_SHA256 = "bb1f783e193121ce11c1c59746e6031d5d93ebe480f39054c55a1a5bf5f5e365"
+
+
+def test_multi_qubit_measurements_are_pinned():
+    digest = hashlib.sha256()
+    g = np.random.default_rng(20)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            amps = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
+            state = qsim.PureState(amps / np.linalg.norm(amps))
+            for target in [*range(n), *range(n)]:
+                bit, state = qsim.measure(state, bool(g.integers(2)), target, g)
+                digest.update(bytes([bit]) + state.amps.tobytes())
+    for seed in range(6):
+        g = np.random.default_rng(seed)
+        cfg = ProtocolConfig(N=4, M=3, K=3, seed=seed)
+        slots, positions, ids = adversary.bob_bell_cheat(cfg, g)
+        check = protocol.check_published_decoys(slots, list(zip(positions, ids)), g)
+        loyalty = protocol.alice_test_loyalty(check.remaining, cfg.K, g)
+        digest.update(json.dumps([check.outcomes, loyalty.positions, loyalty.outcomes]).encode())
+    assert digest.hexdigest() == MULTI_QUBIT_SHA256

@@ -526,6 +526,12 @@ class TestTranscripts:
         ok, detail = protocol.replay_transcript(t.to_json_line())
         assert not ok and "decoded_bits" in detail
 
+    def test_replay_rejects_negative_seed(self):
+        line = protocol.run_honest(ProtocolConfig(N=2, seed=3)).to_json_line()
+        line = line.replace('"seed":3', '"seed":-3')
+        with pytest.raises(ProtocolError, match="seed must be >= 0"):
+            protocol.replay_transcript(line)
+
     def test_replay_rejects_version_mismatch(self):
         cfg = ProtocolConfig(N=2, seed=0)
         line = protocol.run_honest(cfg).to_json_line().replace('"version":1', '"version":99')
@@ -541,6 +547,8 @@ class TestConfigValidation:
             ProtocolConfig(N=1, M=-1)
         with pytest.raises(ProtocolError):
             ProtocolConfig(N=1, tau=1.5)
+        with pytest.raises(ProtocolError, match="^seed must be >= 0$"):
+            ProtocolConfig(N=1, seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("N", True), ("N", 2.0), ("N", "2"), ("M", False), ("M2", 1.0), ("K", True),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,16 @@ class TestPureState:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             qsim.ZERO.amps = None
+        # the amplitude arrays are shared (by measurement outcomes and the
+        # protocol's preparation tables), so none of them may be written
+        _, post = qsim.measure(qsim.PLUS, False, 0, rng(0))
+        for amps in (qsim.ZERO.amps, post.amps, qsim.EIGENSTATES):
+            with pytest.raises(ValueError):
+                amps[0] = 0.6
+        mine = np.array([0.6, 0.8], dtype=complex)
+        state = PureState(mine)
+        mine[0] = 0.8  # the caller's own array stays writable
+        assert state.amps[0] == 0.6
 
 
 class TestMeasure:
@@ -149,9 +161,77 @@ def random_state(n_qubits, seed):
     return PureState(amps / np.linalg.norm(amps))
 
 
+def reference_measure(state, x_basis, target, rng):
+    """``qsim.measure`` as it was before its outcomes were memoized, verbatim."""
+    if not 0 <= target < state.n_qubits:
+        raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
+    pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
+    proj = qsim._project(state.amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
+    p1 = float(np.square(np.abs(proj[:, 1])).sum())
+    bit = 1 if rng.random() < p1 else 0
+    rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
+    return bit, PureState((rest[:, None, :] * pair[bit][:, None]).reshape(-1), _checked=True)
+
+
+def boundary_uniforms(state, x_basis, target):
+    """Uniforms at, just below and just above the p1 that
+    :func:`reference_measure` reads its draw against, those a Generator's
+    ``random()`` can return (in [0, 1))."""
+    pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
+    proj = qsim._project(state.amps.reshape(1 << target, 1, -1), pair)
+    p1 = float(np.square(np.abs(proj[:, 1])).sum())
+    return [u for u in (p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0)) if 0.0 <= u < 1.0]
+
+
+def assert_measures_as_reference(state, x_basis, target, u):
+    bit, post = qsim.measure(state, x_basis, target, FixedUniform(u))
+    ref_bit, ref_post = reference_measure(state, x_basis, target, FixedUniform(u))
+    assert bit == ref_bit and np.array_equal(post.amps, ref_post.amps)
+
+
 #: states whose Born probabilities are 0, 1/2 or 1, over one to three qubits
 EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(BellKind.PSI_MINUS),
                 qsim.tensor(qsim.MINUS, qsim.make_bell(BellKind.PHI_PLUS))]
+
+
+class TestMeasureMemo:
+    """``measure`` computes each register's outcomes once, keyed by its
+    amplitude bytes; every call must still read as the unmemoized reference."""
+
+    @given(st.one_of(st.sampled_from(EXACT_STATES),
+                     st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, state, x_basis, seed):
+        other = random_state(state.n_qubits, seed)
+        for target in range(state.n_qubits):
+            for u in boundary_uniforms(state, x_basis, target):
+                # first call, then a byte-equal copy, which finds the cached outcomes
+                assert_measures_as_reference(state, x_basis, target, u)
+                assert_measures_as_reference(PureState(state.amps), x_basis, target, u)
+                # a different register of the same width gets its own outcomes
+                assert_measures_as_reference(other, x_basis, target, u)
+                assert_measures_as_reference(state, x_basis, target, u)
+
+    def test_outcomes_survive_eviction(self):
+        state = random_state(3, 1)
+        cases = [(x, target, u) for x in (False, True) for target in range(3)
+                 for u in boundary_uniforms(state, x, target)]
+        for x, target, u in cases:
+            assert_measures_as_reference(state, x, target, u)
+        for seed in range(qsim.OUTCOME_CACHE + 1):
+            qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, 0, rng(seed))
+        assert qsim._born.cache_info().currsize <= qsim.OUTCOME_CACHE
+        for x, target, u in cases:
+            assert_measures_as_reference(state, x, target, u)
+
+    def test_repeated_register_is_computed_once(self):
+        state = random_state(2, 5)
+        qsim.measure(state, True, 1, rng(0))
+        misses = qsim._born.cache_info().misses
+        g = rng(1)
+        bits = {qsim.measure(PureState(state.amps), True, 1, g)[0] for _ in range(50)}
+        assert qsim._born.cache_info().misses == misses and bits == {0, 1}
 
 
 class TestMeasureBatch:

@@ -42,7 +42,7 @@ class UeParams:
 
     The map sends |0>|E> -> a|0>|e00> + b|1>|e01> and
     |1>|E> -> c|0>|e10> + d|1>|e11>, with each e vector a unit vector in a
-    4-dimensional ancilla space.
+    4-dimensional ancilla space; each is stored as a read-only copy.
     """
 
     a: complex
@@ -59,13 +59,14 @@ class UeParams:
             if not np.isfinite(complex(getattr(self, name))):
                 raise ProtocolError(f"amplitude {name} must be finite")
         for name in ("e00", "e01", "e10", "e11"):
-            v = np.asarray(getattr(self, name), dtype=complex)
+            v = np.array(getattr(self, name), dtype=complex)
             if v.shape != (4,):
                 raise ProtocolError(f"{name} must be a 4-dimensional vector")
             if not np.all(np.isfinite(v)):
                 raise ProtocolError(f"{name} must have finite components")
             if abs(np.vdot(v, v).real - 1.0) > 1e-10:
                 raise ProtocolError(f"{name} must be a unit vector")
+            v.flags.writeable = False
             object.__setattr__(self, name, v)
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-10:
             raise ProtocolError("|a|^2 + |b|^2 must equal 1")
@@ -81,7 +82,7 @@ class UeParams:
     def no_detection_point(cls) -> "UeParams":
         """The constrained parameters a=d=1, b=c=0, e00=e11 that evade detection."""
         e = np.array([1, 0, 0, 0], dtype=complex)
-        return cls(1, 0, 0, 1, e, e.copy(), np.array([0, 1, 0, 0], dtype=complex), e.copy())
+        return cls(1, 0, 0, 1, e, e, np.array([0, 1, 0, 0], dtype=complex), e)
 
 
 def sample_ue_params(rng: np.random.Generator) -> UeParams:

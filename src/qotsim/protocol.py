@@ -38,6 +38,7 @@ PAULI_CODE: dict[tuple[int, int], str] = {
 }
 #: the same gates as matrices, indexed 2 * m0 + m1
 PAULI_MATRICES = np.array([qsim.GATES[PAULI_CODE[divmod(code, 2)]] for code in range(4)])
+PAULI_MATRICES.flags.writeable = False
 
 
 def decoy_flipped(decoy_id, bit):
@@ -144,7 +145,7 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     owner's private record, later published for channel checking).
     """
     total = len(slots) + m
-    positions = sorted(int(p) for p in rng.choice(total, size=m, replace=False)) if m else []
+    positions = sorted(int(p) for p in rng.choice(total, size=m, replace=False))
     ids = [int(i) for i in rng.integers(0, 4, size=m)]
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
@@ -214,21 +215,16 @@ def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
 
 
 def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generator,
-                       tau: float = 0.0, positions=None) -> CheckResult:
+                       tau: float = 0.0) -> CheckResult:
     """Step 2b: Alice measures K randomly chosen slots in Bob's published bases.
 
     Bob publishes each tested slot's recorded choice bit c, and the slot is
     checked against decoy id 2c (|0> or |+>): an honest slot always passes,
-    and a flip is a loyalty failure. ``positions`` may be forced.
+    and a flip is a loyalty failure.
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
-    if positions is None:
-        positions = sorted(int(p) for p in rng.choice(len(slots), size=K, replace=False))
-    else:
-        positions = sorted(int(p) for p in positions)
-        if len(set(positions)) != K or any(not 0 <= p < len(slots) for p in positions):
-            raise ProtocolError("invalid loyalty test positions")
+    positions = sorted(int(p) for p in rng.choice(len(slots), size=K, replace=False))
     for p in positions:
         if slots[p].choice is None:
             raise ProtocolError(f"slot {p} has no preparation basis to publish")
@@ -463,11 +459,8 @@ def replay_transcript(line: str) -> tuple[bool, str]:
     if not (isinstance(d["pairs"], list)
             and all(_is_bit_array(p) and len(p) == 2 for p in d["pairs"])):
         raise ProtocolError("malformed transcript record: pairs is not a JSON array of bit pairs")
-    try:
-        cfg = ProtocolConfig(seed=d["seed"], **d["config"])
-        fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed transcript record: {exc}") from exc
+    cfg = ProtocolConfig(seed=d["seed"], **d["config"])
+    fresh = run_honest(cfg, choices=d["choices"], pairs=[tuple(p) for p in d["pairs"]])
     fresh_line = fresh.to_json_line()
     if fresh_line == line.strip():
         return True, "verified"

@@ -187,6 +187,9 @@ _BELL_AMPS: dict[BellKind, np.ndarray] = {
     BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _INV_SQRT2,
     BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _INV_SQRT2,
 }
+# every call that applies a gate or names a Bell state shares these arrays
+for _shared in (*GATES.values(), *_BELL_AMPS.values()):
+    _shared.flags.writeable = False
 
 
 def make_bell(kind: BellKind) -> PureState:
@@ -218,12 +221,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix."""
+    """Hermitian, unit-trace, positive semidefinite matrix; ``entries`` is a
+    read-only copy of the input."""
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRA_ATOL:
@@ -232,6 +236,7 @@ class DensityMatrix:
             raise ValueError("density matrix trace differs from 1")
         if np.min(np.linalg.eigvalsh(m)) < -NORM_ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
+        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property

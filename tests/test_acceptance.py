@@ -47,7 +47,7 @@ def test_criterion_2_worked_example():
     slots = [SequenceSlot(protocol.choice_state(c), choice=c, payload_index=i if i < 2 else None)
              for i, c in enumerate([0, 1, 0, 1])]
     g = np.random.default_rng(0)
-    loyal = protocol.alice_test_loyalty(slots, 1, g, positions=[3])
+    loyal = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [3]], g)
     payload = protocol.bob_reorder(loyal.remaining, [1, 0, 2], n_keep=2)
     encoded = protocol.alice_encode(payload, [(0, 1), (1, 0)])
     decoded = protocol.bob_check_and_decode(encoded, [], [1, 0], g)

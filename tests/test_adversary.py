@@ -67,6 +67,8 @@ class TestUeParams:
         e = np.array([1, 0, 0, 0], dtype=complex)
         with pytest.raises(ProtocolError):
             UeParams(1, 0, 0, 1, 2 * e, e, e, e)
+        with pytest.raises(ProtocolError, match="e00 must be a 4-dimensional vector"):
+            UeParams(1, 0, 0, 1, e[:3], e, e, e)
 
     def test_rejects_isometry_violation(self):
         e = np.array([1, 0, 0, 0], dtype=complex)

@@ -83,6 +83,11 @@ class TestHonest:
         path.write_text(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 1 and "divergence" in err
+        # untampered, but written with spaces: the bytes are what is verified
+        run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
+        path.write_text(json.dumps(json.loads(path.read_text())) + "\n")
+        code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 1 and "divergence in formatting" in err
 
     @pytest.mark.parametrize("malform", [
         lambda r: {k: v for k, v in r.items() if k != "seed"},
@@ -242,6 +247,8 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "--scenario", "intercept",
                                "--trials", "10")
         assert code == 2 and "requires --M" in err
+        code, out, err = run_cli(capsys, "attack", "--scenario", "entangling", "--trials", "10")
+        assert (code, out, err) == (2, "", "error: entangling scenario requires --ue-file\n")
 
     @pytest.mark.parametrize("argv", [["--scenario", "intercept", "--M", "-3"],
                                       ["--scenario", "bell", "--K", "-2"]])

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -77,6 +78,8 @@ class TestPrepare:
     def test_rejects_non_bit_choices(self):
         with pytest.raises(ProtocolError):
             protocol.bob_prepare_sequence([0, 2], 0, rng())
+        with pytest.raises(ProtocolError, match="loyalty count exceeds choice count"):
+            protocol.bob_prepare_sequence([0, 1], 0, rng(), n_loyalty=3)
 
 
 class TestChannelCheck:
@@ -97,6 +100,8 @@ class TestChannelCheck:
         slots, _, _ = protocol.bob_prepare_sequence([0, 1], 0, rng())
         with pytest.raises(ProtocolError):
             protocol.alice_check_channel(slots, [(9, 0)], rng())
+        with pytest.raises(ProtocolError, match="duplicate published decoy position"):
+            protocol.check_published_decoys(slots, [(1, 0), (1, 2)], rng())
 
     @pytest.mark.parametrize("decoy_id", [9, 4, -1])
     def test_decoy_id_out_of_range(self, decoy_id):
@@ -131,23 +136,25 @@ class TestLoyalty:
 
     def test_forced_positions(self):
         slots = make_worked_example_slots()
-        res = protocol.alice_test_loyalty(slots, 1, rng(), positions=[3])
+        res = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [3]], rng())
         assert res.positions == [3] and res.outcomes == [0]
         assert [s.choice for s in res.remaining] == [0, 1, 0]
 
     def test_decoy_position_names_the_slot(self):
-        """A decoy has no choice for Bob to publish, so forcing a loyalty
-        test onto one is rejected, naming its position."""
+        """A decoy has no choice for Bob to publish, so a loyalty test that
+        draws one is rejected, naming its position: testing every slot
+        reaches the first decoy first."""
         slots, positions, _ = protocol.bob_prepare_sequence([0, 1, 0, 1], 3, rng(2), n_loyalty=2)
-        p = positions[1]
+        p = positions[0]
         with pytest.raises(ProtocolError, match=rf"^slot {p} has no preparation basis"):
-            protocol.alice_test_loyalty(slots, 1, rng(), positions=[p])
+            protocol.alice_test_loyalty(slots, len(slots), rng())
 
 
 class TestReorder:
     def test_worked_example_permutation(self):
         slots = make_worked_example_slots()
-        remaining = protocol.alice_test_loyalty(slots, 1, rng(), positions=[3]).remaining
+        remaining = protocol.check_published_decoys(
+            slots, [(p, 2 * slots[p].choice) for p in [3]], rng()).remaining
         payload = protocol.bob_reorder(remaining, [1, 0, 2], n_keep=2)
         assert [s.choice for s in payload] == [1, 0]
         assert np.allclose(payload[0].state.amps, qsim.PLUS.amps)
@@ -176,7 +183,7 @@ class TestReorder:
         loyalty = protocol.default_loyalty_choices(2)
         slots, _, _ = protocol.bob_prepare_sequence(choices + loyalty, 0, g, n_loyalty=4)
         # consume two payload slots
-        res = protocol.alice_test_loyalty(slots, 2, g, positions=[0, 2])
+        res = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [0, 2]], g)
         perm = protocol.plan_reorder(res.remaining, choices)
         payload = protocol.bob_reorder(res.remaining, perm, n_keep=4)
         assert [s.choice for s in payload] == choices
@@ -357,6 +364,8 @@ class TestEncodeDecode:
         slot = SequenceSlot(qsim.ZERO, choice=0)
         with pytest.raises(ProtocolError):
             protocol.alice_encode([slot], [(0, 0), (1, 1)])
+        with pytest.raises(ProtocolError, match="payload length does not match"):
+            protocol.bob_check_and_decode([slot], [], [0, 1], rng())
 
     @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (1, 3)])
     def test_rejects_non_bit_pair(self, pair):
@@ -426,6 +435,8 @@ class TestHonestRuns:
     def test_rejects_non_bit_pair(self):
         with pytest.raises(ProtocolError, match="bits"):
             protocol.run_honest(ProtocolConfig(N=1, seed=0), pairs=[(0, 2)])
+        with pytest.raises(ProtocolError, match="need exactly N choices"):
+            protocol.run_honest(ProtocolConfig(N=2), choices=[0])
 
     def test_monte_carlo_honest_correctness(self):
         errors = 0
@@ -525,6 +536,9 @@ class TestTranscripts:
         t.decoded_bits[0] ^= 1
         ok, detail = protocol.replay_transcript(t.to_json_line())
         assert not ok and "decoded_bits" in detail
+        # the same record with every field intact, written with spaces
+        spaced = json.dumps(json.loads(protocol.run_honest(cfg).to_json_line()))
+        assert protocol.replay_transcript(spaced) == (False, "divergence in formatting")
 
     def test_replay_rejects_negative_seed(self):
         line = protocol.run_honest(ProtocolConfig(N=2, seed=3)).to_json_line()

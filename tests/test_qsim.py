@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim import qsim
+from qotsim import adversary, protocol, qsim
 from qotsim.qsim import BellKind, PureState
 
 
@@ -47,6 +47,8 @@ class TestGates:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             qsim.apply_gate(qsim.ZERO, "X", 1)
+        with pytest.raises(IndexError):
+            qsim.measure(qsim.ZERO, False, 1, rng())
 
     def test_gate_on_middle_qubit_of_three(self):
         state = qsim.tensor(qsim.tensor(qsim.ZERO, qsim.ZERO), qsim.ZERO)
@@ -60,6 +62,8 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             PureState([1, 1])
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PureState([np.nan, 1])
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -88,6 +92,31 @@ class TestPureState:
         state = PureState(mine)
         mine[0] = 0.8  # the caller's own array stays writable
         assert state.amps[0] == 0.6
+        # a density matrix and an entangling isometry copy the arrays they validate too
+        m = np.eye(2, dtype=complex) / 2
+        rho = qsim.DensityMatrix(m)
+        m[0, 0] = 5
+        assert rho.entries[0, 0] == 0.5
+        e, f = np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)
+        params = adversary.UeParams(1, 0, 0, 1, e, e, f, e)
+        e[:] = [3, 0, 0, 0]
+        assert params.e00[0] == 1 and params.e11[0] == 1
+        assert adversary.ue_detection_probability(params) == 0.0
+
+    @pytest.mark.parametrize("array", [
+        *qsim.GATES.values(),
+        *qsim._BELL_AMPS.values(),
+        protocol.PAULI_MATRICES,
+        qsim.density_of([qsim.PLUS]).entries,
+        *(getattr(adversary.UeParams.no_detection_point(), name) for name in ("e00", "e01", "e10", "e11")),
+    ], ids=[*(f"gate-{name}" for name in qsim.GATES), *(kind.value for kind in BellKind),
+            "pauli-matrices", "density-entries", "e00", "e01", "e10", "e11"])
+    def test_shared_arrays_are_read_only(self, array):
+        """Module tables are shared by every call that reads them, and a
+        validated object's arrays by everyone holding it. The write stores
+        the value already there, so a writable array is left intact."""
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
 
 
 class TestMeasure:
@@ -298,6 +327,8 @@ class TestBell:
     def test_bell_measure_rejects_product_state(self):
         with pytest.raises(ValueError):
             qsim.bell_measure(qsim.tensor(qsim.ZERO, qsim.ZERO))
+        with pytest.raises(ValueError, match="requires a two-qubit state"):
+            qsim.bell_measure(qsim.ZERO)
 
 
 class TestTensor:
@@ -336,6 +367,25 @@ class TestDensity:
         assert np.allclose(oracle, np.eye(2) / 2)
         rho = qsim.density_of([qsim.PLUS, qsim.MINUS])
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("entries, match", [
+        (np.full((2, 3), 1 / 3), "must be square"),
+        ([[0.5, 1], [0, 0.5]], "not Hermitian"),
+        (np.eye(2), "trace differs from 1"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ], ids=["non-square", "non-hermitian", "trace-2", "negative-eigenvalue"])
+    def test_density_matrix_rejects_invalid(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            qsim.DensityMatrix(entries)
+
+    @pytest.mark.parametrize("states, keep, match", [
+        ([], None, "at least one state"),
+        ([qsim.ZERO, qsim.make_bell(BellKind.PHI_PLUS)], None, "same qubit count"),
+        ([qsim.ZERO], [1], "invalid kept qubit set"),
+    ], ids=["empty", "mixed-widths", "keep-out-of-range"])
+    def test_density_of_rejects_invalid(self, states, keep, match):
+        with pytest.raises(ValueError, match=match):
+            qsim.density_of(states, keep=keep)
 
 
 def random_density(seed, dim=2):

@@ -36,7 +36,7 @@ class AttackScenario(Enum):
     ALICE_MEASURE_RESEND_DUMMY = "alice-dummy"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, so hash() works
 class UeParams:
     """Amplitudes and ancilla states of the per-qubit entangling isometry.
 

@@ -20,6 +20,7 @@ flag > config file > QOTSIM_SEED (the ``--seed`` default) > built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -91,10 +92,11 @@ def _write_csv(path, header: str, rows) -> None:
             out.write(csv_line(row) + "\n")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The qotsim parser. ``defaults`` maps dests to values that replace the
-    declared defaults in every subcommand; argparse converts a string default
-    with the flag's ``type`` when the flag is not given."""
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The qotsim parser and its subcommand parsers by name, built once per
+    process. ``--seed`` has no default here: for one call, :func:`main` sets
+    it and the file values on the subcommand it runs, then restores them."""
     parser = argparse.ArgumentParser(prog="qotsim",
                                      description="Oblivious-transfer protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,7 +106,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if name != "replay":
             p.add_argument("--config", help="key=value config file; flags override it")
-            p.add_argument("--seed", type=nonnegative_int, default=os.environ.get("QOTSIM_SEED", "0"))
+            p.add_argument("--seed", type=nonnegative_int, default=None)
             p.add_argument("--out", default=None, help="output path (default: stdout)")
         return p
 
@@ -140,9 +142,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = command("replay", _cmd_replay, "verify stored transcripts")
     p.add_argument("--transcript", required=True, help="JSONL transcript file")
 
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_honest(args) -> int:
@@ -225,15 +225,24 @@ def _cmd_replay(args) -> int:
 
 def main(argv=None) -> int:
     # The first pass only finds the subcommand and its --config file. It reads
-    # no QOTSIM_SEED, since a file seed may override a malformed one.
-    args = build_parser({"seed": None}).parse_args(argv)
+    # no QOTSIM_SEED, since a file seed may override a malformed one. The
+    # second pass parses again with the seed and file values as defaults;
+    # argparse converts a string default with the flag's ``type``.
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        file_values = {}
+        defaults = {"seed": os.environ.get("QOTSIM_SEED", "0")} if "seed" in vars(args) else {}
         if getattr(args, "config", None):
             settable = vars(args).keys() - _NOT_FROM_FILE
-            file_values = {key: value for key, value in protocol.read_key_values(args.config).items()
-                           if key in settable}
-        args = build_parser(file_values).parse_args(argv)
+            defaults.update((key, value) for key, value in protocol.read_key_values(args.config).items()
+                            if key in settable)
+        command = commands[args.command]
+        declared = {key: command.get_default(key) for key in defaults}
+        command.set_defaults(**defaults)
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            command.set_defaults(**declared)
         return args.handler(args)
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ other bit only ever shows up as a global phase on the carrier.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 
@@ -28,6 +29,8 @@ MAX_QUBITS_USED = 100_000
 DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
 #: qsim's table of the same states as amplitude rows, for code handling blocks
 DECOY_AMPS = qsim.EIGENSTATES
+#: the decoy ids a published (position, id) pair may name
+_DECOY_IDS = frozenset(range(len(DECOY_STATES)))
 
 #: message-pair to gate encoding
 PAULI_CODE: dict[tuple[int, int], str] = {
@@ -145,8 +148,8 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     owner's private record, later published for channel checking).
     """
     total = len(slots) + m
-    positions = sorted(int(p) for p in rng.choice(total, size=m, replace=False))
-    ids = [int(i) for i in rng.integers(0, 4, size=m)]
+    positions = sorted(rng.choice(total, size=m, replace=False).tolist())
+    ids = rng.integers(0, 4, size=m).tolist()
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
     for pos, did in zip(positions, ids):
@@ -199,7 +202,7 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
         raise ProtocolError("published decoy position out of range")
     if len(tested) != len(published):
         raise ProtocolError("duplicate published decoy position")
-    if any(did not in range(len(DECOY_STATES)) for _, did in published):
+    if any(did not in _DECOY_IDS for _, did in published):
         raise ProtocolError("published decoy id out of range")
     outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, 0, rng)[0]))
                 for pos, did in published]
@@ -224,7 +227,7 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
-    positions = sorted(int(p) for p in rng.choice(len(slots), size=K, replace=False))
+    positions = sorted(rng.choice(len(slots), size=K, replace=False).tolist())
     for p in positions:
         if slots[p].choice is None:
             raise ProtocolError(f"slot {p} has no preparation basis to publish")
@@ -274,19 +277,29 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
     return [slots[p] for p in permutation[:n_keep]]
 
 
+@functools.lru_cache(maxsize=qsim.OUTCOME_CACHE)
+def _encoded(amps_bytes: bytes, code: int) -> PureState:
+    """The register with these amplitude bytes after the Pauli gate
+    ``PAULI_MATRICES[code]`` on qubit 0."""
+    amps = np.frombuffer(amps_bytes, complex)
+    return PureState(qsim.apply_batch(amps[None], PAULI_MATRICES[code])[0], _checked=True)
+
+
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
     """Step 4: apply the Pauli encoding of each message pair to qubit 0 of
-    its slot, for all slots (of one register width) as one amplitude block."""
+    its slot, a register of any width.
+
+    A run's slots hold few distinct registers, so each encoded register is
+    computed once per (amplitude bytes, pair code 2 * m0 + m1), as
+    :func:`qsim.measure` keys its outcomes, and shared by later slots.
+    """
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
     if any(pair not in PAULI_CODE for pair in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
-    if not slots:
-        return []
-    gates = PAULI_MATRICES[[2 * m0 + m1 for m0, m1 in pairs]]
-    rows = qsim.apply_batch(np.array([slot.state.amps for slot in slots]), gates)
-    return [replace(slot, state=PureState(row, _checked=True)) for slot, row in zip(slots, rows)]
+    return [replace(slot, state=_encoded(slot.state.amps.tobytes(), 2 * m0 + m1))
+            for slot, (m0, m1) in zip(slots, pairs)]
 
 
 def alice_insert_decoys(slots, M2: int, rng) -> tuple[list[SequenceSlot], list[int], list[int]]:

@@ -219,7 +219,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.kron(a.amps, b.amps), _checked=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, so hash() works
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix; ``entries`` is a
     read-only copy of the input."""

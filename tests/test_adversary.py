@@ -58,6 +58,12 @@ class TestUeParams:
         p = UeParams.no_detection_point()
         assert p.a == 1 and p.d == 1
 
+    def test_equality_is_identity_and_hashable(self):
+        # an array field makes a generated __eq__ raise and __hash__ fail
+        p, same = UeParams.no_detection_point(), UeParams.no_detection_point()
+        assert (p == p) is True and (p == same) is False
+        assert {p: 1}[p] == 1 and hash(p) != hash(same)
+
     def test_rejects_unnormalized_amplitudes(self):
         e = np.array([1, 0, 0, 0], dtype=complex)
         with pytest.raises(ProtocolError):

@@ -36,6 +36,19 @@ class TestCost:
         assert code == 0
         assert path.read_text().startswith("R,yang")
 
+    def test_rmax_one_writes_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "cost", "--rmax", "1")
+        assert code == 0 and out.splitlines()[1:] == ["1,54,54,104,141"]
+
+    @pytest.mark.parametrize("argv, dest, default", [
+        (["cost"], "rmax", 100),
+        (["attack", "--scenario", "bell"], "trials", 100_000),
+        (["sweep", "--scenario", "intercept"], "trials", 100_000),
+    ], ids=["cost", "attack", "sweep"])
+    def test_bare_command_defaults(self, argv, dest, default):
+        parser, _ = cli.build_parser()
+        assert getattr(parser.parse_args(argv), dest) == default
+
     @pytest.mark.parametrize("rmax", ["-5", "0"])
     def test_rmax_below_one_names_flag(self, capsys, rmax):
         code, out, err = run_cli(capsys, "cost", "--rmax", rmax)
@@ -65,6 +78,11 @@ class TestHonest:
         assert len(lines) == 4
         code, out, _ = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 0 and "verified 4" in out
+
+    def test_runs_one_writes_one_record(self, capsys):
+        code, out, _ = run_cli(capsys, "honest", "--runs", "1", "--seed", "3")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert json.loads(out)["seed"] == 3
 
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -195,6 +213,19 @@ class TestSeedEnvironment:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "error:" in err and "--seed" in err and ">= 0" in err
+
+    def test_file_values_do_not_outlive_their_call(self, capsys, monkeypatch, tmp_path):
+        # the parser is shared between calls, so a call's defaults must not outlive it
+        monkeypatch.delenv("QOTSIM_SEED", raising=False)
+        code, expected, _ = run_cli(capsys, *self.HONEST)
+        assert code == 0
+        good, bad = tmp_path / "good.conf", tmp_path / "bad.conf"
+        good.write_text("M = 3\nseed = 5\n")
+        bad.write_text("M = 4\nseed = x\n")
+        assert run_cli(capsys, *self.HONEST, "--config", str(good))[0] == 0
+        assert run_cli(capsys, *self.HONEST, "--config", str(bad))[0] == 2
+        code, out, _ = run_cli(capsys, *self.HONEST)
+        assert code == 0 and out == expected
 
     def test_file_seed_beats_env(self, capsys, monkeypatch, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -484,5 +515,5 @@ class TestReadme:
                     for line in block.splitlines() if line.startswith("qotsim ")]
         assert commands
         for line in commands:
-            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            args = cli.build_parser()[0].parse_args(shlex.split(line)[1:])
             assert callable(args.handler), line

@@ -192,12 +192,31 @@ class TestObliviousness:
         for choice, bit in itertools.product((0, 1), (0, 1)):
             assert experiments.obliviousness_report(choice, bit) <= 1e-12
 
+    @pytest.mark.parametrize("choice", [0, 1])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_compares_encodings_differing_only_in_the_unchosen_bit(self, monkeypatch, choice, bit):
+        gates, original = [], qsim.apply_gate
+
+        def apply_gate(state, gate, target):
+            gates.append(gate)
+            return original(state, gate, target)
+
+        monkeypatch.setattr(qsim, "apply_gate", apply_gate)
+        assert experiments.obliviousness_report(choice, bit) <= 1e-12
+        pair_of = {gate: pair for pair, gate in protocol.PAULI_CODE.items()}
+        first, second = (pair_of[gate] for gate in gates)
+        assert first[choice] == second[choice] == bit and first[1 - choice] != second[1 - choice]
+
     def test_chosen_bit_is_visible(self):
-        # sanity: flipping the chosen bit moves the state to an orthogonal one
-        carrier = protocol.choice_state(0)
-        d0 = qsim.density_of([qsim.apply_gate(carrier, protocol.PAULI_CODE[(0, 0)], 0)])
-        d1 = qsim.density_of([qsim.apply_gate(carrier, protocol.PAULI_CODE[(1, 0)], 0)])
-        assert qsim.trace_distance(d0, d1) == pytest.approx(1.0)
+        # positive control: flipping the chosen bit moves the state to an
+        # orthogonal one, so the distance that reads 0 above can read 1
+        for choice, unchosen in itertools.product((0, 1), (0, 1)):
+            carrier = protocol.choice_state(choice)
+            densities = []
+            for bit in (0, 1):
+                pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
+                densities.append(qsim.density_of([qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0)]))
+            assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
 
 class TestAliceAttackReport:

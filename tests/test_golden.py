@@ -138,6 +138,15 @@ def test_attack_csv_is_pinned(capsys, tmp_path, name):
     assert code == 0 and capsys.readouterr().out == expected
 
 
+#: every trace distance is exactly 0, one row per (choice, chosen bit)
+GOLDEN_OBLIVIOUS_CSV = "choice,chosen_bit,trace_distance\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n"
+
+
+def test_oblivious_csv_is_pinned(capsys):
+    code = cli.main(["oblivious"])
+    assert code == 0 and capsys.readouterr().out == GOLDEN_OBLIVIOUS_CSV
+
+
 #: full argv -> output, for the sequential-check paths: zero rounds, a round
 #: count that every trial exits early from, and more than one trial chunk
 GOLDEN_CLI_CSVS = {

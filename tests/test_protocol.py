@@ -336,7 +336,7 @@ class TestEncodeDecode:
         assert np.array_equal(encoded, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0).amps)
 
     def test_block_encoding_equals_the_gate_per_slot(self):
-        # one block of every pair over every decoy state, so rows cannot mix
+        # one call over every pair and every decoy state, so slots cannot mix
         cases = [(did, pair) for did in range(4) for pair in sorted(protocol.PAULI_CODE)]
         slots = [SequenceSlot(protocol.DECOY_STATES[did]) for did, _ in cases]
         encoded = protocol.alice_encode(slots, [pair for _, pair in cases])
@@ -418,6 +418,43 @@ class TestEncodeDecode:
         n = counts.sum()
         chi2 = float(np.sum((counts - n / 4) ** 2 / (n / 4)))
         assert chi2 < 16.27  # chi-square 3 dof, upper 1e-3 quantile
+
+
+def random_register(n_qubits, seed):
+    g = rng(seed)
+    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
+    return qsim.PureState(amps / np.linalg.norm(amps))
+
+
+#: registers whose encodings are exact, over one to three qubits
+EXACT_REGISTERS = [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS),
+                   qsim.tensor(qsim.MINUS, qsim.make_bell(qsim.BellKind.PSI_MINUS))]
+
+
+def assert_encodes_as_the_gate(states, pairs):
+    encoded = protocol.alice_encode([SequenceSlot(state) for state in states], pairs)
+    for slot, state, pair in zip(encoded, states, pairs, strict=True):
+        assert np.array_equal(slot.state.amps, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0).amps)
+
+
+class TestEncodeMemo:
+    """``alice_encode`` computes each encoded register once, keyed by its
+    amplitude bytes and pair; every slot must still read as ``apply_gate``."""
+
+    @given(st.one_of(st.sampled_from(EXACT_REGISTERS),
+                     st.builds(random_register, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+           st.sampled_from(sorted(protocol.PAULI_CODE)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_gate(self, state, pair, seed):
+        # first call, then a byte-equal copy, which finds the cached register
+        assert_encodes_as_the_gate([state], [pair])
+        assert_encodes_as_the_gate([qsim.PureState(state.amps)], [pair])
+        # more distinct registers than the cache holds, every pair among them
+        others = [random_register(1 + t % 3, seed + t) for t in range(qsim.OUTCOME_CACHE + 1)]
+        pairs = [divmod(t % 4, 2) for t in range(len(others))]
+        assert_encodes_as_the_gate(others, pairs)
+        assert protocol._encoded.cache_info().currsize <= qsim.OUTCOME_CACHE
+        assert_encodes_as_the_gate([state], [pair])
 
 
 class TestHonestRuns:

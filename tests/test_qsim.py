@@ -378,6 +378,12 @@ class TestDensity:
         with pytest.raises(ValueError, match=match):
             qsim.DensityMatrix(entries)
 
+    def test_equality_is_identity_and_hashable(self):
+        # an array field makes a generated __eq__ raise and __hash__ fail
+        rho, same = qsim.density_of([qsim.ZERO]), qsim.density_of([qsim.ZERO])
+        assert (rho == rho) is True and (rho == same) is False
+        assert {rho: 1}[rho] == 1 and hash(rho) != hash(same)
+
     @pytest.mark.parametrize("states, keep, match", [
         ([], None, "at least one state"),
         ([qsim.ZERO, qsim.make_bell(BellKind.PHI_PLUS)], None, "same qubit count"),

@@ -64,13 +64,13 @@ class UeParams:
                 raise ProtocolError(f"{name} must be a 4-dimensional vector")
             if not np.all(np.isfinite(v)):
                 raise ProtocolError(f"{name} must have finite components")
-            if abs(np.vdot(v, v).real - 1.0) > 1e-10:
+            if abs(np.vdot(v, v).real - 1.0) > qsim.NORM_ATOL:
                 raise ProtocolError(f"{name} must be a unit vector")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-10:
+        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > qsim.NORM_ATOL:
             raise ProtocolError("|a|^2 + |b|^2 must equal 1")
-        if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > 1e-10:
+        if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > qsim.NORM_ATOL:
             raise ProtocolError("|c|^2 + |d|^2 must equal 1")
         # the two image vectors must be orthogonal for the map to be an isometry
         cross = (np.conj(self.a) * self.c * np.vdot(self.e00, self.e10)

@@ -25,7 +25,6 @@ class ProtocolId(Enum):
 @dataclass(frozen=True)
 class ProtocolCost:
     qubits_per_message: int
-    transmissions: int
     decoy_qubits: int
     loyalty_qubits: int
 
@@ -34,10 +33,10 @@ class ProtocolCost:
 
 
 TABLE: dict[ProtocolId, ProtocolCost] = {
-    ProtocolId.YANG2013: ProtocolCost(4, 1, 50, 0),
-    ProtocolId.YSW2015: ProtocolCost(4, 1, 50, 0),
-    ProtocolId.YYLSZ2015: ProtocolCost(4, 2, 2 * 50, 0),
-    ProtocolId.PROPOSED: ProtocolCost(1, 2, 2 * 50, 2 * 20),
+    ProtocolId.YANG2013: ProtocolCost(4, 50, 0),
+    ProtocolId.YSW2015: ProtocolCost(4, 50, 0),
+    ProtocolId.YYLSZ2015: ProtocolCost(4, 2 * 50, 0),
+    ProtocolId.PROPOSED: ProtocolCost(1, 2 * 50, 2 * 20),
 }
 
 CROSSOVER_LIMIT = 10_000

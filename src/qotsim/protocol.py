@@ -367,9 +367,10 @@ class Transcript:
     @staticmethod
     def parse_json_line(line: str) -> dict:
         """Decode one record and check it has exactly the transcript's keys."""
+        # ValueError: bad JSON or an int past Python's digit limit; RecursionError: deep nesting
         try:
             d = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"transcript record is not JSON: {exc}") from None
         if not isinstance(d, dict):
             raise ProtocolError("transcript record is not a JSON object")

@@ -25,8 +25,6 @@ import numpy as np
 ALGEBRA_ATOL = 1e-12
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
-#: tolerance for global-phase comparison
-PHASE_TOL = 1e-9
 
 MAX_QUBITS = 3
 
@@ -212,13 +210,6 @@ def bell_measure(state: PureState) -> BellKind:
     raise ValueError("state is not within tolerance of any Bell state")
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product of two registers (combined size capped at 3 qubits)."""
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise ValueError(f"combined register of {a.n_qubits + b.n_qubits} qubits exceeds {MAX_QUBITS}")
-    return PureState(np.kron(a.amps, b.amps), _checked=True)
-
-
 @dataclass(frozen=True, eq=False)  # array fields: == is identity, so hash() works
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix; ``entries`` is a
@@ -244,48 +235,9 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def _partial_trace(rho: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
-    t = rho.reshape((2,) * (2 * n))
-    remaining = n
-    for q in reversed(range(n)):
-        if q in keep:
-            continue
-        t = np.trace(t, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    d = 1 << remaining
-    return t.reshape(d, d)
-
-
-def density_of(states, keep=None) -> DensityMatrix:
-    """Uniform mixture of pure states, reduced to the kept qubits.
-
-    ``keep`` defaults to all qubits of the (common-size) input states.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("density_of needs at least one state")
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        raise ValueError("all states must have the same qubit count")
-    if keep is None:
-        keep = tuple(range(n))
-    keep = tuple(sorted(set(int(q) for q in keep)))
-    if any(not 0 <= q < n for q in keep) or not keep:
-        raise ValueError(f"invalid kept qubit set {keep}")
-    rho = sum(np.outer(s.amps, s.amps.conj()) for s in states) / len(states)
-    return DensityMatrix(_partial_trace(rho, n, keep))
-
-
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of |eigenvalues| of rho - sigma; lies in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     eig = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(eig)))
-
-
-def equal_up_to_global_phase(a: PureState, b: PureState) -> bool:
-    """True iff |<a|b>| >= 1 - PHASE_TOL."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("dimension mismatch")
-    return abs(np.vdot(a.amps, b.amps)) >= 1.0 - PHASE_TOL

@@ -127,10 +127,13 @@ class TestHonest:
         lambda r: {**r, "version": True},
         lambda r: {**r, "seed": True},
         lambda r: {**r, "seed": -3},
+        lambda r: json.dumps({**r, "choices": 0}).replace(
+            '"choices": 0', '"choices": ' + "[" * 100_000 + "]" * 100_000),
+        lambda r: json.dumps({**r, "seed": 0}).replace('"seed": 0', '"seed": ' + "9" * 5000),
     ], ids=["no-seed", "extra-config-key", "seed-in-config", "choices-not-a-list", "null-choices",
             "null-pairs", "not-an-object", "non-bit-pair", "huge-register", "not-json",
             "string-pairs", "bool-choices", "float-choices", "bool-N", "bool-tau", "bool-version",
-            "bool-seed", "negative-seed"])
+            "bool-seed", "negative-seed", "deeply-nested", "5000-digit-seed"])
     def test_replay_rejects_malformed_record(self, capsys, tmp_path, malform):
         """The malformed record follows a valid one, and the error names it."""
         path = tmp_path / "runs.jsonl"

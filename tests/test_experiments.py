@@ -215,7 +215,8 @@ class TestObliviousness:
             densities = []
             for bit in (0, 1):
                 pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
-                densities.append(qsim.density_of([qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0)]))
+                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0).amps
+                densities.append(qsim.DensityMatrix(np.outer(v, v.conj())))
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
 

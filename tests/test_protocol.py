@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 
@@ -12,6 +13,11 @@ from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot, choice_
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def kron(*states):
+    """The register whose qubits are those of ``states``, in order."""
+    return qsim.PureState(functools.reduce(np.kron, (s.amps for s in states)))
 
 
 def make_worked_example_slots():
@@ -288,8 +294,8 @@ class TestDecoyIds:
 #: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
 EXACT_ROWS = [s.amps for s in (
     *protocol.DECOY_STATES, *(qsim.make_bell(k) for k in qsim.BellKind),
-    qsim.tensor(qsim.PLUS, qsim.ONE), qsim.tensor(qsim.MINUS, qsim.make_bell(qsim.BellKind.PHI_PLUS)),
-    qsim.tensor(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO))]
+    kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PHI_PLUS)),
+    kron(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO))]
 
 
 def random_row(n_qubits, seed):
@@ -428,7 +434,7 @@ def random_register(n_qubits, seed):
 
 #: registers whose encodings are exact, over one to three qubits
 EXACT_REGISTERS = [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS),
-                   qsim.tensor(qsim.MINUS, qsim.make_bell(qsim.BellKind.PSI_MINUS))]
+                   kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PSI_MINUS))]
 
 
 def assert_encodes_as_the_gate(states, pairs):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,15 @@ from qotsim.qsim import BellKind, PureState
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def kron(*states):
+    """The register whose qubits are those of ``states``, in order."""
+    return PureState(functools.reduce(np.kron, (s.amps for s in states)))
+
+
+def projector(state):
+    return qsim.DensityMatrix(np.outer(state.amps, state.amps.conj()))
 
 
 class TestGates:
@@ -51,7 +61,7 @@ class TestGates:
             qsim.measure(qsim.ZERO, False, 1, rng())
 
     def test_gate_on_middle_qubit_of_three(self):
-        state = qsim.tensor(qsim.tensor(qsim.ZERO, qsim.ZERO), qsim.ZERO)
+        state = kron(qsim.ZERO, qsim.ZERO, qsim.ZERO)
         out = qsim.apply_gate(state, "X", 1)
         expected = np.zeros(8)
         expected[0b010] = 1
@@ -107,7 +117,7 @@ class TestPureState:
         *qsim.GATES.values(),
         *qsim._BELL_AMPS.values(),
         protocol.PAULI_MATRICES,
-        qsim.density_of([qsim.PLUS]).entries,
+        projector(qsim.PLUS).entries,
         *(getattr(adversary.UeParams.no_detection_point(), name) for name in ("e00", "e01", "e10", "e11")),
     ], ids=[*(f"gate-{name}" for name in qsim.GATES), *(kind.value for kind in BellKind),
             "pauli-matrices", "density-entries", "e00", "e01", "e10", "e11"])
@@ -220,7 +230,7 @@ def assert_measures_as_reference(state, x_basis, target, u):
 
 #: states whose Born probabilities are 0, 1/2 or 1, over one to three qubits
 EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(BellKind.PSI_MINUS),
-                qsim.tensor(qsim.MINUS, qsim.make_bell(BellKind.PHI_PLUS))]
+                kron(qsim.MINUS, qsim.make_bell(BellKind.PHI_PLUS))]
 
 
 class TestMeasureMemo:
@@ -326,28 +336,14 @@ class TestBell:
 
     def test_bell_measure_rejects_product_state(self):
         with pytest.raises(ValueError):
-            qsim.bell_measure(qsim.tensor(qsim.ZERO, qsim.ZERO))
+            qsim.bell_measure(kron(qsim.ZERO, qsim.ZERO))
         with pytest.raises(ValueError, match="requires a two-qubit state"):
             qsim.bell_measure(qsim.ZERO)
 
 
-class TestTensor:
-    def test_zero_plus_preparation(self):
-        state = qsim.tensor(qsim.ZERO, qsim.PLUS)
-        assert np.allclose(state.amps, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
-
-    def test_zero_zero(self):
-        assert np.allclose(qsim.tensor(qsim.ZERO, qsim.ZERO).amps, [1, 0, 0, 0])
-
-    def test_overflow_rejected(self):
-        two = qsim.tensor(qsim.ZERO, qsim.ZERO)
-        with pytest.raises(ValueError):
-            qsim.tensor(two, two)
-
-
 class TestDensity:
     def test_pure_state_projector(self):
-        rho = qsim.density_of([qsim.ZERO])
+        rho = projector(qsim.ZERO)
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_bell_half_is_maximally_mixed(self):
@@ -357,15 +353,12 @@ class TestDensity:
         oracle = np.array([[proj[0, 0] + proj[1, 1], proj[0, 2] + proj[1, 3]],
                            [proj[2, 0] + proj[3, 1], proj[2, 2] + proj[3, 3]]])
         assert np.allclose(oracle, np.eye(2) / 2)
-        rho = qsim.density_of([b], keep=[0])
-        assert np.allclose(rho.entries, oracle, atol=1e-12)
 
     def test_plus_minus_mixture_is_maximally_mixed(self):
         # oracle: direct matrix sum of the two projectors
         oracle = 0.5 * (np.outer(qsim.PLUS.amps, qsim.PLUS.amps.conj())
                         + np.outer(qsim.MINUS.amps, qsim.MINUS.amps.conj()))
-        assert np.allclose(oracle, np.eye(2) / 2)
-        rho = qsim.density_of([qsim.PLUS, qsim.MINUS])
+        rho = qsim.DensityMatrix(oracle)
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
     @pytest.mark.parametrize("entries, match", [
@@ -380,18 +373,9 @@ class TestDensity:
 
     def test_equality_is_identity_and_hashable(self):
         # an array field makes a generated __eq__ raise and __hash__ fail
-        rho, same = qsim.density_of([qsim.ZERO]), qsim.density_of([qsim.ZERO])
+        rho, same = projector(qsim.ZERO), projector(qsim.ZERO)
         assert (rho == rho) is True and (rho == same) is False
         assert {rho: 1}[rho] == 1 and hash(rho) != hash(same)
-
-    @pytest.mark.parametrize("states, keep, match", [
-        ([], None, "at least one state"),
-        ([qsim.ZERO, qsim.make_bell(BellKind.PHI_PLUS)], None, "same qubit count"),
-        ([qsim.ZERO], [1], "invalid kept qubit set"),
-    ], ids=["empty", "mixed-widths", "keep-out-of-range"])
-    def test_density_of_rejects_invalid(self, states, keep, match):
-        with pytest.raises(ValueError, match=match):
-            qsim.density_of(states, keep=keep)
 
 
 def random_density(seed, dim=2):
@@ -407,13 +391,13 @@ class TestTraceDistance:
         assert qsim.trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
-        d = qsim.trace_distance(qsim.density_of([qsim.ZERO]), qsim.density_of([qsim.ONE]))
+        d = qsim.trace_distance(projector(qsim.ZERO), projector(qsim.ONE))
         assert abs(d - 1.0) <= 1e-12
 
     def test_global_phase_invisible_in_density(self):
         # X|0> = |1>, Y|0> = -|1>: identical density matrices
-        dx = qsim.density_of([qsim.apply_gate(qsim.ZERO, "X", 0)])
-        dy = qsim.density_of([qsim.apply_gate(qsim.ZERO, "Y", 0)])
+        dx = projector(qsim.apply_gate(qsim.ZERO, "X", 0))
+        dy = projector(qsim.apply_gate(qsim.ZERO, "Y", 0))
         assert qsim.trace_distance(dx, dy) <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -429,25 +413,3 @@ class TestTraceDistance:
         assert abs(dab - qsim.trace_distance(b, a)) <= 1e-12
         assert dab <= qsim.trace_distance(a, c) + qsim.trace_distance(c, b) + 1e-12
         assert dab <= 1.0 + 1e-12
-
-
-class TestGlobalPhase:
-    def test_sign_flip_is_equal(self):
-        minus_one = PureState([0, -1])
-        assert qsim.equal_up_to_global_phase(qsim.ONE, minus_one)
-
-    def test_identical_states_equal(self):
-        assert qsim.equal_up_to_global_phase(qsim.ZERO, qsim.ZERO)
-
-    def test_orthogonal_states_differ(self):
-        assert not qsim.equal_up_to_global_phase(qsim.ZERO, qsim.ONE)
-
-    @given(st.floats(0, 2 * np.pi))
-    @settings(max_examples=25, deadline=None)
-    def test_any_phase_factor_is_equal(self, theta):
-        rotated = PureState(np.exp(1j * theta) * qsim.PLUS.amps)
-        assert qsim.equal_up_to_global_phase(qsim.PLUS, rotated)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qsim.equal_up_to_global_phase(qsim.ZERO, qsim.make_bell(BellKind.PHI_PLUS))

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import protocol, qsim
-from .qsim import BellKind, PureState
+from .qsim import BellKind
 from .protocol import DECOY_AMPS, ProtocolError, SequenceSlot, insert_decoys
 
 ISOMETRY_ATOL = 1e-9
@@ -187,7 +187,7 @@ BELL_SLOT = qsim.make_bell(BellKind.PHI_PLUS)
 def bell_slots(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """``n`` :data:`BELL_SLOT` rows as an ``(n, 4)`` block, with the choice bit Bob
     declares for each if tested: uniformly random, as a Bell half has none."""
-    return np.broadcast_to(BELL_SLOT.amps, (n, 4)), rng.integers(2, size=n)
+    return np.broadcast_to(BELL_SLOT, (n, 4)), rng.integers(2, size=n)
 
 
 def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot], list[int], list[int]]:
@@ -208,7 +208,7 @@ BELL_TO_PAIR: dict[BellKind, tuple[int, int]] = {
 }
 
 
-def bob_bell_cheat_readout(state: PureState) -> tuple[int, int]:
+def bob_bell_cheat_readout(state: np.ndarray) -> tuple[int, int]:
     """Recover Alice's message pair from the returned half + kept half."""
     return BELL_TO_PAIR[qsim.bell_measure(state)]
 

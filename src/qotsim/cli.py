@@ -206,13 +206,14 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    # one record at a time, so that a file of any length fits in memory
+    # one record at a time, so that a file of any length fits in memory; each
+    # is decoded on its own, so bytes that are not UTF-8 fail their own record
     count = 0
-    with open(args.transcript, "r", encoding="utf-8") as fh:
-        for count, line in enumerate((ln.rstrip("\n") for ln in fh if ln.strip()), start=1):
+    with open(args.transcript, "rb") as fh:
+        for count, line in enumerate((ln for ln in fh if ln.strip()), start=1):
             try:
-                ok, detail = protocol.replay_transcript(line)
-            except ProtocolError as exc:
+                ok, detail = protocol.replay_transcript(line.decode("utf-8"))
+            except (ProtocolError, UnicodeDecodeError) as exc:
                 raise ProtocolError(f"record {count}: {exc}") from exc
             if not ok:
                 print(f"replay failed at record {count}: {detail}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import qsim
-from .qsim import PureState
 
 TRANSCRIPT_VERSION = 1
 
@@ -23,11 +22,11 @@ TRANSCRIPT_VERSION = 1
 #: allocated; far above the paper's R + 140 and every configuration it studies
 MAX_QUBITS_USED = 100_000
 
-#: decoy preparations by id d = 2 * [X basis] + bit, qsim's eigenstate order:
-#: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one key for a state,
-#: its basis and its bit; Bob's choice c is id 2c.
+#: decoy preparations (read-only rows) by id d = 2 * [X basis] + bit, qsim's
+#: eigenstate order: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one
+#: key for a state, its basis and its bit; Bob's choice c is id 2c.
 DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
-#: qsim's table of the same states as amplitude rows, for code handling blocks
+#: qsim's table of the same states as one array, for code handling blocks
 DECOY_AMPS = qsim.EIGENSTATES
 #: the decoy ids a published (position, id) pair may name
 _DECOY_IDS = frozenset(range(len(DECOY_STATES)))
@@ -57,7 +56,7 @@ def decoy_flips(amps: np.ndarray, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
     return decoy_flipped(ids, u < qsim.probability_of_one(amps, ids >= 2))
 
 
-def choice_state(choice: int) -> PureState:
+def choice_state(choice: int) -> np.ndarray:
     """Bob's preparation of choice c, decoy state 2c. It names the states
     itself, so a run with other decoy states keeps its choice slots."""
     return qsim.ZERO if choice == 0 else qsim.PLUS
@@ -71,8 +70,12 @@ def read_key_values(path) -> dict[str, str]:
     """Read a ``key = value`` text file; ``#`` starts a comment and blank
     lines are skipped. Later keys override earlier ones."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"{path}:{lineno}: {exc}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -83,9 +86,10 @@ def read_key_values(path) -> dict[str, str]:
     return values
 
 
-@dataclass
+@dataclass(eq=False)  # an array field: == is identity, so hash() works
 class SequenceSlot:
-    """One qubit of the transmitted sequence; its position is its list index.
+    """One qubit of the transmitted sequence; its position is its list index,
+    and ``state`` is its register, a read-only amplitude row.
 
     A slot is payload iff ``payload_index`` (the intended choice it carries)
     is set. ``choice`` is the owner's private preparation record: Bob's choice
@@ -97,7 +101,7 @@ class SequenceSlot:
     slots, the transmitted qubit is always tensor factor 0 of ``state``).
     """
 
-    state: PureState
+    state: np.ndarray
     choice: int | None = None
     payload_index: int | None = None
 
@@ -278,11 +282,12 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
 
 
 @functools.lru_cache(maxsize=qsim.OUTCOME_CACHE)
-def _encoded(amps_bytes: bytes, code: int) -> PureState:
-    """The register with these amplitude bytes after the Pauli gate
+def _encoded(amps_bytes: bytes, code: int) -> np.ndarray:
+    """The read-only register with these amplitude bytes after the Pauli gate
     ``PAULI_MATRICES[code]`` on qubit 0."""
-    amps = np.frombuffer(amps_bytes, complex)
-    return PureState(qsim.apply_batch(amps[None], PAULI_MATRICES[code])[0], _checked=True)
+    encoded = qsim.apply_batch(np.frombuffer(amps_bytes, complex)[None], PAULI_MATRICES[code])[0]
+    encoded.flags.writeable = False
+    return encoded
 
 
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
@@ -298,7 +303,7 @@ def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
     if any(pair not in PAULI_CODE for pair in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
-    return [replace(slot, state=_encoded(slot.state.amps.tobytes(), 2 * m0 + m1))
+    return [replace(slot, state=_encoded(slot.state.tobytes(), 2 * m0 + m1))
             for slot, (m0, m1) in zip(slots, pairs)]
 
 

@@ -1,5 +1,8 @@
 """Minimal pure-state simulator for one to three qubits.
 
+A register is a 1-D complex row of 2^n unit-norm amplitudes. The memos key
+a register by its bytes and read them as complex, so a float row is misread.
+
 Conventions:
   * qubit 0 is the leftmost tensor factor (most significant amplitude index bit);
   * the Y gate is the real matrix [[0, 1], [-1, 0]] (= ZX), so Y|0> = -|1>;
@@ -7,8 +10,9 @@ Conventions:
     map |0> -> 0, |1> -> 1 and X-basis outcomes map |+> -> 0, |-> -> 1, so the
     eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``.
 
-All operations are pure functions of (state, rng); states and their amplitude
-arrays are immutable after construction. Probabilistic operations take an
+All operations are pure functions of (register, rng). Every register they
+return, and every one this module defines, is read-only, so registers and
+their measurement outcomes can be shared. Probabilistic operations take an
 explicit numpy Generator so runs are replayable.
 """
 
@@ -26,10 +30,8 @@ ALGEBRA_ATOL = 1e-12
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
 
-MAX_QUBITS = 3
-
 #: distinct (register, basis, target) measurements whose outcomes
-#: :func:`measure` keeps; bounds memory when many random states are measured
+#: :func:`measure` keeps; bounds memory when many random registers are measured
 OUTCOME_CACHE = 256
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -51,45 +53,18 @@ GATES: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
 }
 
-
-class PureState:
-    """Unit-norm complex amplitude vector over 1..3 qubits. ``amps`` is a
-    read-only copy of the input, so a state and its measurement outcomes can
-    be shared."""
-
-    __slots__ = ("n_qubits", "amps")
-
-    def __init__(self, amps, _checked: bool = False):
-        amps = np.array(amps, dtype=complex)
-        # the rank is checked before the length is read, and the length before it is shifted
-        n = amps.shape[0].bit_length() - 1 if amps.ndim == 1 else 0
-        if not 1 <= n <= MAX_QUBITS or amps.shape != (1 << n,):
-            raise ValueError(f"amplitudes of shape {amps.shape} are not a 1..{MAX_QUBITS} qubit register")
-        if not _checked:
-            if not np.all(np.isfinite(amps.view(float))):
-                raise ValueError("amplitudes must be finite")
-            norm2 = float(np.vdot(amps, amps).real)
-            if abs(norm2 - 1.0) > NORM_ATOL:
-                raise ValueError(f"state is not normalized (|amps|^2 = {norm2})")
-        amps.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amps", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState is immutable")
-
-    def __repr__(self):
-        return f"PureState({np.array2string(self.amps, precision=4)})"
-
-
-# single-qubit constants
-ZERO = PureState([1, 0], _checked=True)
-ONE = PureState([0, 1], _checked=True)
-PLUS = PureState([_INV_SQRT2, _INV_SQRT2], _checked=True)
-MINUS = PureState([_INV_SQRT2, -_INV_SQRT2], _checked=True)
-#: qubit-0 outcome eigenstates, indexed 2 * (X basis) + bit
-EIGENSTATES = np.array([ZERO.amps, ONE.amps, PLUS.amps, MINUS.amps])
+#: qubit-0 outcome eigenstates as rows, indexed 2 * (X basis) + bit
+EIGENSTATES = np.array([[1, 0], [0, 1], [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
+                       dtype=complex)
 EIGENSTATES.flags.writeable = False
+# single-qubit constants, read-only views of the table
+ZERO, ONE, PLUS, MINUS = EIGENSTATES
+
+
+def _check_target(amps: np.ndarray, target: int) -> None:
+    n = len(amps).bit_length() - 1
+    if not 0 <= target < n:
+        raise IndexError(f"target qubit {target} out of range for {n}-qubit register")
 
 
 def _project(amps: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -107,12 +82,14 @@ def apply_batch(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return _project(amps[:, None, :], mats).reshape(amps.shape)
 
 
-def apply_gate(state: PureState, gate: str, target: int) -> PureState:
-    """Apply one of the named 2x2 gates to the target qubit."""
-    if not 0 <= target < state.n_qubits:
-        raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    rows = state.amps.reshape(1 << target, -1)  # each row begins with the target
-    return PureState(apply_batch(rows, GATES[gate]).reshape(-1), _checked=True)
+def apply_gate(amps: np.ndarray, gate: str, target: int) -> np.ndarray:
+    """Apply one of the named 2x2 gates to the target qubit of a register;
+    returns a new read-only register."""
+    _check_target(amps, target)
+    rows = amps.reshape(1 << target, -1)  # each row begins with the target
+    out = apply_batch(rows, GATES[gate]).reshape(-1)
+    out.flags.writeable = False
+    return out
 
 
 def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
@@ -126,27 +103,31 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
 def _born(amps_bytes: bytes, x_basis: bool, target: int) -> tuple[float, np.ndarray]:
     """The Born probability of reading 1 on the target of the register with
     these amplitude bytes, and the target factor's projection onto both
-    eigenstates of the basis (indexed by bit)."""
+    eigenstates of the basis (indexed by bit). A target outside the register
+    raises before anything is projected; ``lru_cache`` caches no exception."""
     amps = np.frombuffer(amps_bytes, complex)
+    _check_target(amps, target)
     pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = _project(amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
     return float(np.square(np.abs(proj[:, 1])).sum()), proj
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _collapsed(amps_bytes: bytes, x_basis: bool, target: int, bit: int) -> PureState:
-    """The state after reading ``bit``: the measured eigenstate on the target
-    factor times the renormalised projection onto it."""
+def _collapsed(amps_bytes: bytes, x_basis: bool, target: int, bit: int) -> np.ndarray:
+    """The read-only register after reading ``bit``: the measured eigenstate
+    on the target factor times the renormalised projection onto it."""
     p1, proj = _born(amps_bytes, x_basis, target)
     rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
     eigen = EIGENSTATES[2 * x_basis + bit]
-    return PureState((rest[:, None, :] * eigen[:, None]).reshape(-1), _checked=True)
+    out = (rest[:, None, :] * eigen[:, None]).reshape(-1)
+    out.flags.writeable = False
+    return out
 
 
-def measure(state: PureState, x_basis, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Projective measurement of one qubit in the X basis if ``x_basis`` is
-    set, else the Z basis; returns (bit, collapsed state). The scalar
-    reference the block functions below are tested against.
+def measure(amps: np.ndarray, x_basis, target: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Projective measurement of one qubit of a register in the X basis if
+    ``x_basis`` is set, else the Z basis; returns (bit, collapsed register).
+    The scalar reference the block functions below are tested against.
 
     The target factor is projected onto both eigenstates of the basis. The
     bit is 1 iff ``rng.random()`` is below the outcome-1 projection's squared
@@ -156,10 +137,8 @@ def measure(state: PureState, x_basis, target: int, rng: np.random.Generator) ->
     target, keyed by the amplitude bytes, and shared by later calls; each
     call still draws its own uniform.
     """
-    if not 0 <= target < state.n_qubits:
-        raise IndexError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
-    key = (state.amps.tobytes(), bool(x_basis), target)
-    bit = 1 if rng.random() < _born(*key)[0] else 0
+    key = (amps.tobytes(), bool(x_basis), target)
+    bit = 1 if _born(*key)[0] > rng.random() else 0  # a bad target raises before the draw
     return bit, _collapsed(*key, bit)
 
 
@@ -170,7 +149,7 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
     Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`,
     as :func:`measure` reads its ``rng.random()``. Returns the bits (bool,
     shape ``(T,)``) and the block with each row collapsed as :func:`measure`
-    collapses a state.
+    collapses a register.
     """
     p1 = probability_of_one(amps, x_basis)
     bits = u < p1
@@ -190,22 +169,22 @@ for _shared in (*GATES.values(), *_BELL_AMPS.values()):
     _shared.flags.writeable = False
 
 
-def make_bell(kind: BellKind) -> PureState:
-    """Return one of the four maximally entangled two-qubit states."""
-    return PureState(_BELL_AMPS[kind], _checked=True)
+def make_bell(kind: BellKind) -> np.ndarray:
+    """One of the four maximally entangled two-qubit states, shared and read-only."""
+    return _BELL_AMPS[kind]
 
 
-def bell_measure(state: PureState) -> BellKind:
+def bell_measure(amps: np.ndarray) -> BellKind:
     """Identify which Bell state a two-qubit register is in (up to global phase).
 
     A qubit swap maps each Bell state to itself up to a sign, so the answer
     does not depend on qubit order. Only full two-qubit registers are
     supported; the protocol never needs a Bell measurement in a larger one.
     """
-    if state.n_qubits != 2:
+    if amps.shape != (4,):
         raise ValueError("bell_measure requires a two-qubit state")
     for kind, bell in _BELL_AMPS.items():
-        if abs(np.vdot(bell, state.amps)) >= 1.0 - NORM_ATOL:
+        if abs(np.vdot(bell, amps)) >= 1.0 - NORM_ATOL:
             return kind
     raise ValueError("state is not within tolerance of any Bell state")
 

@@ -16,8 +16,8 @@ def rng(seed=0):
 
 
 def block(state, rows=1):
-    """``rows`` copies of a state's amplitudes as a ``(rows, 2^n)`` block."""
-    return np.tile(state.amps, (rows, 1))
+    """``rows`` copies of a register as a ``(rows, 2^n)`` block."""
+    return np.tile(state, (rows, 1))
 
 
 class TestInterceptResend:
@@ -34,16 +34,15 @@ class TestInterceptResend:
         g = rng(2)
         attacked = adversary.eve_intercept_resend(block(qsim.ZERO), g)
         # payload disturbance is invisible to a check that publishes no decoys
-        slots = [SequenceSlot(qsim.PureState(attacked[0]), choice=0, payload_index=0)]
+        slots = [SequenceSlot(attacked[0], choice=0, payload_index=0)]
         check = protocol.check_published_decoys(slots, [], g)
         assert check.ok and check.error_rate == 0.0 and len(check.remaining) == 1
 
     def test_resent_states_are_basis_eigenstates(self):
         g = rng(3)
         attacked = adversary.eve_intercept_resend(block(protocol.DECOY_STATES[2], 50), g)
-        eigen = [s.amps for s in protocol.DECOY_STATES]
         for row in attacked:
-            assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in eigen)
+            assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in protocol.DECOY_STATES)
 
 
 def orthogonal_ancilla_params():
@@ -63,6 +62,10 @@ class TestUeParams:
         p, same = UeParams.no_detection_point(), UeParams.no_detection_point()
         assert (p == p) is True and (p == same) is False
         assert {p: 1}[p] == 1 and hash(p) != hash(same)
+        # a protocol slot holds its register as an array too
+        slot, twin = SequenceSlot(qsim.PLUS), SequenceSlot(qsim.PLUS.copy())
+        assert (slot == slot) is True and (slot == twin) is False
+        assert {slot: 1}[slot] == 1 and hash(slot) != hash(twin)
 
     def test_rejects_unnormalized_amplitudes(self):
         e = np.array([1, 0, 0, 0], dtype=complex)
@@ -132,7 +135,7 @@ class TestEntanglingAttack:
         assert attacked.shape == (4, 8)
         for did in range(4):
             # qubit factor unchanged, ancilla in the fixed state e00
-            expected = np.kron(protocol.DECOY_STATES[did].amps, p.e00)
+            expected = np.kron(protocol.DECOY_STATES[did], p.e00)
             assert np.allclose(attacked[did], expected, atol=1e-12)
 
     def test_constrained_params_zero_detection_and_leakage(self):
@@ -188,7 +191,7 @@ class TestBobBellCheat:
         cfg = ProtocolConfig(N=3, M=4, K=2, seed=0)
         slots, pos, ids = adversary.bob_bell_cheat(cfg, rng(1))
         assert len(slots) == 3 + 4 + 4
-        assert [slots[p].state.n_qubits for p in pos] == [1] * 4
+        assert [slots[p].state.shape for p in pos] == [(2,)] * 4
         bell = [s for k, s in enumerate(slots) if k not in pos]
         assert [s.payload_index for s in bell] == [0, 1, 2, None, None, None, None]
         for s in bell:
@@ -252,14 +255,14 @@ class TestAliceMeasureResend:
 
     def test_guess_policy_resends_legal_preparations(self):
         g = rng(6)
-        legal = [qsim.ZERO.amps, qsim.PLUS.amps]
+        legal = [qsim.ZERO, qsim.PLUS]
         states = protocol.DECOY_AMPS[2 * (np.arange(50) % 2)]
         guesses, resent = adversary.alice_measure_resend(states, g)
         assert resent.shape == (50, 2)
         for guess, row in zip(guesses, resent):
             assert any(np.allclose(row, e) for e in legal)
             if guess >= 0:
-                assert np.allclose(row, protocol.choice_state(guess).amps)
+                assert np.allclose(row, protocol.choice_state(guess))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ProtocolError):

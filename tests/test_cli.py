@@ -144,6 +144,16 @@ class TestHonest:
         code, _, err = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 2 and err.startswith("error: record 2:")
 
+    def test_replay_names_a_record_that_is_not_utf8(self, capsys, tmp_path):
+        """A Latin-1 byte in record 2 fails record 2, after record 1 has been
+        verified, like any other malformed record."""
+        path = tmp_path / "runs.jsonl"
+        run_cli(capsys, "honest", "--N", "2", "--seed", "3", "--transcript", str(path))
+        valid = path.read_bytes()
+        path.write_bytes(valid + valid.replace(b'"verdict":"ok"', b'"verdict":"\xe9"'))
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 2 and out == "" and err.startswith("error: record 2:") and "utf-8" in err
+
     def test_replay_stops_reading_at_the_first_failed_record(self, capsys, tmp_path):
         """Records are read one at a time: bytes well past a failed record,
         beyond any read-ahead buffer, are never read, even ones that are not
@@ -354,6 +364,13 @@ class TestAttack:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: {line.split(' = ')[0]}: malformed complex literal")
 
+    def test_ue_file_that_is_not_utf8_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "ue.txt"
+        path.write_bytes(b"a = 1+0j\nM = \xe9\n")
+        code, out, err = run_cli(capsys, "attack", "--scenario", "entangling",
+                                 "--trials", "10", "--ue-file", str(path))
+        assert code == 2 and out == "" and err.startswith(f"error: {path}:2:")
+
     def test_unreadable_ue_file(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scenario", "entangling",
                                "--trials", "10", "--ue-file", "/nonexistent/ue.txt")
@@ -498,6 +515,12 @@ class TestConfigFile:
         cfg.write_text("not a config\n")
         code, _, err = run_cli(capsys, "honest", "--config", str(cfg))
         assert code == 2 and "malformed" in err
+
+    def test_config_that_is_not_utf8_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"N = 2\nM = \xe9\n")
+        code, out, err = run_cli(capsys, "honest", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith(f"error: {cfg}:2:")
 
 
 class TestUsageErrors:

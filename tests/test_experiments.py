@@ -215,7 +215,7 @@ class TestObliviousness:
             densities = []
             for bit in (0, 1):
                 pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
-                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0).amps
+                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0)
                 densities.append(qsim.DensityMatrix(np.outer(v, v.conj())))
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
@@ -227,7 +227,7 @@ class TestAliceAttackReport:
             out = {}
             for bit in (0, 1):
                 eig = protocol.DECOY_STATES[2 * x_basis + bit]
-                out[bit] = abs(np.vdot(eig.amps, state.amps)) ** 2
+                out[bit] = abs(np.vdot(eig, state)) ** 2
             return out
 
         def resends(policy, x_basis, bit):

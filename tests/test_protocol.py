@@ -17,7 +17,7 @@ def rng(seed=0):
 
 def kron(*states):
     """The register whose qubits are those of ``states``, in order."""
-    return qsim.PureState(functools.reduce(np.kron, (s.amps for s in states)))
+    return functools.reduce(np.kron, states)
 
 
 def make_worked_example_slots():
@@ -62,7 +62,7 @@ class TestPrepare:
         assert pos == [] and ids == []
         expected = [qsim.ZERO, qsim.PLUS, qsim.ZERO, qsim.PLUS]
         for slot, want in zip(slots, expected):
-            assert np.allclose(slot.state.amps, want.amps)
+            assert np.allclose(slot.state, want)
         assert [s.payload_index for s in slots] == [0, 1, None, None]
 
     def test_sequence_length_with_decoys(self):
@@ -79,7 +79,7 @@ class TestPrepare:
             for s in slots:
                 if s.choice is None:  # a decoy
                     continue
-                assert any(np.allclose(s.state.amps, t.amps) for t in (qsim.ZERO, qsim.PLUS))
+                assert any(np.allclose(s.state, t) for t in (qsim.ZERO, qsim.PLUS))
 
     def test_rejects_non_bit_choices(self):
         with pytest.raises(ProtocolError):
@@ -163,8 +163,8 @@ class TestReorder:
             slots, [(p, 2 * slots[p].choice) for p in [3]], rng()).remaining
         payload = protocol.bob_reorder(remaining, [1, 0, 2], n_keep=2)
         assert [s.choice for s in payload] == [1, 0]
-        assert np.allclose(payload[0].state.amps, qsim.PLUS.amps)
-        assert np.allclose(payload[1].state.amps, qsim.ZERO.amps)
+        assert np.allclose(payload[0].state, qsim.PLUS)
+        assert np.allclose(payload[1].state, qsim.ZERO)
 
     def test_rejects_non_permutation(self):
         slots = make_worked_example_slots()
@@ -179,8 +179,8 @@ class TestReorder:
             [int(b) for b in g.integers(0, 2, size=5)], 0, g)
         perm = [int(p) for p in g.permutation(5)]
         reordered = protocol.bob_reorder(slots, perm, n_keep=5)
-        before = sorted(tuple(np.round(s.state.amps, 12)) for s in slots)
-        after = sorted(tuple(np.round(s.state.amps, 12)) for s in reordered)
+        before = sorted(tuple(np.round(s.state, 12)) for s in slots)
+        after = sorted(tuple(np.round(s.state, 12)) for s in reordered)
         assert before == after
 
     def test_plan_reorder_backfills_consumed_payload(self):
@@ -255,7 +255,7 @@ class TestReorder:
 class TestEncodingArrays:
     def test_arrays_follow_the_scalar_encoding(self):
         for did, state in enumerate(protocol.DECOY_STATES):
-            assert np.array_equal(protocol.DECOY_AMPS[did], state.amps)
+            assert np.array_equal(protocol.DECOY_AMPS[did], state)
         ids, bits = np.meshgrid(np.arange(4), np.arange(2))
         assert protocol.decoy_flipped(ids, bits).tolist() == [
             [bool(protocol.decoy_flipped(int(d), int(b))) for d in range(4)] for b in range(2)]
@@ -285,17 +285,17 @@ class TestDecoyIds:
             st.integers(1, len(slots)))]
         published = [(p, specs[p][1]) for p in positions]
         check = protocol.check_published_decoys(slots, published, rng(seed))
-        amps = np.array([slots[p].state.amps for p in positions])
+        amps = np.array([slots[p].state for p in positions])
         ids = np.array([did for _, did in published])
         flips = protocol.decoy_flips(amps, ids, rng(seed).random(len(published)))
         assert check.outcomes == flips.astype(int).tolist()
 
 
 #: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
-EXACT_ROWS = [s.amps for s in (
+EXACT_ROWS = [
     *protocol.DECOY_STATES, *(qsim.make_bell(k) for k in qsim.BellKind),
     kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PHI_PLUS)),
-    kron(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO))]
+    kron(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO)]
 
 
 def random_row(n_qubits, seed):
@@ -327,9 +327,8 @@ class TestFlipCheck:
         bits, _ = qsim.measure_batch(amps, ids >= 2, u)
         assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
         g = rng(seed)
-        scalar = [protocol.decoy_flipped(int(did), qsim.measure(
-            qsim.PureState(row), did >= 2, 0, g)[0])
-            for row, did in zip(amps, ids)]
+        scalar = [protocol.decoy_flipped(int(did), qsim.measure(row, did >= 2, 0, g)[0])
+                  for row, did in zip(amps, ids)]
         assert flips.tolist() == scalar
 
 
@@ -338,8 +337,8 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("state", [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS)],
                              ids=["0", "1", "+", "-", "phi+"])
     def test_encoding_equals_the_gate(self, pair, state):
-        encoded = protocol.alice_encode([SequenceSlot(state)], [pair])[0].state.amps
-        assert np.array_equal(encoded, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0).amps)
+        encoded = protocol.alice_encode([SequenceSlot(state)], [pair])[0].state
+        assert np.array_equal(encoded, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0))
 
     def test_block_encoding_equals_the_gate_per_slot(self):
         # one call over every pair and every decoy state, so slots cannot mix
@@ -348,23 +347,23 @@ class TestEncodeDecode:
         encoded = protocol.alice_encode(slots, [pair for _, pair in cases])
         for slot, (did, pair) in zip(encoded, cases):
             expected = qsim.apply_gate(protocol.DECOY_STATES[did], protocol.PAULI_CODE[pair], 0)
-            assert np.array_equal(slot.state.amps, expected.amps)
+            assert np.array_equal(slot.state, expected)
 
     def test_pair_01_turns_plus_into_minus(self):
         slot = SequenceSlot(qsim.PLUS, choice=1)
         out = protocol.alice_encode([slot], [(0, 1)])
-        assert np.allclose(out[0].state.amps, qsim.MINUS.amps)
+        assert np.allclose(out[0].state, qsim.MINUS)
 
     def test_pair_10_turns_zero_into_one(self):
         slot = SequenceSlot(qsim.ZERO, choice=0)
         out = protocol.alice_encode([slot], [(1, 0)])
-        assert np.allclose(out[0].state.amps, qsim.ONE.amps)
+        assert np.allclose(out[0].state, qsim.ONE)
 
     def test_pair_00_leaves_state_unchanged(self):
         for state in (qsim.ZERO, qsim.PLUS):
             slot = SequenceSlot(state, choice=0)
             out = protocol.alice_encode([slot], [(0, 0)])
-            assert np.allclose(out[0].state.amps, state.amps)
+            assert np.allclose(out[0].state, state)
 
     def test_pair_count_mismatch(self):
         slot = SequenceSlot(qsim.ZERO, choice=0)
@@ -426,12 +425,6 @@ class TestEncodeDecode:
         assert chi2 < 16.27  # chi-square 3 dof, upper 1e-3 quantile
 
 
-def random_register(n_qubits, seed):
-    g = rng(seed)
-    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
-    return qsim.PureState(amps / np.linalg.norm(amps))
-
-
 #: registers whose encodings are exact, over one to three qubits
 EXACT_REGISTERS = [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS),
                    kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PSI_MINUS))]
@@ -440,7 +433,7 @@ EXACT_REGISTERS = [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS
 def assert_encodes_as_the_gate(states, pairs):
     encoded = protocol.alice_encode([SequenceSlot(state) for state in states], pairs)
     for slot, state, pair in zip(encoded, states, pairs, strict=True):
-        assert np.array_equal(slot.state.amps, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0).amps)
+        assert np.array_equal(slot.state, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0))
 
 
 class TestEncodeMemo:
@@ -448,15 +441,15 @@ class TestEncodeMemo:
     amplitude bytes and pair; every slot must still read as ``apply_gate``."""
 
     @given(st.one_of(st.sampled_from(EXACT_REGISTERS),
-                     st.builds(random_register, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+                     st.builds(random_row, st.integers(1, 3), st.integers(0, 2**32 - 1))),
            st.sampled_from(sorted(protocol.PAULI_CODE)), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_gate(self, state, pair, seed):
         # first call, then a byte-equal copy, which finds the cached register
         assert_encodes_as_the_gate([state], [pair])
-        assert_encodes_as_the_gate([qsim.PureState(state.amps)], [pair])
+        assert_encodes_as_the_gate([state.copy()], [pair])
         # more distinct registers than the cache holds, every pair among them
-        others = [random_register(1 + t % 3, seed + t) for t in range(qsim.OUTCOME_CACHE + 1)]
+        others = [random_row(1 + t % 3, seed + t) for t in range(qsim.OUTCOME_CACHE + 1)]
         pairs = [divmod(t % 4, 2) for t in range(len(others))]
         assert_encodes_as_the_gate(others, pairs)
         assert protocol._encoded.cache_info().currsize <= qsim.OUTCOME_CACHE
@@ -533,7 +526,7 @@ class TestHonestRuns:
 
 class TestChoiceHiding:
     def test_preparations_have_half_overlap(self):
-        assert abs(abs(np.vdot(qsim.ZERO.amps, qsim.PLUS.amps)) ** 2 - 0.5) <= 1e-12
+        assert abs(abs(np.vdot(qsim.ZERO, qsim.PLUS)) ** 2 - 0.5) <= 1e-12
 
     def test_single_copy_guess_bounded_by_three_quarters(self):
         # every fixed (basis, guess-rule) strategy on one copy succeeds with

@@ -22,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from . import protocol, qsim
-from .qsim import BellKind
 from .protocol import DECOY_AMPS, ProtocolError, SequenceSlot, insert_decoys
 
 ISOMETRY_ATOL = 1e-9
@@ -170,7 +169,7 @@ def ue_leakage(params: UeParams) -> float:
         rho = np.zeros((4, 4), dtype=complex)
         for weight, branch in weighted_branches:
             rho += weight * np.outer(branch, branch.conj())
-        return qsim.DensityMatrix(rho)
+        return rho
 
     rho_zero = ancilla_density([(1.0, params.a * params.e00),
                                 (1.0, params.b * params.e01)])
@@ -181,7 +180,7 @@ def ue_leakage(params: UeParams) -> float:
 
 
 #: every slot of a cheating Bob: the Phi+ pair whose factor 0 he transmits
-BELL_SLOT = qsim.make_bell(BellKind.PHI_PLUS)
+BELL_SLOT = qsim.make_bell(0)
 
 
 def bell_slots(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +198,10 @@ def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot]
     return insert_decoys(slots, config.M, rng)
 
 
-#: dense-coding readout: which Bell state Alice's gate turns a Phi+ pair into
-BELL_TO_PAIR: dict[BellKind, tuple[int, int]] = {
-    BellKind.PHI_PLUS: (0, 0),
-    BellKind.PHI_MINUS: (0, 1),
-    BellKind.PSI_PLUS: (1, 0),
-    BellKind.PSI_MINUS: (1, 1),
-}
-
-
 def bob_bell_cheat_readout(state: np.ndarray) -> tuple[int, int]:
-    """Recover Alice's message pair from the returned half + kept half."""
-    return BELL_TO_PAIR[qsim.bell_measure(state)]
+    """Recover Alice's message pair from the returned half + kept half: her
+    gate X^m0 then Z^m1 turns the Phi+ pair into Bell state 2 * m0 + m1."""
+    return divmod(qsim.bell_measure(state), 2)
 
 
 #: what a dishonest Alice resends after measuring; see alice_measure_resend

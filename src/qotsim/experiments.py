@@ -223,8 +223,7 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
     else:
         variants = [(0, chosen_bit), (1, chosen_bit)]
     encoded = [qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0) for pair in variants]
-    densities = [qsim.DensityMatrix(np.outer(v, v.conj())) for v in encoded]
-    return qsim.trace_distance(densities[0], densities[1])
+    return qsim.trace_distance(*(np.outer(v, v.conj()) for v in encoded))
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ TRANSCRIPT_VERSION = 1
 #: allocated; far above the paper's R + 140 and every configuration it studies
 MAX_QUBITS_USED = 100_000
 
-#: decoy preparations (read-only rows) by id d = 2 * [X basis] + bit, qsim's
+#: decoy preparations as read-only rows, by id d = 2 * [X basis] + bit, qsim's
 #: eigenstate order: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one
 #: key for a state, its basis and its bit; Bob's choice c is id 2c.
-DECOY_STATES = (qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)
-#: qsim's table of the same states as one array, for code handling blocks
 DECOY_AMPS = qsim.EIGENSTATES
 #: the decoy ids a published (position, id) pair may name
-_DECOY_IDS = frozenset(range(len(DECOY_STATES)))
+_DECOY_IDS = frozenset(range(len(DECOY_AMPS)))
+#: the dtype of a register; Step 4's memo reads a register's bytes back as complex
+_COMPLEX = np.dtype(complex)
 
 #: message-pair to gate encoding
 PAULI_CODE: dict[tuple[int, int], str] = {
@@ -157,7 +157,7 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
     for pos, did in zip(positions, ids):
-        out.insert(pos, SequenceSlot(DECOY_STATES[did]))
+        out.insert(pos, SequenceSlot(DECOY_AMPS[did]))
     return out, positions, ids
 
 
@@ -296,13 +296,17 @@ def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
 
     A run's slots hold few distinct registers, so each encoded register is
     computed once per (amplitude bytes, pair code 2 * m0 + m1), as
-    :func:`qsim.measure` keys its outcomes, and shared by later slots.
+    :func:`qsim.measure` keys its outcomes, and shared by later slots. The
+    bytes are read back as complex, so a register of another dtype raises.
     """
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
     if any(pair not in PAULI_CODE for pair in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
+    for slot in slots:
+        if slot.state.dtype != _COMPLEX:
+            raise TypeError(f"a register must be a complex row, not {slot.state.dtype}")
     return [replace(slot, state=_encoded(slot.state.tobytes(), 2 * m0 + m1))
             for slot, (m0, m1) in zip(slots, pairs)]
 

@@ -1,14 +1,20 @@
 """Minimal pure-state simulator for one to three qubits.
 
-A register is a 1-D complex row of 2^n unit-norm amplitudes. The memos key
-a register by its bytes and read them as complex, so a float row is misread.
+A register is a 1-D complex row of 2^n unit-norm amplitudes; registers, Bell
+states and density matrices are all plain arrays. The memos key a register
+by its bytes and read them back as complex, so :func:`measure` rejects a row
+of any other dtype.
 
 Conventions:
   * qubit 0 is the leftmost tensor factor (most significant amplitude index bit);
   * the Y gate is the real matrix [[0, 1], [-1, 0]] (= ZX), so Y|0> = -|1>;
   * a basis is named by the bit ``x_basis`` (0 for Z, 1 for X); Z-basis outcomes
     map |0> -> 0, |1> -> 1 and X-basis outcomes map |+> -> 0, |-> -> 1, so the
-    eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``.
+    eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``;
+  * a Bell state is named by b = 2 * [the two qubits differ] + [minus sign]:
+    0 -> Phi+, 1 -> Phi-, 2 -> Psi+, 3 -> Psi-. X^x then Z^z on either qubit
+    of Phi+ gives Bell state 2x + z;
+  * a density matrix is a square complex array.
 
 All operations are pure functions of (register, rng). Every register they
 return, and every one this module defines, is read-only, so registers and
@@ -20,13 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-#: tolerance for algebraic identities (unitarity, hermiticity)
-ALGEBRA_ATOL = 1e-12
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
 
@@ -35,14 +37,8 @@ NORM_ATOL = 1e-10
 OUTCOME_CACHE = 256
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-class BellKind(Enum):
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-
+#: the one dtype a register may have: the memos read its bytes back as complex
+_COMPLEX = np.dtype(complex)
 
 GATES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -137,6 +133,8 @@ def measure(amps: np.ndarray, x_basis, target: int, rng: np.random.Generator) ->
     target, keyed by the amplitude bytes, and shared by later calls; each
     call still draws its own uniform.
     """
+    if amps.dtype != _COMPLEX:
+        raise TypeError(f"a register must be a complex row, not {amps.dtype}")
     key = (amps.tobytes(), bool(x_basis), target)
     bit = 1 if _born(*key)[0] > rng.random() else 0  # a bad target raises before the draw
     return bit, _collapsed(*key, bit)
@@ -158,24 +156,22 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
     return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
 
 
-_BELL_AMPS: dict[BellKind, np.ndarray] = {
-    BellKind.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _INV_SQRT2,
-    BellKind.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _INV_SQRT2,
-    BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _INV_SQRT2,
-    BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _INV_SQRT2,
-}
+#: the Bell states as rows, indexed 2 * [the two qubits differ] + [minus sign]
+_BELL_AMPS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
+                      dtype=complex) * _INV_SQRT2
 # every call that applies a gate or names a Bell state shares these arrays
-for _shared in (*GATES.values(), *_BELL_AMPS.values()):
+for _shared in (*GATES.values(), _BELL_AMPS):
     _shared.flags.writeable = False
 
 
-def make_bell(kind: BellKind) -> np.ndarray:
-    """One of the four maximally entangled two-qubit states, shared and read-only."""
-    return _BELL_AMPS[kind]
+def make_bell(b: int) -> np.ndarray:
+    """Bell state ``b`` (Phi+, Phi-, Psi+, Psi- for 0 to 3), shared and read-only."""
+    return _BELL_AMPS[b]
 
 
-def bell_measure(amps: np.ndarray) -> BellKind:
-    """Identify which Bell state a two-qubit register is in (up to global phase).
+def bell_measure(amps: np.ndarray) -> int:
+    """The index b of the Bell state a two-qubit register is in (up to
+    global phase).
 
     A qubit swap maps each Bell state to itself up to a sign, so the answer
     does not depend on qubit order. Only full two-qubit registers are
@@ -183,40 +179,14 @@ def bell_measure(amps: np.ndarray) -> BellKind:
     """
     if amps.shape != (4,):
         raise ValueError("bell_measure requires a two-qubit state")
-    for kind, bell in _BELL_AMPS.items():
+    for b, bell in enumerate(_BELL_AMPS):
         if abs(np.vdot(bell, amps)) >= 1.0 - NORM_ATOL:
-            return kind
+            return b
     raise ValueError("state is not within tolerance of any Bell state")
 
 
-@dataclass(frozen=True, eq=False)  # array fields: == is identity, so hash() works
-class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix; ``entries`` is a
-    read-only copy of the input."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > ALGEBRA_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > NORM_ATOL:
-            raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -NORM_ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the sum of |eigenvalues| of rho - sigma; lies in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    eig = np.linalg.eigvalsh(rho.entries - sigma.entries)
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the sum of |eigenvalues| of rho - sigma, two density matrices of
+    one dimension; lies in [0, 1]."""
+    eig = np.linalg.eigvalsh(rho - sigma)
     return float(0.5 * np.sum(np.abs(eig)))

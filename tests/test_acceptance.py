@@ -15,7 +15,6 @@ from qotsim.adversary import AttackScenario, UeParams
 from qotsim.costmodel import ProtocolId
 from qotsim.experiments import ExperimentSpec
 from qotsim.protocol import ProtocolConfig, SequenceSlot
-from qotsim.qsim import BellKind
 
 
 def report(number, ok, detail=""):
@@ -127,7 +126,7 @@ def test_criterion_8_dense_coding():
     errors = 0
     for _ in range(1_000):
         for pair, gate in protocol.PAULI_CODE.items():
-            encoded = qsim.apply_gate(qsim.make_bell(BellKind.PHI_PLUS), gate, 0)
+            encoded = qsim.apply_gate(qsim.make_bell(0), gate, 0)
             if adversary.bob_bell_cheat_readout(encoded) != pair:
                 errors += 1
         g.integers(2)  # keep the stream moving; readout itself is deterministic

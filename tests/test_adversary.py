@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qotsim import adversary, protocol, qsim
 from qotsim.adversary import UeParams
 from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot
-from qotsim.qsim import BellKind
 
 
 def rng(seed=0):
@@ -40,9 +39,9 @@ class TestInterceptResend:
 
     def test_resent_states_are_basis_eigenstates(self):
         g = rng(3)
-        attacked = adversary.eve_intercept_resend(block(protocol.DECOY_STATES[2], 50), g)
+        attacked = adversary.eve_intercept_resend(block(protocol.DECOY_AMPS[2], 50), g)
         for row in attacked:
-            assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in protocol.DECOY_STATES)
+            assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in protocol.DECOY_AMPS)
 
 
 def orthogonal_ancilla_params():
@@ -135,7 +134,7 @@ class TestEntanglingAttack:
         assert attacked.shape == (4, 8)
         for did in range(4):
             # qubit factor unchanged, ancilla in the fixed state e00
-            expected = np.kron(protocol.DECOY_STATES[did], p.e00)
+            expected = np.kron(protocol.DECOY_AMPS[did], p.e00)
             assert np.allclose(attacked[did], expected, atol=1e-12)
 
     def test_constrained_params_zero_detection_and_leakage(self):
@@ -146,7 +145,7 @@ class TestEntanglingAttack:
     def test_full_flip_detected_on_zero_decoy(self):
         e = np.array([1, 0, 0, 0], dtype=complex)
         p = UeParams(0, 1, 1, 0, e, e, e, e)
-        attacked = adversary.eve_entangling_attack(block(protocol.DECOY_STATES[0], 10), p)
+        attacked = adversary.eve_entangling_attack(block(protocol.DECOY_AMPS[0], 10), p)
         for seed in range(10):
             bits, _ = qsim.measure_batch(attacked, np.zeros(10, dtype=bool), rng(seed).random(10))
             assert bits.all()
@@ -182,7 +181,7 @@ class TestEntanglingAttack:
 
     def test_rejects_multi_qubit_slot(self):
         with pytest.raises(ProtocolError):
-            adversary.eve_entangling_attack(block(qsim.make_bell(BellKind.PHI_PLUS)),
+            adversary.eve_entangling_attack(block(qsim.make_bell(0)),
                                             UeParams.no_detection_point())
 
 
@@ -202,7 +201,7 @@ class TestBobBellCheat:
         n = 40_000
         hits = 0
         for _ in range(n):
-            bit, _ = qsim.measure(qsim.make_bell(BellKind.PHI_PLUS), int(g.integers(2)), 0, g)
+            bit, _ = qsim.measure(qsim.make_bell(0), int(g.integers(2)), 0, g)
             hits += bit == 1
         se = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 4 * se
@@ -223,12 +222,12 @@ class TestBobBellCheat:
 
     def test_readout_recovers_every_pair(self):
         for pair, gate in protocol.PAULI_CODE.items():
-            encoded = qsim.apply_gate(qsim.make_bell(BellKind.PHI_PLUS), gate, 0)
+            encoded = qsim.apply_gate(qsim.make_bell(0), gate, 0)
             assert adversary.bob_bell_cheat_readout(encoded) == pair
 
     def test_readout_is_bijection(self):
         seen = {adversary.bob_bell_cheat_readout(
-            qsim.apply_gate(qsim.make_bell(BellKind.PHI_PLUS), g, 0))
+            qsim.apply_gate(qsim.make_bell(0), g, 0))
             for g in ("I", "X", "Y", "Z")}
         assert seen == set(itertools.product((0, 1), (0, 1)))
 
@@ -236,7 +235,7 @@ class TestBobBellCheat:
         g = rng(4)
         for _ in range(200):
             pair = (int(g.integers(2)), int(g.integers(2)))
-            encoded = qsim.apply_gate(qsim.make_bell(BellKind.PHI_PLUS),
+            encoded = qsim.apply_gate(qsim.make_bell(0),
                                       protocol.PAULI_CODE[pair], 0)
             assert adversary.bob_bell_cheat_readout(encoded) == pair
 

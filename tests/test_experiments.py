@@ -216,7 +216,7 @@ class TestObliviousness:
             for bit in (0, 1):
                 pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
                 v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0)
-                densities.append(qsim.DensityMatrix(np.outer(v, v.conj())))
+                densities.append(np.outer(v, v.conj()))
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
 
@@ -226,15 +226,15 @@ class TestAliceAttackReport:
         def born(state, x_basis):
             out = {}
             for bit in (0, 1):
-                eig = protocol.DECOY_STATES[2 * x_basis + bit]
+                eig = protocol.DECOY_AMPS[2 * x_basis + bit]
                 out[bit] = abs(np.vdot(eig, state)) ** 2
             return out
 
         def resends(policy, x_basis, bit):
             if policy == "collapsed":
-                return [(protocol.DECOY_STATES[2 * x_basis + bit], 1.0)]
+                return [(protocol.DECOY_AMPS[2 * x_basis + bit], 1.0)]
             if policy == "random":
-                return [(state, 0.25) for state in protocol.DECOY_STATES]
+                return [(state, 0.25) for state in protocol.DECOY_AMPS]
             if bit == 1:
                 return [(protocol.choice_state(1 - x_basis), 1.0)]
             return [(qsim.ZERO, 0.5), (qsim.PLUS, 0.5)]

@@ -27,17 +27,18 @@ GOLDEN_TRANSCRIPT = (
 #: abort-path transcripts by verdict: (config, the ``protocol`` preparation
 #: swapped, its replacement, record). An honest run never aborts, so each one
 #: prepares every decoy, or every choice slot, as its orthogonal partner.
+#: ``choice_state`` names its own states, so flipped decoys leave choice slots be.
 FLIPPED_DECOYS = (qsim.ONE, qsim.ZERO, qsim.MINUS, qsim.PLUS)
 GOLDEN_ABORTS = {
     "channel": (
-        ProtocolConfig(N=3, M=4, M2=2, K=1, seed=1), "DECOY_STATES", FLIPPED_DECOYS,
+        ProtocolConfig(N=3, M=4, M2=2, K=1, seed=1), "DECOY_AMPS", np.array(FLIPPED_DECOYS),
         '{"alice_decoy_ids":[],"alice_decoy_positions":[],"bob_decoy_ids":[0,3,3,1],'
         '"bob_decoy_positions":[2,3,5,7],"channel_error_rate":1.0,"choices":[0,1,1],'
         '"config":{"K":1,"M":4,"M2":2,"N":3,"tau":0.0},"decoded_bits":[],"loyalty_choices":[0,1],'
         '"loyalty_outcomes":[],"loyalty_positions":[],"pairs":[[1,0],[0,1],[1,0]],"permutation":[],'
         '"qubits_used":11,"return_error_rate":0.0,"seed":1,"verdict":"abort:channel","version":1}'),
     "return-channel": (
-        ProtocolConfig(N=3, M=0, M2=3, K=1, seed=2), "DECOY_STATES", FLIPPED_DECOYS,
+        ProtocolConfig(N=3, M=0, M2=3, K=1, seed=2), "DECOY_AMPS", np.array(FLIPPED_DECOYS),
         '{"alice_decoy_ids":[3,0,0],"alice_decoy_positions":[0,1,3],"bob_decoy_ids":[],'
         '"bob_decoy_positions":[],"channel_error_rate":0.0,"choices":[1,0,0],'
         '"config":{"K":1,"M":0,"M2":3,"N":3,"tau":0.0},"decoded_bits":[],"loyalty_choices":[0,1],'

@@ -254,7 +254,7 @@ class TestReorder:
 
 class TestEncodingArrays:
     def test_arrays_follow_the_scalar_encoding(self):
-        for did, state in enumerate(protocol.DECOY_STATES):
+        for did, state in enumerate((qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS)):
             assert np.array_equal(protocol.DECOY_AMPS[did], state)
         ids, bits = np.meshgrid(np.arange(4), np.arange(2))
         assert protocol.decoy_flipped(ids, bits).tolist() == [
@@ -263,12 +263,15 @@ class TestEncodingArrays:
 
 class TestDecoyIds:
     def test_id_is_basis_then_bit_in_qsim_order(self):
-        for did, state in enumerate(protocol.DECOY_STATES):
+        for did, state in enumerate(protocol.DECOY_AMPS):
             # each decoy state reads its own bit in its own basis
             bit, _ = qsim.measure(state, did >= 2, 0, rng())
             assert bit == did % 2 and not protocol.decoy_flipped(did, bit)
         for choice in (0, 1):
-            assert choice_state(choice) is protocol.DECOY_STATES[2 * choice]
+            # the same row, shared with the decoy table rather than copied
+            state = choice_state(choice)
+            assert np.array_equal(state, protocol.DECOY_AMPS[2 * choice])
+            assert np.shares_memory(state, protocol.DECOY_AMPS)
 
     @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
@@ -277,10 +280,9 @@ class TestDecoyIds:
     def test_scalar_check_matches_block_flips(self, seed, bell, specs, data):
         # a published set of same-width slots: decoy states, or Bell pairs
         if bell:
-            kinds = list(qsim.BellKind)
-            slots = [SequenceSlot(qsim.make_bell(kinds[k])) for k, _ in specs]
+            slots = [SequenceSlot(qsim.make_bell(k)) for k, _ in specs]
         else:
-            slots = [SequenceSlot(protocol.DECOY_STATES[k]) for k, _ in specs]
+            slots = [SequenceSlot(protocol.DECOY_AMPS[k]) for k, _ in specs]
         positions = data.draw(st.permutations(range(len(slots))))[:data.draw(
             st.integers(1, len(slots)))]
         published = [(p, specs[p][1]) for p in positions]
@@ -293,9 +295,9 @@ class TestDecoyIds:
 
 #: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
 EXACT_ROWS = [
-    *protocol.DECOY_STATES, *(qsim.make_bell(k) for k in qsim.BellKind),
-    kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PHI_PLUS)),
-    kron(qsim.make_bell(qsim.BellKind.PSI_MINUS), qsim.ZERO)]
+    *protocol.DECOY_AMPS, *(qsim.make_bell(b) for b in range(4)),
+    kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(0)),
+    kron(qsim.make_bell(3), qsim.ZERO)]
 
 
 def random_row(n_qubits, seed):
@@ -334,19 +336,24 @@ class TestFlipCheck:
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("pair", sorted(protocol.PAULI_CODE))
-    @pytest.mark.parametrize("state", [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS)],
+    @pytest.mark.parametrize("state", [*protocol.DECOY_AMPS, qsim.make_bell(0)],
                              ids=["0", "1", "+", "-", "phi+"])
     def test_encoding_equals_the_gate(self, pair, state):
         encoded = protocol.alice_encode([SequenceSlot(state)], [pair])[0].state
         assert np.array_equal(encoded, qsim.apply_gate(state, protocol.PAULI_CODE[pair], 0))
 
+    def test_rejects_a_register_that_is_not_complex(self):
+        # the memo keys a register by its bytes and reads them back as complex
+        with pytest.raises(TypeError, match="float64"):
+            protocol.alice_encode([SequenceSlot(np.array([1., 0.]))], [(1, 0)])
+
     def test_block_encoding_equals_the_gate_per_slot(self):
         # one call over every pair and every decoy state, so slots cannot mix
         cases = [(did, pair) for did in range(4) for pair in sorted(protocol.PAULI_CODE)]
-        slots = [SequenceSlot(protocol.DECOY_STATES[did]) for did, _ in cases]
+        slots = [SequenceSlot(protocol.DECOY_AMPS[did]) for did, _ in cases]
         encoded = protocol.alice_encode(slots, [pair for _, pair in cases])
         for slot, (did, pair) in zip(encoded, cases):
-            expected = qsim.apply_gate(protocol.DECOY_STATES[did], protocol.PAULI_CODE[pair], 0)
+            expected = qsim.apply_gate(protocol.DECOY_AMPS[did], protocol.PAULI_CODE[pair], 0)
             assert np.array_equal(slot.state, expected)
 
     def test_pair_01_turns_plus_into_minus(self):
@@ -426,8 +433,8 @@ class TestEncodeDecode:
 
 
 #: registers whose encodings are exact, over one to three qubits
-EXACT_REGISTERS = [*protocol.DECOY_STATES, qsim.make_bell(qsim.BellKind.PHI_PLUS),
-                   kron(qsim.MINUS, qsim.make_bell(qsim.BellKind.PSI_MINUS))]
+EXACT_REGISTERS = [*protocol.DECOY_AMPS, qsim.make_bell(0),
+                   kron(qsim.MINUS, qsim.make_bell(3))]
 
 
 def assert_encodes_as_the_gate(states, pairs):

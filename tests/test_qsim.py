@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim import adversary, protocol, qsim
-from qotsim.qsim import BellKind
+
+#: the Bell states by index b = 2 * [the qubits differ] + [minus sign]
+BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
 
 
 def rng(seed=0):
@@ -20,7 +23,7 @@ def kron(*states):
 
 
 def projector(state):
-    return qsim.DensityMatrix(np.outer(state, state.conj()))
+    return np.outer(state, state.conj())
 
 
 class TestGates:
@@ -85,11 +88,7 @@ class TestPureState:
         out = qsim.apply_gate(mine, "I", 0)
         mine[0] = 0.8  # the caller's own array stays writable
         assert out[0] == 0.6
-        # a density matrix and an entangling isometry copy the arrays they validate too
-        m = np.eye(2, dtype=complex) / 2
-        rho = qsim.DensityMatrix(m)
-        m[0, 0] = 5
-        assert rho.entries[0, 0] == 0.5
+        # an entangling isometry copies the arrays it validates too
         e, f = np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)
         params = adversary.UeParams(1, 0, 0, 1, e, e, f, e)
         e[:] = [3, 0, 0, 0]
@@ -98,16 +97,15 @@ class TestPureState:
 
     @pytest.mark.parametrize("array", [
         *qsim.GATES.values(),
-        *qsim._BELL_AMPS.values(),
+        *(qsim.make_bell(b) for b in range(4)),
         protocol.PAULI_MATRICES,
-        projector(qsim.PLUS).entries,
         *(getattr(adversary.UeParams.no_detection_point(), name) for name in ("e00", "e01", "e10", "e11")),
         qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS,
         qsim.apply_gate(qsim.ZERO, "H", 0),
-        qsim.make_bell(BellKind.PSI_MINUS),
+        qsim.make_bell(3),
         protocol._encoded(qsim.PLUS.tobytes(), 3),
-    ], ids=[*(f"gate-{name}" for name in qsim.GATES), *(kind.value for kind in BellKind),
-            "pauli-matrices", "density-entries", "e00", "e01", "e10", "e11",
+    ], ids=[*(f"gate-{name}" for name in qsim.GATES), *BELL_NAMES,
+            "pauli-matrices", "e00", "e01", "e10", "e11",
             "zero", "one", "plus", "minus", "apply-gate", "make-bell", "encoded"])
     def test_shared_arrays_are_read_only(self, array):
         """Module tables are shared by every call that reads them, and a
@@ -149,9 +147,17 @@ class TestMeasure:
     def test_bell_halves_agree_in_z(self):
         g = rng(3)
         for _ in range(200):
-            b0, post = qsim.measure(qsim.make_bell(BellKind.PHI_PLUS), False, 0, g)
+            b0, post = qsim.measure(qsim.make_bell(0), False, 0, g)
             b1, _ = qsim.measure(post, False, 1, g)
             assert b0 == b1
+
+    def test_rejects_a_register_that_is_not_complex(self):
+        # the memo keys a register by its bytes and reads them back as
+        # complex: a float row of four amplitudes would read as one qubit
+        g = rng()
+        with pytest.raises(TypeError, match="float64"):
+            qsim.measure(np.array([0., 0., 1., 0.]), False, 0, g)
+        assert g.random() == rng().random()  # the check comes before the draw
 
     def test_collapse_renormalizes(self):
         state = np.array([0.6, 0.8], dtype=complex)
@@ -219,8 +225,8 @@ def assert_measures_as_reference(state, x_basis, target, u):
 
 
 #: states whose Born probabilities are 0, 1/2 or 1, over one to three qubits
-EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(BellKind.PSI_MINUS),
-                kron(qsim.MINUS, qsim.make_bell(BellKind.PHI_PLUS))]
+EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(3),
+                kron(qsim.MINUS, qsim.make_bell(0))]
 
 
 class TestMeasureMemo:
@@ -288,42 +294,49 @@ class TestMeasureBatch:
 
 class TestBell:
     def test_phi_plus_amplitudes(self):
-        b = qsim.make_bell(BellKind.PHI_PLUS)
+        b = qsim.make_bell(0)
         assert np.allclose(b, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_bell_states_orthonormal(self):
-        kinds = list(BellKind)
-        for i, ki in enumerate(kinds):
-            for j, kj in enumerate(kinds):
-                ip = np.vdot(qsim.make_bell(ki), qsim.make_bell(kj))
+        for i in range(4):
+            for j in range(4):
+                ip = np.vdot(qsim.make_bell(i), qsim.make_bell(j))
                 assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-12
 
     def test_phi_plus_in_x_basis(self):
         # H (x) H maps Z eigenbasis to X eigenbasis; Phi+ keeps the same form
-        b = qsim.make_bell(BellKind.PHI_PLUS)
+        b = qsim.make_bell(0)
         rotated = qsim.apply_gate(qsim.apply_gate(b, "H", 0), "H", 1)
         assert np.allclose(rotated, b, atol=1e-12)
 
     def test_dense_coding_states_pairwise_orthogonal(self):
-        states = [qsim.apply_gate(qsim.make_bell(BellKind.PHI_PLUS), g, 0)
+        states = [qsim.apply_gate(qsim.make_bell(0), g, 0)
                   for g in ("I", "X", "Y", "Z")]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(np.vdot(states[i], states[j])) <= 1e-12
 
     def test_bell_measure_identifies_encodings(self):
-        b = qsim.make_bell(BellKind.PHI_PLUS)
-        assert qsim.bell_measure(b) == BellKind.PHI_PLUS
-        assert qsim.bell_measure(qsim.apply_gate(b, "X", 0)) == BellKind.PSI_PLUS
-        assert qsim.bell_measure(qsim.apply_gate(b, "Y", 0)) == BellKind.PSI_MINUS
-        assert qsim.bell_measure(qsim.apply_gate(b, "Z", 0)) == BellKind.PHI_MINUS
+        """X^x then Z^z on either qubit of Phi+ gives Bell state 2x + z, the
+        index the dense-coding readout divides back into (x, z)."""
+        b = qsim.make_bell(0)
+        for qubit in (0, 1):
+            for x, z in itertools.product((0, 1), (0, 1)):
+                state = b
+                if x:
+                    state = qsim.apply_gate(state, "X", qubit)
+                if z:
+                    state = qsim.apply_gate(state, "Z", qubit)
+                assert qsim.bell_measure(state) == 2 * x + z, (qubit, x, z)
+            # Y = ZX is the one gate Alice applies for the pair (1, 1)
+            assert qsim.bell_measure(qsim.apply_gate(b, "Y", qubit)) == 3, qubit
 
-    @pytest.mark.parametrize("kind", list(BellKind), ids=lambda kind: kind.value)
-    def test_bell_measure_ignores_qubit_order(self, kind):
+    @pytest.mark.parametrize("b", range(4), ids=BELL_NAMES)
+    def test_bell_measure_ignores_qubit_order(self, b):
         """A qubit swap maps each Bell state to itself up to a sign, which is
         why bell_measure takes no qubit order."""
-        swapped = qsim.make_bell(kind).reshape(2, 2).T.reshape(-1)
-        assert qsim.bell_measure(swapped) == kind
+        swapped = qsim.make_bell(b).reshape(2, 2).T.reshape(-1)
+        assert qsim.bell_measure(swapped) == b
 
     def test_bell_measure_rejects_product_state(self):
         with pytest.raises(ValueError):
@@ -335,11 +348,11 @@ class TestBell:
 class TestDensity:
     def test_pure_state_projector(self):
         rho = projector(qsim.ZERO)
-        assert np.allclose(rho.entries, [[1, 0], [0, 0]])
+        assert np.allclose(rho, [[1, 0], [0, 0]])
 
     def test_bell_half_is_maximally_mixed(self):
         # oracle: direct 2x2 partial trace of the 4x4 projector
-        b = qsim.make_bell(BellKind.PHI_PLUS)
+        b = qsim.make_bell(0)
         proj = np.outer(b, b.conj())
         oracle = np.array([[proj[0, 0] + proj[1, 1], proj[0, 2] + proj[1, 3]],
                            [proj[2, 0] + proj[3, 1], proj[2, 2] + proj[3, 3]]])
@@ -349,31 +362,14 @@ class TestDensity:
         # oracle: direct matrix sum of the two projectors
         oracle = 0.5 * (np.outer(qsim.PLUS, qsim.PLUS.conj())
                         + np.outer(qsim.MINUS, qsim.MINUS.conj()))
-        rho = qsim.DensityMatrix(oracle)
-        assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
-
-    @pytest.mark.parametrize("entries, match", [
-        (np.full((2, 3), 1 / 3), "must be square"),
-        ([[0.5, 1], [0, 0.5]], "not Hermitian"),
-        (np.eye(2), "trace differs from 1"),
-        (np.diag([1.5, -0.5]), "negative eigenvalue"),
-    ], ids=["non-square", "non-hermitian", "trace-2", "negative-eigenvalue"])
-    def test_density_matrix_rejects_invalid(self, entries, match):
-        with pytest.raises(ValueError, match=match):
-            qsim.DensityMatrix(entries)
-
-    def test_equality_is_identity_and_hashable(self):
-        # an array field makes a generated __eq__ raise and __hash__ fail
-        rho, same = projector(qsim.ZERO), projector(qsim.ZERO)
-        assert (rho == rho) is True and (rho == same) is False
-        assert {rho: 1}[rho] == 1 and hash(rho) != hash(same)
+        assert np.allclose(oracle, np.eye(2) / 2, atol=1e-12)
 
 
 def random_density(seed, dim=2):
     g = np.random.default_rng(seed)
     a = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return qsim.DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 class TestTraceDistance:

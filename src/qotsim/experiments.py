@@ -222,7 +222,7 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
         variants = [(chosen_bit, 0), (chosen_bit, 1)]
     else:
         variants = [(0, chosen_bit), (1, chosen_bit)]
-    encoded = [qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0) for pair in variants]
+    encoded = [qsim.apply_gate(carrier, protocol.PAULI_CODE[pair]) for pair in variants]
     return qsim.trace_distance(*(np.outer(v, v.conj()) for v in encoded))
 
 

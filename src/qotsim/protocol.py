@@ -8,7 +8,6 @@ other bit only ever shows up as a global phase on the carrier.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 
@@ -28,8 +27,6 @@ MAX_QUBITS_USED = 100_000
 DECOY_AMPS = qsim.EIGENSTATES
 #: the decoy ids a published (position, id) pair may name
 _DECOY_IDS = frozenset(range(len(DECOY_AMPS)))
-#: the dtype of a register; Step 4's memo reads a register's bytes back as complex
-_COMPLEX = np.dtype(complex)
 
 #: message-pair to gate encoding
 PAULI_CODE: dict[tuple[int, int], str] = {
@@ -129,6 +126,8 @@ class ProtocolConfig:
             object.__setattr__(self, name, int(value))  # json cannot write a numpy integer
         if isinstance(self.tau, bool) or not isinstance(self.tau, _REAL_TYPES) or not 0 <= self.tau < 1:
             raise ProtocolError(f"tau must be a real number in [0, 1), got {self.tau!r}")
+        if isinstance(self.tau, np.generic):  # not float(tau): a record's "tau":0 replays as 0
+            object.__setattr__(self, "tau", self.tau.item())  # json cannot write a numpy scalar
         if self.N < 1:
             raise ProtocolError("N must be >= 1")
         if min(self.M, self.M2, self.K) < 0:
@@ -208,7 +207,7 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
         raise ProtocolError("duplicate published decoy position")
     if any(did not in _DECOY_IDS for _, did in published):
         raise ProtocolError("published decoy id out of range")
-    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, 0, rng)[0]))
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, rng)[0]))
                 for pos, did in published]
     error_rate = sum(outcomes) / len(published) if published else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]
@@ -281,34 +280,16 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
     return [slots[p] for p in permutation[:n_keep]]
 
 
-@functools.lru_cache(maxsize=qsim.OUTCOME_CACHE)
-def _encoded(amps_bytes: bytes, code: int) -> np.ndarray:
-    """The read-only register with these amplitude bytes after the Pauli gate
-    ``PAULI_MATRICES[code]`` on qubit 0."""
-    encoded = qsim.apply_batch(np.frombuffer(amps_bytes, complex)[None], PAULI_MATRICES[code])[0]
-    encoded.flags.writeable = False
-    return encoded
-
-
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
     """Step 4: apply the Pauli encoding of each message pair to qubit 0 of
-    its slot, a register of any width.
-
-    A run's slots hold few distinct registers, so each encoded register is
-    computed once per (amplitude bytes, pair code 2 * m0 + m1), as
-    :func:`qsim.measure` keys its outcomes, and shared by later slots. The
-    bytes are read back as complex, so a register of another dtype raises.
-    """
+    its slot, a register of any width, through :func:`qsim.apply_gate`."""
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
     if any(pair not in PAULI_CODE for pair in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
-    for slot in slots:
-        if slot.state.dtype != _COMPLEX:
-            raise TypeError(f"a register must be a complex row, not {slot.state.dtype}")
-    return [replace(slot, state=_encoded(slot.state.tobytes(), 2 * m0 + m1))
-            for slot, (m0, m1) in zip(slots, pairs)]
+    return [replace(slot, state=qsim.apply_gate(slot.state, PAULI_CODE[pair]))
+            for slot, pair in zip(slots, pairs)]
 
 
 def alice_insert_decoys(slots, M2: int, rng) -> tuple[list[SequenceSlot], list[int], list[int]]:

@@ -1,9 +1,10 @@
 """Minimal pure-state simulator for one to three qubits.
 
 A register is a 1-D complex row of 2^n unit-norm amplitudes; registers, Bell
-states and density matrices are all plain arrays. The memos key a register
-by its bytes and read them back as complex, so :func:`measure` rejects a row
-of any other dtype.
+states and density matrices are all plain arrays. Every gate and measurement
+acts on qubit 0, the transmitted qubit of a protocol slot. :func:`measure` and
+:func:`apply_gate` are the one-row case of the block functions, memoized by a
+register's bytes read back as complex, so both reject a row of any other dtype.
 
 Conventions:
   * qubit 0 is the leftmost tensor factor (most significant amplitude index bit);
@@ -32,8 +33,9 @@ import numpy as np
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
 
-#: distinct (register, basis, target) measurements whose outcomes
-#: :func:`measure` keeps; bounds memory when many random registers are measured
+#: distinct (register, basis) measurements whose outcomes :func:`measure`
+#: keeps, and distinct (register, gate) results :func:`apply_gate` keeps;
+#: bounds memory when many random registers pass through either
 OUTCOME_CACHE = 256
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -57,10 +59,12 @@ EIGENSTATES.flags.writeable = False
 ZERO, ONE, PLUS, MINUS = EIGENSTATES
 
 
-def _check_target(amps: np.ndarray, target: int) -> None:
-    n = len(amps).bit_length() - 1
-    if not 0 <= target < n:
-        raise IndexError(f"target qubit {target} out of range for {n}-qubit register")
+def _key(amps: np.ndarray) -> bytes:
+    """A register's memo key: its amplitude bytes, which the memos read back
+    as complex, so a row of any other dtype raises."""
+    if amps.dtype != _COMPLEX:
+        raise TypeError(f"a register must be a complex row, not {amps.dtype}")
+    return amps.tobytes()
 
 
 def _project(amps: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -78,14 +82,18 @@ def apply_batch(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return _project(amps[:, None, :], mats).reshape(amps.shape)
 
 
-def apply_gate(amps: np.ndarray, gate: str, target: int) -> np.ndarray:
-    """Apply one of the named 2x2 gates to the target qubit of a register;
-    returns a new read-only register."""
-    _check_target(amps, target)
-    rows = amps.reshape(1 << target, -1)  # each row begins with the target
-    out = apply_batch(rows, GATES[gate]).reshape(-1)
+@functools.lru_cache(maxsize=OUTCOME_CACHE)
+def _gated(amps_bytes: bytes, gate: str) -> np.ndarray:
+    """The read-only register with these amplitude bytes after ``gate`` on qubit 0."""
+    out = apply_batch(np.frombuffer(amps_bytes, complex)[None], GATES[gate])[0]
     out.flags.writeable = False
     return out
+
+
+def apply_gate(amps: np.ndarray, gate: str) -> np.ndarray:
+    """Apply one of the named 2x2 gates to qubit 0 of a register; returns a
+    read-only register, computed once per register and gate and shared."""
+    return _gated(_key(amps), gate)
 
 
 def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
@@ -96,47 +104,41 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _born(amps_bytes: bytes, x_basis: bool, target: int) -> tuple[float, np.ndarray]:
-    """The Born probability of reading 1 on the target of the register with
-    these amplitude bytes, and the target factor's projection onto both
-    eigenstates of the basis (indexed by bit). A target outside the register
-    raises before anything is projected; ``lru_cache`` caches no exception."""
-    amps = np.frombuffer(amps_bytes, complex)
-    _check_target(amps, target)
+def _born(amps_bytes: bytes, x_basis: bool) -> tuple[float, np.ndarray]:
+    """The Born probability of reading 1 on qubit 0 of the register with
+    these amplitude bytes, and qubit 0's projection onto both eigenstates of
+    the basis (indexed by bit)."""
     pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
-    proj = _project(amps.reshape(1 << target, 1, -1), pair)  # rows begin with the target
-    return float(np.square(np.abs(proj[:, 1])).sum()), proj
+    proj = _project(np.frombuffer(amps_bytes, complex), pair)
+    return float(np.square(np.abs(proj[1])).sum()), proj
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _collapsed(amps_bytes: bytes, x_basis: bool, target: int, bit: int) -> np.ndarray:
+def _collapsed(amps_bytes: bytes, x_basis: bool, bit: int) -> np.ndarray:
     """The read-only register after reading ``bit``: the measured eigenstate
-    on the target factor times the renormalised projection onto it."""
-    p1, proj = _born(amps_bytes, x_basis, target)
-    rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
-    eigen = EIGENSTATES[2 * x_basis + bit]
-    out = (rest[:, None, :] * eigen[:, None]).reshape(-1)
+    on qubit 0 times the renormalised projection onto it."""
+    p1, proj = _born(amps_bytes, x_basis)
+    rest = proj[bit] / math.sqrt(p1 if bit else 1.0 - p1)
+    out = (rest * EIGENSTATES[2 * x_basis + bit][:, None]).reshape(-1)
     out.flags.writeable = False
     return out
 
 
-def measure(amps: np.ndarray, x_basis, target: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Projective measurement of one qubit of a register in the X basis if
+def measure(amps: np.ndarray, x_basis, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Projective measurement of qubit 0 of a register in the X basis if
     ``x_basis`` is set, else the Z basis; returns (bit, collapsed register).
     The scalar reference the block functions below are tested against.
 
-    The target factor is projected onto both eigenstates of the basis. The
-    bit is 1 iff ``rng.random()`` is below the outcome-1 projection's squared
-    norm, the float :func:`probability_of_one` gives; the collapsed state is
-    the measured eigenstate on the target factor times the renormalised
-    projection onto it. Both are computed once per register, basis and
-    target, keyed by the amplitude bytes, and shared by later calls; each
-    call still draws its own uniform.
+    Qubit 0 is projected onto both eigenstates of the basis. The bit is 1
+    iff ``rng.random()`` is below the outcome-1 projection's squared norm,
+    the float :func:`probability_of_one` gives; the collapsed state is the
+    measured eigenstate on qubit 0 times the renormalised projection onto
+    it. Both are computed once per register and basis, keyed by the
+    amplitude bytes, and shared by later calls; each call still draws its
+    own uniform.
     """
-    if amps.dtype != _COMPLEX:
-        raise TypeError(f"a register must be a complex row, not {amps.dtype}")
-    key = (amps.tobytes(), bool(x_basis), target)
-    bit = 1 if _born(*key)[0] > rng.random() else 0  # a bad target raises before the draw
+    key = (_key(amps), bool(x_basis))  # a bad dtype raises before the draw
+    bit = 1 if _born(*key)[0] > rng.random() else 0
     return bit, _collapsed(*key, bit)
 
 

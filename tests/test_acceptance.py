@@ -126,7 +126,7 @@ def test_criterion_8_dense_coding():
     errors = 0
     for _ in range(1_000):
         for pair, gate in protocol.PAULI_CODE.items():
-            encoded = qsim.apply_gate(qsim.make_bell(0), gate, 0)
+            encoded = qsim.apply_gate(qsim.make_bell(0), gate)
             if adversary.bob_bell_cheat_readout(encoded) != pair:
                 errors += 1
         g.integers(2)  # keep the stream moving; readout itself is deterministic

@@ -201,7 +201,7 @@ class TestBobBellCheat:
         n = 40_000
         hits = 0
         for _ in range(n):
-            bit, _ = qsim.measure(qsim.make_bell(0), int(g.integers(2)), 0, g)
+            bit, _ = qsim.measure(qsim.make_bell(0), int(g.integers(2)), g)
             hits += bit == 1
         se = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 4 * se
@@ -222,12 +222,12 @@ class TestBobBellCheat:
 
     def test_readout_recovers_every_pair(self):
         for pair, gate in protocol.PAULI_CODE.items():
-            encoded = qsim.apply_gate(qsim.make_bell(0), gate, 0)
+            encoded = qsim.apply_gate(qsim.make_bell(0), gate)
             assert adversary.bob_bell_cheat_readout(encoded) == pair
 
     def test_readout_is_bijection(self):
         seen = {adversary.bob_bell_cheat_readout(
-            qsim.apply_gate(qsim.make_bell(0), g, 0))
+            qsim.apply_gate(qsim.make_bell(0), g))
             for g in ("I", "X", "Y", "Z")}
         assert seen == set(itertools.product((0, 1), (0, 1)))
 
@@ -236,7 +236,7 @@ class TestBobBellCheat:
         for _ in range(200):
             pair = (int(g.integers(2)), int(g.integers(2)))
             encoded = qsim.apply_gate(qsim.make_bell(0),
-                                      protocol.PAULI_CODE[pair], 0)
+                                      protocol.PAULI_CODE[pair])
             assert adversary.bob_bell_cheat_readout(encoded) == pair
 
 

@@ -197,9 +197,9 @@ class TestObliviousness:
     def test_compares_encodings_differing_only_in_the_unchosen_bit(self, monkeypatch, choice, bit):
         gates, original = [], qsim.apply_gate
 
-        def apply_gate(state, gate, target):
+        def apply_gate(state, gate):
             gates.append(gate)
-            return original(state, gate, target)
+            return original(state, gate)
 
         monkeypatch.setattr(qsim, "apply_gate", apply_gate)
         assert experiments.obliviousness_report(choice, bit) <= 1e-12
@@ -215,7 +215,7 @@ class TestObliviousness:
             densities = []
             for bit in (0, 1):
                 pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
-                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair], 0)
+                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair])
                 densities.append(np.outer(v, v.conj()))
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
@@ -253,7 +253,7 @@ class TestAliceAttackReport:
                             conc += p_event
                         for resent, pr in resends(policy, x_basis, bit):
                             for pair in itertools.product((0, 1), (0, 1)):
-                                enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair], 0)
+                                enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair])
                                 pb = born(enc, j)
                                 err += p_event * pr * 0.25 * sum(
                                     q for b, q in pb.items() if b != pair[j])

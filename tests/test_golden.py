@@ -193,6 +193,23 @@ def test_honest_grid_digest_is_pinned():
     assert digest.hexdigest() == HONEST_GRID_SHA256
 
 
+#: sha256 of 1,000 ``run_honest`` records, one per config drawn from a seeded
+#: stream (N in 1..11, M and M2 in 0..7, K in 0..3, tau in {0, 0.3}) and
+#: seeded by run index. Recorded on a clean checkout of b0cdeba, before
+#: qsim's scalar functions lost their target and Step 4 its own memo
+RANDOM_CONFIG_SHA256 = "f4292e60f4d51830485d5da03225160838be65ae3bebaa2cc039424fb275cffe"
+
+
+def test_random_config_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    g = np.random.default_rng(14)
+    for seed in range(1000):
+        n, m, m2, k, t = g.integers((1, 0, 0, 0, 0), (12, 8, 8, 4, 2))
+        cfg = ProtocolConfig(N=n, M=m, M2=m2, K=k, tau=(0.0, 0.3)[t], seed=seed)
+        digest.update(protocol.run_honest(cfg).to_json_line().encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_CONFIG_SHA256
+
+
 #: sha256 of the concatenated stdout of these commands, each run with
 #: ``--trials 16641 --seed 7``: 65 chunks, past one group of simulated chunks
 GROUPED_CHUNK_COMMANDS = (
@@ -214,9 +231,11 @@ def test_csvs_past_a_chunk_group_are_pinned(capsys):
 
 
 #: sha256 over chained seeded ``qsim.measure`` bits and collapsed amplitude
-#: bytes on random one- to three-qubit registers at every target, then over
-#: the Bell cheat's protocol path: channel check, loyalty positions and outcomes
-MULTI_QUBIT_SHA256 = "bb1f783e193121ce11c1c59746e6031d5d93ebe480f39054c55a1a5bf5f5e365"
+#: bytes on random one- to three-qubit registers, 2n qubit-0 measurements of
+#: each n-qubit register, then over the Bell cheat's protocol path: channel
+#: check, loyalty positions and outcomes. Computed at b0cdeba, whose measure
+#: still took a target, with the target set to 0
+MULTI_QUBIT_SHA256 = "314a910f8f6a4470eb37bdd25c465e29680a0a46d6ed3b651ee918f3f7581c86"
 
 
 def test_multi_qubit_measurements_are_pinned():
@@ -226,8 +245,8 @@ def test_multi_qubit_measurements_are_pinned():
         for _ in range(40):
             amps = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
             state = amps / np.linalg.norm(amps)
-            for target in [*range(n), *range(n)]:
-                bit, state = qsim.measure(state, bool(g.integers(2)), target, g)
+            for _ in range(2 * n):
+                bit, state = qsim.measure(state, bool(g.integers(2)), g)
                 digest.update(bytes([bit]) + state.tobytes())
     for seed in range(6):
         g = np.random.default_rng(seed)

@@ -26,6 +26,14 @@ def projector(state):
     return np.outer(state, state.conj())
 
 
+def gate_on(state, gate, qubit):
+    """``gate`` on one qubit of a two-qubit register: ``qsim.apply_gate`` on
+    qubit 0, and the oracle kron(I, G) on qubit 1, where qsim has no gate."""
+    if qubit == 0:
+        return qsim.apply_gate(state, gate)
+    return np.kron(qsim.GATES["I"], qsim.GATES[gate]) @ state
+
+
 class TestGates:
     def test_matrices_are_unitary(self):
         for name, g in qsim.GATES.items():
@@ -41,37 +49,21 @@ class TestGates:
         assert np.array_equal(h, h.conj())
 
     def test_y_on_zero_gives_minus_one(self):
-        out = qsim.apply_gate(qsim.ZERO, "Y", 0)
+        out = qsim.apply_gate(qsim.ZERO, "Y")
         assert np.allclose(out, [0, -1])
 
     def test_h_on_zero_gives_plus(self):
-        out = qsim.apply_gate(qsim.ZERO, "H", 0)
+        out = qsim.apply_gate(qsim.ZERO, "H")
         assert np.allclose(out, qsim.PLUS)
 
     def test_identity_preserves_minus(self):
-        out = qsim.apply_gate(qsim.MINUS, "I", 0)
+        out = qsim.apply_gate(qsim.MINUS, "I")
         assert np.allclose(out, qsim.MINUS)
 
     def test_h_swaps_z_and_x_eigenstates(self):
         for a, b in [(qsim.ZERO, qsim.PLUS), (qsim.ONE, qsim.MINUS)]:
-            assert np.allclose(qsim.apply_gate(a, "H", 0), b)
-            assert np.allclose(qsim.apply_gate(b, "H", 0), a)
-
-    def test_target_out_of_range(self):
-        g = rng()
-        for target in (1, -1):
-            with pytest.raises(IndexError):
-                qsim.apply_gate(qsim.ZERO, "X", target)
-            with pytest.raises(IndexError):
-                qsim.measure(qsim.ZERO, False, target, g)
-        assert g.random() == rng().random()  # a bad target draws nothing
-
-    def test_gate_on_middle_qubit_of_three(self):
-        state = kron(qsim.ZERO, qsim.ZERO, qsim.ZERO)
-        out = qsim.apply_gate(state, "X", 1)
-        expected = np.zeros(8)
-        expected[0b010] = 1
-        assert np.allclose(out, expected)
+            assert np.allclose(qsim.apply_gate(a, "H"), b)
+            assert np.allclose(qsim.apply_gate(b, "H"), a)
 
 
 class TestPureState:
@@ -80,12 +72,12 @@ class TestPureState:
     def test_immutable(self):
         # the amplitude arrays are shared (by measurement outcomes and the
         # protocol's preparation tables), so none of them may be written
-        _, post = qsim.measure(qsim.PLUS, False, 0, rng(0))
+        _, post = qsim.measure(qsim.PLUS, False, rng(0))
         for amps in (qsim.ZERO, post, qsim.EIGENSTATES):
             with pytest.raises(ValueError):
                 amps[0] = 0.6
         mine = np.array([0.6, 0.8], dtype=complex)
-        out = qsim.apply_gate(mine, "I", 0)
+        out = qsim.apply_gate(mine, "I")
         mine[0] = 0.8  # the caller's own array stays writable
         assert out[0] == 0.6
         # an entangling isometry copies the arrays it validates too
@@ -101,9 +93,9 @@ class TestPureState:
         protocol.PAULI_MATRICES,
         *(getattr(adversary.UeParams.no_detection_point(), name) for name in ("e00", "e01", "e10", "e11")),
         qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS,
-        qsim.apply_gate(qsim.ZERO, "H", 0),
+        qsim.apply_gate(qsim.ZERO, "H"),
         qsim.make_bell(3),
-        protocol._encoded(qsim.PLUS.tobytes(), 3),
+        qsim.apply_gate(qsim.make_bell(0), "Y"),
     ], ids=[*(f"gate-{name}" for name in qsim.GATES), *BELL_NAMES,
             "pauli-matrices", "e00", "e01", "e10", "e11",
             "zero", "one", "plus", "minus", "apply-gate", "make-bell", "encoded"])
@@ -118,19 +110,19 @@ class TestPureState:
 class TestMeasure:
     def test_zero_in_z_is_deterministic(self):
         for seed in range(20):
-            bit, post = qsim.measure(qsim.ZERO, False, 0, rng(seed))
+            bit, post = qsim.measure(qsim.ZERO, False, rng(seed))
             assert bit == 0
             assert np.allclose(post, qsim.ZERO)
 
     def test_x_eigenstates_in_x_are_deterministic(self):
         for seed in range(10):
-            assert qsim.measure(qsim.PLUS, True, 0, rng(seed))[0] == 0
-            assert qsim.measure(qsim.MINUS, True, 0, rng(seed))[0] == 1
+            assert qsim.measure(qsim.PLUS, True, rng(seed))[0] == 0
+            assert qsim.measure(qsim.MINUS, True, rng(seed))[0] == 1
 
     def test_minus_in_z_is_unbiased(self):
         g = rng(7)
         n = 20_000
-        ones = sum(qsim.measure(qsim.MINUS, False, 0, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(qsim.MINUS, False, g)[0] for _ in range(n))
         se = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 4 * se
 
@@ -139,7 +131,7 @@ class TestMeasure:
         state = np.array([0.6, 0.8], dtype=complex)
         g = rng(11)
         n = 100_000
-        ones = sum(qsim.measure(state, False, 0, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(state, False, g)[0] for _ in range(n))
         p = 0.64
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) <= 4 * se
@@ -147,8 +139,9 @@ class TestMeasure:
     def test_bell_halves_agree_in_z(self):
         g = rng(3)
         for _ in range(200):
-            b0, post = qsim.measure(qsim.make_bell(0), False, 0, g)
-            b1, _ = qsim.measure(post, False, 1, g)
+            b0, post = qsim.measure(qsim.make_bell(0), False, g)
+            # qubit 1 alone, given that qubit 0 read b0
+            b1, _ = qsim.measure(post.reshape(2, 2)[b0], False, g)
             assert b0 == b1
 
     def test_rejects_a_register_that_is_not_complex(self):
@@ -156,12 +149,12 @@ class TestMeasure:
         # complex: a float row of four amplitudes would read as one qubit
         g = rng()
         with pytest.raises(TypeError, match="float64"):
-            qsim.measure(np.array([0., 0., 1., 0.]), False, 0, g)
+            qsim.measure(np.array([0., 0., 1., 0.]), False, g)
         assert g.random() == rng().random()  # the check comes before the draw
 
     def test_collapse_renormalizes(self):
         state = np.array([0.6, 0.8], dtype=complex)
-        _, post = qsim.measure(state, False, 0, rng(0))
+        _, post = qsim.measure(state, False, rng(0))
         assert abs(np.vdot(post, post).real - 1.0) <= 1e-10
 
     def test_immunity_of_encodings(self):
@@ -169,13 +162,13 @@ class TestMeasure:
         for gate in ("I", "Z"):
             for state, bit in [(qsim.ZERO, 0), (qsim.ONE, 1)]:
                 for seed in range(5):
-                    out = qsim.apply_gate(state, gate, 0)
-                    assert qsim.measure(out, False, 0, rng(seed))[0] == bit
+                    out = qsim.apply_gate(state, gate)
+                    assert qsim.measure(out, False, rng(seed))[0] == bit
         for gate in ("I", "X"):
             for state, bit in [(qsim.PLUS, 0), (qsim.MINUS, 1)]:
                 for seed in range(5):
-                    out = qsim.apply_gate(state, gate, 0)
-                    assert qsim.measure(out, True, 0, rng(seed))[0] == bit
+                    out = qsim.apply_gate(state, gate)
+                    assert qsim.measure(out, True, rng(seed))[0] == bit
 
 
 class FixedUniform:
@@ -194,33 +187,30 @@ def random_state(n_qubits, seed):
     return amps / np.linalg.norm(amps)
 
 
-def reference_measure(state, x_basis, target, rng):
+def reference_measure(state, x_basis, rng):
     """``qsim.measure`` as it was before its outcomes were memoized, verbatim
-    but for its register type."""
-    n_qubits = len(state).bit_length() - 1
-    if not 0 <= target < n_qubits:
-        raise IndexError(f"target qubit {target} out of range for {n_qubits}-qubit state")
+    but for its register type and its target, fixed at qubit 0."""
     pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
-    proj = qsim._project(state.reshape(1 << target, 1, -1), pair)  # rows begin with the target
+    proj = qsim._project(state.reshape(1, 1, -1), pair)
     p1 = float(np.square(np.abs(proj[:, 1])).sum())
     bit = 1 if rng.random() < p1 else 0
     rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
     return bit, (rest[:, None, :] * pair[bit][:, None]).reshape(-1)
 
 
-def boundary_uniforms(state, x_basis, target):
+def boundary_uniforms(state, x_basis):
     """Uniforms at, just below and just above the p1 that
     :func:`reference_measure` reads its draw against, those a Generator's
     ``random()`` can return (in [0, 1))."""
     pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
-    proj = qsim._project(state.reshape(1 << target, 1, -1), pair)
+    proj = qsim._project(state.reshape(1, 1, -1), pair)
     p1 = float(np.square(np.abs(proj[:, 1])).sum())
     return [u for u in (p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0)) if 0.0 <= u < 1.0]
 
 
-def assert_measures_as_reference(state, x_basis, target, u):
-    bit, post = qsim.measure(state, x_basis, target, FixedUniform(u))
-    ref_bit, ref_post = reference_measure(state, x_basis, target, FixedUniform(u))
+def assert_measures_as_reference(state, x_basis, u):
+    bit, post = qsim.measure(state, x_basis, FixedUniform(u))
+    ref_bit, ref_post = reference_measure(state, x_basis, FixedUniform(u))
     assert bit == ref_bit and np.array_equal(post, ref_post)
 
 
@@ -238,36 +228,62 @@ class TestMeasureMemo:
            st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, state, x_basis, seed):
-        n_qubits = len(state).bit_length() - 1
-        other = random_state(n_qubits, seed)
-        for target in range(n_qubits):
-            for u in boundary_uniforms(state, x_basis, target):
-                # first call, then a byte-equal copy, which finds the cached outcomes
-                assert_measures_as_reference(state, x_basis, target, u)
-                assert_measures_as_reference(state.copy(), x_basis, target, u)
-                # a different register of the same width gets its own outcomes
-                assert_measures_as_reference(other, x_basis, target, u)
-                assert_measures_as_reference(state, x_basis, target, u)
+        other = random_state(len(state).bit_length() - 1, seed)
+        for u in boundary_uniforms(state, x_basis):
+            # first call, then a byte-equal copy, which finds the cached outcomes
+            assert_measures_as_reference(state, x_basis, u)
+            assert_measures_as_reference(state.copy(), x_basis, u)
+            # a different register of the same width gets its own outcomes
+            assert_measures_as_reference(other, x_basis, u)
+            assert_measures_as_reference(state, x_basis, u)
 
     def test_outcomes_survive_eviction(self):
         state = random_state(3, 1)
-        cases = [(x, target, u) for x in (False, True) for target in range(3)
-                 for u in boundary_uniforms(state, x, target)]
-        for x, target, u in cases:
-            assert_measures_as_reference(state, x, target, u)
+        cases = [(x, u) for x in (False, True) for u in boundary_uniforms(state, x)]
+        for x, u in cases:
+            assert_measures_as_reference(state, x, u)
         for seed in range(qsim.OUTCOME_CACHE + 1):
-            qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, 0, rng(seed))
+            qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, rng(seed))
         assert qsim._born.cache_info().currsize <= qsim.OUTCOME_CACHE
-        for x, target, u in cases:
-            assert_measures_as_reference(state, x, target, u)
+        for x, u in cases:
+            assert_measures_as_reference(state, x, u)
 
     def test_repeated_register_is_computed_once(self):
         state = random_state(2, 5)
-        qsim.measure(state, True, 1, rng(0))
+        qsim.measure(state, True, rng(0))
         misses = qsim._born.cache_info().misses
         g = rng(1)
-        bits = {qsim.measure(state.copy(), True, 1, g)[0] for _ in range(50)}
+        bits = {qsim.measure(state.copy(), True, g)[0] for _ in range(50)}
         assert qsim._born.cache_info().misses == misses and bits == {0, 1}
+
+
+def assert_gates_as_batch(states, gates):
+    """Each ``apply_gate`` result is the pre-memo arithmetic, one row of
+    ``apply_batch``, and read-only."""
+    for state, gate in zip(states, gates, strict=True):
+        out = qsim.apply_gate(state, gate)
+        assert np.array_equal(out, qsim.apply_batch(state[None], qsim.GATES[gate])[0])
+        assert not out.flags.writeable
+
+
+class TestGateMemo:
+    """``apply_gate`` computes each gated register once, keyed by its
+    amplitude bytes and gate; every call must still read as unmemoized."""
+
+    @given(st.one_of(st.sampled_from([*EXACT_STATES, qsim.make_bell(0)]),
+                     st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+           st.sampled_from(sorted(qsim.GATES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_batch_arithmetic(self, state, gate, seed):
+        # first call, then a byte-equal copy, which finds the cached register
+        assert_gates_as_batch([state], [gate])
+        assert_gates_as_batch([state.copy()], [gate])
+        # more distinct registers than the cache holds, every gate among them
+        others = [random_state(1 + t % 3, seed + t) for t in range(qsim.OUTCOME_CACHE + 1)]
+        names = sorted(qsim.GATES)
+        assert_gates_as_batch(others, [names[t % len(names)] for t in range(len(others))])
+        assert qsim._gated.cache_info().currsize <= qsim.OUTCOME_CACHE
+        assert_gates_as_batch([state], [gate])
 
 
 class TestMeasureBatch:
@@ -280,7 +296,7 @@ class TestMeasureBatch:
         bits, collapsed = qsim.measure_batch(np.tile(state, (len(u), 1)), np.array(x_basis), u)
         assert bits.shape == u.shape and collapsed.shape == (len(u), len(state))
         for t, x in enumerate(x_basis):
-            bit, post = qsim.measure(state, x, 0, FixedUniform(u[t]))
+            bit, post = qsim.measure(state, x, FixedUniform(u[t]))
             assert bits[t] == bit
             assert np.max(np.abs(collapsed[t] - post)) <= 1e-12
 
@@ -306,11 +322,11 @@ class TestBell:
     def test_phi_plus_in_x_basis(self):
         # H (x) H maps Z eigenbasis to X eigenbasis; Phi+ keeps the same form
         b = qsim.make_bell(0)
-        rotated = qsim.apply_gate(qsim.apply_gate(b, "H", 0), "H", 1)
+        rotated = gate_on(qsim.apply_gate(b, "H"), "H", 1)
         assert np.allclose(rotated, b, atol=1e-12)
 
     def test_dense_coding_states_pairwise_orthogonal(self):
-        states = [qsim.apply_gate(qsim.make_bell(0), g, 0)
+        states = [qsim.apply_gate(qsim.make_bell(0), g)
                   for g in ("I", "X", "Y", "Z")]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -324,12 +340,12 @@ class TestBell:
             for x, z in itertools.product((0, 1), (0, 1)):
                 state = b
                 if x:
-                    state = qsim.apply_gate(state, "X", qubit)
+                    state = gate_on(state, "X", qubit)
                 if z:
-                    state = qsim.apply_gate(state, "Z", qubit)
+                    state = gate_on(state, "Z", qubit)
                 assert qsim.bell_measure(state) == 2 * x + z, (qubit, x, z)
             # Y = ZX is the one gate Alice applies for the pair (1, 1)
-            assert qsim.bell_measure(qsim.apply_gate(b, "Y", qubit)) == 3, qubit
+            assert qsim.bell_measure(gate_on(b, "Y", qubit)) == 3, qubit
 
     @pytest.mark.parametrize("b", range(4), ids=BELL_NAMES)
     def test_bell_measure_ignores_qubit_order(self, b):
@@ -383,8 +399,8 @@ class TestTraceDistance:
 
     def test_global_phase_invisible_in_density(self):
         # X|0> = |1>, Y|0> = -|1>: identical density matrices
-        dx = projector(qsim.apply_gate(qsim.ZERO, "X", 0))
-        dy = projector(qsim.apply_gate(qsim.ZERO, "Y", 0))
+        dx = projector(qsim.apply_gate(qsim.ZERO, "X"))
+        dy = projector(qsim.apply_gate(qsim.ZERO, "Y"))
         assert qsim.trace_distance(dx, dy) <= 1e-12
 
     def test_dimension_mismatch(self):

@@ -148,15 +148,18 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     """Insert m uniformly random decoys at uniformly random positions.
 
     Returns the new sequence plus the decoy positions and state ids (the
-    owner's private record, later published for channel checking).
+    owner's private record, later published for channel checking). The
+    decoys of one id are one shared slot: a slot is never written, only
+    copied (Step 4) or dropped.
     """
     total = len(slots) + m
     positions = sorted(rng.choice(total, size=m, replace=False).tolist())
     ids = rng.integers(0, 4, size=m).tolist()
+    decoys = {did: SequenceSlot(DECOY_AMPS[did]) for did in set(ids)}
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
     for pos, did in zip(positions, ids):
-        out.insert(pos, SequenceSlot(DECOY_AMPS[did]))
+        out.insert(pos, decoys[did])
     return out, positions, ids
 
 
@@ -199,20 +202,23 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
     ``published`` is a list of (position, decoy_id) pairs indexing the sequence
     as sent. This is the protocol's one measurement: both directions of
     channel checking (Steps 2 and 6), the loyalty test and Bob's decode.
+    A valid check draws one uniform per published pair, in order, and an
+    invalid one draws none.
     """
-    tested = {pos for pos, _ in published}
-    if any(not 0 <= pos < len(slots) for pos in tested):
+    positions = [pos for pos, _ in published]
+    if positions and (min(positions) < 0 or max(positions) >= len(slots)):
         raise ProtocolError("published decoy position out of range")
+    tested = set(positions)
     if len(tested) != len(published):
         raise ProtocolError("duplicate published decoy position")
-    if any(did not in _DECOY_IDS for _, did in published):
+    if not _DECOY_IDS.issuperset([did for _, did in published]):
         raise ProtocolError("published decoy id out of range")
-    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, rng)[0]))
-                for pos, did in published]
+    u = rng.random(len(published)).tolist()
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos)[0]))
+                for (pos, did), u_pos in zip(published, u)]
     error_rate = sum(outcomes) / len(published) if published else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]
-    return CheckResult(error_rate, error_rate <= tau, [pos for pos, _ in published], outcomes,
-                       remaining)
+    return CheckResult(error_rate, error_rate <= tau, positions, outcomes, remaining)
 
 
 def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
@@ -396,11 +402,13 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     """Execute one full honest run (Steps 1-6) and record the transcript.
 
     ``choices`` (length N) and ``pairs`` (N message pairs) are drawn from a
-    dedicated input stream when omitted, so a replay with recorded inputs
-    consumes the protocol stream identically.
+    dedicated input stream when omitted, choices first, so a replay with
+    recorded inputs consumes the protocol stream identically. A run given
+    both builds no input stream.
     """
-    rng_inputs = np.random.default_rng([config.seed, 0])
     rng = np.random.default_rng([config.seed, 1])
+    if choices is None or pairs is None:
+        rng_inputs = np.random.default_rng([config.seed, 0])
     if choices is None:
         choices = [int(b) for b in rng_inputs.integers(0, 2, size=config.N)]
     else:

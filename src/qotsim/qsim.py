@@ -17,10 +17,11 @@ Conventions:
     of Phi+ gives Bell state 2x + z;
   * a density matrix is a square complex array.
 
-All operations are pure functions of (register, rng). Every register they
-return, and every one this module defines, is read-only, so registers and
-their measurement outcomes can be shared. Probabilistic operations take an
-explicit numpy Generator so runs are replayable.
+All operations are pure functions of their arguments. A measurement takes
+its uniform draw u in [0, 1) from the caller, who owns the random stream, so
+runs are replayable and no function here takes a Generator. Every register
+they return, and every one this module defines, is read-only, so registers
+and their measurement outcomes can be shared.
 """
 
 from __future__ import annotations
@@ -104,42 +105,40 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _born(amps_bytes: bytes, x_basis: bool) -> tuple[float, np.ndarray]:
+def _outcomes(amps_bytes: bytes, x_basis: bool) -> tuple[float, tuple[np.ndarray | None, ...]]:
     """The Born probability of reading 1 on qubit 0 of the register with
-    these amplitude bytes, and qubit 0's projection onto both eigenstates of
-    the basis (indexed by bit)."""
+    these amplitude bytes, and the read-only register after reading each bit
+    (indexed by bit): the measured eigenstate on qubit 0 times the
+    renormalised projection onto it. A bit of probability 0, which no
+    uniform in [0, 1) reads, has None."""
     pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = _project(np.frombuffer(amps_bytes, complex), pair)
-    return float(np.square(np.abs(proj[1])).sum()), proj
+    p1 = float(np.square(np.abs(proj[1])).sum())
+    posts = []
+    for bit, p in enumerate((1.0 - p1, p1)):
+        out = None
+        if p > 0.0:
+            out = (proj[bit] / math.sqrt(p) * pair[bit][:, None]).reshape(-1)
+            out.flags.writeable = False
+        posts.append(out)
+    return p1, tuple(posts)
 
 
-@functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _collapsed(amps_bytes: bytes, x_basis: bool, bit: int) -> np.ndarray:
-    """The read-only register after reading ``bit``: the measured eigenstate
-    on qubit 0 times the renormalised projection onto it."""
-    p1, proj = _born(amps_bytes, x_basis)
-    rest = proj[bit] / math.sqrt(p1 if bit else 1.0 - p1)
-    out = (rest * EIGENSTATES[2 * x_basis + bit][:, None]).reshape(-1)
-    out.flags.writeable = False
-    return out
-
-
-def measure(amps: np.ndarray, x_basis, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def measure(amps: np.ndarray, x_basis, u: float) -> tuple[int, np.ndarray]:
     """Projective measurement of qubit 0 of a register in the X basis if
     ``x_basis`` is set, else the Z basis; returns (bit, collapsed register).
     The scalar reference the block functions below are tested against.
 
     Qubit 0 is projected onto both eigenstates of the basis. The bit is 1
-    iff ``rng.random()`` is below the outcome-1 projection's squared norm,
-    the float :func:`probability_of_one` gives; the collapsed state is the
-    measured eigenstate on qubit 0 times the renormalised projection onto
-    it. Both are computed once per register and basis, keyed by the
-    amplitude bytes, and shared by later calls; each call still draws its
-    own uniform.
+    iff the uniform ``u`` (in [0, 1), drawn by the caller) is below the
+    outcome-1 projection's squared norm, the float :func:`probability_of_one`
+    gives; the collapsed state is the measured eigenstate on qubit 0 times
+    the renormalised projection onto it. Both are computed once per register
+    and basis, keyed by the amplitude bytes, and shared by later calls.
     """
-    key = (_key(amps), bool(x_basis))  # a bad dtype raises before the draw
-    bit = 1 if _born(*key)[0] > rng.random() else 0
-    return bit, _collapsed(*key, bit)
+    p1, posts = _outcomes(_key(amps), bool(x_basis))
+    bit = 1 if u < p1 else 0
+    return bit, posts[bit]
 
 
 def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +146,7 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
 
     Row t is measured in the X basis where ``x_basis[t]`` is set, else in the
     Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`,
-    as :func:`measure` reads its ``rng.random()``. Returns the bits (bool,
+    as :func:`measure` reads its ``u``. Returns the bits (bool,
     shape ``(T,)``) and the block with each row collapsed as :func:`measure`
     collapses a register.
     """

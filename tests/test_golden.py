@@ -210,6 +210,27 @@ def test_random_config_transcripts_are_pinned():
     assert digest.hexdigest() == RANDOM_CONFIG_SHA256
 
 
+#: sha256 of 900 ``run_honest`` records: 300 configs drawn from a seeded
+#: stream as above (N in 1..11, M and M2 in 0..7, K in 0..3, tau in {0, 0.3}),
+#: each with its choices and pairs drawn from the same stream, run with both
+#: inputs supplied, with only the choices and with only the pairs. Recorded on
+#: a clean checkout of 03db56a, which built the input stream on every run
+SUPPLIED_INPUTS_SHA256 = "04efe5b393909e03e6f0c3e90c3f217fa370f7525f4f904e347dee105cfa1e43"
+
+
+def test_supplied_input_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    g = np.random.default_rng(21)
+    for seed in range(300):
+        n, m, m2, k, t = g.integers((1, 0, 0, 0, 0), (12, 8, 8, 4, 2))
+        cfg = ProtocolConfig(N=n, M=m, M2=m2, K=k, tau=(0.0, 0.3)[t], seed=seed)
+        choices = g.integers(0, 2, size=n).tolist()
+        pairs = [tuple(p) for p in g.integers(0, 2, size=(n, 2)).tolist()]
+        for given in ({"choices": choices, "pairs": pairs}, {"choices": choices}, {"pairs": pairs}):
+            digest.update(protocol.run_honest(cfg, **given).to_json_line().encode() + b"\n")
+    assert digest.hexdigest() == SUPPLIED_INPUTS_SHA256
+
+
 #: sha256 of the concatenated stdout of these commands, each run with
 #: ``--trials 16641 --seed 7``: 65 chunks, past one group of simulated chunks
 GROUPED_CHUNK_COMMANDS = (
@@ -246,7 +267,7 @@ def test_multi_qubit_measurements_are_pinned():
             amps = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
             state = amps / np.linalg.norm(amps)
             for _ in range(2 * n):
-                bit, state = qsim.measure(state, bool(g.integers(2)), g)
+                bit, state = qsim.measure(state, bool(g.integers(2)), g.random())
                 digest.update(bytes([bit]) + state.tobytes())
     for seed in range(6):
         g = np.random.default_rng(seed)

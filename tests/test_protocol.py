@@ -120,6 +120,73 @@ class TestChannelCheck:
         res = protocol.alice_check_channel([slot], [(0, 0)], rng())
         assert not res.ok and res.error_rate == 1.0
 
+    def test_rejects_a_register_that_is_not_complex(self):
+        # the memo reads a register's bytes back as complex; a float slot
+        # is reported by its dtype at the check, not misread as one qubit
+        slot = SequenceSlot(np.array([0., 0., 1., 0.]))
+        with pytest.raises(TypeError, match="float64"):
+            protocol.check_published_decoys([slot], [(0, 0)], rng())
+
+
+class TestCheckDraws:
+    """A check draws its uniforms from the caller's stream: one per published
+    pair, in published order, and none when it has nothing to measure."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_uniform_per_pair_in_order(self, seed, data):
+        # |+> and |-> read in Z, and |0> and |1> in X, flip with probability
+        # about 1/2, so each outcome shows which uniform it read
+        n = data.draw(st.integers(1, 12))
+        states = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        slots = [SequenceSlot(protocol.DECOY_AMPS[d]) for d in states]
+        order = data.draw(st.permutations(range(n)))
+        published = [(p, (2 + states[p]) % 4) for p in order]
+        g, twin = rng(seed), rng(seed)
+        check = protocol.check_published_decoys(slots, published, g)
+        u = twin.random(n)
+        assert check.outcomes == [
+            int(protocol.decoy_flipped(did, qsim.measure(slots[p].state, did >= 2, u[i])[0]))
+            for i, (p, did) in enumerate(published)]
+        assert g.random() == twin.random()
+
+    def test_an_empty_check_draws_nothing(self):
+        g = rng(4)
+        check = protocol.check_published_decoys([SequenceSlot(qsim.PLUS)], [], g)
+        assert check.ok and check.outcomes == []
+        assert g.random() == rng(4).random()
+
+    @pytest.mark.parametrize("published, message", [
+        ([(0, 0), (1, 0), (5, 9), (1, 9)], "position out of range"),
+        ([(0, 0), (-1, 0)], "position out of range"),
+        ([(0, 0), (1, 9), (1, 0)], "duplicate published decoy position"),
+        ([(0, 0), (1, 9)], "decoy id out of range"),
+    ], ids=["range-before-duplicate-and-id", "negative", "duplicate-before-id", "id"])
+    def test_a_rejected_check_draws_nothing(self, published, message):
+        g = rng(4)
+        slots = [SequenceSlot(qsim.PLUS), SequenceSlot(qsim.ZERO)]
+        with pytest.raises(ProtocolError, match=message):
+            protocol.check_published_decoys(slots, published, g)
+        assert g.random() == rng(4).random()
+
+
+class TestDecoyInsertion:
+    def test_decoys_of_one_id_share_one_slot(self):
+        payload = [SequenceSlot(qsim.ZERO, choice=0, payload_index=0)]
+        out, positions, ids = protocol.insert_decoys(payload, 40, rng(6))
+        decoys = [out[p] for p in positions]
+        by_id = {did: slot for did, slot in zip(ids, decoys)}
+        assert set(by_id) == {0, 1, 2, 3}
+        assert all(slot is by_id[did] for did, slot in zip(ids, decoys))
+        for did, slot in by_id.items():
+            assert slot.choice is None and slot.payload_index is None
+            assert np.array_equal(slot.state, protocol.DECOY_AMPS[did])
+        assert out[[k for k in range(len(out)) if k not in positions][0]] is payload[0]
+        # a later insertion builds its own slots
+        again, more, more_ids = protocol.insert_decoys(payload, 40, rng(6))
+        assert more == positions and more_ids == ids
+        assert all(again[p] is not out[p] for p in positions)
+
 
 class TestLoyalty:
     def test_honest_bob_always_passes(self):
@@ -265,7 +332,7 @@ class TestDecoyIds:
     def test_id_is_basis_then_bit_in_qsim_order(self):
         for did, state in enumerate(protocol.DECOY_AMPS):
             # each decoy state reads its own bit in its own basis
-            bit, _ = qsim.measure(state, did >= 2, rng())
+            bit, _ = qsim.measure(state, did >= 2, rng().random())
             assert bit == did % 2 and not protocol.decoy_flipped(did, bit)
         for choice in (0, 1):
             # the same row, shared with the decoy table rather than copied
@@ -329,7 +396,7 @@ class TestFlipCheck:
         bits, _ = qsim.measure_batch(amps, ids >= 2, u)
         assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
         g = rng(seed)
-        scalar = [protocol.decoy_flipped(int(did), qsim.measure(row, did >= 2, g)[0])
+        scalar = [protocol.decoy_flipped(int(did), qsim.measure(row, did >= 2, g.random())[0])
                   for row, did in zip(amps, ids)]
         assert flips.tolist() == scalar
 
@@ -446,6 +513,24 @@ class TestHonestRuns:
         t = protocol.run_honest(cfg, pairs=[(0, 0)] * 5)
         assert t.verdict == "ok" and t.decoded_bits == [0] * 5
 
+    @pytest.mark.parametrize("given, streams", [
+        ({"choices": [1, 0, 1], "pairs": [(0, 1), (1, 1), (1, 0)]}, [[8, 1]]),
+        ({"choices": [1, 0, 1]}, [[8, 1], [8, 0]]),
+        ({"pairs": [(0, 1), (1, 1), (1, 0)]}, [[8, 1], [8, 0]]),
+        ({}, [[8, 1], [8, 0]]),
+    ], ids=["both", "choices", "pairs", "neither"])
+    def test_input_stream_only_when_an_input_is_drawn(self, monkeypatch, given, streams):
+        built = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        t = protocol.run_honest(ProtocolConfig(N=3, M=2, M2=2, K=1, seed=8), **given)
+        assert built == streams and t.verdict == "ok"
+
     def test_rejects_non_bit_pair(self):
         with pytest.raises(ProtocolError, match="bits"):
             protocol.run_honest(ProtocolConfig(N=1, seed=0), pairs=[(0, 2)])
@@ -520,7 +605,7 @@ class TestChoiceHiding:
             wins = 0
             for _ in range(n):
                 j = int(g.integers(2))
-                bit, _ = qsim.measure(choice_state(j), x_basis, g)
+                bit, _ = qsim.measure(choice_state(j), x_basis, g.random())
                 wins += rule[bit] == j
             assert wins / n <= 0.75 + 4 * se
 

@@ -72,7 +72,7 @@ class TestPureState:
     def test_immutable(self):
         # the amplitude arrays are shared (by measurement outcomes and the
         # protocol's preparation tables), so none of them may be written
-        _, post = qsim.measure(qsim.PLUS, False, rng(0))
+        _, post = qsim.measure(qsim.PLUS, False, rng(0).random())
         for amps in (qsim.ZERO, post, qsim.EIGENSTATES):
             with pytest.raises(ValueError):
                 amps[0] = 0.6
@@ -110,19 +110,19 @@ class TestPureState:
 class TestMeasure:
     def test_zero_in_z_is_deterministic(self):
         for seed in range(20):
-            bit, post = qsim.measure(qsim.ZERO, False, rng(seed))
+            bit, post = qsim.measure(qsim.ZERO, False, rng(seed).random())
             assert bit == 0
             assert np.allclose(post, qsim.ZERO)
 
     def test_x_eigenstates_in_x_are_deterministic(self):
         for seed in range(10):
-            assert qsim.measure(qsim.PLUS, True, rng(seed))[0] == 0
-            assert qsim.measure(qsim.MINUS, True, rng(seed))[0] == 1
+            assert qsim.measure(qsim.PLUS, True, rng(seed).random())[0] == 0
+            assert qsim.measure(qsim.MINUS, True, rng(seed).random())[0] == 1
 
     def test_minus_in_z_is_unbiased(self):
         g = rng(7)
         n = 20_000
-        ones = sum(qsim.measure(qsim.MINUS, False, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(qsim.MINUS, False, g.random())[0] for _ in range(n))
         se = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 4 * se
 
@@ -131,7 +131,7 @@ class TestMeasure:
         state = np.array([0.6, 0.8], dtype=complex)
         g = rng(11)
         n = 100_000
-        ones = sum(qsim.measure(state, False, g)[0] for _ in range(n))
+        ones = sum(qsim.measure(state, False, g.random())[0] for _ in range(n))
         p = 0.64
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) <= 4 * se
@@ -139,22 +139,20 @@ class TestMeasure:
     def test_bell_halves_agree_in_z(self):
         g = rng(3)
         for _ in range(200):
-            b0, post = qsim.measure(qsim.make_bell(0), False, g)
+            b0, post = qsim.measure(qsim.make_bell(0), False, g.random())
             # qubit 1 alone, given that qubit 0 read b0
-            b1, _ = qsim.measure(post.reshape(2, 2)[b0], False, g)
+            b1, _ = qsim.measure(post.reshape(2, 2)[b0], False, g.random())
             assert b0 == b1
 
     def test_rejects_a_register_that_is_not_complex(self):
         # the memo keys a register by its bytes and reads them back as
         # complex: a float row of four amplitudes would read as one qubit
-        g = rng()
         with pytest.raises(TypeError, match="float64"):
-            qsim.measure(np.array([0., 0., 1., 0.]), False, g)
-        assert g.random() == rng().random()  # the check comes before the draw
+            qsim.measure(np.array([0., 0., 1., 0.]), False, 0.5)
 
     def test_collapse_renormalizes(self):
         state = np.array([0.6, 0.8], dtype=complex)
-        _, post = qsim.measure(state, False, rng(0))
+        _, post = qsim.measure(state, False, rng(0).random())
         assert abs(np.vdot(post, post).real - 1.0) <= 1e-10
 
     def test_immunity_of_encodings(self):
@@ -163,22 +161,12 @@ class TestMeasure:
             for state, bit in [(qsim.ZERO, 0), (qsim.ONE, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate)
-                    assert qsim.measure(out, False, rng(seed))[0] == bit
+                    assert qsim.measure(out, False, rng(seed).random())[0] == bit
         for gate in ("I", "X"):
             for state, bit in [(qsim.PLUS, 0), (qsim.MINUS, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate)
-                    assert qsim.measure(out, True, rng(seed))[0] == bit
-
-
-class FixedUniform:
-    """Stands in for a Generator whose ``random()`` returns ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+                    assert qsim.measure(out, True, rng(seed).random())[0] == bit
 
 
 def random_state(n_qubits, seed):
@@ -187,13 +175,14 @@ def random_state(n_qubits, seed):
     return amps / np.linalg.norm(amps)
 
 
-def reference_measure(state, x_basis, rng):
+def reference_measure(state, x_basis, u):
     """``qsim.measure`` as it was before its outcomes were memoized, verbatim
-    but for its register type and its target, fixed at qubit 0."""
+    but for its register type, its target, fixed at qubit 0, and its draw,
+    the uniform ``u`` in place of ``rng.random()``."""
     pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = qsim._project(state.reshape(1, 1, -1), pair)
     p1 = float(np.square(np.abs(proj[:, 1])).sum())
-    bit = 1 if rng.random() < p1 else 0
+    bit = 1 if u < p1 else 0
     rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
     return bit, (rest[:, None, :] * pair[bit][:, None]).reshape(-1)
 
@@ -209,8 +198,8 @@ def boundary_uniforms(state, x_basis):
 
 
 def assert_measures_as_reference(state, x_basis, u):
-    bit, post = qsim.measure(state, x_basis, FixedUniform(u))
-    ref_bit, ref_post = reference_measure(state, x_basis, FixedUniform(u))
+    bit, post = qsim.measure(state, x_basis, u)
+    ref_bit, ref_post = reference_measure(state, x_basis, u)
     assert bit == ref_bit and np.array_equal(post, ref_post)
 
 
@@ -243,18 +232,32 @@ class TestMeasureMemo:
         for x, u in cases:
             assert_measures_as_reference(state, x, u)
         for seed in range(qsim.OUTCOME_CACHE + 1):
-            qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, rng(seed))
-        assert qsim._born.cache_info().currsize <= qsim.OUTCOME_CACHE
+            qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, rng(seed).random())
+        assert qsim._outcomes.cache_info().currsize <= qsim.OUTCOME_CACHE
         for x, u in cases:
             assert_measures_as_reference(state, x, u)
 
     def test_repeated_register_is_computed_once(self):
         state = random_state(2, 5)
-        qsim.measure(state, True, rng(0))
-        misses = qsim._born.cache_info().misses
+        qsim.measure(state, True, rng(0).random())
+        info = qsim._outcomes.cache_info()
         g = rng(1)
-        bits = {qsim.measure(state.copy(), True, g)[0] for _ in range(50)}
-        assert qsim._born.cache_info().misses == misses and bits == {0, 1}
+        bits = {qsim.measure(state.copy(), True, g.random())[0] for _ in range(50)}
+        after = qsim._outcomes.cache_info()
+        # one lookup per call, every one a hit, and both outcomes read
+        assert after.misses == info.misses and after.hits == info.hits + 50 and bits == {0, 1}
+
+    @pytest.mark.parametrize("state, x_basis, bit", [
+        (qsim.ZERO, False, 1), (qsim.ONE, False, 0), (qsim.PLUS, True, 1),
+        # |-> reads 1 in X with p1 = 1 - 4e-16 after rounding: bit 0 stays possible
+        (qsim.MINUS, True, None), (qsim.make_bell(0), True, None)])
+    def test_a_bit_of_probability_zero_has_no_register(self, state, x_basis, bit):
+        # the register after an impossible bit would divide by zero; no
+        # uniform in [0, 1) reads that bit, so every draw gets a register
+        _, posts = qsim._outcomes(state.tobytes(), x_basis)
+        assert [post is None for post in posts] == [b == bit for b in (0, 1)]
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            assert qsim.measure(state, x_basis, u)[1] is not None
 
 
 def assert_gates_as_batch(states, gates):
@@ -296,7 +299,7 @@ class TestMeasureBatch:
         bits, collapsed = qsim.measure_batch(np.tile(state, (len(u), 1)), np.array(x_basis), u)
         assert bits.shape == u.shape and collapsed.shape == (len(u), len(state))
         for t, x in enumerate(x_basis):
-            bit, post = qsim.measure(state, x, FixedUniform(u[t]))
+            bit, post = qsim.measure(state, x, u[t])
             assert bits[t] == bit
             assert np.max(np.abs(collapsed[t] - post)) <= 1e-12
 

@@ -39,8 +39,6 @@ TABLE: dict[ProtocolId, ProtocolCost] = {
     ProtocolId.PROPOSED: ProtocolCost(1, 2 * 50, 2 * 20),
 }
 
-CROSSOVER_LIMIT = 10_000
-
 YSW_FOOTNOTE = ("ysw: table lists 2x50 decoy qubits but a 4R+50 total; "
                 "the total-cost column is used here")
 
@@ -54,12 +52,13 @@ def total_cost(protocol_id: ProtocolId, R: int) -> int:
 
 def crossover() -> int:
     """Smallest R at which the proposed protocol is at least as cheap as every
-    alternative (and stays so, since it has the smallest slope)."""
-    others = [p for p in ProtocolId if p is not ProtocolId.PROPOSED]
-    for R in range(CROSSOVER_LIMIT + 1):
-        if all(total_cost(ProtocolId.PROPOSED, R) <= total_cost(o, R) for o in others):
-            return R
-    raise RuntimeError("no crossover found within limit")
+    alternative (and stays so, since it has the smallest slope): the largest
+    ceil((b_p - b_o) / (a_o - a_p)) over the other protocols o, floored at 0,
+    where a is a protocol's slope and b its total at R = 0."""
+    p = TABLE[ProtocolId.PROPOSED]
+    # ceil(n / d) = -(-n // d) for d > 0
+    return max(0, *(-((o.total(0) - p.total(0)) // (o.qubits_per_message - p.qubits_per_message))
+                    for pid, o in TABLE.items() if pid is not ProtocolId.PROPOSED))
 
 
 CURVE_HEADER = ",".join(["R", *(p.value for p in ProtocolId)])

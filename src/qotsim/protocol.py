@@ -214,7 +214,7 @@ def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.
     if not _DECOY_IDS.issuperset([did for _, did in published]):
         raise ProtocolError("published decoy id out of range")
     u = rng.random(len(published)).tolist()
-    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos)[0]))
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos)))
                 for (pos, did), u_pos in zip(published, u)]
     error_rate = sum(outcomes) / len(published) if published else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]

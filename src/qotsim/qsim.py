@@ -19,23 +19,23 @@ Conventions:
 
 All operations are pure functions of their arguments. A measurement takes
 its uniform draw u in [0, 1) from the caller, who owns the random stream, so
-runs are replayable and no function here takes a Generator. Every register
-they return, and every one this module defines, is read-only, so registers
-and their measurement outcomes can be shared.
+runs are replayable and no function here takes a Generator. :func:`measure`
+reads only a bit; :func:`measure_batch` is the one function that collapses
+registers. Every register :func:`apply_gate` returns, and every one this
+module defines, is read-only, so registers can be shared.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 #: tolerance for state normalization
 NORM_ATOL = 1e-10
 
-#: distinct (register, basis) measurements whose outcomes :func:`measure`
-#: keeps, and distinct (register, gate) results :func:`apply_gate` keeps;
+#: distinct (register, basis) Born probabilities :func:`measure` keeps, and
+#: distinct (register, gate) results :func:`apply_gate` keeps;
 #: bounds memory when many random registers pass through either
 OUTCOME_CACHE = 256
 
@@ -105,50 +105,27 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _outcomes(amps_bytes: bytes, x_basis: bool) -> tuple[float, tuple[np.ndarray | None, ...]]:
-    """The Born probability of reading 1 on qubit 0 of the register with
-    these amplitude bytes, and the read-only register after reading each bit
-    (indexed by bit): the measured eigenstate on qubit 0 times the
-    renormalised projection onto it. A bit of probability 0, which no
-    uniform in [0, 1) reads, has None."""
-    pair = EIGENSTATES[2 * x_basis:2 * x_basis + 2]
-    proj = _project(np.frombuffer(amps_bytes, complex), pair)
-    p1 = float(np.square(np.abs(proj[1])).sum())
-    posts = []
-    for bit, p in enumerate((1.0 - p1, p1)):
-        out = None
-        if p > 0.0:
-            out = (proj[bit] / math.sqrt(p) * pair[bit][:, None]).reshape(-1)
-            out.flags.writeable = False
-        posts.append(out)
-    return p1, tuple(posts)
+def _born(amps_bytes: bytes, x_basis: bool) -> float:
+    """:func:`probability_of_one` of the register with these amplitude bytes."""
+    return float(probability_of_one(np.frombuffer(amps_bytes, complex)[None], x_basis)[0])
 
 
-def measure(amps: np.ndarray, x_basis, u: float) -> tuple[int, np.ndarray]:
-    """Projective measurement of qubit 0 of a register in the X basis if
-    ``x_basis`` is set, else the Z basis; returns (bit, collapsed register).
-    The scalar reference the block functions below are tested against.
-
-    Qubit 0 is projected onto both eigenstates of the basis. The bit is 1
-    iff the uniform ``u`` (in [0, 1), drawn by the caller) is below the
-    outcome-1 projection's squared norm, the float :func:`probability_of_one`
-    gives; the collapsed state is the measured eigenstate on qubit 0 times
-    the renormalised projection onto it. Both are computed once per register
-    and basis, keyed by the amplitude bytes, and shared by later calls.
-    """
-    p1, posts = _outcomes(_key(amps), bool(x_basis))
-    bit = 1 if u < p1 else 0
-    return bit, posts[bit]
+def measure(amps: np.ndarray, x_basis, u: float) -> int:
+    """The bit (an int) read by measuring qubit 0 of a register in the X basis
+    if ``x_basis`` is set, else the Z basis: 1 iff the uniform ``u`` (in [0, 1),
+    drawn by the caller) is below its :func:`probability_of_one`, computed once
+    per register and basis and shared. Nothing is collapsed."""
+    return 1 if u < _born(_key(amps), bool(x_basis)) else 0
 
 
 def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure qubit 0 of every row of a ``(T, 2^n)`` amplitude block.
 
     Row t is measured in the X basis where ``x_basis[t]`` is set, else in the
-    Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`,
-    as :func:`measure` reads its ``u``. Returns the bits (bool,
-    shape ``(T,)``) and the block with each row collapsed as :func:`measure`
-    collapses a register.
+    Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`.
+    Returns the bits (bool, shape ``(T,)``) and the block with each row
+    collapsed: the measured eigenstate on qubit 0 times the renormalised
+    projection onto it.
     """
     p1 = probability_of_one(amps, x_basis)
     bits = u < p1

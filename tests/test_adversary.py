@@ -201,7 +201,7 @@ class TestBobBellCheat:
         n = 40_000
         hits = 0
         for _ in range(n):
-            bit, _ = qsim.measure(qsim.make_bell(0), int(g.integers(2)), g.random())
+            bit = qsim.measure(qsim.make_bell(0), int(g.integers(2)), g.random())
             hits += bit == 1
         se = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 4 * se

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -531,6 +534,34 @@ class TestUsageErrors:
     def test_unknown_scenario(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["attack", "--scenario", "nope"])
+
+
+class TestModuleEntryPoint:
+    """``python -m qotsim.cli`` in a fresh interpreter, with the package's
+    ``src`` directory on ``PYTHONPATH``: the exit code reaches the shell."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "qotsim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_cost_prints_header_and_rows(self):
+        done = self.run_module("cost", "--rmax", "2")
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == ["R,yang,ysw,yylsz,proposed", "1,54,54,104,141",
+                                            "2,58,58,108,142"]
+
+    def test_usage_error_exits_two(self):
+        done = self.run_module("cost", "--rmax", "0")
+        assert done.returncode == 2 and done.stdout == "" and "--rmax" in done.stderr
+
+    def test_missing_transcript_exits_one(self, tmp_path):
+        done = self.run_module("replay", "--transcript", str(tmp_path / "missing.jsonl"))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ")
 
 
 class TestReadme:

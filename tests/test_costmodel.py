@@ -1,7 +1,33 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import costmodel
-from qotsim.costmodel import ProtocolId, total_cost
+from qotsim.costmodel import ProtocolCost, ProtocolId, total_cost
+
+OTHERS = [p for p in ProtocolId if p is not ProtocolId.PROPOSED]
+
+
+def reference_crossover():
+    """``costmodel.crossover`` as it was before its closed form: a search for
+    the first R at which the proposed protocol is at least as cheap as every
+    other, up to its old bound of 10,000."""
+    for R in range(10_000 + 1):
+        if all(total_cost(ProtocolId.PROPOSED, R) <= total_cost(o, R) for o in OTHERS):
+            return R
+    raise RuntimeError("no crossover found within limit")
+
+
+@st.composite
+def affine_tables(draw):
+    """A cost table in which the proposed protocol has the strictly smallest
+    slope, so a crossover exists."""
+    slope = draw(st.integers(0, 6))
+    budget = st.integers(0, 300)
+    table = {ProtocolId.PROPOSED: ProtocolCost(slope, draw(budget), draw(budget))}
+    for o in OTHERS:
+        table[o] = ProtocolCost(draw(st.integers(slope + 1, 8)), draw(budget), draw(budget))
+    return table
 
 
 class TestTotalCost:
@@ -29,12 +55,18 @@ class TestTotalCost:
 
 class TestCrossover:
     def test_crossover_is_thirty(self):
-        assert costmodel.crossover() == 30
+        assert costmodel.crossover() == 30 == reference_crossover()
+
+    @given(affine_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_the_search(self, table):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(costmodel, "TABLE", table)
+            assert costmodel.crossover() == reference_crossover()
 
     def test_strictly_cheapest_beyond_crossover(self):
-        others = [p for p in ProtocolId if p is not ProtocolId.PROPOSED]
         for R in range(31, 400):
-            assert all(total_cost(ProtocolId.PROPOSED, R) < total_cost(o, R) for o in others)
+            assert all(total_cost(ProtocolId.PROPOSED, R) < total_cost(o, R) for o in OTHERS)
 
     def test_not_cheapest_below_crossover(self):
         assert total_cost(ProtocolId.PROPOSED, 29) == 169

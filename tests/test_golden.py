@@ -251,11 +251,12 @@ def test_csvs_past_a_chunk_group_are_pinned(capsys):
     assert digest.hexdigest() == GROUPED_CHUNK_SHA256
 
 
-#: sha256 over chained seeded ``qsim.measure`` bits and collapsed amplitude
-#: bytes on random one- to three-qubit registers, 2n qubit-0 measurements of
-#: each n-qubit register, then over the Bell cheat's protocol path: channel
-#: check, loyalty positions and outcomes. Computed at b0cdeba, whose measure
-#: still took a target, with the target set to 0
+#: sha256 over chained seeded bits and collapsed amplitude bytes on random
+#: one- to three-qubit registers, 2n qubit-0 measurements of each n-qubit
+#: register (one-row ``qsim.measure_batch``), then over the Bell cheat's
+#: protocol path: channel check, loyalty positions and outcomes. Computed at
+#: b0cdeba with ``qsim.measure``, which then took a target and returned the
+#: collapsed register, with the target set to 0
 MULTI_QUBIT_SHA256 = "314a910f8f6a4470eb37bdd25c465e29680a0a46d6ed3b651ee918f3f7581c86"
 
 
@@ -267,7 +268,9 @@ def test_multi_qubit_measurements_are_pinned():
             amps = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
             state = amps / np.linalg.norm(amps)
             for _ in range(2 * n):
-                bit, state = qsim.measure(state, bool(g.integers(2)), g.random())
+                bits, block = qsim.measure_batch(state[None], np.array([bool(g.integers(2))]),
+                                                 np.array([g.random()]))
+                bit, state = int(bits[0]), block[0]
                 digest.update(bytes([bit]) + state.tobytes())
     for seed in range(6):
         g = np.random.default_rng(seed)

@@ -146,7 +146,7 @@ class TestCheckDraws:
         check = protocol.check_published_decoys(slots, published, g)
         u = twin.random(n)
         assert check.outcomes == [
-            int(protocol.decoy_flipped(did, qsim.measure(slots[p].state, did >= 2, u[i])[0]))
+            int(protocol.decoy_flipped(did, qsim.measure(slots[p].state, did >= 2, u[i])))
             for i, (p, did) in enumerate(published)]
         assert g.random() == twin.random()
 
@@ -332,7 +332,7 @@ class TestDecoyIds:
     def test_id_is_basis_then_bit_in_qsim_order(self):
         for did, state in enumerate(protocol.DECOY_AMPS):
             # each decoy state reads its own bit in its own basis
-            bit, _ = qsim.measure(state, did >= 2, rng().random())
+            bit = qsim.measure(state, did >= 2, rng().random())
             assert bit == did % 2 and not protocol.decoy_flipped(did, bit)
         for choice in (0, 1):
             # the same row, shared with the decoy table rather than copied
@@ -396,7 +396,7 @@ class TestFlipCheck:
         bits, _ = qsim.measure_batch(amps, ids >= 2, u)
         assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
         g = rng(seed)
-        scalar = [protocol.decoy_flipped(int(did), qsim.measure(row, did >= 2, g.random())[0])
+        scalar = [protocol.decoy_flipped(int(did), qsim.measure(row, did >= 2, g.random()))
                   for row, did in zip(amps, ids)]
         assert flips.tolist() == scalar
 
@@ -605,7 +605,7 @@ class TestChoiceHiding:
             wins = 0
             for _ in range(n):
                 j = int(g.integers(2))
-                bit, _ = qsim.measure(choice_state(j), x_basis, g.random())
+                bit = qsim.measure(choice_state(j), x_basis, g.random())
                 wins += rule[bit] == j
             assert wins / n <= 0.75 + 4 * se
 

@@ -26,6 +26,14 @@ def projector(state):
     return np.outer(state, state.conj())
 
 
+def collapse(state, x_basis, u):
+    """One-row ``measure_batch``, the one collapse in ``qsim``: the bit, which
+    must be the bit ``measure`` reads, and the collapsed register."""
+    bits, block = qsim.measure_batch(state[None], np.array([x_basis]), np.array([u]))
+    assert bits[0] == qsim.measure(state, x_basis, u)
+    return int(bits[0]), block[0]
+
+
 def gate_on(state, gate, qubit):
     """``gate`` on one qubit of a two-qubit register: ``qsim.apply_gate`` on
     qubit 0, and the oracle kron(I, G) on qubit 1, where qsim has no gate."""
@@ -70,10 +78,9 @@ class TestPureState:
     """A pure-state register is a read-only row, as is every shared table."""
 
     def test_immutable(self):
-        # the amplitude arrays are shared (by measurement outcomes and the
-        # protocol's preparation tables), so none of them may be written
-        _, post = qsim.measure(qsim.PLUS, False, rng(0).random())
-        for amps in (qsim.ZERO, post, qsim.EIGENSTATES):
+        # the amplitude arrays are shared (by the protocol's preparation
+        # tables), so none of them may be written
+        for amps in (qsim.ZERO, qsim.EIGENSTATES):
             with pytest.raises(ValueError):
                 amps[0] = 0.6
         mine = np.array([0.6, 0.8], dtype=complex)
@@ -110,19 +117,19 @@ class TestPureState:
 class TestMeasure:
     def test_zero_in_z_is_deterministic(self):
         for seed in range(20):
-            bit, post = qsim.measure(qsim.ZERO, False, rng(seed).random())
+            bit, post = collapse(qsim.ZERO, False, rng(seed).random())
             assert bit == 0
             assert np.allclose(post, qsim.ZERO)
 
     def test_x_eigenstates_in_x_are_deterministic(self):
         for seed in range(10):
-            assert qsim.measure(qsim.PLUS, True, rng(seed).random())[0] == 0
-            assert qsim.measure(qsim.MINUS, True, rng(seed).random())[0] == 1
+            assert qsim.measure(qsim.PLUS, True, rng(seed).random()) == 0
+            assert qsim.measure(qsim.MINUS, True, rng(seed).random()) == 1
 
     def test_minus_in_z_is_unbiased(self):
         g = rng(7)
         n = 20_000
-        ones = sum(qsim.measure(qsim.MINUS, False, g.random())[0] for _ in range(n))
+        ones = sum(qsim.measure(qsim.MINUS, False, g.random()) for _ in range(n))
         se = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 4 * se
 
@@ -131,7 +138,7 @@ class TestMeasure:
         state = np.array([0.6, 0.8], dtype=complex)
         g = rng(11)
         n = 100_000
-        ones = sum(qsim.measure(state, False, g.random())[0] for _ in range(n))
+        ones = sum(qsim.measure(state, False, g.random()) for _ in range(n))
         p = 0.64
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) <= 4 * se
@@ -139,9 +146,9 @@ class TestMeasure:
     def test_bell_halves_agree_in_z(self):
         g = rng(3)
         for _ in range(200):
-            b0, post = qsim.measure(qsim.make_bell(0), False, g.random())
+            b0, post = collapse(qsim.make_bell(0), False, g.random())
             # qubit 1 alone, given that qubit 0 read b0
-            b1, _ = qsim.measure(post.reshape(2, 2)[b0], False, g.random())
+            b1 = qsim.measure(post.reshape(2, 2)[b0], False, g.random())
             assert b0 == b1
 
     def test_rejects_a_register_that_is_not_complex(self):
@@ -152,7 +159,7 @@ class TestMeasure:
 
     def test_collapse_renormalizes(self):
         state = np.array([0.6, 0.8], dtype=complex)
-        _, post = qsim.measure(state, False, rng(0).random())
+        _, post = collapse(state, False, rng(0).random())
         assert abs(np.vdot(post, post).real - 1.0) <= 1e-10
 
     def test_immunity_of_encodings(self):
@@ -161,12 +168,12 @@ class TestMeasure:
             for state, bit in [(qsim.ZERO, 0), (qsim.ONE, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate)
-                    assert qsim.measure(out, False, rng(seed).random())[0] == bit
+                    assert qsim.measure(out, False, rng(seed).random()) == bit
         for gate in ("I", "X"):
             for state, bit in [(qsim.PLUS, 0), (qsim.MINUS, 1)]:
                 for seed in range(5):
                     out = qsim.apply_gate(state, gate)
-                    assert qsim.measure(out, True, rng(seed).random())[0] == bit
+                    assert qsim.measure(out, True, rng(seed).random()) == bit
 
 
 def random_state(n_qubits, seed):
@@ -198,9 +205,12 @@ def boundary_uniforms(state, x_basis):
 
 
 def assert_measures_as_reference(state, x_basis, u):
-    bit, post = qsim.measure(state, x_basis, u)
+    """``measure`` reads the reference's bit, as an ``int``, and one-row
+    ``measure_batch`` reads it too and collapses to the reference's register."""
     ref_bit, ref_post = reference_measure(state, x_basis, u)
-    assert bit == ref_bit and np.array_equal(post, ref_post)
+    bit = qsim.measure(state, x_basis, u)
+    assert type(bit) is int and bit == ref_bit
+    assert np.array_equal(collapse(state, x_basis, u)[1], ref_post)
 
 
 #: states whose Born probabilities are 0, 1/2 or 1, over one to three qubits
@@ -209,8 +219,8 @@ EXACT_STATES = [qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS, qsim.make_bell(3),
 
 
 class TestMeasureMemo:
-    """``measure`` computes each register's outcomes once, keyed by its
-    amplitude bytes; every call must still read as the unmemoized reference."""
+    """``measure`` computes each register's Born probability once, keyed by
+    its amplitude bytes; every call must still read as the unmemoized reference."""
 
     @given(st.one_of(st.sampled_from(EXACT_STATES),
                      st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
@@ -219,7 +229,7 @@ class TestMeasureMemo:
     def test_matches_reference(self, state, x_basis, seed):
         other = random_state(len(state).bit_length() - 1, seed)
         for u in boundary_uniforms(state, x_basis):
-            # first call, then a byte-equal copy, which finds the cached outcomes
+            # first call, then a byte-equal copy, which finds the cached probability
             assert_measures_as_reference(state, x_basis, u)
             assert_measures_as_reference(state.copy(), x_basis, u)
             # a different register of the same width gets its own outcomes
@@ -233,31 +243,31 @@ class TestMeasureMemo:
             assert_measures_as_reference(state, x, u)
         for seed in range(qsim.OUTCOME_CACHE + 1):
             qsim.measure(random_state(1 + seed % 3, 1000 + seed), seed % 2, rng(seed).random())
-        assert qsim._outcomes.cache_info().currsize <= qsim.OUTCOME_CACHE
+        assert qsim._born.cache_info().currsize <= qsim.OUTCOME_CACHE
         for x, u in cases:
             assert_measures_as_reference(state, x, u)
 
     def test_repeated_register_is_computed_once(self):
         state = random_state(2, 5)
         qsim.measure(state, True, rng(0).random())
-        info = qsim._outcomes.cache_info()
+        info = qsim._born.cache_info()
         g = rng(1)
-        bits = {qsim.measure(state.copy(), True, g.random())[0] for _ in range(50)}
-        after = qsim._outcomes.cache_info()
+        bits = {qsim.measure(state.copy(), True, g.random()) for _ in range(50)}
+        after = qsim._born.cache_info()
         # one lookup per call, every one a hit, and both outcomes read
         assert after.misses == info.misses and after.hits == info.hits + 50 and bits == {0, 1}
 
-    @pytest.mark.parametrize("state, x_basis, bit", [
-        (qsim.ZERO, False, 1), (qsim.ONE, False, 0), (qsim.PLUS, True, 1),
-        # |-> reads 1 in X with p1 = 1 - 4e-16 after rounding: bit 0 stays possible
-        (qsim.MINUS, True, None), (qsim.make_bell(0), True, None)])
-    def test_a_bit_of_probability_zero_has_no_register(self, state, x_basis, bit):
-        # the register after an impossible bit would divide by zero; no
-        # uniform in [0, 1) reads that bit, so every draw gets a register
-        _, posts = qsim._outcomes(state.tobytes(), x_basis)
-        assert [post is None for post in posts] == [b == bit for b in (0, 1)]
-        for u in (0.0, np.nextafter(1.0, 0.0)):
-            assert qsim.measure(state, x_basis, u)[1] is not None
+    @given(st.one_of(st.sampled_from(EXACT_STATES),
+                     st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_the_block_born_probability(self, state, x_basis):
+        # measure reads the Born probability every block check reads: at p1
+        # and at the floats on either side of it
+        p1 = qsim.probability_of_one(state[None], x_basis)[0]
+        for u in (p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0)):
+            bit = qsim.measure(state, x_basis, float(u))
+            assert type(bit) is int and bit == int(u < p1)
 
 
 def assert_gates_as_batch(states, gates):
@@ -299,9 +309,9 @@ class TestMeasureBatch:
         bits, collapsed = qsim.measure_batch(np.tile(state, (len(u), 1)), np.array(x_basis), u)
         assert bits.shape == u.shape and collapsed.shape == (len(u), len(state))
         for t, x in enumerate(x_basis):
-            bit, post = qsim.measure(state, x, u[t])
-            assert bits[t] == bit
-            assert np.max(np.abs(collapsed[t] - post)) <= 1e-12
+            ref_bit, ref_post = reference_measure(state, x, u[t])
+            assert bits[t] == ref_bit == qsim.measure(state, x, u[t])
+            assert np.array_equal(collapsed[t], ref_post)
 
     def test_reads_u_against_born_probability(self):
         # 0.6|0> + 0.8|1>: P(1) = 0.64 in Z, P(-) = 0.02 in X

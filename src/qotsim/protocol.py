@@ -25,7 +25,7 @@ MAX_QUBITS_USED = 100_000
 #: eigenstate order: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->. The id is the one
 #: key for a state, its basis and its bit; Bob's choice c is id 2c.
 DECOY_AMPS = qsim.EIGENSTATES
-#: the decoy ids a published (position, id) pair may name
+#: the decoy ids a published id list may name
 _DECOY_IDS = frozenset(range(len(DECOY_AMPS)))
 
 #: message-pair to gate encoding
@@ -41,15 +41,17 @@ PAULI_MATRICES.flags.writeable = False
 
 
 def decoy_flipped(decoy_id, bit):
-    """Whether ``bit``, read in the basis of decoy state ``decoy_id``, is not
-    that state's bit: the slot came back flipped. Works elementwise."""
-    return bit != decoy_id & 1
+    """1 if ``bit``, read in the basis of decoy state ``decoy_id``, is not that
+    state's bit (the slot came back flipped), else 0: an ``int`` for ``int``
+    inputs, and a bool mask for a bool ``bit`` array. Works elementwise."""
+    return bit ^ (decoy_id & 1 == 1)
 
 
 def decoy_flips(amps: np.ndarray, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`decoy_flipped` for a block: qubit 0 of row t of a ``(T, 2^n)`` amplitude
-    block reads 1, in the basis of decoy id ``ids[t]``, iff ``u[t]`` is below its
-    :func:`qsim.probability_of_one`, as in :func:`qsim.measure_batch`; nothing collapses."""
+    """:func:`decoy_flipped` for a block, as a bool mask: qubit 0 of row t of a
+    ``(T, 2^n)`` amplitude block reads 1, in the basis of decoy id ``ids[t]``, iff
+    ``u[t]`` is below its :func:`qsim.probability_of_one`, as in
+    :func:`qsim.measure_batch`; nothing collapses."""
     return decoy_flipped(ids, u < qsim.probability_of_one(amps, ids >= 2))
 
 
@@ -64,13 +66,14 @@ class ProtocolError(Exception):
 
 
 def read_key_values(path) -> dict[str, str]:
-    """Read a ``key = value`` text file; ``#`` starts a comment and blank
-    lines are skipped. Later keys override earlier ones."""
+    """Read a ``key = value`` UTF-8 text file, skipping a leading byte-order
+    mark; ``#`` starts a comment and blank lines are skipped. Later keys
+    override earlier ones."""
     values: dict[str, str] = {}
     with open(path, "rb") as fh:
         for lineno, data in enumerate(fh, start=1):
             try:
-                raw = data.decode("utf-8")
+                raw = data.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"{path}:{lineno}: {exc}") from None
             line = raw.split("#", 1)[0].strip()
@@ -92,7 +95,7 @@ class SequenceSlot:
     is set. ``choice`` is the owner's private preparation record: Bob's choice
     bit c (decoy id 2c) on payload and loyalty slots, which he publishes if
     the slot is loyalty-tested, and None on decoys, whose record is the
-    published (position, id) list. A cheating Bob's Bell slot has no
+    published position and id lists. A cheating Bob's Bell slot has no
     preparation; its ``choice`` is the bit he will declare. The
     counterparty's code must only rely on ``state`` (and, for adversary
     slots, the transmitted qubit is always tensor factor 0 of ``state``).
@@ -168,7 +171,9 @@ def bob_prepare_sequence(choices, M: int, rng: np.random.Generator, n_loyalty: i
     """Step 1: build the sequence of payload + loyalty slots with M decoys mixed in.
 
     The last ``n_loyalty`` entries of ``choices`` are loyalty slots; the rest
-    are payload, whose ``payload_index`` records which intended choice they carry.
+    are payload, whose ``payload_index`` records which intended choice they
+    carry. Each payload slot is its own object; the loyalty slots of one
+    choice are one shared slot, as the decoys of one id are.
     Returns (slots, decoy positions, decoy ids).
     """
     choices = [int(c) for c in choices]
@@ -177,8 +182,10 @@ def bob_prepare_sequence(choices, M: int, rng: np.random.Generator, n_loyalty: i
     if not 0 <= n_loyalty <= len(choices):
         raise ProtocolError("loyalty count exceeds choice count")
     n_payload = len(choices) - n_loyalty
-    slots = [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < n_payload else None)
-             for i, c in enumerate(choices)]
+    loyalty = [SequenceSlot(choice_state(c), choice=c) for c in (0, 1)]
+    slots = [SequenceSlot(choice_state(c), choice=c, payload_index=i)
+             for i, c in enumerate(choices[:n_payload])]
+    slots += [loyalty[c] for c in choices[n_payload:]]
     return insert_decoys(slots, M, rng)
 
 
@@ -194,36 +201,38 @@ class CheckResult:
     remaining: list[SequenceSlot] = field(repr=False)
 
 
-def check_published_decoys(slots: list[SequenceSlot], published, rng: np.random.Generator,
+def check_published_decoys(slots: list[SequenceSlot], positions, ids, rng: np.random.Generator,
                            tau: float = 0.0) -> CheckResult:
     """Measure each published slot in the basis of its published preparation
     and strip the published slots out.
 
-    ``published`` is a list of (position, decoy_id) pairs indexing the sequence
-    as sent. This is the protocol's one measurement: both directions of
-    channel checking (Steps 2 and 6), the loyalty test and Bob's decode.
-    A valid check draws one uniform per published pair, in order, and an
-    invalid one draws none.
+    Slot ``positions[i]`` of the sequence as sent was published as decoy id
+    ``ids[i]``: parallel lists of ints, as a transcript records them. This is
+    the protocol's one measurement: both directions of channel checking
+    (Steps 2 and 6), the loyalty test and Bob's decode. A valid check draws
+    one uniform per published slot, in order, and an invalid one draws none.
     """
-    positions = [pos for pos, _ in published]
+    if len(positions) != len(ids):
+        raise ProtocolError(f"{len(positions)} published decoy positions for {len(ids)} ids")
     if positions and (min(positions) < 0 or max(positions) >= len(slots)):
         raise ProtocolError("published decoy position out of range")
     tested = set(positions)
-    if len(tested) != len(published):
+    if len(tested) != len(positions):
         raise ProtocolError("duplicate published decoy position")
-    if not _DECOY_IDS.issuperset([did for _, did in published]):
+    if not _DECOY_IDS.issuperset(ids):
         raise ProtocolError("published decoy id out of range")
-    u = rng.random(len(published)).tolist()
-    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos)))
-                for (pos, did), u_pos in zip(published, u)]
-    error_rate = sum(outcomes) / len(published) if published else 0.0
+    u = rng.random(len(positions)).tolist()
+    outcomes = [decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos))
+                for pos, did, u_pos in zip(positions, ids, u)]
+    error_rate = sum(outcomes) / len(outcomes) if outcomes else 0.0
     remaining = [s for i, s in enumerate(slots) if i not in tested]
-    return CheckResult(error_rate, error_rate <= tau, positions, outcomes, remaining)
+    return CheckResult(error_rate, error_rate <= tau, list(positions), outcomes, remaining)
 
 
-def alice_check_channel(slots, published, rng, tau: float = 0.0) -> CheckResult:
-    """Step 2a: Alice verifies Bob's published decoys; abort if error rate > tau."""
-    return check_published_decoys(slots, published, rng, tau)
+def alice_check_channel(slots, positions, ids, rng, tau: float = 0.0) -> CheckResult:
+    """Step 2a: Alice verifies Bob's published decoys, his Step-1 position and
+    id lists; abort if error rate > tau."""
+    return check_published_decoys(slots, positions, ids, rng, tau)
 
 
 def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generator,
@@ -232,15 +241,18 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
 
     Bob publishes each tested slot's recorded choice bit c, and the slot is
     checked against decoy id 2c (|0> or |+>): an honest slot always passes,
-    and a flip is a loyalty failure.
+    and a flip is a loyalty failure. A tested decoy has no choice to publish.
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
     positions = sorted(rng.choice(len(slots), size=K, replace=False).tolist())
+    ids = []
     for p in positions:
-        if slots[p].choice is None:
+        choice = slots[p].choice
+        if choice is None:
             raise ProtocolError(f"slot {p} has no preparation basis to publish")
-    return check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in positions], rng, tau)
+        ids.append(2 * choice)
+    return check_published_decoys(slots, positions, ids, rng, tau)
 
 
 def plan_reorder(slots: list[SequenceSlot], intended) -> list[int]:
@@ -310,11 +322,11 @@ class DecodeResult:
     bits: list[int]
 
 
-def bob_check_and_decode(slots: list[SequenceSlot], published, choices,
+def bob_check_and_decode(slots: list[SequenceSlot], positions, ids, choices,
                          rng: np.random.Generator, tau: float = 0.0) -> DecodeResult:
-    """Step 6: Bob verifies Alice's decoys, then reads each payload slot in the
-    basis he prepared."""
-    check = check_published_decoys(slots, published, rng, tau)
+    """Step 6: Bob verifies Alice's decoys, her Step-5 position and id lists,
+    then reads each payload slot in the basis he prepared."""
+    check = check_published_decoys(slots, positions, ids, rng, tau)
     choices = [int(c) for c in choices]
     if len(check.remaining) != len(choices):
         raise ProtocolError("payload length does not match Bob's choice record")
@@ -322,7 +334,7 @@ def bob_check_and_decode(slots: list[SequenceSlot], published, choices,
         return DecodeResult(False, check.error_rate, [])
     # a message bit is 1 iff Bob's own |0> or |+> (decoy id 2c) came back
     # flipped: X/Y flip |0> exactly when m0 = 1, and Z/Y flip |+> exactly when m1 = 1
-    bits = check_published_decoys(check.remaining, [(i, 2 * c) for i, c in enumerate(choices)],
+    bits = check_published_decoys(check.remaining, range(len(choices)), [2 * c for c in choices],
                                   rng).outcomes
     return DecodeResult(True, check.error_rate, bits)
 
@@ -426,8 +438,7 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     slots, t.bob_decoy_positions, t.bob_decoy_ids = bob_prepare_sequence(
         choices + t.loyalty_choices, config.M, rng, n_loyalty=2 * config.K)
     # Step 2
-    check = alice_check_channel(slots, list(zip(t.bob_decoy_positions, t.bob_decoy_ids)), rng,
-                                config.tau)
+    check = alice_check_channel(slots, t.bob_decoy_positions, t.bob_decoy_ids, rng, config.tau)
     t.channel_error_rate = check.error_rate
     if not check.ok:
         t.verdict = "abort:channel"
@@ -446,7 +457,7 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     outbound, t.alice_decoy_positions, t.alice_decoy_ids = alice_insert_decoys(
         payload, config.M2, rng)
     # Step 6
-    decode = bob_check_and_decode(outbound, list(zip(t.alice_decoy_positions, t.alice_decoy_ids)),
+    decode = bob_check_and_decode(outbound, t.alice_decoy_positions, t.alice_decoy_ids,
                                   choices, rng, config.tau)
     t.return_error_rate, t.decoded_bits = decode.error_rate, decode.bits
     t.verdict = "ok" if decode.ok else "abort:return-channel"

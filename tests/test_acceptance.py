@@ -46,10 +46,10 @@ def test_criterion_2_worked_example():
     slots = [SequenceSlot(protocol.choice_state(c), choice=c, payload_index=i if i < 2 else None)
              for i, c in enumerate([0, 1, 0, 1])]
     g = np.random.default_rng(0)
-    loyal = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [3]], g)
+    loyal = protocol.check_published_decoys(slots, [3], [2 * slots[3].choice], g)
     payload = protocol.bob_reorder(loyal.remaining, [1, 0, 2], n_keep=2)
     encoded = protocol.alice_encode(payload, [(0, 1), (1, 0)])
-    decoded = protocol.bob_check_and_decode(encoded, [], [1, 0], g)
+    decoded = protocol.bob_check_and_decode(encoded, [], [], [1, 0], g)
     ok = loyal.ok and decoded.ok and decoded.bits == [1, 1]
     # the same run through the composed state machine
     t = protocol.run_honest(ProtocolConfig(N=2, M=0, M2=0, K=1, seed=1),

@@ -34,7 +34,7 @@ class TestInterceptResend:
         attacked = adversary.eve_intercept_resend(block(qsim.ZERO), g)
         # payload disturbance is invisible to a check that publishes no decoys
         slots = [SequenceSlot(attacked[0], choice=0, payload_index=0)]
-        check = protocol.check_published_decoys(slots, [], g)
+        check = protocol.check_published_decoys(slots, [], [], g)
         assert check.ok and check.error_rate == 0.0 and len(check.remaining) == 1
 
     def test_resent_states_are_basis_eigenstates(self):

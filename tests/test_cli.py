@@ -367,6 +367,17 @@ class TestAttack:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: {line.split(' = ')[0]}: malformed complex literal")
 
+    def test_ue_file_with_leading_byte_order_mark(self, capsys, tmp_path):
+        text = ("a = 1+0j\nb = 0j\nc = 0j\nd = 1+0j\n"
+                "e00 = 1,0,0,0\ne01 = 1,0,0,0\ne10 = 0,1,0,0\ne11 = 1,0,0,0\n")
+        outputs = []
+        for name, prefix in (("plain.txt", ""), ("bom.txt", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(prefix + text, encoding="utf-8")
+            outputs.append(run_cli(capsys, "attack", "--scenario", "entangling", "--seed", "3",
+                                   "--ue-file", str(path), "--trials", "200"))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_ue_file_that_is_not_utf8_names_file_and_line(self, capsys, tmp_path):
         path = tmp_path / "ue.txt"
         path.write_bytes(b"a = 1+0j\nM = \xe9\n")
@@ -524,6 +535,16 @@ class TestConfigFile:
         cfg.write_bytes(b"N = 2\nM = \xe9\n")
         code, out, err = run_cli(capsys, "honest", "--config", str(cfg))
         assert code == 2 and out == "" and err.startswith(f"error: {cfg}:2:")
+
+    def test_leading_byte_order_mark_keeps_the_first_key(self, capsys, tmp_path):
+        # editors that save "UTF-8 with BOM" write U+FEFF before the first key
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\ufeffN = 5\nseed = 11\n", encoding="utf-8")
+        path = tmp_path / "t.jsonl"
+        code, _, _ = run_cli(capsys, "honest", "--config", str(cfg), "--transcript", str(path))
+        assert code == 0
+        record = json.loads(path.read_text())
+        assert record["config"]["N"] == 5 and record["seed"] == 11
 
 
 class TestUsageErrors:

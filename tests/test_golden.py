@@ -276,7 +276,7 @@ def test_multi_qubit_measurements_are_pinned():
         g = np.random.default_rng(seed)
         cfg = ProtocolConfig(N=4, M=3, K=3, seed=seed)
         slots, positions, ids = adversary.bob_bell_cheat(cfg, g)
-        check = protocol.check_published_decoys(slots, list(zip(positions, ids)), g)
+        check = protocol.check_published_decoys(slots, positions, ids, g)
         loyalty = protocol.alice_test_loyalty(check.remaining, cfg.K, g)
         digest.update(json.dumps([check.outcomes, loyalty.positions, loyalty.outcomes]).encode())
     assert digest.hexdigest() == MULTI_QUBIT_SHA256

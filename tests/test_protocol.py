@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotsim import protocol, qsim
-from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot, choice_state
+from qotsim.protocol import (_DECOY_IDS, CheckResult, ProtocolConfig, ProtocolError, SequenceSlot,
+                             choice_state, decoy_flipped)
 
 
 def rng(seed=0):
@@ -24,6 +25,39 @@ def make_worked_example_slots():
     """The four-qubit sequence |0+0+>: payload choices (0, 1), loyalty (0, 1)."""
     return [SequenceSlot(choice_state(c), choice=c, payload_index=i if i < 2 else None)
             for i, c in enumerate([0, 1, 0, 1])]
+
+
+#: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
+EXACT_ROWS = [
+    *protocol.DECOY_AMPS, *(qsim.make_bell(b) for b in range(4)),
+    kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(0)),
+    kron(qsim.make_bell(3), qsim.ZERO)]
+
+
+def random_row(n_qubits, seed):
+    g = rng(seed)
+    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def published_checks(draw):
+    """Slots of one to three qubits, exact or random, some of them one shared
+    object, and published position and id lists of equal length: a valid
+    record, or positions and ids drawn past their ranges and repeated."""
+    rows = st.one_of(st.sampled_from(EXACT_ROWS),
+                     st.tuples(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+                     .map(lambda spec: random_row(*spec)))
+    distinct = draw(st.lists(rows.map(SequenceSlot), min_size=1, max_size=4))
+    slots = draw(st.lists(st.sampled_from(distinct), max_size=10))
+    n = len(slots)
+    if draw(st.booleans()):
+        positions = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+        ids = st.integers(0, 3)
+    else:
+        positions = draw(st.lists(st.integers(-2, n + 1), max_size=n + 2))
+        ids = st.integers(-1, 4)
+    return slots, positions, draw(st.lists(ids, min_size=len(positions), max_size=len(positions)))
 
 
 def reference_plan_reorder(slots, intended):
@@ -47,6 +81,37 @@ def reference_plan_reorder(slots, intended):
         perm.append(k)
     perm.extend(j for j in range(len(slots)) if not used[j])
     return perm
+
+
+def reference_check(slots, published, rng, tau):
+    """The pair-based body that ``check_published_decoys`` replaced, kept
+    verbatim as the reference its position and id lists must reproduce;
+    ``published`` is a list of (position, decoy_id) pairs."""
+    positions = [pos for pos, _ in published]
+    if positions and (min(positions) < 0 or max(positions) >= len(slots)):
+        raise ProtocolError("published decoy position out of range")
+    tested = set(positions)
+    if len(tested) != len(published):
+        raise ProtocolError("duplicate published decoy position")
+    if not _DECOY_IDS.issuperset([did for _, did in published]):
+        raise ProtocolError("published decoy id out of range")
+    u = rng.random(len(published)).tolist()
+    outcomes = [int(decoy_flipped(did, qsim.measure(slots[pos].state, did >= 2, u_pos)))
+                for (pos, did), u_pos in zip(published, u)]
+    error_rate = sum(outcomes) / len(published) if published else 0.0
+    remaining = [s for i, s in enumerate(slots) if i not in tested]
+    return CheckResult(error_rate, error_rate <= tau, positions, outcomes, remaining)
+
+
+def check_or_error(check, *args):
+    """A check's fields, its remaining slots by identity, or the type and
+    message of what it raised; any exception type, so that a change of type
+    shows as a difference."""
+    try:
+        res = check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.error_rate, res.ok, res.positions, res.outcomes, [id(s) for s in res.remaining]
 
 
 def plan_or_error(plan, slots, intended):
@@ -93,31 +158,31 @@ class TestChannelCheck:
         g = rng(5)
         for m in (1, 5, 20):
             slots, pos, ids = protocol.bob_prepare_sequence([0, 1], m, g)
-            res = protocol.alice_check_channel(slots, list(zip(pos, ids)), g)
+            res = protocol.alice_check_channel(slots, pos, ids, g)
             assert res.ok and res.error_rate == 0.0
             assert len(res.remaining) == 2
 
     def test_no_decoys_always_proceeds(self):
         slots, pos, ids = protocol.bob_prepare_sequence([0, 1], 0, rng())
-        res = protocol.alice_check_channel(slots, [], rng())
+        res = protocol.alice_check_channel(slots, [], [], rng())
         assert res.ok and res.error_rate == 0.0
 
     def test_position_out_of_range(self):
         slots, _, _ = protocol.bob_prepare_sequence([0, 1], 0, rng())
         with pytest.raises(ProtocolError):
-            protocol.alice_check_channel(slots, [(9, 0)], rng())
+            protocol.alice_check_channel(slots, [9], [0], rng())
         with pytest.raises(ProtocolError, match="duplicate published decoy position"):
-            protocol.check_published_decoys(slots, [(1, 0), (1, 2)], rng())
+            protocol.check_published_decoys(slots, [1, 1], [0, 2], rng())
 
     @pytest.mark.parametrize("decoy_id", [9, 4, -1])
     def test_decoy_id_out_of_range(self, decoy_id):
         slot = SequenceSlot(qsim.MINUS)
         with pytest.raises(ProtocolError):
-            protocol.check_published_decoys([slot], [(0, decoy_id)], rng())
+            protocol.check_published_decoys([slot], [0], [decoy_id], rng())
 
     def test_flipped_decoy_detected(self):
         slot = SequenceSlot(qsim.ONE)  # claims |0>, holds |1>
-        res = protocol.alice_check_channel([slot], [(0, 0)], rng())
+        res = protocol.alice_check_channel([slot], [0], [0], rng())
         assert not res.ok and res.error_rate == 1.0
 
     def test_rejects_a_register_that_is_not_complex(self):
@@ -125,12 +190,12 @@ class TestChannelCheck:
         # is reported by its dtype at the check, not misread as one qubit
         slot = SequenceSlot(np.array([0., 0., 1., 0.]))
         with pytest.raises(TypeError, match="float64"):
-            protocol.check_published_decoys([slot], [(0, 0)], rng())
+            protocol.check_published_decoys([slot], [0], [0], rng())
 
 
 class TestCheckDraws:
     """A check draws its uniforms from the caller's stream: one per published
-    pair, in published order, and none when it has nothing to measure."""
+    slot, in published order, and none when it has nothing to measure."""
 
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     @settings(max_examples=100, deadline=None)
@@ -140,34 +205,48 @@ class TestCheckDraws:
         n = data.draw(st.integers(1, 12))
         states = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         slots = [SequenceSlot(protocol.DECOY_AMPS[d]) for d in states]
-        order = data.draw(st.permutations(range(n)))
-        published = [(p, (2 + states[p]) % 4) for p in order]
+        positions = data.draw(st.permutations(range(n)))
+        ids = [(2 + states[p]) % 4 for p in positions]
         g, twin = rng(seed), rng(seed)
-        check = protocol.check_published_decoys(slots, published, g)
+        check = protocol.check_published_decoys(slots, positions, ids, g)
         u = twin.random(n)
         assert check.outcomes == [
             int(protocol.decoy_flipped(did, qsim.measure(slots[p].state, did >= 2, u[i])))
-            for i, (p, did) in enumerate(published)]
+            for i, (p, did) in enumerate(zip(positions, ids))]
         assert g.random() == twin.random()
 
     def test_an_empty_check_draws_nothing(self):
         g = rng(4)
-        check = protocol.check_published_decoys([SequenceSlot(qsim.PLUS)], [], g)
+        check = protocol.check_published_decoys([SequenceSlot(qsim.PLUS)], [], [], g)
         assert check.ok and check.outcomes == []
         assert g.random() == rng(4).random()
 
-    @pytest.mark.parametrize("published, message", [
-        ([(0, 0), (1, 0), (5, 9), (1, 9)], "position out of range"),
-        ([(0, 0), (-1, 0)], "position out of range"),
-        ([(0, 0), (1, 9), (1, 0)], "duplicate published decoy position"),
-        ([(0, 0), (1, 9)], "decoy id out of range"),
-    ], ids=["range-before-duplicate-and-id", "negative", "duplicate-before-id", "id"])
-    def test_a_rejected_check_draws_nothing(self, published, message):
+    @pytest.mark.parametrize("positions, ids, message", [
+        ([0, 1, 5, 1], [0, 0, 9, 9], "position out of range"),
+        ([0, -1], [0, 0], "position out of range"),
+        ([0, 1, 1], [0, 9, 0], "duplicate published decoy position"),
+        ([0, 1], [0, 9], "decoy id out of range"),
+        ([0, 5], [9], "^2 published decoy positions for 1 ids$"),
+    ], ids=["range-before-duplicate-and-id", "negative", "duplicate-before-id", "id",
+            "length-before-range"])
+    def test_a_rejected_check_draws_nothing(self, positions, ids, message):
         g = rng(4)
         slots = [SequenceSlot(qsim.PLUS), SequenceSlot(qsim.ZERO)]
         with pytest.raises(ProtocolError, match=message):
-            protocol.check_published_decoys(slots, published, g)
+            protocol.check_published_decoys(slots, positions, ids, g)
         assert g.random() == rng(4).random()
+
+    @given(published_checks(), st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_pair_based_reference(self, case, tau, seed):
+        slots, positions, ids = case
+        g, twin = rng(seed), rng(seed)
+        got = check_or_error(protocol.check_published_decoys, slots, positions, ids, g, tau)
+        want = check_or_error(reference_check, slots, list(zip(positions, ids)), twin, tau)
+        assert got == want
+        if isinstance(got[0], float):
+            assert all(type(o) is int for o in got[3]) and type(got[2]) is list
+        assert g.random() == twin.random()
 
 
 class TestDecoyInsertion:
@@ -186,6 +265,72 @@ class TestDecoyInsertion:
         again, more, more_ids = protocol.insert_decoys(payload, 40, rng(6))
         assert more == positions and more_ids == ids
         assert all(again[p] is not out[p] for p in positions)
+
+
+def slot_fields(slots):
+    """Each slot with its register object, a copy of its amplitudes, its choice
+    and its payload index, to check later that nothing wrote the slot."""
+    return [(s, s.state, s.state.copy(), s.choice, s.payload_index) for s in slots]
+
+
+def assert_unwritten(recorded):
+    for slot, state, amps, choice, payload_index in recorded:
+        assert slot.state is state and np.array_equal(state, amps)
+        assert (slot.choice, slot.payload_index) == (choice, payload_index)
+        assert not state.flags.writeable
+
+
+class TestSharedSlots:
+    """Loyalty slots of one choice, like decoys of one id, are one shared
+    object; so no step may write a slot."""
+
+    def test_loyalty_slots_of_one_choice_are_one_object(self):
+        choices = [0, 1, 1, 0, 1]
+        slots, positions, _ = protocol.bob_prepare_sequence(
+            choices + protocol.default_loyalty_choices(3), 4, rng(3), n_loyalty=6)
+        decoys = set(positions)
+        kept = [s for k, s in enumerate(slots) if k not in decoys]
+        payload, loyalty = kept[:5], kept[5:]
+        assert len({id(s) for s in payload}) == 5
+        assert [(s.choice, s.payload_index) for s in payload] == [(c, i) for i, c in enumerate(choices)]
+        by_choice = {s.choice: s for s in loyalty}
+        assert sorted(by_choice) == [0, 1] and all(s is by_choice[s.choice] for s in loyalty)
+        for c, slot in by_choice.items():
+            assert slot.payload_index is None and slot.state is choice_state(c)
+            assert all(slot is not s for s in payload)
+        # a later preparation builds its own slots
+        again, _, _ = protocol.bob_prepare_sequence([0, 1, 0, 1], 0, rng(3), n_loyalty=2)
+        assert again[2] is not by_choice[0] and again[3] is not by_choice[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_paper_shape_run_writes_no_slot(self, monkeypatch, seed):
+        recorded = []
+
+        def recording(step):
+            def wrapper(*args, **kwargs):
+                out = step(*args, **kwargs)
+                recorded.extend(slot_fields(out[0]))
+                return out
+            return wrapper
+
+        for name in ("bob_prepare_sequence", "alice_insert_decoys"):
+            monkeypatch.setattr(protocol, name, recording(getattr(protocol, name)))
+        t = protocol.run_honest(ProtocolConfig(N=8, M=50, M2=50, K=20, seed=seed))
+        assert t.verdict == "ok"
+        shared = [s for s, *_ in recorded if s.payload_index is None]
+        assert len({id(s) for s in shared}) < len(shared)
+        assert len(recorded) == (8 + 50 + 40) + (8 + 50)
+        assert_unwritten(recorded)
+
+    def test_encode_returns_new_slots_and_leaves_its_inputs(self):
+        shared = SequenceSlot(qsim.PLUS, choice=1)
+        slots = [shared, SequenceSlot(qsim.ZERO, choice=0, payload_index=0), shared,
+                 SequenceSlot(protocol.DECOY_AMPS[3])]
+        recorded = slot_fields(slots)
+        out = protocol.alice_encode(slots, [(1, 1), (1, 0), (0, 1), (0, 0)])
+        assert not any(o is s for o in out for s in slots)
+        assert [(o.choice, o.payload_index) for o in out] == [(s.choice, s.payload_index) for s in slots]
+        assert_unwritten(recorded)
 
 
 class TestLoyalty:
@@ -209,7 +354,7 @@ class TestLoyalty:
 
     def test_forced_positions(self):
         slots = make_worked_example_slots()
-        res = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [3]], rng())
+        res = protocol.check_published_decoys(slots, [3], [2 * slots[3].choice], rng())
         assert res.positions == [3] and res.outcomes == [0]
         assert [s.choice for s in res.remaining] == [0, 1, 0]
 
@@ -227,7 +372,7 @@ class TestReorder:
     def test_worked_example_permutation(self):
         slots = make_worked_example_slots()
         remaining = protocol.check_published_decoys(
-            slots, [(p, 2 * slots[p].choice) for p in [3]], rng()).remaining
+            slots, [3], [2 * slots[3].choice], rng()).remaining
         payload = protocol.bob_reorder(remaining, [1, 0, 2], n_keep=2)
         assert [s.choice for s in payload] == [1, 0]
         assert np.allclose(payload[0].state, qsim.PLUS)
@@ -256,7 +401,7 @@ class TestReorder:
         loyalty = protocol.default_loyalty_choices(2)
         slots, _, _ = protocol.bob_prepare_sequence(choices + loyalty, 0, g, n_loyalty=4)
         # consume two payload slots
-        res = protocol.check_published_decoys(slots, [(p, 2 * slots[p].choice) for p in [0, 2]], g)
+        res = protocol.check_published_decoys(slots, [0, 2], [2 * slots[p].choice for p in [0, 2]], g)
         perm = protocol.plan_reorder(res.remaining, choices)
         payload = protocol.bob_reorder(res.remaining, perm, n_keep=4)
         assert [s.choice for s in payload] == choices
@@ -352,25 +497,11 @@ class TestDecoyIds:
             slots = [SequenceSlot(protocol.DECOY_AMPS[k]) for k, _ in specs]
         positions = data.draw(st.permutations(range(len(slots))))[:data.draw(
             st.integers(1, len(slots)))]
-        published = [(p, specs[p][1]) for p in positions]
-        check = protocol.check_published_decoys(slots, published, rng(seed))
+        ids = [specs[p][1] for p in positions]
+        check = protocol.check_published_decoys(slots, positions, ids, rng(seed))
         amps = np.array([slots[p].state for p in positions])
-        ids = np.array([did for _, did in published])
-        flips = protocol.decoy_flips(amps, ids, rng(seed).random(len(published)))
+        flips = protocol.decoy_flips(amps, np.array(ids), rng(seed).random(len(ids)))
         assert check.outcomes == flips.astype(int).tolist()
-
-
-#: rows whose Born probabilities for qubit 0 are 0, 1/2 or 1, over one to three qubits
-EXACT_ROWS = [
-    *protocol.DECOY_AMPS, *(qsim.make_bell(b) for b in range(4)),
-    kron(qsim.PLUS, qsim.ONE), kron(qsim.MINUS, qsim.make_bell(0)),
-    kron(qsim.make_bell(3), qsim.ZERO)]
-
-
-def random_row(n_qubits, seed):
-    g = rng(seed)
-    amps = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
-    return amps / np.linalg.norm(amps)
 
 
 @st.composite
@@ -446,7 +577,7 @@ class TestEncodeDecode:
         with pytest.raises(ProtocolError):
             protocol.alice_encode([slot], [(0, 0), (1, 1)])
         with pytest.raises(ProtocolError, match="payload length does not match"):
-            protocol.bob_check_and_decode([slot], [], [0, 1], rng())
+            protocol.bob_check_and_decode([slot], [], [], [0, 1], rng())
 
     @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (1, 3)])
     def test_rejects_non_bit_pair(self, pair):
@@ -461,23 +592,23 @@ class TestEncodeDecode:
         g = rng(seed)
         slots, _, _ = protocol.bob_prepare_sequence([choice], 0, g)
         encoded = protocol.alice_encode(slots, [pair])
-        res = protocol.bob_check_and_decode(encoded, [], [choice], g)
+        res = protocol.bob_check_and_decode(encoded, [], [], [choice], g)
         assert res.ok and res.bits == [pair[choice]]
 
     def test_decode_minus_in_x_gives_one(self):
         slot = SequenceSlot(qsim.MINUS)
-        res = protocol.bob_check_and_decode([slot], [], [1], rng())
+        res = protocol.bob_check_and_decode([slot], [], [], [1], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_one_in_z_gives_one(self):
         slot = SequenceSlot(qsim.ONE)
-        res = protocol.bob_check_and_decode([slot], [], [0], rng())
+        res = protocol.bob_check_and_decode([slot], [], [], [0], rng())
         assert res.ok and res.bits == [1]
 
     def test_decode_identity_encoded_zero(self):
         slot = SequenceSlot(qsim.ZERO)
         encoded = protocol.alice_encode([slot], [(0, 0)])
-        res = protocol.bob_check_and_decode(encoded, [], [0], rng())
+        res = protocol.bob_check_and_decode(encoded, [], [], [0], rng())
         assert res.bits == [0]
 
     def test_alice_decoy_insertion_lengths(self):
@@ -554,7 +685,7 @@ class TestHonestRuns:
         slots, pos, ids = protocol.bob_prepare_sequence(
             choices + protocol.default_loyalty_choices(cfg.K), cfg.M, g, n_loyalty=2 * cfg.K)
         assert len(slots) == cfg.N + cfg.M + 2 * cfg.K
-        check = protocol.alice_check_channel(slots, list(zip(pos, ids)), g)
+        check = protocol.alice_check_channel(slots, pos, ids, g)
         assert len(check.remaining) == cfg.N + 2 * cfg.K
         loyalty = protocol.alice_test_loyalty(check.remaining, cfg.K, g)
         perm = protocol.plan_reorder(loyalty.remaining, choices)

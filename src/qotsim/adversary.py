@@ -16,7 +16,7 @@ forwarded in its place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,7 +41,9 @@ class UeParams:
 
     The map sends |0>|E> -> a|0>|e00> + b|1>|e01> and
     |1>|E> -> c|0>|e10> + d|1>|e11>, with each e vector a unit vector in a
-    4-dimensional ancilla space; each is stored as a read-only copy.
+    4-dimensional ancilla space; each is stored as a read-only copy. The map
+    itself is ``images``, a read-only ``(2, 8)`` array built once from them:
+    row k is the image of |k>|E>, ``[a*e00, b*e01]`` and ``[c*e10, d*e11]``.
     """
 
     a: complex
@@ -52,6 +54,7 @@ class UeParams:
     e01: np.ndarray
     e10: np.ndarray
     e11: np.ndarray
+    images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
@@ -71,9 +74,12 @@ class UeParams:
             raise ProtocolError("|a|^2 + |b|^2 must equal 1")
         if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > qsim.NORM_ATOL:
             raise ProtocolError("|c|^2 + |d|^2 must equal 1")
+        images = np.array([[self.a * self.e00, self.b * self.e01],
+                           [self.c * self.e10, self.d * self.e11]]).reshape(2, 8)
+        images.flags.writeable = False
+        object.__setattr__(self, "images", images)
         # the two image vectors must be orthogonal for the map to be an isometry
-        cross = (np.conj(self.a) * self.c * np.vdot(self.e00, self.e10)
-                 + np.conj(self.b) * self.d * np.vdot(self.e01, self.e11))
+        cross = np.vdot(images[0], images[1])
         if abs(cross) > ISOMETRY_ATOL:
             raise ProtocolError(f"parameters do not define an isometry (cross term {abs(cross):.2e})")
 
@@ -141,42 +147,29 @@ def eve_entangling_attack(states: np.ndarray, params: UeParams) -> np.ndarray:
     """
     if states.ndim != 2 or states.shape[1] != 2:
         raise ProtocolError("entangling attack applies to single-qubit states")
-    image_of_zero = np.concatenate([params.a * params.e00, params.b * params.e01])
-    image_of_one = np.concatenate([params.c * params.e10, params.d * params.e11])
-    return states[:, :1] * image_of_zero + states[:, 1:] * image_of_one
+    return states[:, :1] * params.images[0] + states[:, 1:] * params.images[1]
 
 
 def ue_detection_probability(params: UeParams) -> float:
     """Probability that a uniformly chosen decoy, measured in its preparation
     basis, yields the wrong bit after the entangling attack."""
-    p_zero = abs(params.b) ** 2
-    p_one = abs(params.c) ** 2
+    (ae, be), (ce, de) = params.images.reshape(2, 2, 4)
     # |-> component given |+> sent, and |+> component given |-> sent
-    v_minus = (params.a * params.e00 - params.b * params.e01
-               + params.c * params.e10 - params.d * params.e11) / 2.0
-    v_plus = (params.a * params.e00 + params.b * params.e01
-              - params.c * params.e10 - params.d * params.e11) / 2.0
+    v_minus = (ae - be + ce - de) / 2.0
+    v_plus = (ae + be - ce - de) / 2.0
     p_plus = float(np.vdot(v_minus, v_minus).real)
     p_minus = float(np.vdot(v_plus, v_plus).real)
-    return (p_zero + p_one + p_plus + p_minus) / 4.0
+    return (abs(params.b) ** 2 + abs(params.c) ** 2 + p_plus + p_minus) / 4.0
 
 
 def ue_leakage(params: UeParams) -> float:
     """Trace distance between Eve's reduced ancilla states for preparations
     |0> versus |+>; zero means the attack reveals nothing about Bob's choice."""
-
-    def ancilla_density(weighted_branches):
-        rho = np.zeros((4, 4), dtype=complex)
-        for weight, branch in weighted_branches:
-            rho += weight * np.outer(branch, branch.conj())
-        return rho
-
-    rho_zero = ancilla_density([(1.0, params.a * params.e00),
-                                (1.0, params.b * params.e01)])
-    # the 1/sqrt(2) superposition weights are kept exact as 1/2 factors
-    rho_plus = ancilla_density([(0.5, params.a * params.e00 + params.c * params.e10),
-                                (0.5, params.b * params.e01 + params.d * params.e11)])
-    return qsim.trace_distance(rho_zero, rho_plus)
+    img0, img1 = params.images
+    rho_zero, rho_plus = (sum(np.outer(half, half.conj()) for half in image.reshape(2, 4))
+                          for image in (img0, img0 + img1))
+    # the 1/sqrt(2) superposition weights are kept exact as a 1/2 factor
+    return qsim.trace_distance(rho_zero, 0.5 * rho_plus)
 
 
 #: every slot of a cheating Bob: the Phi+ pair whose factor 0 he transmits

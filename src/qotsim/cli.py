@@ -58,14 +58,18 @@ def int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-def resend_policy(text: str) -> str:
-    """``--policy``: checked by its ``type`` rather than ``choices=``, because
-    argparse applies a type to a string default too, so a --config value is
-    checked like the flag."""
-    if text not in adversary.RESEND_POLICIES:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(map(repr, adversary.RESEND_POLICIES))})")
-    return text
+def choice_flag(parser, flag: str, names) -> None:
+    """Add ``flag``, taking one of ``names``. Its ``type`` checks it, not
+    ``choices=``: argparse applies a type to a string default too, so a
+    --config value is checked like the flag."""
+
+    def one_of(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+        return text
+
+    parser.add_argument(flag, type=one_of, default=None, metavar="{" + ",".join(names) + "}")
 
 
 @contextmanager
@@ -120,16 +124,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--transcript", default=None, help="alias for --out")
 
     p = command("attack", _cmd_attack, "single attack-scenario rate estimate")
-    p.add_argument("--scenario", choices=[s.value for s in AttackScenario], required=True)
+    choice_flag(p, "--scenario", [s.value for s in AttackScenario])
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
-    p.add_argument("--policy", type=resend_policy, default=None,
-                   metavar="{" + ",".join(adversary.RESEND_POLICIES) + "}")
+    choice_flag(p, "--policy", adversary.RESEND_POLICIES)
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
     p = command("sweep", _cmd_sweep, "detection-rate curve over M or K")
-    p.add_argument("--scenario", choices=[s.value for s in experiments.DETECTION], required=True)
+    choice_flag(p, "--scenario", [s.value for s in experiments.DETECTION])
     p.add_argument("--values", type=int_list, default=None,
                    help="comma-separated parameter values")
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
@@ -154,6 +157,8 @@ def _cmd_honest(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    if args.scenario is None:
+        raise ProtocolError("attack requires --scenario")
     scenario = AttackScenario(args.scenario)
     if args.ue_file is not None and scenario is not AttackScenario.ENTANGLING:
         raise ProtocolError("--ue-file only applies to the entangling scenario")
@@ -184,8 +189,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.values is None:
-        raise ProtocolError("sweep requires --values")
+    for dest in ("scenario", "values"):
+        if getattr(args, dest) is None:
+            raise ProtocolError(f"sweep requires --{dest}")
     rows = experiments.sweep_curve(AttackScenario(args.scenario), args.values, args.trials,
                                    args.seed)
     _write_csv(args.out, experiments.CSV_HEADER, map(astuple, rows))

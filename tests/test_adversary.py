@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from qotsim import adversary, protocol, qsim
 from qotsim.adversary import UeParams
 from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot
+from test_golden import UE_FILES
 
 
 def rng(seed=0):
@@ -125,6 +129,125 @@ class TestUeParams:
         path.write_text("a = 1+0j\n")
         with pytest.raises(ProtocolError):
             adversary.load_ue_params(path)
+
+
+# The formulas the entangling map replaced, kept verbatim as references: the
+# attack's per-call concatenation, the isometry check's cross product, the
+# detection probability's eight products and the leakage's weighted branches.
+def reference_attack(states, params):
+    image_of_zero = np.concatenate([params.a * params.e00, params.b * params.e01])
+    image_of_one = np.concatenate([params.c * params.e10, params.d * params.e11])
+    return states[:, :1] * image_of_zero + states[:, 1:] * image_of_one
+
+
+def reference_cross(params):
+    return (np.conj(params.a) * params.c * np.vdot(params.e00, params.e10)
+            + np.conj(params.b) * params.d * np.vdot(params.e01, params.e11))
+
+
+def reference_detection_probability(params):
+    p_zero = abs(params.b) ** 2
+    p_one = abs(params.c) ** 2
+    # |-> component given |+> sent, and |+> component given |-> sent
+    v_minus = (params.a * params.e00 - params.b * params.e01
+               + params.c * params.e10 - params.d * params.e11) / 2.0
+    v_plus = (params.a * params.e00 + params.b * params.e01
+              - params.c * params.e10 - params.d * params.e11) / 2.0
+    p_plus = float(np.vdot(v_minus, v_minus).real)
+    p_minus = float(np.vdot(v_plus, v_plus).real)
+    return (p_zero + p_one + p_plus + p_minus) / 4.0
+
+
+def reference_leakage(params):
+    def ancilla_density(weighted_branches):
+        rho = np.zeros((4, 4), dtype=complex)
+        for weight, branch in weighted_branches:
+            rho += weight * np.outer(branch, branch.conj())
+        return rho
+
+    rho_zero = ancilla_density([(1.0, params.a * params.e00),
+                                (1.0, params.b * params.e01)])
+    # the 1/sqrt(2) superposition weights are kept exact as 1/2 factors
+    rho_plus = ancilla_density([(0.5, params.a * params.e00 + params.c * params.e10),
+                                (0.5, params.b * params.e01 + params.d * params.e11)])
+    return qsim.trace_distance(rho_zero, rho_plus)
+
+
+def reference_points(tmp_path):
+    """40 sampled isometries, both golden ue-files and two fixed points."""
+    points = [adversary.sample_ue_params(rng(seed)) for seed in range(40)]
+    for name, text in sorted(UE_FILES.items()):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        points.append(adversary.load_ue_params(path))
+    return points + [UeParams.no_detection_point(), orthogonal_ancilla_params()]
+
+
+def haar_block(g, rows):
+    """``rows`` random single-qubit registers, each of norm 1."""
+    amps = g.normal(size=(rows, 2)) + 1j * g.normal(size=(rows, 2))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+class TestImages:
+    def test_every_value_equals_the_reference_formulas(self, tmp_path):
+        g = rng(17)
+        for p in reference_points(tmp_path):
+            assert adversary.ue_detection_probability(p) == reference_detection_probability(p)
+            assert adversary.ue_leakage(p) == reference_leakage(p)
+            for states in (protocol.DECOY_AMPS[g.integers(4, size=64)], haar_block(g, 64)):
+                assert np.array_equal(adversary.eve_entangling_attack(states, p),
+                                      reference_attack(states, p))
+            # the check's inner product sums the same eight products in another
+            # order, so it matches to rounding, far below ISOMETRY_ATOL
+            assert abs(np.vdot(p.images[0], p.images[1]) - reference_cross(p)) <= 1e-15
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_values_equal_the_reference_formulas(self, seed):
+        p = adversary.sample_ue_params(np.random.default_rng(seed))
+        assert adversary.ue_detection_probability(p) == reference_detection_probability(p)
+        assert adversary.ue_leakage(p) == reference_leakage(p)
+        states = haar_block(rng(seed), 8)
+        assert np.array_equal(adversary.eve_entangling_attack(states, p),
+                              reference_attack(states, p))
+
+    def test_images_is_read_only_and_matches_its_definition(self, tmp_path):
+        for p in reference_points(tmp_path):
+            assert p.images.shape == (2, 8) and p.images.dtype == complex
+            assert np.array_equal(p.images, reference_attack(np.eye(2), p))
+            assert not p.images.flags.writeable
+            with pytest.raises(ValueError):
+                p.images[0, 0] = 0
+            assert not any(np.shares_memory(p.images, v) for v in (p.e00, p.e01, p.e10, p.e11))
+
+    def test_replace_rebuilds_images(self):
+        p = UeParams.no_detection_point()
+        flipped = dataclasses.replace(p, a=-1)
+        assert flipped.images is not p.images
+        assert np.array_equal(flipped.images[0], np.concatenate([-p.e00, 0 * p.e01]))
+        assert np.array_equal(flipped.images[1], p.images[1])
+        e_perp = np.array([0, 0, 1, 0], dtype=complex)
+        moved = dataclasses.replace(p, e11=e_perp)
+        assert np.array_equal(moved.images[1, 4:], e_perp)
+        assert adversary.ue_leakage(moved) == reference_leakage(moved) > 0.0
+
+    @pytest.mark.parametrize("s", [1e-8, 3e-6, 0.25])
+    def test_cross_term_above_atol_raises_the_same_message(self, s):
+        # a=1, b=0 and e10 = e00 leave cross term s, here at a complex phase
+        e = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+        e_perp = np.array([0.5, -0.5j, 0.5, 0.5], dtype=complex)
+        c = s * np.exp(0.3j)
+        fields = dict(a=1, b=0, c=c, d=np.sqrt(1 - s * s), e00=e, e01=e_perp, e10=e, e11=e_perp)
+        expected = (f"parameters do not define an isometry "
+                    f"(cross term {abs(reference_cross(SimpleNamespace(**fields))):.2e})")
+        with pytest.raises(ProtocolError, match=f"^{re.escape(expected)}$"):
+            UeParams(**fields)
+
+    def test_cross_term_below_atol_is_accepted(self):
+        e = np.array([1, 0, 0, 0], dtype=complex)
+        p = UeParams(1, 0, 5e-10, np.sqrt(1 - 25e-20), e, e, e, e)
+        assert abs(np.vdot(p.images[0], p.images[1])) == pytest.approx(5e-10)
 
 
 class TestEntanglingAttack:

@@ -547,6 +547,62 @@ class TestConfigFile:
         assert record["config"]["N"] == 5 and record["seed"] == 11
 
 
+#: a command run with its --scenario given as a flag
+SCENARIO_CASES = {
+    "attack": ["attack", "--scenario", "bell", "--K", "3", "--trials", "100", "--seed", "4"],
+    "sweep": ["sweep", "--scenario", "intercept", "--values", "1,3", "--trials", "100",
+              "--seed", "4"],
+}
+
+
+class TestScenarioFromFile:
+    """``--scenario`` is checked by its type, as ``--policy`` is, so a config
+    file may set it and a bad file value exits 2 naming the flag."""
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_CASES))
+    def test_file_scenario_gives_the_flag_output(self, capsys, tmp_path, command):
+        argv = SCENARIO_CASES[command]
+        code, from_flag, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"scenario = {argv[2]}\n")
+        code, from_file, err = run_cli(capsys, command, *argv[3:], "--config", str(cfg))
+        assert (code, from_file, err) == (0, from_flag, "")
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_CASES))
+    def test_file_scenario_outside_choices_names_flag(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("scenario = nope\n")
+        code, out, err = run_cli(capsys, command, *SCENARIO_CASES[command][3:],
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "error:" in err and "--scenario" in err and "nope" in err
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_CASES))
+    def test_flag_scenario_beats_a_bad_file_value(self, capsys, tmp_path, command):
+        argv = SCENARIO_CASES[command]
+        code, from_flag, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("scenario = nope\n")
+        code, overridden, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, overridden, err) == (0, from_flag, "")
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_CASES))
+    def test_missing_scenario_is_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("trials = 10\n")
+        for config in ([], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, command, *SCENARIO_CASES[command][3:], *config)
+            assert (code, out, err) == (2, "", f"error: {command} requires --scenario\n")
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_CASES))
+    def test_help_lists_the_choices(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        choices = "intercept,entangling,bell,alice,alice-dummy" if command == "attack" else "intercept,bell"
+        assert code == 0 and f"--scenario {{{choices}}}" in out
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):

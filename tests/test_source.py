@@ -37,3 +37,63 @@ def test_every_imported_name_is_read(path):
     read = read_names(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in imported_names(tree) if name not in read]
     assert unused == []
+
+
+TESTS = Path(__file__).resolve().parent
+#: every file whose reads count: the package, its tests and its benchmark
+READERS = sorted(MODULES + [*TESTS.glob("*.py"), *(TESTS.parent / "perfbench").glob("*.py")])
+
+
+def module_definitions(tree):
+    """Each module-level function, class and constant of ``tree`` (dunder
+    names such as ``__all__`` excepted), with the lines its definition spans."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("__"):
+                yield name, range(node.lineno, node.end_lineno + 1)
+
+
+def name_reads(tree):
+    """Each name ``tree`` reads, with its line: a loaded ``Name``, the attribute
+    of an ``Attribute``, or a name that an import statement takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def dead_definitions(modules, readers):
+    """``file:line: name`` for each module-level definition in ``modules`` that
+    no file of ``readers`` reads outside the definition itself."""
+    reads = {}
+    for path in readers:
+        for name, line in name_reads(ast.parse(path.read_text(), filename=str(path))):
+            reads.setdefault(name, set()).add((path, line))
+    return [f"{path.name}:{lines[0]}: {name}"
+            for path in modules
+            for name, lines in module_definitions(ast.parse(path.read_text(), filename=str(path)))
+            if all(p == path and line in lines for p, line in reads.get(name, ()))]
+
+
+def test_every_module_level_definition_is_read():
+    assert dead_definitions(MODULES, READERS) == []
+
+
+def test_an_unread_helper_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("LIMIT = 3\n\n\ndef helper(n):\n    return helper(n - 1) if n else LIMIT\n\n\n"
+                      "def used():\n    return 1\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from module import used\n")
+    assert dead_definitions([module], [module, reader]) == ["module.py:4: helper"]

@@ -146,6 +146,16 @@ class ProtocolConfig:
         return self.N + self.M + 2 * self.K
 
 
+def _sample_positions(total: int, m: int, rng: np.random.Generator) -> list[int]:
+    """m distinct positions of ``range(total)``, ascending, as
+    ``rng.choice(total, size=m, replace=False)`` draws them. A sample of one is
+    one scalar ``rng.integers(total)``, the same draw: ``choice`` draws one
+    bounded integer for it and its shuffle of one element draws nothing."""
+    if m == 1:
+        return [int(rng.integers(total))]
+    return sorted(rng.choice(total, size=m, replace=False).tolist())
+
+
 def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
                   ) -> tuple[list[SequenceSlot], list[int], list[int]]:
     """Insert m uniformly random decoys at uniformly random positions.
@@ -155,9 +165,9 @@ def insert_decoys(slots: list[SequenceSlot], m: int, rng: np.random.Generator,
     decoys of one id are one shared slot: a slot is never written, only
     copied (Step 4) or dropped.
     """
-    total = len(slots) + m
-    positions = sorted(rng.choice(total, size=m, replace=False).tolist())
-    ids = rng.integers(0, 4, size=m).tolist()
+    positions = _sample_positions(len(slots) + m, m, rng)
+    # one id is one scalar draw, the same uint32 as a one-element vector
+    ids = [int(rng.integers(4))] if m == 1 else rng.integers(0, 4, size=m).tolist()
     decoys = {did: SequenceSlot(DECOY_AMPS[did]) for did in set(ids)}
     out = list(slots)
     # ascending insertion leaves each decoy at its drawn position
@@ -245,7 +255,7 @@ def alice_test_loyalty(slots: list[SequenceSlot], K: int, rng: np.random.Generat
     """
     if K > len(slots):
         raise ProtocolError("K exceeds available slots")
-    positions = sorted(rng.choice(len(slots), size=K, replace=False).tolist())
+    positions = _sample_positions(len(slots), K, rng)
     ids = []
     for p in positions:
         choice = slots[p].choice
@@ -422,11 +432,11 @@ def run_honest(config: ProtocolConfig, choices=None, pairs=None) -> Transcript:
     if choices is None or pairs is None:
         rng_inputs = np.random.default_rng([config.seed, 0])
     if choices is None:
-        choices = [int(b) for b in rng_inputs.integers(0, 2, size=config.N)]
+        choices = rng_inputs.integers(0, 2, size=config.N).tolist()
     else:
         choices = [int(c) for c in choices]
     if pairs is None:
-        pairs = [(int(a), int(b)) for a, b in rng_inputs.integers(0, 2, size=(config.N, 2))]
+        pairs = [tuple(p) for p in rng_inputs.integers(0, 2, size=(config.N, 2)).tolist()]
     else:
         pairs = [(int(a), int(b)) for a, b in pairs]
     if len(choices) != config.N or len(pairs) != config.N:

@@ -132,9 +132,12 @@ class TestPrepare:
 
     def test_sequence_length_with_decoys(self):
         choices = [0] * 7  # N=3 plus 2K=4
-        slots, pos, ids = protocol.bob_prepare_sequence(choices, 5, rng(1), n_loyalty=4)
-        assert len(slots) == 12
-        assert len(pos) == 5 and len(ids) == 5
+        for M in (1, 5):
+            slots, pos, ids = protocol.bob_prepare_sequence(choices, M, rng(1), n_loyalty=4)
+            assert len(slots) == 7 + M
+            assert len(pos) == M and len(ids) == M
+            assert all(np.array_equal(slots[p].state, protocol.DECOY_AMPS[did])
+                       for p, did in zip(pos, ids))
 
     def test_non_decoy_states_are_zero_or_plus(self):
         g = rng(2)
@@ -267,6 +270,54 @@ class TestDecoyInsertion:
         assert all(again[p] is not out[p] for p in positions)
 
 
+class RecordingRng:
+    """A Generator wrapper that records each method call's name and arguments."""
+
+    def __init__(self, seed):
+        self.generator, self.calls = rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+        return recorded
+
+
+class TestOneElementSample:
+    """A sample of one (M = M2 = K = 1, the honest-correctness shape) is one
+    scalar draw, the same draw as ``choice``, so every transcript byte stays."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, protocol.MAX_QUBITS_USED),
+           st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_draws_match_the_vector_draws(self, seed, total, k):
+        # a prefix of k two-bit draws sometimes leaves a uint32 half buffered
+        g, twin = rng(seed), rng(seed)
+        g.integers(0, 4, size=k), twin.integers(0, 4, size=k)
+        got = protocol._sample_positions(total, 1, g)
+        assert got == sorted(twin.choice(total, size=1, replace=False).tolist())
+        did = [int(g.integers(4))]
+        assert did == twin.integers(0, 4, size=1).tolist()
+        assert all(type(v) is int for v in got + did)
+        assert g.integers(total) == twin.integers(total) and g.random() == twin.random()
+
+    def test_one_decoy_is_two_scalar_draws(self):
+        spy = RecordingRng(4)
+        slots = [SequenceSlot(qsim.ZERO, choice=0, payload_index=i) for i in range(5)]
+        protocol.insert_decoys(slots, 1, spy)
+        assert spy.calls == [("integers", (6,), {}), ("integers", (4,), {})]
+
+    def test_one_loyalty_test_is_one_scalar_draw(self):
+        spy = RecordingRng(4)
+        slots, _, _ = protocol.bob_prepare_sequence([0, 1, 0, 1], 0, rng(), n_loyalty=2)
+        res = protocol.alice_test_loyalty(slots, 1, spy)
+        assert res.ok and len(res.positions) == 1
+        assert [name for name, *_ in spy.calls] == ["integers", "random"]
+        assert spy.calls[0] == ("integers", (4,), {})
+
+
 def slot_fields(slots):
     """Each slot with its register object, a copy of its amplitudes, its choice
     and its payload index, to check later that nothing wrote the slot."""
@@ -336,11 +387,12 @@ class TestSharedSlots:
 class TestLoyalty:
     def test_honest_bob_always_passes(self):
         g = rng(9)
-        for _ in range(30):
-            slots, _, _ = protocol.bob_prepare_sequence([0, 1, 0, 1, 1, 0], 0, g, n_loyalty=4)
-            res = protocol.alice_test_loyalty(slots, 3, g)
-            assert res.ok and res.outcomes == [0, 0, 0]
-            assert len(res.remaining) == 3
+        for K in (1, 3):
+            for _ in range(30):
+                slots, _, _ = protocol.bob_prepare_sequence([0, 1, 0, 1, 1, 0], 0, g, n_loyalty=4)
+                res = protocol.alice_test_loyalty(slots, K, g)
+                assert res.ok and res.outcomes == [0] * K
+                assert len(res.remaining) == 6 - K
 
     def test_k_zero_is_vacuous(self):
         slots, _, _ = protocol.bob_prepare_sequence([0, 1], 0, rng())
@@ -348,9 +400,11 @@ class TestLoyalty:
         assert res.ok and res.positions == []
 
     def test_k_exceeding_slots_rejected(self):
-        slots, _, _ = protocol.bob_prepare_sequence([0, 1], 0, rng())
-        with pytest.raises(ProtocolError):
-            protocol.alice_test_loyalty(slots, 3, rng())
+        # an empty sequence rejects K = 1 before a position is drawn
+        for choices, K in (([0, 1], 3), ([], 1)):
+            slots, _, _ = protocol.bob_prepare_sequence(choices, 0, rng())
+            with pytest.raises(ProtocolError, match="K exceeds available slots"):
+                protocol.alice_test_loyalty(slots, K, rng())
 
     def test_forced_positions(self):
         slots = make_worked_example_slots()
@@ -613,23 +667,26 @@ class TestEncodeDecode:
 
     def test_alice_decoy_insertion_lengths(self):
         slots = [SequenceSlot(qsim.ZERO, choice=0) for _ in range(3)]
-        grown, pos, ids = protocol.alice_insert_decoys(slots, 5, rng(1))
-        assert len(grown) == 8 and len(pos) == 5
+        for M2 in (1, 5):
+            grown, pos, ids = protocol.alice_insert_decoys(slots, M2, rng(1))
+            assert len(grown) == 3 + M2 and len(pos) == len(ids) == M2
         same, pos0, _ = protocol.alice_insert_decoys(slots, 0, rng(1))
         assert len(same) == 3 and pos0 == []
 
     def test_decoy_ids_roughly_uniform(self):
-        # chi-square against uniform over the four decoy states, alpha = 1e-3
+        # chi-square against uniform over the four decoy states, alpha = 1e-3,
+        # for 2,000 ids drawn one or ten per insertion
         g = rng(12)
-        counts = np.zeros(4)
-        for _ in range(200):
-            _, _, ids = protocol.alice_insert_decoys(
-                [SequenceSlot(qsim.ZERO, choice=0)], 10, g)
-            for i in ids:
-                counts[i] += 1
-        n = counts.sum()
-        chi2 = float(np.sum((counts - n / 4) ** 2 / (n / 4)))
-        assert chi2 < 16.27  # chi-square 3 dof, upper 1e-3 quantile
+        for M2 in (1, 10):
+            counts = np.zeros(4)
+            for _ in range(2000 // M2):
+                _, _, ids = protocol.alice_insert_decoys(
+                    [SequenceSlot(qsim.ZERO, choice=0)], M2, g)
+                for i in ids:
+                    counts[i] += 1
+            n = counts.sum()
+            chi2 = float(np.sum((counts - n / 4) ** 2 / (n / 4)))
+            assert chi2 < 16.27  # chi-square 3 dof, upper 1e-3 quantile
 
 
 class TestHonestRuns:

@@ -227,5 +227,7 @@ def alice_measure_resend(states: np.ndarray, rng: np.random.Generator,
     if policy == "collapsed":
         return guesses, collapsed
     if policy == "random":
-        return guesses, DECOY_AMPS[rng.integers(len(DECOY_AMPS), size=n)]
-    return guesses, DECOY_AMPS[2 * np.where(bits, guesses, rng.integers(2, size=n))]
+        resent = rng.integers(len(DECOY_AMPS), size=n)
+    else:
+        resent = 2 * np.where(bits, guesses, rng.integers(2, size=n))
+    return guesses, DECOY_AMPS.take(resent, axis=0)

@@ -10,6 +10,7 @@ Born rule, each drawing its rows from its own stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -53,6 +54,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("parameter", "trials", "seed"):
+            object.__setattr__(self, name, protocol.as_integer(name, getattr(self, name)))
         if self.parameter < 0:
             raise ProtocolError("parameter must be >= 0")
         if self.trials < 1:
@@ -94,22 +97,49 @@ class _ChunkStreams:
     sees the draws it would see if its chunk ran alone; the last entry of
     ``size`` is the live-row total, which ``rows`` already splits. A chunk
     with no live rows is not drawn from.
+
+    ``integers`` reads each stream's PCG64 raw words itself, as
+    ``Generator.integers`` would for a power-of-two bound (see
+    :meth:`integers`), so each stream must be fresh, with no 32-bit half
+    buffered, as ``default_rng`` makes it.
     """
 
     def __init__(self, streams: list[np.random.Generator], rows: list[int]):
         self._streams = streams
         self._rows = rows
+        #: each stream's buffered high 32-bit half, as PCG64's next32 keeps it
+        self._halves = [np.empty(0, "<u4")] * len(streams)
 
-    def _draw(self, method: str, size, *args) -> np.ndarray:
-        lead = size[:-1] if isinstance(size, tuple) else ()
-        return np.concatenate([getattr(g, method)(*args, size=(*lead, n))
-                               for g, n in zip(self._streams, self._rows) if n], axis=-1)
+    def _u32(self, i: int, count: int) -> np.ndarray:
+        """Stream i's next ``count`` 32-bit values: its buffered half, then
+        each raw word's low half followed by its high half; an odd word's
+        high half left over is buffered."""
+        half = self._halves[i]
+        words = self._streams[i].bit_generator.random_raw((count - len(half) + 1) // 2)
+        # little-endian words, so each word's low half comes first on any host
+        u = words.astype("<u8", copy=False).view("<u4")
+        if len(half):
+            u = np.concatenate((half, u))
+        self._halves[i] = u[count:]
+        return u[:count]
 
     def integers(self, high: int, size) -> np.ndarray:
-        return self._draw("integers", size, high)
+        """``Generator.integers(high, size=...)`` for ``high`` = 2^k, k in
+        1..32: the top k bits of each 32-bit value, which is what Lemire's
+        method returns for a power-of-two bound, where it never rejects."""
+        k = high.bit_length() - 1
+        if not 1 <= k <= 32 or high != 1 << k:
+            raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
+        lead = size[:-1] if isinstance(size, tuple) else ()
+        count = math.prod(lead)
+        u = np.concatenate([self._u32(i, count * n).reshape(*lead, n)
+                            for i, n in enumerate(self._rows) if n], axis=-1)
+        return (u >> (32 - k)).astype(np.int64)
 
     def random(self, size) -> np.ndarray:
-        return self._draw("random", size)
+        lead = size[:-1] if isinstance(size, tuple) else ()
+        return np.concatenate([g.random(size=(*lead, n))
+                               for g, n in zip(self._streams, self._rows) if n], axis=-1)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the live rows where the boolean ``rows`` is set."""
@@ -127,6 +157,7 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
     point is its parameter, so the rows of a sweep share no stream with each
     other or with another seed.
     """
+    trials, seed = protocol.as_integer("trials", trials), protocol.as_integer("seed", seed)
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
     if seed < 0:
@@ -163,7 +194,7 @@ def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> lis
 def _intercept_round(rng: _ChunkStreams, n: int):
     """Random decoys, each measured and resent by Eve in a random basis."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
+    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), rng), ids
 
 
 def _bell_round(rng: _ChunkStreams, n: int):
@@ -177,7 +208,7 @@ def _bell_round(rng: _ChunkStreams, n: int):
 def _entangling_round(params, rng: _ChunkStreams, n: int):
     """Random decoys through Eve's entangling attack."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
+    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -204,7 +235,7 @@ def sweep_curve(scenario: AttackScenario, values, trials: int = DEFAULT_TRIALS,
     """One EstimateRow per parameter value, in order; each is
     :func:`estimate_detection_rate` of that value with the same seed, so a
     repeated value repeats its row."""
-    values = [int(v) for v in values]
+    values = list(values)
     if not values:
         raise ProtocolError("sweep range must be nonempty")
     return [estimate_detection_rate(ExperimentSpec(scenario, v, trials, seed)) for v in values]
@@ -248,9 +279,9 @@ def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     """Slots through Alice's measure-and-resend: the counts of conclusive
     guesses, wrong conclusive guesses, bit errors and dummy errors."""
     j = rng.integers(2, size=trials)
-    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[2 * m0 + m1])
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(2 * m0 + m1, axis=0))
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
     bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
     dummy_error = bit_error & (rng.random(trials) < 0.5)
@@ -268,6 +299,7 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
+    trials = protocol.as_integer("trials", trials)  # the report holds an int
     conclusive, wrong, bit_errors, dummy_errors = _tally(partial(_alice_chunk, policy), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
                              dummy_errors / trials, trials, policy)
@@ -276,6 +308,7 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
+    trials = protocol.as_integer("trials", trials)  # the row holds an int
     kernel = partial(_first_flip_chunk, partial(_entangling_round, params), 1)
     flips = _tally(kernel, trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)

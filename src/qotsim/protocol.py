@@ -112,6 +112,15 @@ _INTEGER_TYPES = (int, np.integer)
 _REAL_TYPES = (*_INTEGER_TYPES, float, np.floating)
 
 
+def as_integer(name: str, value) -> int:
+    """``value``, a Python or numpy integer, as an int (json cannot write a
+    numpy integer); anything else, a bool included, is a ProtocolError naming
+    the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGER_TYPES):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     N: int
@@ -123,10 +132,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for name in ("N", "M", "M2", "K", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _INTEGER_TYPES):
-                raise ProtocolError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # json cannot write a numpy integer
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if isinstance(self.tau, bool) or not isinstance(self.tau, _REAL_TYPES) or not 0 <= self.tau < 1:
             raise ProtocolError(f"tau must be a real number in [0, 1), got {self.tau!r}")
         if isinstance(self.tau, np.generic):  # not float(tau): a record's "tau":0 replays as 0

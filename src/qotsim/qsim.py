@@ -101,7 +101,8 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
     """Born probability that qubit 0 of each row of a ``(T, 2^n)`` block
     reads 1: the squared norm of its projection onto |1> (Z basis) or |->
     (``x_basis``, a bool per row). Nothing is collapsed."""
-    return np.square(np.abs(_project(amps, EIGENSTATES[2 * x_basis + 1]))).sum(axis=1)
+    bras = EIGENSTATES.take(2 * x_basis + 1, axis=0)
+    return np.square(np.abs(_project(amps, bras))).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
@@ -129,7 +130,7 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
     """
     p1 = probability_of_one(amps, x_basis)
     bits = u < p1
-    eigen = EIGENSTATES[2 * x_basis + bits]
+    eigen = EIGENSTATES.take(2 * x_basis + bits, axis=0)
     rest = _project(amps, eigen) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
     return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
 

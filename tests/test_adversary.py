@@ -363,6 +363,20 @@ class TestBobBellCheat:
             assert adversary.bob_bell_cheat_readout(encoded) == pair
 
 
+
+def fancy_alice_measure_resend(states, rng, policy="guess"):
+    """``adversary.alice_measure_resend`` as it was before its resend gathers
+    used ``take``, verbatim but for the module prefixes and the policy check."""
+    n = len(states)
+    a = rng.integers(2, size=n)
+    bits, collapsed = qsim.measure_batch(states, a, rng.random(n))
+    guesses = np.where(bits, 1 - a, -1)
+    if policy == "collapsed":
+        return guesses, collapsed
+    if policy == "random":
+        return guesses, protocol.DECOY_AMPS[rng.integers(len(protocol.DECOY_AMPS), size=n)]
+    return guesses, protocol.DECOY_AMPS[2 * np.where(bits, guesses, rng.integers(2, size=n))]
+
 class TestAliceMeasureResend:
     def test_conclusive_rate_and_no_false_guesses(self):
         g = rng(5)
@@ -385,6 +399,18 @@ class TestAliceMeasureResend:
             assert any(np.allclose(row, e) for e in legal)
             if guess >= 0:
                 assert np.allclose(row, protocol.choice_state(guess))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(adversary.RESEND_POLICIES))
+    @settings(max_examples=100, deadline=None)
+    def test_resend_matches_fancy_index_body(self, seed, n, policy):
+        g, twin = rng(seed), rng(seed)
+        states = protocol.DECOY_AMPS[g.integers(4, size=n)]
+        twin.integers(4, size=n)
+        got = adversary.alice_measure_resend(states, g, policy)
+        ref = fancy_alice_measure_resend(states, twin, policy)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert g.random() == twin.random()
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ProtocolError):

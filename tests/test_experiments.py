@@ -1,14 +1,18 @@
 import itertools
+import math
+import re
 from dataclasses import astuple
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qotsim import adversary, cli, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario
 from qotsim.experiments import EstimateRow, ExperimentSpec
-from qotsim.protocol import ProtocolConfig, ProtocolError
+from qotsim.protocol import DECOY_AMPS, ProtocolConfig, ProtocolError
 
 UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
 
@@ -76,6 +80,43 @@ class TestEstimateDetectionRate:
         for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT):
             with pytest.raises(ProtocolError):
                 ExperimentSpec(scenario, -3, trials=10)
+
+    @pytest.mark.parametrize("field", ["parameter", "trials", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "2"])
+    def test_spec_rejects_a_non_integer(self, field, value):
+        fields = {"parameter": 2, "trials": 10, "seed": 0, field: value}
+        with pytest.raises(ProtocolError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            ExperimentSpec(AttackScenario.INTERCEPT_RESEND, **fields)
+
+    def test_spec_takes_numpy_integers_as_ints(self):
+        spec = ExperimentSpec(AttackScenario.BOB_BELL_CHEAT, np.int64(2), np.int32(300), np.uint64(3))
+        assert [type(v) for v in (spec.parameter, spec.trials, spec.seed)] == [int, int, int]
+        assert spec == ExperimentSpec(AttackScenario.BOB_BELL_CHEAT, 2, 300, 3)
+        row = experiments.estimate_detection_rate(spec)
+        assert type(row.trials) is int
+        assert row == experiments.estimate_detection_rate(ExperimentSpec(AttackScenario.BOB_BELL_CHEAT, 2, 300, 3))
+        # the estimators that take trials and a seed without a spec convert them too
+        report = experiments.alice_attack_report(np.int64(300), seed=np.uint64(3))
+        assert report == experiments.alice_attack_report(300, seed=3)
+        assert type(report.trials) is int and type(report.conclusive_rate) is float
+        row = experiments.entangling_detection_estimate(UE_PARAMS, np.int64(300), np.uint64(3))
+        assert row == experiments.entangling_detection_estimate(UE_PARAMS, 300, 3)
+        assert type(row.trials) is int and type(row.empirical) is float
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [True, 300.0, "300"])
+    def test_estimators_reject_a_non_integer_trials_or_seed(self, field, value):
+        """Each estimator that takes trials and a seed without a spec names
+        the field, not numpy's stream construction."""
+        args = {"trials": 300, "seed": 1, field: value}
+        for estimate in (experiments.alice_attack_report,
+                         partial(experiments.entangling_detection_estimate, UE_PARAMS)):
+            with pytest.raises(ProtocolError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+                estimate(**args)
+
+    def test_sweep_rejects_a_non_integer_value(self):
+        with pytest.raises(ProtocolError, match=r"^parameter must be an integer, got 2\.5$"):
+            experiments.sweep_curve(AttackScenario.BOB_BELL_CHEAT, [1, 2.5], trials=10)
 
 
 class TestSweep:
@@ -178,6 +219,160 @@ class TestChunks:
             assert 0.0 <= row.empirical <= 1.0
             assert row.empirical * trials == pytest.approx(round(row.empirical * trials))
 
+
+
+class NoIntegers(np.random.Generator):
+    """A chunk stream whose own ``integers`` must never be called."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called on a chunk stream")
+
+
+class RawWords:
+    """A pure-Python reference on ``PCG64.random_raw`` alone: the 32-bit
+    values are each raw word's low half, then its high half; a bound 2^k
+    keeps a value's top k bits, and a uniform is a whole word's top 53 bits
+    times 2^-53."""
+
+    def __init__(self, key):
+        self.bits = np.random.PCG64(key)
+        self.half = None
+
+    def u32(self) -> int:
+        if self.half is not None:
+            value, self.half = self.half, None
+            return value
+        word = int(self.bits.random_raw())
+        self.half = word >> 32
+        return word & 0xFFFF_FFFF
+
+    def integers(self, high: int, count: int) -> list[int]:
+        return [self.u32() >> (33 - high.bit_length()) for _ in range(count)]
+
+    def random(self, count: int) -> list[float]:
+        return [(int(self.bits.random_raw()) >> 11) * 2.0 ** -53 for _ in range(count)]
+
+
+#: what a kernel does with its stream stand-in: a bounded draw with an
+#: optional lead dimension, a uniform draw, or dropping rows
+STREAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from([2, 4, 2 ** 32]), st.sampled_from([(), (2,)])),
+    st.just(("random",)), st.just(("keep",))), max_size=10)
+
+
+def each_live(draw, streams, rows, lead=()):
+    """``draw(stream, n)`` for each stream with n > 0 live rows, shaped
+    ``(*lead, n)`` and concatenated along the trial axis."""
+    return np.concatenate([np.asarray(draw(g, n)).reshape(*lead, n)
+                           for g, n in zip(streams, rows) if n], axis=-1)
+
+
+class TestChunkStreamDraws:
+    """``_ChunkStreams.integers`` reads PCG64's raw words and gives the draws
+    ``Generator.integers`` gives, buffered halves included."""
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=4), STREAM_OPS,
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_draws_match_generator_and_raw_words(self, rows, ops, seed, data):
+        assume(sum(rows))
+        keys = [[seed, c] for c in range(len(rows))]
+        streams = experiments._ChunkStreams([NoIntegers(np.random.PCG64(k)) for k in keys], list(rows))
+        twins = [np.random.default_rng(k) for k in keys]
+        raws = [RawWords(k) for k in keys]
+        live = list(rows)
+        for op, *args in ops:
+            total = sum(live)
+            if not total:  # a kernel stops once no row is live
+                break
+            if op == "keep":
+                mask = np.array(data.draw(st.lists(st.booleans(), min_size=total, max_size=total)))
+                streams.keep(mask)
+                chunk = np.repeat(np.arange(len(live)), live)
+                live = [int(np.count_nonzero(mask[chunk == c])) for c in range(len(live))]
+            elif op == "random":
+                got = streams.random(total)
+                assert np.array_equal(got, each_live(lambda g, n: g.random(n), twins, live))
+                assert np.array_equal(got, each_live(lambda r, n: r.random(n), raws, live))
+            else:
+                high, lead = args
+                got = streams.integers(high, size=(*lead, total) if lead else total)
+                want = each_live(lambda g, n: g.integers(high, size=(*lead, n)), twins, live, lead)
+                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+                raw = each_live(lambda r, n: r.integers(high, math.prod(lead) * n), raws, live, lead)
+                assert np.array_equal(got, raw)
+        # every stream live again: its next draws still follow its twin's, so
+        # a half left buffered by an odd count was carried exactly
+        streams._rows = [1] * len(rows)
+        assert streams.integers(4, size=len(rows)).tolist() == [int(g.integers(4)) for g in twins]
+        assert streams.random(len(rows)).tolist() == [g.random() for g in twins]
+
+    @pytest.mark.parametrize("high", [0, 1, 3, 6, 2 ** 32 + 2, 2 ** 33])
+    def test_rejects_a_bound_not_a_power_of_two_before_any_draw(self, high):
+        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
+        # an odd count leaves a half buffered
+        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+        state = streams._streams[0].bit_generator.state
+        with pytest.raises(ValueError, match=f"power of two.*got {high}$"):
+            streams.integers(high, size=3)
+        assert streams._streams[0].bit_generator.state == state
+        assert streams.integers(2, size=(2, 3)).tolist() == twin.integers(2, size=(2, 3)).tolist()
+
+
+def fancy_intercept_round(rng, n):
+    """``experiments._intercept_round`` before its gather used ``take``,
+    verbatim but for the module prefix."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
+
+
+def fancy_entangling_round(params, rng, n):
+    """``experiments._entangling_round`` before its gather used ``take``."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
+
+
+def fancy_alice_chunk(policy, rng, trials):
+    """``experiments._alice_chunk`` before its two gathers used ``take``."""
+    j = rng.integers(2, size=trials)
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
+    m0, m1 = rng.integers(2, size=(2, trials))
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[2 * m0 + m1])
+    bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
+    dummy_error = bit_error & (rng.random(trials) < 0.5)
+    conclusive = guesses >= 0
+    return [int(np.count_nonzero(event)) for event in
+            (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
+
+
+#: each kernel step that gathers table rows, and its fancy-index body
+GATHERING_STEPS = {
+    "intercept": (experiments._intercept_round, fancy_intercept_round),
+    "entangling": (partial(experiments._entangling_round, UE_PARAMS),
+                   partial(fancy_entangling_round, UE_PARAMS)),
+    "alice": (partial(experiments._alice_chunk, "guess"), partial(fancy_alice_chunk, "guess")),
+    "alice-random": (partial(experiments._alice_chunk, "random"), partial(fancy_alice_chunk, "random")),
+}
+
+
+class TestKernelGathers:
+    @pytest.mark.parametrize("name", sorted(GATHERING_STEPS))
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_take_matches_fancy_index_body(self, name, rows, seed):
+        assume(sum(rows))
+        step, fancy = GATHERING_STEPS[name]
+
+        def stand_in():
+            return experiments._ChunkStreams([np.random.default_rng([seed, c]) for c in range(len(rows))],
+                                             list(rows))
+
+        got, ref = step(stand_in(), sum(rows)), fancy(stand_in(), sum(rows))
+        if name.startswith("alice"):
+            assert got == ref
+        else:
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 class TestObliviousness:
     def test_z_slot_chosen_one(self):

@@ -131,11 +131,13 @@ def load_ue_params(path) -> UeParams:
     return UeParams(**scalars, **vectors)
 
 
-def eve_intercept_resend(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Measure each in-transit qubit of a ``(T, 2)`` block in a uniformly
-    random basis and forward the collapsed states."""
-    n = len(states)
-    _, collapsed = qsim.measure_batch(states, rng.integers(2, size=n), rng.random(n))
+def eve_intercept_resend(states: np.ndarray, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Measure each in-transit qubit of a ``(T, 2)`` block, row t in the X
+    basis where ``basis[t]`` is set, else in the Z basis, reading ``u[t]`` as
+    :func:`qsim.measure_batch` does, and forward the collapsed states. The
+    caller draws both: for Eve's attack, a uniformly random bit and a
+    uniform in [0, 1) per row."""
+    _, collapsed = qsim.measure_batch(states, basis, u)
     return collapsed
 
 

@@ -88,6 +88,14 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
+def _bound_bits(high: int) -> int:
+    """k of a bound ``high`` = 2^k, k in 1..32; any other bound is a ValueError."""
+    k = high.bit_length() - 1
+    if not 1 <= k <= 32 or high != 1 << k:
+        raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
+    return k
+
+
 class _ChunkStreams:
     """Generator stand-in for chunks simulated as one block.
 
@@ -96,7 +104,9 @@ class _ChunkStreams:
     stream and concatenate them along the trial axis, the last, so each stream
     sees the draws it would see if its chunk ran alone; the last entry of
     ``size`` is the live-row total, which ``rows`` already splits. A chunk
-    with no live rows is not drawn from.
+    with no live rows is not drawn from. A lead dimension draws, per chunk,
+    one row after another, as ``Generator`` does, so one call of ``size=(2,
+    n)`` reads each stream as two consecutive calls of ``size=n`` would.
 
     ``integers`` reads each stream's PCG64 raw words itself, as
     ``Generator.integers`` would for a power-of-two bound (see
@@ -107,6 +117,8 @@ class _ChunkStreams:
     def __init__(self, streams: list[np.random.Generator], rows: list[int]):
         self._streams = streams
         self._rows = rows
+        #: the chunk of each live row, filtered by :meth:`keep`
+        self._chunk = np.repeat(np.arange(len(rows)), rows)
         #: each stream's buffered high 32-bit half, as PCG64's next32 keeps it
         self._halves = [np.empty(0, "<u4")] * len(streams)
 
@@ -123,18 +135,25 @@ class _ChunkStreams:
         self._halves[i] = u[count:]
         return u[:count]
 
-    def integers(self, high: int, size) -> np.ndarray:
+    def integers(self, high, size) -> np.ndarray:
         """``Generator.integers(high, size=...)`` for ``high`` = 2^k, k in
         1..32: the top k bits of each 32-bit value, which is what Lemire's
-        method returns for a power-of-two bound, where it never rejects."""
-        k = high.bit_length() - 1
-        if not 1 <= k <= 32 or high != 1 << k:
-            raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
+        method returns for a power-of-two bound, where it never rejects.
+
+        ``high`` may also be a column of such bounds, one per lead row, as
+        ``[[4], [2]]`` for ``size=(2, n)``: each row keeps its own top k bits.
+        Every bound is checked before any draw."""
         lead = size[:-1] if isinstance(size, tuple) else ()
+        if isinstance(high, int):
+            shift = 32 - _bound_bits(high)
+        else:
+            shift = np.array([[32 - _bound_bits(b)] for (b,) in high], np.uint32)
+            if shift.shape != (*lead, 1):
+                raise ValueError(f"a bound column must have shape {(*lead, 1)}, got {shift.shape}")
         count = math.prod(lead)
         u = np.concatenate([self._u32(i, count * n).reshape(*lead, n)
                             for i, n in enumerate(self._rows) if n], axis=-1)
-        return (u >> (32 - k)).astype(np.int64)
+        return (u >> shift).astype(np.int64)
 
     def random(self, size) -> np.ndarray:
         lead = size[:-1] if isinstance(size, tuple) else ()
@@ -143,8 +162,8 @@ class _ChunkStreams:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the live rows where the boolean ``rows`` is set."""
-        chunk = np.repeat(np.arange(len(self._rows)), self._rows)
-        self._rows = np.bincount(chunk[rows], minlength=len(self._rows)).tolist()
+        self._chunk = self._chunk[rows]
+        self._rows = np.bincount(self._chunk, minlength=len(self._rows)).tolist()
 
 
 def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
@@ -176,25 +195,33 @@ def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> lis
     """Sequential decoy checks: [unflipped, flipped] counts.
 
     Each of up to ``rounds`` rounds draws the checked states of the trials not
-    yet flipped, ``draw(rng, n) -> (block, ids)``, checks each row against its
-    decoy id and drops the flipped rows from ``rng``; a trial stops at its
-    first flip.
+    yet flipped with the check's uniforms, ``draw(rng, n) -> (block, ids,
+    u)``, checks each row against its decoy id and drops the flipped rows
+    from ``rng``; a trial stops at its first flip.
     """
     active = trials
     for _ in range(rounds):
         if not active:
             break
-        block, ids = draw(rng, active)
-        flips = protocol.decoy_flips(block, ids, rng.random(active))
+        block, ids, u = draw(rng, active)
+        flips = protocol.decoy_flips(block, ids, u)
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
 
 
+#: the bounds of an intercept round's decoy ids and Eve's bases, one per row
+_ID_AND_BASIS = ((len(DECOY_AMPS),), (2,))
+
+
 def _intercept_round(rng: _ChunkStreams, n: int):
-    """Random decoys, each measured and resent by Eve in a random basis."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), rng), ids
+    """Random decoys, each measured and resent by Eve in a random basis.
+
+    Each chunk stream gives its ids, then Eve's bases, then Eve's uniforms,
+    then the check's, as four separate draw calls would."""
+    ids, basis = rng.integers(_ID_AND_BASIS, size=(2, n))
+    eve_u, u = rng.random(size=(2, n))
+    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u), ids, u
 
 
 def _bell_round(rng: _ChunkStreams, n: int):
@@ -202,13 +229,13 @@ def _bell_round(rng: _ChunkStreams, n: int):
     id 2c of the choice c he declares; the transmitted half is maximally
     mixed, so each test fails with probability 1/2."""
     block, declared = adversary.bell_slots(n, rng)
-    return block, 2 * declared
+    return block, 2 * declared, rng.random(n)
 
 
 def _entangling_round(params, rng: _ChunkStreams, n: int):
     """Random decoys through Eve's entangling attack."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids
+    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -282,9 +309,10 @@ def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
     encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(2 * m0 + m1, axis=0))
+    check_u, dummy_u = rng.random(size=(2, trials))
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
-    bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
-    dummy_error = bit_error & (rng.random(trials) < 0.5)
+    bit_error = protocol.decoy_flips(encoded, 2 * j, check_u) != np.choose(j, (m0, m1))
+    dummy_error = bit_error & (dummy_u < 0.5)
     conclusive = guesses >= 0
     return [int(np.count_nonzero(event)) for event in
             (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]

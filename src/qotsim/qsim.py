@@ -58,6 +58,8 @@ EIGENSTATES = np.array([[1, 0], [0, 1], [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -
 EIGENSTATES.flags.writeable = False
 # single-qubit constants, read-only views of the table
 ZERO, ONE, PLUS, MINUS = EIGENSTATES
+#: the outcome-1 eigenstates |1> and |->, a read-only view indexed by x_basis
+_ONE_BRAS = EIGENSTATES[1::2]
 
 
 def _key(amps: np.ndarray) -> bytes:
@@ -101,7 +103,7 @@ def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
     """Born probability that qubit 0 of each row of a ``(T, 2^n)`` block
     reads 1: the squared norm of its projection onto |1> (Z basis) or |->
     (``x_basis``, a bool per row). Nothing is collapsed."""
-    bras = EIGENSTATES.take(2 * x_basis + 1, axis=0)
+    bras = _ONE_BRAS.take(x_basis, axis=0)
     return np.square(np.abs(_project(amps, bras))).sum(axis=1)
 
 
@@ -126,13 +128,13 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
     Z basis, and reads 1 iff ``u[t]`` is below its :func:`probability_of_one`.
     Returns the bits (bool, shape ``(T,)``) and the block with each row
     collapsed: the measured eigenstate on qubit 0 times the renormalised
-    projection onto it.
+    projection onto it, of the shape of ``amps`` (a block of no rows too).
     """
     p1 = probability_of_one(amps, x_basis)
     bits = u < p1
     eigen = EIGENSTATES.take(2 * x_basis + bits, axis=0)
     rest = _project(amps, eigen) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
-    return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
+    return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(amps.shape)
 
 
 #: the Bell states as rows, indexed 2 * [the two qubits differ] + [minus sign]

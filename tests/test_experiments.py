@@ -254,10 +254,12 @@ class RawWords:
 
 
 #: what a kernel does with its stream stand-in: a bounded draw with an
-#: optional lead dimension, a uniform draw, or dropping rows
+#: optional lead dimension or a bound column (one bound per lead row), a
+#: uniform draw with an optional lead dimension, or dropping rows
 STREAM_OPS = st.lists(st.one_of(
     st.tuples(st.just("integers"), st.sampled_from([2, 4, 2 ** 32]), st.sampled_from([(), (2,)])),
-    st.just(("random",)), st.just(("keep",))), max_size=10)
+    st.sampled_from([("integers", [[4], [2]], (2,)), ("integers", [[2], [4], [2]], (3,))]),
+    st.tuples(st.just("random"), st.sampled_from([(), (2,)])), st.just(("keep",))), max_size=10)
 
 
 def each_live(draw, streams, rows, lead=()):
@@ -291,19 +293,25 @@ class TestChunkStreamDraws:
                 chunk = np.repeat(np.arange(len(live)), live)
                 live = [int(np.count_nonzero(mask[chunk == c])) for c in range(len(live))]
             elif op == "random":
-                got = streams.random(total)
-                assert np.array_equal(got, each_live(lambda g, n: g.random(n), twins, live))
-                assert np.array_equal(got, each_live(lambda r, n: r.random(n), raws, live))
+                (lead,) = args
+                got = streams.random(size=(*lead, total) if lead else total)
+                want = each_live(lambda g, n: g.random(size=(*lead, n)), twins, live, lead)
+                assert np.array_equal(got, want)
+                raw = each_live(lambda r, n: r.random(math.prod(lead) * n), raws, live, lead)
+                assert np.array_equal(got, raw)
             else:
                 high, lead = args
                 got = streams.integers(high, size=(*lead, total) if lead else total)
                 want = each_live(lambda g, n: g.integers(high, size=(*lead, n)), twins, live, lead)
                 assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-                raw = each_live(lambda r, n: r.integers(high, math.prod(lead) * n), raws, live, lead)
+                # a bound per lead row, each row drawn after the one before
+                bounds = np.ravel(high).tolist() if isinstance(high, list) else [high] * math.prod(lead)
+                raw = each_live(lambda r, n: [r.integers(b, n) for b in bounds], raws, live, lead)
                 assert np.array_equal(got, raw)
         # every stream live again: its next draws still follow its twin's, so
         # a half left buffered by an odd count was carried exactly
         streams._rows = [1] * len(rows)
+        streams._chunk = np.arange(len(rows))
         assert streams.integers(4, size=len(rows)).tolist() == [int(g.integers(4)) for g in twins]
         assert streams.random(len(rows)).tolist() == [g.random() for g in twins]
 
@@ -318,18 +326,39 @@ class TestChunkStreamDraws:
         assert streams._streams[0].bit_generator.state == state
         assert streams.integers(2, size=(2, 3)).tolist() == twin.integers(2, size=(2, 3)).tolist()
 
+    @pytest.mark.parametrize("column, bad", [([[4], [3]], 3), ([[0], [2]], 0), ([[2], [4], [2 ** 33]], 2 ** 33)])
+    def test_rejects_a_column_with_one_bad_bound_before_any_draw(self, column, bad):
+        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
+        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+        state = streams._streams[0].bit_generator.state
+        with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
+            streams.integers(column, size=(len(column), 3))
+        assert streams._streams[0].bit_generator.state == state
+        # the buffered half is still next
+        assert streams.integers([[4], [2]], size=(2, 3)).tolist() == twin.integers([[4], [2]], size=(2, 3)).tolist()
+
+    @pytest.mark.parametrize("size", [3, (3, 3), (1, 2, 3)])
+    def test_rejects_a_column_not_one_bound_per_lead_row(self, size):
+        streams = one_stream([5, 0, 0], 3)
+        state = streams._streams[0].bit_generator.state
+        with pytest.raises(ValueError, match="bound column must have shape"):
+            streams.integers([[4], [2]], size=size)
+        assert streams._streams[0].bit_generator.state == state
+
 
 def fancy_intercept_round(rng, n):
-    """``experiments._intercept_round`` before its gather used ``take``,
-    verbatim but for the module prefix."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_intercept_resend(DECOY_AMPS[ids], rng), ids
+    """``experiments._intercept_round`` with a fancy-index gather in place of
+    ``take``."""
+    ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
+    eve_u, u = rng.random(size=(2, n))
+    return adversary.eve_intercept_resend(DECOY_AMPS[ids], basis, eve_u), ids, u
 
 
 def fancy_entangling_round(params, rng, n):
-    """``experiments._entangling_round`` before its gather used ``take``."""
+    """``experiments._entangling_round`` with a fancy-index gather in place of
+    ``take``."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids
+    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids, rng.random(n)
 
 
 def fancy_alice_chunk(policy, rng, trials):
@@ -371,8 +400,96 @@ class TestKernelGathers:
         if name.startswith("alice"):
             assert got == ref
         else:
+            assert len(got) == len(ref) == 3
             for a, b in zip(got, ref):
                 assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def two_call_eve_intercept_resend(states, rng):
+    """``adversary.eve_intercept_resend`` as it was when it drew its own bases
+    and uniforms, verbatim but for the module prefix."""
+    n = len(states)
+    _, collapsed = qsim.measure_batch(states, rng.integers(2, size=n), rng.random(n))
+    return collapsed
+
+
+def two_call_intercept_round(rng, n):
+    """``experiments._intercept_round`` as it was when it drew its ids and
+    Eve her bases in two ``integers`` calls, verbatim but for the names."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return two_call_eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), rng), ids
+
+
+def two_call_first_flip_chunk(draw, rounds, rng, trials):
+    """``experiments._first_flip_chunk`` as it was when it drew its check's
+    uniforms itself, verbatim."""
+    active = trials
+    for _ in range(rounds):
+        if not active:
+            break
+        block, ids = draw(rng, active)
+        flips = protocol.decoy_flips(block, ids, rng.random(active))
+        rng.keep(~flips)
+        active -= int(np.count_nonzero(flips))
+    return [active, trials - active]
+
+
+class KeptStreams(experiments._ChunkStreams):
+    """The stream stand-in, recording each round's ``keep`` mask."""
+
+    def __init__(self, streams, rows):
+        super().__init__(streams, rows)
+        self.kept = []
+
+    def keep(self, rows):
+        self.kept.append(rows.copy())
+        super().keep(rows)
+
+
+def logged(draw, log):
+    """``draw``, appending each round's return to ``log``."""
+
+    def step(rng, n):
+        out = draw(rng, n)
+        log.append(out)
+        return out
+
+    return step
+
+
+class TestFusedInterceptRound:
+    """The intercept round's one id-and-basis call and one uniform call read
+    each chunk stream as the two-call round and its kernel did."""
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(1, 8),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_two_call_round(self, rows, rounds, buffered, seed):
+        assume(sum(rows))
+        trials = sum(rows)
+
+        def stand_in():
+            streams = KeptStreams([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
+            if buffered:  # an odd row count leaves its chunk's half buffered
+                streams.integers(2, size=trials)
+            return streams
+
+        got_rng, ref_rng = stand_in(), stand_in()
+        got_log, ref_log = [], []
+        got = experiments._first_flip_chunk(logged(experiments._intercept_round, got_log), rounds, got_rng, trials)
+        ref = two_call_first_flip_chunk(logged(two_call_intercept_round, ref_log), rounds, ref_rng, trials)
+        assert got == ref
+        assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
+        for (block, ids, _), (ref_block, ref_ids) in zip(got_log, ref_log):
+            assert block.dtype == ref_block.dtype and np.array_equal(block, ref_block)
+            assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+        for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
+            assert np.array_equal(kept, ref_kept)
+        # every twin stream live again: its next draws agree
+        for streams in (got_rng, ref_rng):
+            streams._rows, streams._chunk = [1] * len(rows), np.arange(len(rows))
+        assert np.array_equal(got_rng.integers(4, size=len(rows)), ref_rng.integers(4, size=len(rows)))
+        assert np.array_equal(got_rng.random(len(rows)), ref_rng.random(len(rows)))
 
 class TestObliviousness:
     def test_z_slot_chosen_one(self):

@@ -313,6 +313,14 @@ class TestMeasureBatch:
             assert bits[t] == ref_bit == qsim.measure(state, x, u[t])
             assert np.array_equal(collapsed[t], ref_post)
 
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_a_block_of_no_rows(self, width):
+        empty = np.empty((0, width), complex)
+        for x_basis in (np.empty(0, int), np.empty(0, bool)):
+            bits, collapsed = qsim.measure_batch(empty, x_basis, np.empty(0))
+            assert bits.shape == (0,) and bits.dtype == bool
+            assert collapsed.shape == (0, width) and collapsed.dtype == complex
+
     def test_reads_u_against_born_probability(self):
         # 0.6|0> + 0.8|1>: P(1) = 0.64 in Z, P(-) = 0.02 in X
         state = np.array([[0.6, 0.8]] * 4, dtype=complex)
@@ -364,6 +372,41 @@ class TestTakeGathers:
             got = qsim.probability_of_one(state[None], x_basis)
             assert np.array_equal(got, fancy_probability_of_one(state[None], x_basis))
             assert qsim._born(state.tobytes(), x_basis) == got[0]
+
+def take_probability_of_one(amps, x_basis):
+    """``qsim.probability_of_one`` as it was when it gathered its bras from
+    the whole eigenstate table at ``2 * x_basis + 1``, verbatim."""
+    bras = qsim.EIGENSTATES.take(2 * x_basis + 1, axis=0)
+    return np.square(np.abs(qsim._project(amps, bras))).sum(axis=1)
+
+
+class TestOneBras:
+    """The outcome-1 bras gathered from their own table are the rows the
+    eigenstate table gives at ``2 * x_basis + 1``."""
+
+    @given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_whole_table_gather(self, n_qubits, rows, seed, as_bool):
+        g = rng(seed)
+        amps = np.array([random_state(n_qubits, s) for s in g.integers(2**32, size=rows)],
+                        dtype=complex).reshape(rows, 1 << n_qubits)
+        x_basis = g.integers(2, size=rows)
+        if as_bool:
+            x_basis = x_basis.astype(bool)
+        got, ref = qsim.probability_of_one(amps, x_basis), take_probability_of_one(amps, x_basis)
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (rows,) and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("x_basis", [False, True])
+    def test_scalar_basis_matches_the_whole_table_gather(self, x_basis):
+        # qsim._born passes one bool for its one-row block
+        for state in (*EXACT_STATES, *(random_state(n, 7) for n in (1, 2, 3))):
+            got = qsim.probability_of_one(state[None], x_basis)
+            assert np.array_equal(got, take_probability_of_one(state[None], x_basis))
+
+    def test_table_is_a_read_only_view_of_the_outcome_one_rows(self):
+        assert np.array_equal(qsim._ONE_BRAS, [qsim.ONE, qsim.MINUS])
+        assert not qsim._ONE_BRAS.flags.writeable
+
 
 class TestBell:
     def test_phi_plus_amplitudes(self):

@@ -5,12 +5,15 @@ estimate at point p (its M or K; 0 for the scenarios without one) draws from
 its own stream (seed, p, c), so results do not depend on how chunks are
 grouped, and no two points or seeds share a stream. Up to GROUP_CHUNKS chunks
 are simulated together as one amplitude block (a row per trial) through the
-Born rule, each drawing its rows from its own stream.
+Born rule, each drawing its rows from its own stream. Every row a decoy check
+reads is one of a few registers, so each check reads its Born probability
+from a table the simulator fills once per register.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -88,8 +91,10 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
-def _bound_bits(high: int) -> int:
-    """k of a bound ``high`` = 2^k, k in 1..32; any other bound is a ValueError."""
+def _bound_bits(high) -> int:
+    """k of an integer bound ``high`` = 2^k, k in 1..32, a Python or numpy
+    integer; any other bound is a ValueError."""
+    high = operator.index(high)
     k = high.bit_length() - 1
     if not 1 <= k <= 32 or high != 1 << k:
         raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
@@ -144,7 +149,7 @@ class _ChunkStreams:
         ``[[4], [2]]`` for ``size=(2, n)``: each row keeps its own top k bits.
         Every bound is checked before any draw."""
         lead = size[:-1] if isinstance(size, tuple) else ()
-        if isinstance(high, int):
+        if np.ndim(high) == 0:
             shift = 32 - _bound_bits(high)
         else:
             shift = np.array([[32 - _bound_bits(b)] for (b,) in high], np.uint32)
@@ -194,22 +199,54 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
 def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
     """Sequential decoy checks: [unflipped, flipped] counts.
 
-    Each of up to ``rounds`` rounds draws the checked states of the trials not
-    yet flipped with the check's uniforms, ``draw(rng, n) -> (block, ids,
-    u)``, checks each row against its decoy id and drops the flipped rows
-    from ``rng``; a trial stops at its first flip.
+    Each of up to ``rounds`` rounds draws the checks of the trials not yet
+    flipped, ``draw(rng, n) -> (p1, ids, u)``: the Born probability that each
+    checked qubit reads 1 in the basis of its decoy id, the ids and the
+    check's uniforms. A check reads 1 iff its uniform is below its p1, as in
+    :func:`qsim.measure_batch`; the round drops the flipped rows from
+    ``rng``, so a trial stops at its first flip.
     """
     active = trials
     for _ in range(rounds):
         if not active:
             break
-        block, ids, u = draw(rng, active)
-        flips = protocol.decoy_flips(block, ids, u)
+        p1, ids, u = draw(rng, active)
+        flips = protocol.decoy_flipped(ids, u < p1)
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _intercept_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The Born probabilities of an intercept round, by key = 2 * id + Eve's
+    basis: Eve's of reading 1 on the decoy, and the check's of reading 1 on
+    what she resends, at 2 * key + her bit.
+
+    The simulator measures each decoy row once per basis and collapses it
+    once per outcome she can read, through :func:`adversary.eve_intercept_resend`
+    with a uniform that forces the outcome. An outcome of probability 0 is not
+    collapsed; its entry is NaN, which no round reads, as no uniform reaches it.
+    """
+    key = np.arange(2 * len(DECOY_AMPS))
+    eve_p1 = qsim.probability_of_one(DECOY_AMPS.take(key // 2, axis=0), key % 2)
+    key, bit = np.divmod(np.arange(2 * len(key)), 2)
+    # a uniform in [0, 1) reads 1 below a p1 above 0, and 0 from a p1 below 1
+    reachable = np.where(bit, eve_p1.take(key) > 0.0, eve_p1.take(key) < 1.0)
+    key, bit = key[reachable], bit[reachable]
+    resent = adversary.eve_intercept_resend(DECOY_AMPS.take(key // 2, axis=0), key % 2,
+                                            np.where(bit, 0.0, 1.0))
+    check_p1 = np.full(len(reachable), np.nan)
+    check_p1[reachable] = qsim.probability_of_one(resent, key // 2 >= 2)
+    return _read_only(eve_p1), _read_only(check_p1)
+
+
+#: an intercept round's Born probabilities: see :func:`_intercept_tables`
+_EVE_P1, _CHECK_P1 = _intercept_tables()
 #: the bounds of an intercept round's decoy ids and Eve's bases, one per row
 _ID_AND_BASIS = ((len(DECOY_AMPS),), (2,))
 
@@ -218,24 +255,43 @@ def _intercept_round(rng: _ChunkStreams, n: int):
     """Random decoys, each measured and resent by Eve in a random basis.
 
     Each chunk stream gives its ids, then Eve's bases, then Eve's uniforms,
-    then the check's, as four separate draw calls would."""
+    then the check's, as four separate draw calls would. Eve reads 1 where
+    her uniform is below her Born probability, and the check's probability
+    is that of the eigenstate she resends."""
     ids, basis = rng.integers(_ID_AND_BASIS, size=(2, n))
     eve_u, u = rng.random(size=(2, n))
-    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u), ids, u
+    key = 2 * ids + basis
+    bit = eve_u < _EVE_P1.take(key)
+    return _CHECK_P1.take(2 * key + bit), ids, u
+
+
+#: the check's Born probability of reading 1 on a cheating Bob's Bell slot,
+#: by the choice c he declares, in the basis of its decoy id 2c
+_BELL_P1 = _read_only(qsim.probability_of_one(np.broadcast_to(adversary.BELL_SLOT, (2, 4)),
+                                              2 * np.arange(2) >= 2))
 
 
 def _bell_round(rng: _ChunkStreams, n: int):
     """Loyalty tests of a cheating Bob's Bell slots, each checked against the
     id 2c of the choice c he declares; the transmitted half is maximally
     mixed, so each test fails with probability 1/2."""
-    block, declared = adversary.bell_slots(n, rng)
-    return block, 2 * declared, rng.random(n)
+    _, declared = adversary.bell_slots(n, rng)
+    return _BELL_P1.take(declared), 2 * declared, rng.random(n)
 
 
-def _entangling_round(params, rng: _ChunkStreams, n: int):
-    """Random decoys through Eve's entangling attack."""
+def _entangling_p1(params) -> np.ndarray:
+    """The check's Born probability of reading 1 on each decoy id, in the id's
+    own basis, after Eve's entangling attack: one call of her isometry."""
+    ids = np.arange(len(DECOY_AMPS))
+    return _read_only(qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS, params),
+                                              ids >= 2))
+
+
+def _entangling_round(p1: np.ndarray, rng: _ChunkStreams, n: int):
+    """Random decoys through Eve's entangling attack, ``p1`` the table of
+    :func:`_entangling_p1`."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
+    return p1.take(ids), ids, rng.random(n)
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -337,7 +393,7 @@ def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: in
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
     trials = protocol.as_integer("trials", trials)  # the row holds an int
-    kernel = partial(_first_flip_chunk, partial(_entangling_round, params), 1)
+    kernel = partial(_first_flip_chunk, partial(_entangling_round, _entangling_p1(params)), 1)
     flips = _tally(kernel, trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
 

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import astuple
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +162,7 @@ CHUNK_KERNELS = {
     "bell": partial(experiments._first_flip_chunk, experiments._bell_round, 2),
     "alice": partial(experiments._alice_chunk, "guess"),
     "entangling": partial(experiments._first_flip_chunk,
-                          partial(experiments._entangling_round, UE_PARAMS), 1),
+                          partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)), 1),
 }
 
 
@@ -345,9 +349,84 @@ class TestChunkStreamDraws:
             streams.integers([[4], [2]], size=size)
         assert streams._streams[0].bit_generator.state == state
 
+    @pytest.mark.parametrize("high, size", [
+        (np.int64(4), 3), (np.uint32(2), (2, 3)), (np.array(8), 3), (np.uint64(2 ** 32), 3),
+        (np.array([[4], [2]]), (2, 3)), ([[np.int8(2)], [np.int64(4)]], (2, 3))])
+    def test_a_numpy_integer_bound_draws_as_generator(self, high, size):
+        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
+        # an odd count leaves a half buffered
+        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+        got, want = streams.integers(high, size=size), twin.integers(high, size=size)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+
+    @pytest.mark.parametrize("high, bad", [(np.int64(3), 3), (np.array(6), 6), (np.uint8(1), 1),
+                                           (np.array([[4], [3]]), 3)])
+    def test_rejects_a_bad_numpy_integer_bound_before_any_draw(self, high, bad):
+        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
+        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+        state = streams._streams[0].bit_generator.state
+        with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
+            streams.integers(high, size=(2, 3) if np.ndim(high) else 3)
+        assert streams._streams[0].bit_generator.state == state
+        assert streams.integers(2, size=(2, 3)).tolist() == twin.integers(2, size=(2, 3)).tolist()
+
+
+def block_intercept_round(rng, n):
+    """``experiments._intercept_round`` as it was when it returned the block
+    Eve resends, verbatim but for the names."""
+    ids, basis = rng.integers(experiments._ID_AND_BASIS, size=(2, n))
+    eve_u, u = rng.random(size=(2, n))
+    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u), ids, u
+
+
+def block_bell_round(rng, n):
+    """``experiments._bell_round`` as it was when it returned Bob's Bell
+    slots, verbatim but for the name."""
+    block, declared = adversary.bell_slots(n, rng)
+    return block, 2 * declared, rng.random(n)
+
+
+def block_entangling_round(params, rng, n):
+    """``experiments._entangling_round`` as it was when it ran Eve's
+    isometry on every round's block, verbatim but for the name."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
+
+
+def block_first_flip_chunk(draw, rounds, rng, trials):
+    """``experiments._first_flip_chunk`` as it was when its rounds returned
+    blocks, verbatim."""
+    active = trials
+    for _ in range(rounds):
+        if not active:
+            break
+        block, ids, u = draw(rng, active)
+        flips = protocol.decoy_flips(block, ids, u)
+        rng.keep(~flips)
+        active -= int(np.count_nonzero(flips))
+    return [active, trials - active]
+
+
+def assert_same(a, b):
+    """Equal arrays of one dtype and shape; a NaN equals nothing."""
+    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_round_matches_block(got, ref):
+    """A round's ``(p1, ids, u)`` against a block round's ``(block, ids, u)``
+    (or ``(block, ids)``): p1 is the check's Born probability of the block,
+    bit for bit, and the rest is equal."""
+    p1, ids, u = got
+    block, ref_ids, *ref_u = ref
+    assert_same(p1, qsim.probability_of_one(block, ref_ids >= 2))
+    assert_same(ids, ref_ids)
+    for ref_u in ref_u:
+        assert_same(u, ref_u)
+
 
 def fancy_intercept_round(rng, n):
-    """``experiments._intercept_round`` with a fancy-index gather in place of
+    """``block_intercept_round`` with a fancy-index gather in place of
     ``take``."""
     ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
     eve_u, u = rng.random(size=(2, n))
@@ -355,7 +434,7 @@ def fancy_intercept_round(rng, n):
 
 
 def fancy_entangling_round(params, rng, n):
-    """``experiments._entangling_round`` with a fancy-index gather in place of
+    """``block_entangling_round`` with a fancy-index gather in place of
     ``take``."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids, rng.random(n)
@@ -377,7 +456,7 @@ def fancy_alice_chunk(policy, rng, trials):
 #: each kernel step that gathers table rows, and its fancy-index body
 GATHERING_STEPS = {
     "intercept": (experiments._intercept_round, fancy_intercept_round),
-    "entangling": (partial(experiments._entangling_round, UE_PARAMS),
+    "entangling": (partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)),
                    partial(fancy_entangling_round, UE_PARAMS)),
     "alice": (partial(experiments._alice_chunk, "guess"), partial(fancy_alice_chunk, "guess")),
     "alice-random": (partial(experiments._alice_chunk, "random"), partial(fancy_alice_chunk, "random")),
@@ -401,8 +480,7 @@ class TestKernelGathers:
             assert got == ref
         else:
             assert len(got) == len(ref) == 3
-            for a, b in zip(got, ref):
-                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert_round_matches_block(got, ref)
 
 
 def two_call_eve_intercept_resend(states, rng):
@@ -457,39 +535,207 @@ def logged(draw, log):
     return step
 
 
+def assert_kernels_agree(draw, ref_kernel, ref_draw, rows, rounds, buffered, seed):
+    """``experiments._first_flip_chunk`` over ``draw``, and ``ref_kernel`` over
+    the block round ``ref_draw``, each on a stand-in over twin streams: each
+    round matches its block round (:func:`assert_round_matches_block`), each
+    round's ``keep`` mask and the counts are equal, and each twin stream's
+    next draws agree afterwards."""
+    trials = sum(rows)
+
+    def stand_in():
+        streams = KeptStreams([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
+        if buffered:  # an odd row count leaves its chunk's half buffered
+            streams.integers(2, size=trials)
+        return streams
+
+    got_rng, ref_rng = stand_in(), stand_in()
+    got_log, ref_log = [], []
+    got = experiments._first_flip_chunk(logged(draw, got_log), rounds, got_rng, trials)
+    ref = ref_kernel(logged(ref_draw, ref_log), rounds, ref_rng, trials)
+    assert got == ref
+    assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
+    for round_out, ref_out in zip(got_log, ref_log):
+        assert_round_matches_block(round_out, ref_out)
+    for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
+        assert np.array_equal(kept, ref_kept)
+    # every twin stream live again: its next draws agree
+    for streams in (got_rng, ref_rng):
+        streams._rows, streams._chunk = [1] * len(rows), np.arange(len(rows))
+    assert np.array_equal(got_rng.integers(4, size=len(rows)), ref_rng.integers(4, size=len(rows)))
+    assert np.array_equal(got_rng.random(len(rows)), ref_rng.random(len(rows)))
+
+
+#: chunk stand-ins: live rows per chunk stream (zero and odd counts
+#: included), rounds, whether an odd pre-draw leaves halves buffered, a seed
+TWIN_RUNS = (st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(1, 8),
+             st.booleans(), st.integers(0, 2 ** 32 - 1))
+
+
 class TestFusedInterceptRound:
     """The intercept round's one id-and-basis call and one uniform call read
     each chunk stream as the two-call round and its kernel did."""
 
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(1, 8),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @given(*TWIN_RUNS)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_two_call_round(self, rows, rounds, buffered, seed):
         assume(sum(rows))
-        trials = sum(rows)
+        assert_kernels_agree(experiments._intercept_round, two_call_first_flip_chunk,
+                             two_call_intercept_round, rows, rounds, buffered, seed)
 
-        def stand_in():
-            streams = KeptStreams([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-            if buffered:  # an odd row count leaves its chunk's half buffered
-                streams.integers(2, size=trials)
-            return streams
 
-        got_rng, ref_rng = stand_in(), stand_in()
-        got_log, ref_log = [], []
-        got = experiments._first_flip_chunk(logged(experiments._intercept_round, got_log), rounds, got_rng, trials)
-        ref = two_call_first_flip_chunk(logged(two_call_intercept_round, ref_log), rounds, ref_rng, trials)
-        assert got == ref
-        assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
-        for (block, ids, _), (ref_block, ref_ids) in zip(got_log, ref_log):
-            assert block.dtype == ref_block.dtype and np.array_equal(block, ref_block)
-            assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
-        for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
-            assert np.array_equal(kept, ref_kept)
-        # every twin stream live again: its next draws agree
-        for streams in (got_rng, ref_rng):
-            streams._rows, streams._chunk = [1] * len(rows), np.arange(len(rows))
-        assert np.array_equal(got_rng.integers(4, size=len(rows)), ref_rng.integers(4, size=len(rows)))
-        assert np.array_equal(got_rng.random(len(rows)), ref_rng.random(len(rows)))
+#: each table round, and the block round it replaces
+BLOCK_ROUNDS = {
+    "intercept": (experiments._intercept_round, block_intercept_round),
+    "bell": (experiments._bell_round, block_bell_round),
+    "entangling": (partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)),
+                   partial(block_entangling_round, UE_PARAMS)),
+    "entangling-undetected": (
+        partial(experiments._entangling_round,
+                experiments._entangling_p1(adversary.UeParams.no_detection_point())),
+        partial(block_entangling_round, adversary.UeParams.no_detection_point())),
+}
+
+
+class TestTableRounds:
+    """Each round reads the Born probabilities the block round computed,
+    from its table, and leaves every stream as the block round did."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @given(*TWIN_RUNS)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_block_round(self, name, rows, rounds, buffered, seed):
+        assume(sum(rows))
+        draw, block_draw = BLOCK_ROUNDS[name]
+        assert_kernels_agree(draw, block_first_flip_chunk, block_draw, rows, rounds, buffered, seed)
+
+
+class Scripted:
+    """A stream stand-in that returns the given draws, in order, whatever the
+    call asks for."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def integers(self, high, size):
+        return self._draws.pop(0)
+
+    def random(self, size):
+        return self._draws.pop(0)
+
+
+#: the largest uniform below 1
+TOP_UNIFORM = 1.0 - 2.0 ** -53
+
+
+@st.composite
+def intercept_rows(draw):
+    """An intercept row (id, Eve's basis, Eve's uniform): her uniform is 0,
+    her Born probability of reading 1 or a float next to it, the top
+    uniform or any uniform, each clipped to [0, 1)."""
+    did, basis = draw(st.integers(0, len(DECOY_AMPS) - 1)), draw(st.integers(0, 1))
+    p1 = experiments._EVE_P1[2 * did + basis]
+    eve_u = draw(st.one_of(
+        st.sampled_from([0.0, p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0), TOP_UNIFORM]),
+        st.floats(0.0, 1.0, exclude_max=True)))
+    return did, basis, min(max(float(eve_u), 0.0), TOP_UNIFORM)
+
+
+class TestBornTables:
+    def test_intercept_tables_rebuild_one_register_at_a_time(self):
+        eve_p1, check_p1 = [], []
+        for did, basis in itertools.product(range(len(DECOY_AMPS)), range(2)):
+            state, x_basis = DECOY_AMPS[did:did + 1], np.array([basis])
+            p1 = qsim.probability_of_one(state, x_basis)
+            eve_p1.append(p1[0])
+            # the uniforms in [0, 1) likeliest to read 0 and 1
+            for bit, u in ((0, TOP_UNIFORM), (1, 0.0)):
+                if (u < p1[0]) != bit:  # no uniform reads this bit
+                    check_p1.append(np.nan)
+                    continue
+                resent = adversary.eve_intercept_resend(state, x_basis, np.array([u]))
+                check_p1.append(qsim.probability_of_one(resent, np.array([did >= 2]))[0])
+        assert_same(experiments._EVE_P1, np.array(eve_p1))
+        # the NaN entries are the outcomes of probability 0: id 0 reads no 1
+        # in Z, id 1 no 0 in Z and id 2 no 1 in X
+        assert np.flatnonzero(np.isnan(experiments._CHECK_P1)).tolist() == [1, 4, 11]
+        assert np.array_equal(experiments._CHECK_P1, np.array(check_p1), equal_nan=True)
+
+    def test_intercept_tables_flip_a_quarter_of_the_checks(self):
+        eve_p1 = np.repeat(experiments._EVE_P1, 2)
+        outcome = np.where(np.arange(16) % 2, eve_p1, 1.0 - eve_p1)
+        reachable = outcome > 0
+        flip = np.where(np.arange(16) // 4 % 2, 1.0 - experiments._CHECK_P1, experiments._CHECK_P1)
+        assert np.sum(outcome[reachable] * flip[reachable]) / 8 == pytest.approx(0.25, abs=1e-12)
+
+    def test_bell_table_rebuilds(self):
+        want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
+        assert_same(experiments._BELL_P1, np.array(want))
+
+    @pytest.mark.parametrize("params", [adversary.UeParams.no_detection_point(), UE_PARAMS,
+                                        *(adversary.sample_ue_params(np.random.default_rng(s))
+                                          for s in range(5))])
+    def test_entangling_table_rebuilds_one_register_at_a_time(self, params):
+        want = [qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS[i:i + 1], params),
+                                        np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
+        assert_same(experiments._entangling_p1(params), np.array(want))
+
+    @pytest.mark.parametrize("table", [experiments._EVE_P1, experiments._CHECK_P1, experiments._BELL_P1,
+                                       experiments._entangling_p1(UE_PARAMS)])
+    def test_tables_are_read_only(self, table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+
+    @given(st.lists(intercept_rows(), min_size=1, max_size=20), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_intercept_round_reads_the_block_path(self, rows, data):
+        ids, basis, eve_u = (np.array(col) for col in zip(*rows))
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=len(rows), max_size=len(rows))))
+
+        def script():
+            return Scripted(np.array([ids, basis]), np.array([eve_u, u]))
+
+        got = experiments._intercept_round(script(), len(rows))
+        assert_round_matches_block(got, block_intercept_round(script(), len(rows)))
+        assert not np.isnan(got[0]).any()
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_bell_round_reads_the_block_path(self, declared, data):
+        n = len(declared)
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+
+        def script():
+            return Scripted(np.array(declared), u)
+
+        assert_round_matches_block(experiments._bell_round(script(), n), block_bell_round(script(), n))
+
+    @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
+           st.lists(st.integers(0, len(DECOY_AMPS) - 1), min_size=1, max_size=20), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_entangling_round_reads_the_block_path(self, params_seed, ids, data):
+        params = (adversary.UeParams.no_detection_point() if params_seed is None
+                  else adversary.sample_ue_params(np.random.default_rng(params_seed)))
+        n = len(ids)
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+
+        def script():
+            return Scripted(np.array(ids), u)
+
+        got = experiments._entangling_round(experiments._entangling_p1(params), script(), n)
+        assert_round_matches_block(got, block_entangling_round(params, script(), n))
+
+    def test_a_fresh_import_warns_nothing(self):
+        # the intercept and Bell tables are filled at import
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", "import qotsim.cli"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
 
 class TestObliviousness:
     def test_z_slot_chosen_one(self):
@@ -618,6 +864,20 @@ class TestEntanglingEstimate:
             adversary.UeParams.no_detection_point(), trials=500, seed=0)
         assert row.empirical == 0.0 and row.closed_form == 0.0
 
+    def test_calls_the_isometry_once_per_estimate(self, monkeypatch):
+        # 65 chunks: two chunk groups
+        trials = experiments.GROUP_CHUNKS * experiments.CHUNK_TRIALS + 1
+        calls = []
+        real = adversary.eve_entangling_attack
+
+        def spy(states, params):
+            calls.append(states)
+            return real(states, params)
+
+        monkeypatch.setattr(adversary, "eve_entangling_attack", spy)
+        row = experiments.entangling_detection_estimate(UE_PARAMS, trials, seed=1)
+        assert row.trials == trials == 16_385
+        assert len(calls) == 1 and np.array_equal(calls[0], DECOY_AMPS)
 
     def test_rows_name_detection_and_leakage(self):
         params = adversary.sample_ue_params(np.random.default_rng(4))

@@ -178,16 +178,11 @@ def ue_leakage(params: UeParams) -> float:
 BELL_SLOT = qsim.make_bell(0)
 
 
-def bell_slots(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` :data:`BELL_SLOT` rows as an ``(n, 4)`` block, with the choice bit Bob
-    declares for each if tested: uniformly random, as a Bell half has none."""
-    return np.broadcast_to(BELL_SLOT, (n, 4)), rng.integers(2, size=n)
-
-
 def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot], list[int], list[int]]:
     """Step-1 replacement for a dishonest Bob: every non-decoy slot is his
-    :data:`BELL_SLOT`, recorded with the choice he will declare for it."""
-    _, declared = bell_slots(config.N + 2 * config.K, rng)
+    :data:`BELL_SLOT`, recorded with the choice he will declare for it if
+    tested: uniformly random, as a Bell half has none."""
+    declared = rng.integers(2, size=config.N + 2 * config.K)
     slots = [SequenceSlot(BELL_SLOT, choice=int(c), payload_index=i if i < config.N else None)
              for i, c in enumerate(declared)]
     return insert_decoys(slots, config.M, rng)
@@ -201,35 +196,35 @@ def bob_bell_cheat_readout(state: np.ndarray) -> tuple[int, int]:
 
 #: what a dishonest Alice resends after measuring; see alice_measure_resend
 RESEND_POLICIES = ("guess", "collapsed", "random")
+#: the number of values of each policy's resend draw; ``collapsed`` makes none
+RESEND_DRAWS = {"guess": 2, "random": len(DECOY_AMPS)}
 
 
-def alice_measure_resend(states: np.ndarray, rng: np.random.Generator,
-                         policy: str = "guess") -> tuple[np.ndarray, np.ndarray]:
+def alice_measure_resend(states: np.ndarray, basis: np.ndarray, u: np.ndarray,
+                         resend: np.ndarray | None, policy: str = "guess") -> tuple[np.ndarray, np.ndarray]:
     """Dishonest Alice measures each of Bob's Step-1 qubits, the rows of a
-    ``(T, 2)`` block, in a random basis.
+    ``(T, 2)`` block, row t in the basis of choice ``basis[t]`` (X where it is
+    set), reading ``u[t]`` as :func:`qsim.measure_batch` does.
 
     Returns her choice guesses (-1 where inconclusive) and the block she
-    resends. A guess is conclusive exactly when the outcome is impossible for
-    one preparation: outcome |1> implies |+> was sent, outcome |-> implies |0>
-    was sent. Resend policy:
-      * ``guess`` (default): the identified preparation if conclusive, else a
-        uniform draw from {|0>, |+>};
-      * ``collapsed``: the post-measurement state;
-      * ``random``: a uniform draw from the four decoy states.
+    resends. Outcome 0 is choice a's preparation (decoy id 2a); outcome 1
+    rules a out, so a guess is conclusive exactly then, and names 1 - a:
+    outcome |1> implies |+> was sent, outcome |-> implies |0> was sent.
+    Resend policy, reading ``resend[t]``, row t's draw of
+    :data:`RESEND_DRAWS` values:
+      * ``guess`` (default): the identified preparation if conclusive, else
+        the preparation of choice ``resend[t]``;
+      * ``collapsed``: the post-measurement state (``resend`` is not read);
+      * ``random``: decoy state ``resend[t]``.
+    The caller draws ``basis``, ``u`` and ``resend``: for Alice's attack, a
+    uniformly random choice, a uniform in [0, 1) and a uniform resend draw
+    per row.
     """
     if policy not in RESEND_POLICIES:
         raise ProtocolError(f"unknown resend policy {policy!r}")
-    n = len(states)
-    # each row is measured in the basis of a random choice a, whose outcome 0
-    # is choice a's preparation (decoy id 2a); outcome 1 rules a out, so the
-    # preparation was 1 - a
-    a = rng.integers(2, size=n)
-    bits, collapsed = qsim.measure_batch(states, a, rng.random(n))
-    guesses = np.where(bits, 1 - a, -1)
+    bits, collapsed = qsim.measure_batch(states, basis, u)
+    guesses = np.where(bits, 1 - basis, -1)
     if policy == "collapsed":
         return guesses, collapsed
-    if policy == "random":
-        resent = rng.integers(len(DECOY_AMPS), size=n)
-    else:
-        resent = 2 * np.where(bits, guesses, rng.integers(2, size=n))
+    resent = resend if policy == "random" else 2 * np.where(bits, guesses, resend)
     return guesses, DECOY_AMPS.take(resent, axis=0)

@@ -4,18 +4,18 @@ Trials are drawn in chunks of CHUNK_TRIALS, the stream unit: chunk c of an
 estimate at point p (its M or K; 0 for the scenarios without one) draws from
 its own stream (seed, p, c), so results do not depend on how chunks are
 grouped, and no two points or seeds share a stream. Up to GROUP_CHUNKS chunks
-are simulated together as one amplitude block (a row per trial) through the
-Born rule, each drawing its rows from its own stream. Every row a decoy check
-reads is one of a few registers, so each check reads its Born probability
-from a table the simulator fills once per register.
+are simulated together as one block (a row per trial) through the Born rule,
+each drawing its rows from its own stream's PCG64 raw words. Every register a
+measurement reads is one of a few, so each reads its Born probability, and
+Alice her resend, from a table the simulator fills once per register at
+import (per estimate for Eve's entangling attack).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .protocol import DECOY_AMPS, ProtocolError
 DEFAULT_TRIALS = 100_000
 #: trials per stream: chunk c of an estimate draws from its own stream
 CHUNK_TRIALS = 256
-#: chunks simulated together as one amplitude block; bounds the kernels'
-#: working set (a few MB) for any trial count while spreading numpy's
-#: per-call cost over many rows
+#: chunks simulated together as one block; bounds the kernels' working set
+#: (a few MB) for any trial count while spreading numpy's per-call cost over
+#: many rows
 GROUP_CHUNKS = 64
 
 
@@ -91,79 +91,83 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
 
 
-def _bound_bits(high) -> int:
-    """k of an integer bound ``high`` = 2^k, k in 1..32, a Python or numpy
-    integer; any other bound is a ValueError."""
-    high = operator.index(high)
+def _bound_bits(high: int) -> int:
+    """k of an integer bound ``high`` = 2^k, k in 1..32; any other bound is a
+    ValueError."""
     k = high.bit_length() - 1
     if not 1 <= k <= 32 or high != 1 << k:
         raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
     return k
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _shift_column(bounds: tuple[int, ...]) -> np.ndarray:
+    """The read-only ``(rows, 1)`` column of the shifts 32 - k of a read's
+    integer rows, ``bounds`` their 2^k, built once per tuple of bounds."""
+    return _read_only(np.array([32 - _bound_bits(b) for b in bounds], np.uint32).reshape(-1, 1))
+
+
 class _ChunkStreams:
     """Generator stand-in for chunks simulated as one block.
 
     ``rows[i]`` of the block's live rows belong to chunk i, in chunk order.
-    ``integers`` and ``random`` draw each chunk's rows from that chunk's own
-    stream and concatenate them along the trial axis, the last, so each stream
-    sees the draws it would see if its chunk ran alone; the last entry of
-    ``size`` is the live-row total, which ``rows`` already splits. A chunk
-    with no live rows is not drawn from. A lead dimension draws, per chunk,
-    one row after another, as ``Generator`` does, so one call of ``size=(2,
-    n)`` reads each stream as two consecutive calls of ``size=n`` would.
+    :meth:`read` draws each chunk's rows from that chunk's own stream and
+    concatenates them along the trial axis, the last, so each stream sees
+    the draws it would see if its chunk ran alone. A chunk with no live rows
+    is not drawn from.
 
-    ``integers`` reads each stream's PCG64 raw words itself, as
-    ``Generator.integers`` would for a power-of-two bound (see
-    :meth:`integers`), so each stream must be fresh, with no 32-bit half
-    buffered, as ``default_rng`` makes it.
+    It reads each stream's PCG64 raw words itself, as ``Generator.integers``
+    and ``Generator.random`` would (see :meth:`read`), so each stream must be
+    fresh, with no 32-bit half buffered, as ``default_rng`` makes it.
     """
 
     def __init__(self, streams: list[np.random.Generator], rows: list[int]):
-        self._streams = streams
+        self._bits = [g.bit_generator for g in streams]
         self._rows = rows
         #: the chunk of each live row, filtered by :meth:`keep`
         self._chunk = np.repeat(np.arange(len(rows)), rows)
         #: each stream's buffered high 32-bit half, as PCG64's next32 keeps it
         self._halves = [np.empty(0, "<u4")] * len(streams)
 
-    def _u32(self, i: int, count: int) -> np.ndarray:
-        """Stream i's next ``count`` 32-bit values: its buffered half, then
-        each raw word's low half followed by its high half; an odd word's
-        high half left over is buffered."""
-        half = self._halves[i]
-        words = self._streams[i].bit_generator.random_raw((count - len(half) + 1) // 2)
-        # little-endian words, so each word's low half comes first on any host
-        u = words.astype("<u8", copy=False).view("<u4")
-        if len(half):
-            u = np.concatenate((half, u))
-        self._halves[i] = u[count:]
-        return u[:count]
+    def read(self, bounds: tuple, units: int) -> tuple[np.ndarray, np.ndarray]:
+        """One integer row per bound, then ``units`` rows of uniforms in
+        [0, 1), each row one value per live row: for each chunk of m live
+        rows, the ``(len(bounds), m)`` int64 and ``(units, m)`` float values
+        that ``Generator.integers([[b] for b in bounds], size=(len(bounds),
+        m))`` and then ``Generator.random(size=(units, m))`` would give.
 
-    def integers(self, high, size) -> np.ndarray:
-        """``Generator.integers(high, size=...)`` for ``high`` = 2^k, k in
-        1..32: the top k bits of each 32-bit value, which is what Lemire's
-        method returns for a power-of-two bound, where it never rejects.
-
-        ``high`` may also be a column of such bounds, one per lead row, as
-        ``[[4], [2]]`` for ``size=(2, n)``: each row keeps its own top k bits.
-        Every bound is checked before any draw."""
-        lead = size[:-1] if isinstance(size, tuple) else ()
-        if np.ndim(high) == 0:
-            shift = 32 - _bound_bits(high)
-        else:
-            shift = np.array([[32 - _bound_bits(b)] for (b,) in high], np.uint32)
-            if shift.shape != (*lead, 1):
-                raise ValueError(f"a bound column must have shape {(*lead, 1)}, got {shift.shape}")
-        count = math.prod(lead)
-        u = np.concatenate([self._u32(i, count * n).reshape(*lead, n)
-                            for i, n in enumerate(self._rows) if n], axis=-1)
-        return (u >> shift).astype(np.int64)
-
-    def random(self, size) -> np.ndarray:
-        lead = size[:-1] if isinstance(size, tuple) else ()
-        return np.concatenate([g.random(size=(*lead, n))
-                               for g, n in zip(self._streams, self._rows) if n], axis=-1)
+        Each bound is 2^k, k in 1..32, a Python or numpy integer, and every
+        bound is checked before any word is read. One ``random_raw`` call per
+        live chunk reads its words. The first give the 32-bit values of the
+        integer rows: the buffered half, then each word's low half followed
+        by its high half; an odd word's high half left over is buffered. Each
+        value keeps its row's top k bits, which is what Lemire's method
+        returns for a power-of-two bound, where it never rejects. Each next
+        word is one uniform, its top 53 bits times 2^-53, as
+        ``Generator.random`` makes it for PCG64."""
+        shift = _shift_column(tuple(map(operator.index, bounds)))
+        count = len(shift)
+        ints, words = [], []
+        for i, n in enumerate(self._rows):
+            if not n:
+                continue
+            half = self._halves[i]
+            int_words = (count * n - len(half) + 1) // 2
+            raw = self._bits[i].random_raw(int_words + units * n)
+            # little-endian words, so each word's low half comes first on any host
+            u = raw[:int_words].astype("<u8", copy=False).view("<u4")
+            if len(half):
+                u = np.concatenate((half, u))
+            self._halves[i] = u[count * n:]
+            ints.append(u[:count * n].reshape(count, n))
+            words.append(raw[int_words:].reshape(units, n))
+        return ((np.concatenate(ints, axis=-1) >> shift).astype(np.int64),
+                (np.concatenate(words, axis=-1) >> 11) * 2.0 ** -53)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the live rows where the boolean ``rows`` is set."""
@@ -200,7 +204,7 @@ def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> lis
     """Sequential decoy checks: [unflipped, flipped] counts.
 
     Each of up to ``rounds`` rounds draws the checks of the trials not yet
-    flipped, ``draw(rng, n) -> (p1, ids, u)``: the Born probability that each
+    flipped, ``draw(rng) -> (p1, ids, u)``: the Born probability that each
     checked qubit reads 1 in the basis of its decoy id, the ids and the
     check's uniforms. A check reads 1 iff its uniform is below its p1, as in
     :func:`qsim.measure_batch`; the round drops the flipped rows from
@@ -210,16 +214,11 @@ def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> lis
     for _ in range(rounds):
         if not active:
             break
-        p1, ids, u = draw(rng, active)
+        p1, ids, u = draw(rng)
         flips = protocol.decoy_flipped(ids, u < p1)
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
 
 
 def _intercept_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -247,19 +246,18 @@ def _intercept_tables() -> tuple[np.ndarray, np.ndarray]:
 
 #: an intercept round's Born probabilities: see :func:`_intercept_tables`
 _EVE_P1, _CHECK_P1 = _intercept_tables()
-#: the bounds of an intercept round's decoy ids and Eve's bases, one per row
-_ID_AND_BASIS = ((len(DECOY_AMPS),), (2,))
+#: the bounds of an intercept round's decoy ids and Eve's bases
+_ID_AND_BASIS = (len(DECOY_AMPS), 2)
 
 
-def _intercept_round(rng: _ChunkStreams, n: int):
+def _intercept_round(rng: _ChunkStreams):
     """Random decoys, each measured and resent by Eve in a random basis.
 
     Each chunk stream gives its ids, then Eve's bases, then Eve's uniforms,
     then the check's, as four separate draw calls would. Eve reads 1 where
     her uniform is below her Born probability, and the check's probability
     is that of the eigenstate she resends."""
-    ids, basis = rng.integers(_ID_AND_BASIS, size=(2, n))
-    eve_u, u = rng.random(size=(2, n))
+    (ids, basis), (eve_u, u) = rng.read(_ID_AND_BASIS, 2)
     key = 2 * ids + basis
     bit = eve_u < _EVE_P1.take(key)
     return _CHECK_P1.take(2 * key + bit), ids, u
@@ -271,12 +269,12 @@ _BELL_P1 = _read_only(qsim.probability_of_one(np.broadcast_to(adversary.BELL_SLO
                                               2 * np.arange(2) >= 2))
 
 
-def _bell_round(rng: _ChunkStreams, n: int):
+def _bell_round(rng: _ChunkStreams):
     """Loyalty tests of a cheating Bob's Bell slots, each checked against the
-    id 2c of the choice c he declares; the transmitted half is maximally
-    mixed, so each test fails with probability 1/2."""
-    _, declared = adversary.bell_slots(n, rng)
-    return _BELL_P1.take(declared), 2 * declared, rng.random(n)
+    id 2c of the uniformly random choice c he declares; the transmitted half
+    is maximally mixed, so each test fails with probability 1/2."""
+    (declared,), (u,) = rng.read((2,), 1)
+    return _BELL_P1.take(declared), 2 * declared, u
 
 
 def _entangling_p1(params) -> np.ndarray:
@@ -287,11 +285,11 @@ def _entangling_p1(params) -> np.ndarray:
                                               ids >= 2))
 
 
-def _entangling_round(p1: np.ndarray, rng: _ChunkStreams, n: int):
+def _entangling_round(p1: np.ndarray, rng: _ChunkStreams):
     """Random decoys through Eve's entangling attack, ``p1`` the table of
     :func:`_entangling_p1`."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return p1.take(ids), ids, rng.random(n)
+    (ids,), (u,) = rng.read((len(DECOY_AMPS),), 1)
+    return p1.take(ids), ids, u
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -358,16 +356,67 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
+#: Alice's Born probability of reading 1 on Bob's preparation of choice j,
+#: decoy id 2j, in the basis of her choice a, at 2 * j + a
+_ALICE_P1 = _read_only(qsim.probability_of_one(DECOY_AMPS.take([0, 0, 2, 2], axis=0),
+                                               np.arange(4) % 2))
+
+
+def _alice_tables(policy: str) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """An Alice round's tables for one resend policy: the bound of her resend
+    draw (none for ``collapsed``), then her guess and the check's Born
+    probability, by key = (2 * (2 * j + a) + bit) * draws + r for Bob's
+    choice j, her basis a, her outcome and her resend draw r of ``draws``
+    values (r = 0 of one where she makes none). The check's probability is
+    that of reading 1 on what she resends, encoded with Pauli code
+    2 * m0 + m1, in the basis of Bob's decoy id 2j, at 4 * key + code.
+
+    The simulator measures and resends each row once per key and code,
+    through :func:`adversary.alice_measure_resend` with a uniform that forces
+    the outcome. An outcome of probability 0 is not collapsed; its entries
+    are NaN, which no round reads, as no uniform reaches it.
+    """
+    bound = adversary.RESEND_DRAWS.get(policy)
+    rows = np.indices((4, 2, bound or 1, 4)).reshape(4, -1)
+    p1 = _ALICE_P1.take(rows[0])
+    # a uniform in [0, 1) reads 1 below a p1 above 0, and 0 from a p1 below 1
+    reachable = np.where(rows[1], p1 > 0.0, p1 < 1.0)
+    ja, bit, r, code = rows[:, reachable]
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(ja // 2 * 2, axis=0), ja % 2,
+                                                     np.where(bit, 0.0, 1.0), r, policy)
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(code, axis=0))
+    guess, check_p1 = np.full((2, len(reachable)), np.nan)
+    guess[reachable] = guesses
+    check_p1[reachable] = qsim.probability_of_one(encoded, ja // 2 == 1)
+    return (bound,) if bound else (), _read_only(guess[::4].copy()), _read_only(check_p1)
+
+
+#: an Alice round's tables by resend policy: see :func:`_alice_tables`
+_ALICE_TABLES = {policy: _alice_tables(policy) for policy in adversary.RESEND_POLICIES}
+
+
 def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     """Slots through Alice's measure-and-resend: the counts of conclusive
-    guesses, wrong conclusive guesses, bit errors and dummy errors."""
-    j = rng.integers(2, size=trials)
-    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
-    m0, m1 = rng.integers(2, size=(2, trials))
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(2 * m0 + m1, axis=0))
-    check_u, dummy_u = rng.random(size=(2, trials))
+    guesses, wrong conclusive guesses, bit errors and dummy errors.
+
+    Each chunk stream gives Bob's choices j and Alice's bases, then her
+    uniforms, in one read; then her resend draws (if her policy makes one),
+    the message bits m0 and m1, then the check's and the dummy's uniforms,
+    in a second. Alice reads 1 where her uniform is below her Born
+    probability; her guess and the check's probability are read from
+    :func:`_alice_tables`."""
+    resend, guess, check_p1 = _ALICE_TABLES[policy]
+    (j, a), (alice_u,) = rng.read((2, 2), 1)
+    ja = 2 * j + a
+    key = 2 * ja + (alice_u < _ALICE_P1.take(ja))
+    ints, (check_u, dummy_u) = rng.read((*resend, 2, 2), 2)
+    if resend:
+        key = resend[0] * key + ints[0]
+    m0, m1 = ints[-2:]
+    guesses = guess.take(key)
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
-    bit_error = protocol.decoy_flips(encoded, 2 * j, check_u) != np.choose(j, (m0, m1))
+    flipped = protocol.decoy_flipped(2 * j, check_u < check_p1.take(4 * key + 2 * m0 + m1))
+    bit_error = flipped != np.choose(j, (m0, m1))
     dummy_error = bit_error & (dummy_u < 0.5)
     conclusive = guesses >= 0
     return [int(np.count_nonzero(event)) for event in

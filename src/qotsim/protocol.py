@@ -47,14 +47,6 @@ def decoy_flipped(decoy_id, bit):
     return bit ^ (decoy_id & 1 == 1)
 
 
-def decoy_flips(amps: np.ndarray, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`decoy_flipped` for a block, as a bool mask: qubit 0 of row t of a
-    ``(T, 2^n)`` amplitude block reads 1, in the basis of decoy id ``ids[t]``, iff
-    ``u[t]`` is below its :func:`qsim.probability_of_one`, as in
-    :func:`qsim.measure_batch`; nothing collapses."""
-    return decoy_flipped(ids, u < qsim.probability_of_one(amps, ids >= 2))
-
-
 def choice_state(choice: int) -> np.ndarray:
     """Bob's preparation of choice c, decoy state 2c. It names the states
     itself, so a run with other decoy states keeps its choice slots."""

@@ -12,6 +12,7 @@ from qotsim import adversary, protocol, qsim
 from qotsim.adversary import UeParams
 from qotsim.protocol import ProtocolConfig, ProtocolError, SequenceSlot
 from test_golden import UE_FILES
+from test_protocol import decoy_flips
 
 
 def rng(seed=0):
@@ -29,7 +30,7 @@ class TestInterceptResend:
         n = 40_000
         dids = g.integers(4, size=n)
         attacked = adversary.eve_intercept_resend(protocol.DECOY_AMPS[dids], g.integers(2, size=n), g.random(n))
-        hits = int(np.count_nonzero(protocol.decoy_flips(attacked, dids, g.random(n))))
+        hits = int(np.count_nonzero(decoy_flips(attacked, dids, g.random(n))))
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 4 * se
 
@@ -66,7 +67,9 @@ class TestEmptyBlocks:
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     def test_alice_measure_resend(self, policy):
-        guesses, resent = adversary.alice_measure_resend(np.empty((0, 2), complex), rng(), policy)
+        none = np.empty(0, int)
+        guesses, resent = adversary.alice_measure_resend(np.empty((0, 2), complex), none, rng().random(0),
+                                                         none, policy)
         assert guesses.shape == (0,) and resent.shape == (0, 2) and resent.dtype == complex
 
     def test_entangling_attack(self):
@@ -390,6 +393,26 @@ class TestBobBellCheat:
 
 
 
+def drawing_alice_measure_resend(states, rng, policy="guess"):
+    """``adversary.alice_measure_resend`` as it was when it drew its own
+    bases, uniforms and resend draws, verbatim but for the module prefixes
+    and the policy check."""
+    n = len(states)
+    # each row is measured in the basis of a random choice a, whose outcome 0
+    # is choice a's preparation (decoy id 2a); outcome 1 rules a out, so the
+    # preparation was 1 - a
+    a = rng.integers(2, size=n)
+    bits, collapsed = qsim.measure_batch(states, a, rng.random(n))
+    guesses = np.where(bits, 1 - a, -1)
+    if policy == "collapsed":
+        return guesses, collapsed
+    if policy == "random":
+        resent = rng.integers(len(protocol.DECOY_AMPS), size=n)
+    else:
+        resent = 2 * np.where(bits, guesses, rng.integers(2, size=n))
+    return guesses, protocol.DECOY_AMPS.take(resent, axis=0)
+
+
 def fancy_alice_measure_resend(states, rng, policy="guess"):
     """``adversary.alice_measure_resend`` as it was before its resend gathers
     used ``take``, verbatim but for the module prefixes and the policy check."""
@@ -403,12 +426,23 @@ def fancy_alice_measure_resend(states, rng, policy="guess"):
         return guesses, protocol.DECOY_AMPS[rng.integers(len(protocol.DECOY_AMPS), size=n)]
     return guesses, protocol.DECOY_AMPS[2 * np.where(bits, guesses, rng.integers(2, size=n))]
 
+
+def alice_draws(g, n, policy):
+    """Alice's draws from ``g`` for ``n`` rows, in the order the drawing
+    references made them: her bases, her uniforms, then her resend draws of
+    ``adversary.RESEND_DRAWS`` values (None where her policy makes none)."""
+    basis, u = g.integers(2, size=n), g.random(n)
+    bound = adversary.RESEND_DRAWS.get(policy)
+    return basis, u, None if bound is None else g.integers(bound, size=n)
+
+
 class TestAliceMeasureResend:
     def test_conclusive_rate_and_no_false_guesses(self):
         g = rng(5)
         n = 40_000
         choices = g.integers(2, size=n)
-        guesses, _ = adversary.alice_measure_resend(protocol.DECOY_AMPS[2 * choices], g)
+        guesses, _ = adversary.alice_measure_resend(protocol.DECOY_AMPS[2 * choices],
+                                                    *alice_draws(g, n, "guess"))
         conclusive = guesses >= 0
         assert np.array_equal(guesses[conclusive], choices[conclusive])
         assert set(np.unique(guesses)) <= {-1, 0, 1}
@@ -419,25 +453,29 @@ class TestAliceMeasureResend:
         g = rng(6)
         legal = [qsim.ZERO, qsim.PLUS]
         states = protocol.DECOY_AMPS[2 * (np.arange(50) % 2)]
-        guesses, resent = adversary.alice_measure_resend(states, g)
+        guesses, resent = adversary.alice_measure_resend(states, *alice_draws(g, 50, "guess"))
         assert resent.shape == (50, 2)
         for guess, row in zip(guesses, resent):
             assert any(np.allclose(row, e) for e in legal)
             if guess >= 0:
                 assert np.allclose(row, protocol.choice_state(guess))
 
+    @pytest.mark.parametrize("reference", [drawing_alice_measure_resend, fancy_alice_measure_resend])
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(adversary.RESEND_POLICIES))
     @settings(max_examples=100, deadline=None)
-    def test_resend_matches_fancy_index_body(self, seed, n, policy):
+    def test_resend_matches_the_drawing_bodies(self, reference, seed, n, policy):
+        # fed the draws the drawing body makes, in its order, the function
+        # gives its bytes, and leaves the stream where the body left it
         g, twin = rng(seed), rng(seed)
         states = protocol.DECOY_AMPS[g.integers(4, size=n)]
         twin.integers(4, size=n)
-        got = adversary.alice_measure_resend(states, g, policy)
-        ref = fancy_alice_measure_resend(states, twin, policy)
+        got = adversary.alice_measure_resend(states, *alice_draws(g, n, policy), policy)
+        ref = reference(states, twin, policy)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
         assert g.random() == twin.random()
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ProtocolError):
-            adversary.alice_measure_resend(block(qsim.ZERO), rng(), policy="bogus")
+            adversary.alice_measure_resend(block(qsim.ZERO), np.zeros(1, int), np.zeros(1), np.zeros(1, int),
+                                           policy="bogus")

@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import re
 import subprocess
@@ -17,6 +16,8 @@ from qotsim import adversary, cli, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario
 from qotsim.experiments import EstimateRow, ExperimentSpec
 from qotsim.protocol import DECOY_AMPS, ProtocolConfig, ProtocolError
+from test_adversary import drawing_alice_measure_resend, fancy_alice_measure_resend
+from test_protocol import decoy_flips
 
 UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
 
@@ -224,12 +225,18 @@ class TestChunks:
             assert row.empirical * trials == pytest.approx(round(row.empirical * trials))
 
 
-
-class NoIntegers(np.random.Generator):
-    """A chunk stream whose own ``integers`` must never be called."""
+class NoDraws(np.random.Generator):
+    """A chunk stream whose own draw methods must never be called: only its
+    bit generator's raw words may be read."""
 
     def integers(self, *args, **kwargs):
         raise AssertionError("Generator.integers called on a chunk stream")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("Generator.random called on a chunk stream")
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice called on a chunk stream")
 
 
 class RawWords:
@@ -257,15 +264,6 @@ class RawWords:
         return [(int(self.bits.random_raw()) >> 11) * 2.0 ** -53 for _ in range(count)]
 
 
-#: what a kernel does with its stream stand-in: a bounded draw with an
-#: optional lead dimension or a bound column (one bound per lead row), a
-#: uniform draw with an optional lead dimension, or dropping rows
-STREAM_OPS = st.lists(st.one_of(
-    st.tuples(st.just("integers"), st.sampled_from([2, 4, 2 ** 32]), st.sampled_from([(), (2,)])),
-    st.sampled_from([("integers", [[4], [2]], (2,)), ("integers", [[2], [4], [2]], (3,))]),
-    st.tuples(st.just("random"), st.sampled_from([(), (2,)])), st.just(("keep",))), max_size=10)
-
-
 def each_live(draw, streams, rows, lead=()):
     """``draw(stream, n)`` for each stream with n > 0 live rows, shaped
     ``(*lead, n)`` and concatenated along the trial axis."""
@@ -273,18 +271,70 @@ def each_live(draw, streams, rows, lead=()):
                            for g, n in zip(streams, rows) if n], axis=-1)
 
 
+def twin_read(g, bounds, units, n):
+    """What ``_ChunkStreams.read(bounds, units)`` gives a chunk of ``n`` live
+    rows: its ``Generator.integers`` rows, one per bound, then its
+    ``Generator.random`` rows."""
+    ints = g.integers([[b] for b in bounds], size=(len(bounds), n)) if bounds else np.empty((0, n), np.int64)
+    return ints, g.random(size=(units, n))
+
+
+def assert_reads_equal(got, want):
+    """Two reads' integer and uniform rows: equal, of one dtype and shape."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TwinStreams:
+    """The stream stand-in on ``Generator`` methods, with the interface it had
+    before ``read``: ``integers`` and ``random`` draw each chunk's live rows
+    from its own Generator, as that chunk alone would, and concatenate them
+    along the trial axis. The reference rounds draw from it."""
+
+    def __init__(self, streams, rows):
+        self._streams, self._rows = streams, list(rows)
+        self._chunk = np.repeat(np.arange(len(rows)), rows)
+
+    def integers(self, high, size):
+        lead = size[:-1] if isinstance(size, tuple) else ()
+        return each_live(lambda g, n: g.integers(high, size=(*lead, n)), self._streams, self._rows, lead)
+
+    def random(self, size):
+        lead = size[:-1] if isinstance(size, tuple) else ()
+        return each_live(lambda g, n: g.random(size=(*lead, n)), self._streams, self._rows, lead)
+
+    def read(self, bounds, units):
+        """``_ChunkStreams.read`` as its chunks' twin Generator calls."""
+        reads = [twin_read(g, bounds, units, n) for g, n in zip(self._streams, self._rows) if n]
+        return tuple(np.concatenate(part, axis=-1) for part in zip(*reads))
+
+    def keep(self, rows):
+        self._chunk = self._chunk[rows]
+        self._rows = np.bincount(self._chunk, minlength=len(self._rows)).tolist()
+
+
+#: what a kernel does with its stream stand-in: a read of integer rows, one
+#: per bound (mixed bounds included), then of uniform rows, or dropping rows
+STREAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("read"), st.lists(st.sampled_from([2, 4, 2 ** 32]), max_size=3).map(tuple),
+              st.integers(0, 3)),
+    st.just(("keep",))), max_size=10)
+
+
 class TestChunkStreamDraws:
-    """``_ChunkStreams.integers`` reads PCG64's raw words and gives the draws
-    ``Generator.integers`` gives, buffered halves included."""
+    """``_ChunkStreams.read`` reads PCG64's raw words and gives the draws
+    ``Generator.integers`` and then ``Generator.random`` give, buffered halves
+    included."""
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=4), STREAM_OPS,
            st.integers(0, 2 ** 32 - 1), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_draws_match_generator_and_raw_words(self, rows, ops, seed, data):
+    def test_reads_match_generator_and_raw_words(self, rows, ops, seed, data):
         assume(sum(rows))
         keys = [[seed, c] for c in range(len(rows))]
-        streams = experiments._ChunkStreams([NoIntegers(np.random.PCG64(k)) for k in keys], list(rows))
-        twins = [np.random.default_rng(k) for k in keys]
+        streams = experiments._ChunkStreams([NoDraws(np.random.PCG64(k)) for k in keys], list(rows))
+        gens = [np.random.default_rng(k) for k in keys]
+        twins = TwinStreams(gens, rows)
         raws = [RawWords(k) for k in keys]
         live = list(rows)
         for op, *args in ops:
@@ -294,96 +344,117 @@ class TestChunkStreamDraws:
             if op == "keep":
                 mask = np.array(data.draw(st.lists(st.booleans(), min_size=total, max_size=total)))
                 streams.keep(mask)
+                twins.keep(mask)
                 chunk = np.repeat(np.arange(len(live)), live)
                 live = [int(np.count_nonzero(mask[chunk == c])) for c in range(len(live))]
-            elif op == "random":
-                (lead,) = args
-                got = streams.random(size=(*lead, total) if lead else total)
-                want = each_live(lambda g, n: g.random(size=(*lead, n)), twins, live, lead)
-                assert np.array_equal(got, want)
-                raw = each_live(lambda r, n: r.random(math.prod(lead) * n), raws, live, lead)
-                assert np.array_equal(got, raw)
             else:
-                high, lead = args
-                got = streams.integers(high, size=(*lead, total) if lead else total)
-                want = each_live(lambda g, n: g.integers(high, size=(*lead, n)), twins, live, lead)
-                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-                # a bound per lead row, each row drawn after the one before
-                bounds = np.ravel(high).tolist() if isinstance(high, list) else [high] * math.prod(lead)
-                raw = each_live(lambda r, n: [r.integers(b, n) for b in bounds], raws, live, lead)
-                assert np.array_equal(got, raw)
+                bounds, units = args
+                got = streams.read(bounds, units)
+                assert got[0].dtype == np.int64 and got[0].shape == (len(bounds), total)
+                assert_reads_equal(got, twins.read(bounds, units))
+                # each chunk's integer rows, each after the one before, then its uniforms
+                raw_ints = each_live(lambda r, n: [r.integers(b, n) for b in bounds], raws, live,
+                                     (len(bounds),))
+                raw_uniforms = each_live(lambda r, n: r.random(units * n), raws, live, (units,))
+                assert np.array_equal(got[0], raw_ints) and np.array_equal(got[1], raw_uniforms)
         # every stream live again: its next draws still follow its twin's, so
         # a half left buffered by an odd count was carried exactly
         streams._rows = [1] * len(rows)
         streams._chunk = np.arange(len(rows))
-        assert streams.integers(4, size=len(rows)).tolist() == [int(g.integers(4)) for g in twins]
-        assert streams.random(len(rows)).tolist() == [g.random() for g in twins]
+        ints, uniforms = streams.read((4,), 1)
+        assert ints[0].tolist() == [int(g.integers(4)) for g in gens]
+        assert uniforms[0].tolist() == [g.random() for g in gens]
 
     @pytest.mark.parametrize("high", [0, 1, 3, 6, 2 ** 32 + 2, 2 ** 33])
     def test_rejects_a_bound_not_a_power_of_two_before_any_draw(self, high):
         streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
         # an odd count leaves a half buffered
-        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
-        state = streams._streams[0].bit_generator.state
+        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
+        state = streams._bits[0].state
         with pytest.raises(ValueError, match=f"power of two.*got {high}$"):
-            streams.integers(high, size=3)
-        assert streams._streams[0].bit_generator.state == state
-        assert streams.integers(2, size=(2, 3)).tolist() == twin.integers(2, size=(2, 3)).tolist()
+            streams.read((high,), 1)
+        assert streams._bits[0].state == state
+        assert_reads_equal(streams.read((2, 2), 1), twin_read(twin, (2, 2), 1, 3))
 
-    @pytest.mark.parametrize("column, bad", [([[4], [3]], 3), ([[0], [2]], 0), ([[2], [4], [2 ** 33]], 2 ** 33)])
-    def test_rejects_a_column_with_one_bad_bound_before_any_draw(self, column, bad):
+    @pytest.mark.parametrize("bounds, bad", [((4, 3), 3), ((0, 2), 0), ((2, 4, 2 ** 33), 2 ** 33)])
+    def test_rejects_bounds_with_one_bad_bound_before_any_draw(self, bounds, bad):
         streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
-        state = streams._streams[0].bit_generator.state
+        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
+        state = streams._bits[0].state
         with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
-            streams.integers(column, size=(len(column), 3))
-        assert streams._streams[0].bit_generator.state == state
+            streams.read(bounds, 2)
+        assert streams._bits[0].state == state
         # the buffered half is still next
-        assert streams.integers([[4], [2]], size=(2, 3)).tolist() == twin.integers([[4], [2]], size=(2, 3)).tolist()
+        assert_reads_equal(streams.read((4, 2), 1), twin_read(twin, (4, 2), 1, 3))
 
-    @pytest.mark.parametrize("size", [3, (3, 3), (1, 2, 3)])
-    def test_rejects_a_column_not_one_bound_per_lead_row(self, size):
+    @pytest.mark.parametrize("bounds", [([4], [2]), (np.array([4, 2]),), (4.0,), ("4",)])
+    def test_rejects_a_bound_not_an_integer_before_any_draw(self, bounds):
+        # a bound column given for one bound, a float or a string
         streams = one_stream([5, 0, 0], 3)
-        state = streams._streams[0].bit_generator.state
-        with pytest.raises(ValueError, match="bound column must have shape"):
-            streams.integers([[4], [2]], size=size)
-        assert streams._streams[0].bit_generator.state == state
+        state = streams._bits[0].state
+        with pytest.raises(TypeError):
+            streams.read(bounds, 1)
+        assert streams._bits[0].state == state
 
-    @pytest.mark.parametrize("high, size", [
-        (np.int64(4), 3), (np.uint32(2), (2, 3)), (np.array(8), 3), (np.uint64(2 ** 32), 3),
-        (np.array([[4], [2]]), (2, 3)), ([[np.int8(2)], [np.int64(4)]], (2, 3))])
-    def test_a_numpy_integer_bound_draws_as_generator(self, high, size):
+    @pytest.mark.parametrize("bounds", [
+        (np.int64(4),), (np.uint32(2), np.uint32(2)), (np.array(8),), (np.uint64(2 ** 32),),
+        tuple(np.array([4, 2])), (np.int8(2), np.int64(4))])
+    def test_numpy_integer_bounds_draw_as_generator(self, bounds):
         streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
         # an odd count leaves a half buffered
-        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
-        got, want = streams.integers(high, size=size), twin.integers(high, size=size)
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
+        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
+        assert_reads_equal(streams.read(bounds, 1), twin_read(twin, bounds, 1, 3))
+        assert_reads_equal(streams.read((4,), 1), twin_read(twin, (4,), 1, 3))
 
-    @pytest.mark.parametrize("high, bad", [(np.int64(3), 3), (np.array(6), 6), (np.uint8(1), 1),
-                                           (np.array([[4], [3]]), 3)])
-    def test_rejects_a_bad_numpy_integer_bound_before_any_draw(self, high, bad):
+    @pytest.mark.parametrize("bounds, bad", [((np.int64(3),), 3), ((np.array(6),), 6), ((np.uint8(1),), 1),
+                                             (tuple(np.array([4, 3])), 3)])
+    def test_rejects_a_bad_numpy_integer_bound_before_any_draw(self, bounds, bad):
         streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        assert streams.integers(4, size=3).tolist() == twin.integers(4, size=3).tolist()
-        state = streams._streams[0].bit_generator.state
+        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
+        state = streams._bits[0].state
         with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
-            streams.integers(high, size=(2, 3) if np.ndim(high) else 3)
-        assert streams._streams[0].bit_generator.state == state
-        assert streams.integers(2, size=(2, 3)).tolist() == twin.integers(2, size=(2, 3)).tolist()
+            streams.read(bounds, 1)
+        assert streams._bits[0].state == state
+        assert_reads_equal(streams.read((2, 2), 1), twin_read(twin, (2, 2), 1, 3))
+
+
+class TestRawWordsOnly:
+    """The Monte Carlo estimates follow ``SeedSequence`` and PCG64's raw
+    words, which NumPy's RNG policy (NEP 19) keeps fixed, and no ``Generator``
+    method."""
+
+    def test_every_estimate_reads_raw_words_alone(self, monkeypatch):
+        # three chunk groups, the last chunk of odd size
+        trials = 2 * experiments.GROUP_CHUNKS * experiments.CHUNK_TRIALS + 7
+
+        def estimates():
+            rows = [experiments.estimate_detection_rate(ExperimentSpec(scenario, 3, trials, seed=1))
+                    for scenario in experiments.DETECTION]
+            rows.append(experiments.entangling_detection_estimate(UE_PARAMS, trials, seed=1))
+            return rows, [experiments.alice_attack_report(trials, seed=1, policy=policy)
+                          for policy in adversary.RESEND_POLICIES]
+
+        want = estimates()
+        monkeypatch.setattr(experiments.np.random, "default_rng", lambda key: NoDraws(np.random.PCG64(key)))
+        for method in ("integers", "random", "choice"):
+            with pytest.raises(AssertionError, match=f"Generator.{method} called"):
+                getattr(experiments.np.random.default_rng([1, 0, 0]), method)(2)
+        assert estimates() == want
 
 
 def block_intercept_round(rng, n):
     """``experiments._intercept_round`` as it was when it returned the block
-    Eve resends, verbatim but for the names."""
-    ids, basis = rng.integers(experiments._ID_AND_BASIS, size=(2, n))
+    Eve resends, verbatim but for the names and its bound column, spelled
+    out."""
+    ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
     eve_u, u = rng.random(size=(2, n))
     return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u), ids, u
 
 
 def block_bell_round(rng, n):
     """``experiments._bell_round`` as it was when it returned Bob's Bell
-    slots, verbatim but for the name."""
-    block, declared = adversary.bell_slots(n, rng)
+    slots, verbatim but for the name and ``adversary.bell_slots``, inlined."""
+    block, declared = np.broadcast_to(adversary.BELL_SLOT, (n, 4)), rng.integers(2, size=n)
     return block, 2 * declared, rng.random(n)
 
 
@@ -396,16 +467,33 @@ def block_entangling_round(params, rng, n):
 
 def block_first_flip_chunk(draw, rounds, rng, trials):
     """``experiments._first_flip_chunk`` as it was when its rounds returned
-    blocks, verbatim."""
+    blocks, verbatim but for ``decoy_flips``, now a test reference."""
     active = trials
     for _ in range(rounds):
         if not active:
             break
         block, ids, u = draw(rng, active)
-        flips = protocol.decoy_flips(block, ids, u)
+        flips = decoy_flips(block, ids, u)
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
+
+
+def block_alice_chunk(policy, rng, trials):
+    """``experiments._alice_chunk`` as it was when it measured and encoded
+    amplitude blocks, verbatim but for ``alice_measure_resend`` as it drew
+    its own values and ``decoy_flips``, both now test references."""
+    j = rng.integers(2, size=trials)
+    guesses, resent = drawing_alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
+    m0, m1 = rng.integers(2, size=(2, trials))
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(2 * m0 + m1, axis=0))
+    check_u, dummy_u = rng.random(size=(2, trials))
+    # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
+    bit_error = decoy_flips(encoded, 2 * j, check_u) != np.choose(j, (m0, m1))
+    dummy_error = bit_error & (dummy_u < 0.5)
+    conclusive = guesses >= 0
+    return [int(np.count_nonzero(event)) for event in
+            (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
 
 
 def assert_same(a, b):
@@ -441,19 +529,20 @@ def fancy_entangling_round(params, rng, n):
 
 
 def fancy_alice_chunk(policy, rng, trials):
-    """``experiments._alice_chunk`` before its two gathers used ``take``."""
+    """``experiments._alice_chunk`` before its two gathers used ``take``, on
+    the test references for the functions it called."""
     j = rng.integers(2, size=trials)
-    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
+    guesses, resent = fancy_alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
     encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[2 * m0 + m1])
-    bit_error = protocol.decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
+    bit_error = decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
     dummy_error = bit_error & (rng.random(trials) < 0.5)
     conclusive = guesses >= 0
     return [int(np.count_nonzero(event)) for event in
             (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
 
 
-#: each kernel step that gathers table rows, and its fancy-index body
+#: each kernel step that gathered table rows, and its fancy-index body
 GATHERING_STEPS = {
     "intercept": (experiments._intercept_round, fancy_intercept_round),
     "entangling": (partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)),
@@ -471,14 +560,14 @@ class TestKernelGathers:
         assume(sum(rows))
         step, fancy = GATHERING_STEPS[name]
 
-        def stand_in():
-            return experiments._ChunkStreams([np.random.default_rng([seed, c]) for c in range(len(rows))],
-                                             list(rows))
+        def stand_in(cls):
+            return cls([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
 
-        got, ref = step(stand_in(), sum(rows)), fancy(stand_in(), sum(rows))
+        streams, twins = stand_in(experiments._ChunkStreams), stand_in(TwinStreams)
         if name.startswith("alice"):
-            assert got == ref
+            assert step(streams, sum(rows)) == fancy(twins, sum(rows))
         else:
+            got, ref = step(streams), fancy(twins, sum(rows))
             assert len(got) == len(ref) == 3
             assert_round_matches_block(got, ref)
 
@@ -500,20 +589,21 @@ def two_call_intercept_round(rng, n):
 
 def two_call_first_flip_chunk(draw, rounds, rng, trials):
     """``experiments._first_flip_chunk`` as it was when it drew its check's
-    uniforms itself, verbatim."""
+    uniforms itself, verbatim but for ``decoy_flips``, now a test
+    reference."""
     active = trials
     for _ in range(rounds):
         if not active:
             break
         block, ids = draw(rng, active)
-        flips = protocol.decoy_flips(block, ids, rng.random(active))
+        flips = decoy_flips(block, ids, rng.random(active))
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
 
 
-class KeptStreams(experiments._ChunkStreams):
-    """The stream stand-in, recording each round's ``keep`` mask."""
+class Kept:
+    """A stream stand-in that records each round's ``keep`` mask."""
 
     def __init__(self, streams, rows):
         super().__init__(streams, rows)
@@ -524,11 +614,38 @@ class KeptStreams(experiments._ChunkStreams):
         super().keep(rows)
 
 
+class KeptStreams(Kept, experiments._ChunkStreams):
+    pass
+
+
+class KeptTwins(Kept, TwinStreams):
+    pass
+
+
+def twin_stand_ins(rows, buffered, seed, kinds=(experiments._ChunkStreams, TwinStreams)):
+    """A stand-in of each kind over twin streams ``(seed, c)``, chunk c with
+    ``rows[c]`` live rows; where ``buffered``, an odd pre-draw leaves each
+    chunk with an odd row count a half buffered."""
+    stand_ins = [kind([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
+                 for kind in kinds]
+    if buffered:
+        for streams in stand_ins:
+            streams.read((2,), 0)
+    return stand_ins
+
+
+def assert_next_reads_agree(got_rng, ref_rng, chunks):
+    """Every twin stream live again: each stand-in's next draws agree."""
+    for streams in (got_rng, ref_rng):
+        streams._rows, streams._chunk = [1] * chunks, np.arange(chunks)
+    assert_reads_equal(got_rng.read((4,), 1), ref_rng.read((4,), 1))
+
+
 def logged(draw, log):
     """``draw``, appending each round's return to ``log``."""
 
-    def step(rng, n):
-        out = draw(rng, n)
+    def step(*args):
+        out = draw(*args)
         log.append(out)
         return out
 
@@ -537,19 +654,12 @@ def logged(draw, log):
 
 def assert_kernels_agree(draw, ref_kernel, ref_draw, rows, rounds, buffered, seed):
     """``experiments._first_flip_chunk`` over ``draw``, and ``ref_kernel`` over
-    the block round ``ref_draw``, each on a stand-in over twin streams: each
-    round matches its block round (:func:`assert_round_matches_block`), each
-    round's ``keep`` mask and the counts are equal, and each twin stream's
-    next draws agree afterwards."""
+    the block round ``ref_draw`` on the twin streams' ``Generator`` methods,
+    each on a stand-in over twin streams: each round matches its block round
+    (:func:`assert_round_matches_block`), each round's ``keep`` mask and the
+    counts are equal, and each twin stream's next draws agree afterwards."""
     trials = sum(rows)
-
-    def stand_in():
-        streams = KeptStreams([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-        if buffered:  # an odd row count leaves its chunk's half buffered
-            streams.integers(2, size=trials)
-        return streams
-
-    got_rng, ref_rng = stand_in(), stand_in()
+    got_rng, ref_rng = twin_stand_ins(rows, buffered, seed, (KeptStreams, KeptTwins))
     got_log, ref_log = [], []
     got = experiments._first_flip_chunk(logged(draw, got_log), rounds, got_rng, trials)
     ref = ref_kernel(logged(ref_draw, ref_log), rounds, ref_rng, trials)
@@ -559,11 +669,7 @@ def assert_kernels_agree(draw, ref_kernel, ref_draw, rows, rounds, buffered, see
         assert_round_matches_block(round_out, ref_out)
     for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
         assert np.array_equal(kept, ref_kept)
-    # every twin stream live again: its next draws agree
-    for streams in (got_rng, ref_rng):
-        streams._rows, streams._chunk = [1] * len(rows), np.arange(len(rows))
-    assert np.array_equal(got_rng.integers(4, size=len(rows)), ref_rng.integers(4, size=len(rows)))
-    assert np.array_equal(got_rng.random(len(rows)), ref_rng.random(len(rows)))
+    assert_next_reads_agree(got_rng, ref_rng, len(rows))
 
 
 #: chunk stand-ins: live rows per chunk stream (zero and odd counts
@@ -573,8 +679,8 @@ TWIN_RUNS = (st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(1,
 
 
 class TestFusedInterceptRound:
-    """The intercept round's one id-and-basis call and one uniform call read
-    each chunk stream as the two-call round and its kernel did."""
+    """The intercept round's one read gives each chunk stream's draws as the
+    two-call round and its kernel made them."""
 
     @given(*TWIN_RUNS)
     @settings(max_examples=200, deadline=None)
@@ -609,10 +715,21 @@ class TestTableRounds:
         draw, block_draw = BLOCK_ROUNDS[name]
         assert_kernels_agree(draw, block_first_flip_chunk, block_draw, rows, rounds, buffered, seed)
 
+    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_alice_matches_the_block_chunk(self, policy, rows, buffered, seed):
+        assume(sum(rows))
+        got_rng, ref_rng = twin_stand_ins(rows, buffered, seed)
+        assert (experiments._alice_chunk(policy, got_rng, sum(rows))
+                == block_alice_chunk(policy, ref_rng, sum(rows)))
+        assert_next_reads_agree(got_rng, ref_rng, len(rows))
+
 
 class Scripted:
     """A stream stand-in that returns the given draws, in order, whatever the
-    call asks for."""
+    call asks for: one per ``integers`` or ``random`` call, and two per
+    ``read``, its integer rows and its uniform rows."""
 
     def __init__(self, *draws):
         self._draws = list(draws)
@@ -623,22 +740,42 @@ class Scripted:
     def random(self, size):
         return self._draws.pop(0)
 
+    def read(self, bounds, units):
+        ints, uniforms = self._draws.pop(0), self._draws.pop(0)
+        return ints.reshape(len(bounds), -1), uniforms.reshape(units, -1)
+
 
 #: the largest uniform below 1
 TOP_UNIFORM = 1.0 - 2.0 ** -53
 
 
+def uniforms_near(p1):
+    """A uniform in [0, 1): 0, ``p1`` or a float next to it, the top uniform
+    or any uniform, each clipped to [0, 1)."""
+    return st.one_of(
+        st.sampled_from([0.0, p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0), TOP_UNIFORM]),
+        st.floats(0.0, 1.0, exclude_max=True)).map(lambda u: min(max(float(u), 0.0), TOP_UNIFORM))
+
+
 @st.composite
 def intercept_rows(draw):
-    """An intercept row (id, Eve's basis, Eve's uniform): her uniform is 0,
-    her Born probability of reading 1 or a float next to it, the top
-    uniform or any uniform, each clipped to [0, 1)."""
+    """An intercept row (id, Eve's basis, Eve's uniform), her uniform near
+    her Born probability of reading 1 or anywhere."""
     did, basis = draw(st.integers(0, len(DECOY_AMPS) - 1)), draw(st.integers(0, 1))
-    p1 = experiments._EVE_P1[2 * did + basis]
-    eve_u = draw(st.one_of(
-        st.sampled_from([0.0, p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0), TOP_UNIFORM]),
-        st.floats(0.0, 1.0, exclude_max=True)))
-    return did, basis, min(max(float(eve_u), 0.0), TOP_UNIFORM)
+    return did, basis, draw(uniforms_near(experiments._EVE_P1[2 * did + basis]))
+
+
+@st.composite
+def alice_rows(draw, policy):
+    """An Alice row (j, a, her uniform, her resend draw, m0, m1, the check's
+    and the dummy's uniforms): her uniform near her Born probability of
+    reading 1 or anywhere, the check's near 1/2, where each check reads 1
+    that does not read a certain bit."""
+    j, a = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    alice_u = draw(uniforms_near(experiments._ALICE_P1[2 * j + a]))
+    resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
+    m0, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return j, a, alice_u, resend, m0, m1, draw(uniforms_near(0.5)), draw(uniforms_near(0.5))
 
 
 class TestBornTables:
@@ -680,8 +817,60 @@ class TestBornTables:
                                         np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
         assert_same(experiments._entangling_p1(params), np.array(want))
 
+    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
+    def test_alice_tables_rebuild_one_register_at_a_time(self, policy):
+        bound = adversary.RESEND_DRAWS.get(policy)
+        alice_p1, guess, check_p1 = [], [], []
+        for j, a in itertools.product(range(2), range(2)):
+            state, basis = DECOY_AMPS[2 * j:2 * j + 1], np.array([a])
+            p1 = qsim.probability_of_one(state, basis)
+            alice_p1.append(p1[0])
+            for (bit, u), resend in itertools.product(((0, TOP_UNIFORM), (1, 0.0)), range(bound or 1)):
+                if (u < p1[0]) != bit:  # no uniform reads this bit
+                    guess.append(np.nan)
+                    check_p1 += [np.nan] * 4
+                    continue
+                guesses, resent = adversary.alice_measure_resend(state, basis, np.array([u]),
+                                                                 np.array([resend]), policy)
+                guess.append(guesses[0])
+                for code in range(4):
+                    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[code])
+                    check_p1.append(qsim.probability_of_one(encoded, np.array([j == 1]))[0])
+        resend_bound, guess_table, check_table = experiments._ALICE_TABLES[policy]
+        assert resend_bound == ((bound,) if bound else ())
+        assert_same(experiments._ALICE_P1, np.array(alice_p1))
+        assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
+        assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
+        # the NaN entries are the outcomes of probability 0: Bob's |0> reads
+        # no 1 in Z and his |+> none in X
+        draws = bound or 1
+        nan_keys = [(2 * ja + 1) * draws + r for ja in (0, 3) for r in range(draws)]
+        assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
+        nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
+        assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
+
+    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
+    def test_alice_tables_give_the_closed_forms(self, policy):
+        resend, guess, check_p1 = experiments._ALICE_TABLES[policy]
+        draws = resend[0] if resend else 1
+        ja, bit = np.divmod(np.arange(len(guess)) // draws, 2)
+        # the weight of each key: j, a and the resend draw uniform, the outcome by Born
+        weight = np.where(bit, experiments._ALICE_P1[ja], 1.0 - experiments._ALICE_P1[ja]) / (4 * draws)
+        reachable = weight > 0
+        code = np.arange(4)
+        # Bob reads 1 where the check does, and errs where that is not m_j
+        m_j = np.where((ja // 2)[:, None] == 1, code % 2, code // 2)
+        p1 = check_p1.reshape(-1, 4)
+        error = np.where(m_j == 1, 1.0 - p1, p1).mean(axis=1)
+        closed = experiments.ALICE_CLOSED_FORMS[policy]
+        assert np.sum(weight[reachable & (guess >= 0)]) == pytest.approx(closed["conclusive"], abs=1e-12)
+        assert not np.any(reachable & (guess >= 0) & (guess != ja // 2))
+        assert np.sum(weight[reachable] * error[reachable]) == pytest.approx(closed["bit_error"], abs=1e-12)
+
     @pytest.mark.parametrize("table", [experiments._EVE_P1, experiments._CHECK_P1, experiments._BELL_P1,
-                                       experiments._entangling_p1(UE_PARAMS)])
+                                       experiments._entangling_p1(UE_PARAMS), experiments._ALICE_P1,
+                                       *(table for _, *tables in experiments._ALICE_TABLES.values()
+                                         for table in tables)])
     def test_tables_are_read_only(self, table):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -697,7 +886,7 @@ class TestBornTables:
         def script():
             return Scripted(np.array([ids, basis]), np.array([eve_u, u]))
 
-        got = experiments._intercept_round(script(), len(rows))
+        got = experiments._intercept_round(script())
         assert_round_matches_block(got, block_intercept_round(script(), len(rows)))
         assert not np.isnan(got[0]).any()
 
@@ -710,7 +899,7 @@ class TestBornTables:
         def script():
             return Scripted(np.array(declared), u)
 
-        assert_round_matches_block(experiments._bell_round(script(), n), block_bell_round(script(), n))
+        assert_round_matches_block(experiments._bell_round(script()), block_bell_round(script(), n))
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
            st.lists(st.integers(0, len(DECOY_AMPS) - 1), min_size=1, max_size=20), st.data())
@@ -724,8 +913,25 @@ class TestBornTables:
         def script():
             return Scripted(np.array(ids), u)
 
-        got = experiments._entangling_round(experiments._entangling_p1(params), script(), n)
+        got = experiments._entangling_round(experiments._entangling_p1(params), script())
         assert_round_matches_block(got, block_entangling_round(params, script(), n))
+
+    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_alice_round_reads_the_block_path(self, policy, data):
+        rows = data.draw(st.lists(alice_rows(policy), min_size=1, max_size=20))
+        j, a, alice_u, resend, m0, m1, check_u, dummy_u = (np.array(col) for col in zip(*rows))
+        resend = [resend] if policy in adversary.RESEND_DRAWS else []
+        # all rows together, then each alone, so each row's events match
+        for t in [slice(None), *(slice(i, i + 1) for i in range(len(rows)))]:
+            got = experiments._alice_chunk(policy, Scripted(
+                np.array([j[t], a[t]]), alice_u[t], np.array([*(r[t] for r in resend), m0[t], m1[t]]),
+                np.array([check_u[t], dummy_u[t]])), len(j[t]))
+            ref = block_alice_chunk(policy, Scripted(
+                j[t], a[t], alice_u[t], *(r[t] for r in resend), np.array([m0[t], m1[t]]),
+                np.array([check_u[t], dummy_u[t]])), len(j[t]))
+            assert got == ref
 
     def test_a_fresh_import_warns_nothing(self):
         # the intercept and Bell tables are filled at import

@@ -527,6 +527,16 @@ class TestEncodingArrays:
             [bool(protocol.decoy_flipped(int(d), int(b))) for d in range(4)] for b in range(2)]
 
 
+def decoy_flips(amps, ids, u):
+    """``protocol.decoy_flips`` as it was when the Monte Carlo kernels checked
+    amplitude blocks, verbatim but for the module prefix: the scalar check on
+    a block, as a bool mask. Qubit 0 of row t of a ``(T, 2^n)`` amplitude
+    block reads 1, in the basis of decoy id ``ids[t]``, iff ``u[t]`` is below
+    its ``qsim.probability_of_one``, as in ``qsim.measure_batch``; nothing
+    collapses. The block references of the other test files use it."""
+    return protocol.decoy_flipped(ids, u < qsim.probability_of_one(amps, ids >= 2))
+
+
 class TestDecoyIds:
     def test_id_is_basis_then_bit_in_qsim_order(self):
         for did, state in enumerate(protocol.DECOY_AMPS):
@@ -554,7 +564,7 @@ class TestDecoyIds:
         ids = [specs[p][1] for p in positions]
         check = protocol.check_published_decoys(slots, positions, ids, rng(seed))
         amps = np.array([slots[p].state for p in positions])
-        flips = protocol.decoy_flips(amps, np.array(ids), rng(seed).random(len(ids)))
+        flips = decoy_flips(amps, np.array(ids), rng(seed).random(len(ids)))
         assert check.outcomes == flips.astype(int).tolist()
 
 
@@ -577,7 +587,7 @@ class TestFlipCheck:
         # scalar measurements, reading the same uniforms, must agree with it
         amps, ids = block
         u = rng(seed).random(len(ids))
-        flips = protocol.decoy_flips(amps, ids, u)
+        flips = decoy_flips(amps, ids, u)
         bits, _ = qsim.measure_batch(amps, ids >= 2, u)
         assert np.array_equal(flips, protocol.decoy_flipped(ids, bits))
         g = rng(seed)

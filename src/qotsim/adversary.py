@@ -1,17 +1,18 @@
 """Attack models: eavesdropping on the channel and cheating insiders.
 
 Covered strategies:
-  * Eve's intercept-and-resend (random-basis measurement of every qubit);
+  * measure-and-resend (:func:`alice_measure_resend`): a dishonest Alice
+    measuring Bob's sequence to guess his choices, then resending
+    replacement states; Eve's intercept-and-resend, a random-basis
+    measurement of every qubit, is its ``collapsed`` policy;
   * Eve's entangling attack, coupling each transmitted qubit to a 4-dim
     ancilla via an isometry parameterized by (a, b, c, d, e00, e01, e10, e11);
   * dishonest Bob substituting halves of Bell pairs for his preparations and
-    reading Alice's Pauli encoding out with a Bell measurement (dense coding);
-  * dishonest Alice measuring Bob's sequence to guess his choices, then
-    resending replacement states.
+    reading Alice's Pauli encoding out with a Bell measurement (dense coding).
 
-Eve's two attacks and Alice's measure-and-resend each take a ``(T, 2)`` block
-of transmitted single-qubit states, one per row, and return the block
-forwarded in its place.
+Measure-and-resend and the entangling attack each take a ``(T, 2)`` block of
+transmitted single-qubit states, one per row, and return the block forwarded
+in its place.
 """
 
 from __future__ import annotations
@@ -131,16 +132,6 @@ def load_ue_params(path) -> UeParams:
     return UeParams(**scalars, **vectors)
 
 
-def eve_intercept_resend(states: np.ndarray, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measure each in-transit qubit of a ``(T, 2)`` block, row t in the X
-    basis where ``basis[t]`` is set, else in the Z basis, reading ``u[t]`` as
-    :func:`qsim.measure_batch` does, and forward the collapsed states. The
-    caller draws both: for Eve's attack, a uniformly random bit and a
-    uniform in [0, 1) per row."""
-    _, collapsed = qsim.measure_batch(states, basis, u)
-    return collapsed
-
-
 def eve_entangling_attack(states: np.ndarray, params: UeParams) -> np.ndarray:
     """Extend each single-qubit row of a ``(T, 2)`` block with Eve's 4-dim
     ancilla per the isometry, giving a ``(T, 8)`` block.
@@ -202,23 +193,24 @@ RESEND_DRAWS = {"guess": 2, "random": len(DECOY_AMPS)}
 
 def alice_measure_resend(states: np.ndarray, basis: np.ndarray, u: np.ndarray,
                          resend: np.ndarray | None, policy: str = "guess") -> tuple[np.ndarray, np.ndarray]:
-    """Dishonest Alice measures each of Bob's Step-1 qubits, the rows of a
-    ``(T, 2)`` block, row t in the basis of choice ``basis[t]`` (X where it is
-    set), reading ``u[t]`` as :func:`qsim.measure_batch` does.
+    """Measure each row of a ``(T, 2)`` block of single-qubit states, row t
+    in the X basis where ``basis[t]`` is set, else in Z, reading ``u[t]`` as
+    :func:`qsim.measure_batch` does, and resend a state per ``policy``.
 
-    Returns her choice guesses (-1 where inconclusive) and the block she
-    resends. Outcome 0 is choice a's preparation (decoy id 2a); outcome 1
-    rules a out, so a guess is conclusive exactly then, and names 1 - a:
-    outcome |1> implies |+> was sent, outcome |-> implies |0> was sent.
-    Resend policy, reading ``resend[t]``, row t's draw of
-    :data:`RESEND_DRAWS` values:
+    Returns the choice guesses (-1 where inconclusive) and the block
+    resent. For Bob's Step-1 qubits, outcome 0 is choice a's preparation
+    (decoy id 2a); outcome 1 rules a out, so a guess is conclusive exactly
+    then, and names 1 - a: outcome |1> implies |+> was sent, outcome |->
+    implies |0> was sent. Resend policy, reading ``resend[t]``, row t's draw
+    of :data:`RESEND_DRAWS` values:
       * ``guess`` (default): the identified preparation if conclusive, else
         the preparation of choice ``resend[t]``;
-      * ``collapsed``: the post-measurement state (``resend`` is not read);
+      * ``collapsed``: the post-measurement state (``resend`` is not read),
+        which is Eve's intercept-and-resend;
       * ``random``: decoy state ``resend[t]``.
-    The caller draws ``basis``, ``u`` and ``resend``: for Alice's attack, a
-    uniformly random choice, a uniform in [0, 1) and a uniform resend draw
-    per row.
+    The caller draws ``basis``, ``u`` and ``resend``: for either attack, a
+    uniformly random basis bit, a uniform in [0, 1) and a uniform resend
+    draw per row.
     """
     if policy not in RESEND_POLICIES:
         raise ProtocolError(f"unknown resend policy {policy!r}")

@@ -6,9 +6,10 @@ its own stream (seed, p, c), so results do not depend on how chunks are
 grouped, and no two points or seeds share a stream. Up to GROUP_CHUNKS chunks
 are simulated together as one block (a row per trial) through the Born rule,
 each drawing its rows from its own stream's PCG64 raw words. Every register a
-measurement reads is one of a few, so each reads its Born probability, and
-Alice her resend, from a table the simulator fills once per register at
-import (per estimate for Eve's entangling attack).
+measurement reads is one of a few, so each reads its Born probability from a
+table the simulator fills once per register at import (per estimate for Eve's
+entangling attack). Eve's intercept round and Alice's round read the tables
+of one measure-and-resend, :func:`adversary.alice_measure_resend`.
 """
 
 from __future__ import annotations
@@ -221,31 +222,46 @@ def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> lis
     return [active, trials - active]
 
 
-def _intercept_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The Born probabilities of an intercept round, by key = 2 * id + Eve's
-    basis: Eve's of reading 1 on the decoy, and the check's of reading 1 on
-    what she resends, at 2 * key + her bit.
+#: the Born probability of reading 1 on decoy id d measured in basis b (X
+#: where b is set), at 2 * d + b. The unbiased entries are 0.5 - 2^-53 and
+#: |-> in X is 1 - 2^-51, from 1/sqrt(2) squared, so an exact sum over these
+#: tables matches its closed form within 1e-12, not bitwise
+_MEASURE_P1 = _read_only(qsim.probability_of_one(DECOY_AMPS.repeat(2, axis=0), np.arange(8) % 2))
 
-    The simulator measures each decoy row once per basis and collapses it
-    once per outcome she can read, through :func:`adversary.eve_intercept_resend`
-    with a uniform that forces the outcome. An outcome of probability 0 is not
-    collapsed; its entry is NaN, which no round reads, as no uniform reaches it.
+
+def _resend_tables(policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a measure-and-resend round for one resend policy: the
+    choice guess, and the check's Born probability, by key = (2 * (2 * d +
+    b) + bit) * draws + r for decoy id d measured in basis b, the outcome
+    bit and the resend draw r of :data:`adversary.RESEND_DRAWS` (r = 0 of
+    one for ``collapsed``). The check's probability is that of reading 1 on
+    the resent state, encoded with Pauli code 2 * m0 + m1, in the basis of
+    id d, at 4 * key + code.
+
+    The simulator measures and resends each row once per key and code,
+    through :func:`adversary.alice_measure_resend` with a uniform that forces
+    the outcome. An outcome of probability 0 is not collapsed; its entries
+    are NaN, which no round reads, as no uniform reaches it.
     """
-    key = np.arange(2 * len(DECOY_AMPS))
-    eve_p1 = qsim.probability_of_one(DECOY_AMPS.take(key // 2, axis=0), key % 2)
-    key, bit = np.divmod(np.arange(2 * len(key)), 2)
+    rows = np.indices((len(_MEASURE_P1), 2, adversary.RESEND_DRAWS.get(policy, 1), 4)).reshape(4, -1)
+    p1 = _MEASURE_P1.take(rows[0])
     # a uniform in [0, 1) reads 1 below a p1 above 0, and 0 from a p1 below 1
-    reachable = np.where(bit, eve_p1.take(key) > 0.0, eve_p1.take(key) < 1.0)
-    key, bit = key[reachable], bit[reachable]
-    resent = adversary.eve_intercept_resend(DECOY_AMPS.take(key // 2, axis=0), key % 2,
-                                            np.where(bit, 0.0, 1.0))
-    check_p1 = np.full(len(reachable), np.nan)
-    check_p1[reachable] = qsim.probability_of_one(resent, key // 2 >= 2)
-    return _read_only(eve_p1), _read_only(check_p1)
+    reachable = np.where(rows[1], p1 > 0.0, p1 < 1.0)
+    db, bit, r, code = rows[:, reachable]
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(db // 2, axis=0), db % 2,
+                                                     np.where(bit, 0.0, 1.0), r, policy)
+    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(code, axis=0))
+    guess, check_p1 = np.full((2, len(reachable)), np.nan)
+    guess[reachable] = guesses
+    check_p1[reachable] = qsim.probability_of_one(encoded, db >= 4)
+    return _read_only(guess[::4].copy()), _read_only(check_p1)
 
 
-#: an intercept round's Born probabilities: see :func:`_intercept_tables`
-_EVE_P1, _CHECK_P1 = _intercept_tables()
+#: a measure-and-resend round's tables by resend policy: see :func:`_resend_tables`
+_RESEND_TABLES = {policy: _resend_tables(policy) for policy in adversary.RESEND_POLICIES}
+#: the check's Born probability in an intercept round, at 2 * (2 * d + b) + bit:
+#: the ``collapsed`` policy's unencoded entries
+_CHECK_P1 = _read_only(_RESEND_TABLES["collapsed"][1][::4].copy())
 #: the bounds of an intercept round's decoy ids and Eve's bases
 _ID_AND_BASIS = (len(DECOY_AMPS), 2)
 
@@ -259,7 +275,7 @@ def _intercept_round(rng: _ChunkStreams):
     is that of the eigenstate she resends."""
     (ids, basis), (eve_u, u) = rng.read(_ID_AND_BASIS, 2)
     key = 2 * ids + basis
-    bit = eve_u < _EVE_P1.take(key)
+    bit = eve_u < _MEASURE_P1.take(key)
     return _CHECK_P1.take(2 * key + bit), ids, u
 
 
@@ -356,45 +372,6 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
-#: Alice's Born probability of reading 1 on Bob's preparation of choice j,
-#: decoy id 2j, in the basis of her choice a, at 2 * j + a
-_ALICE_P1 = _read_only(qsim.probability_of_one(DECOY_AMPS.take([0, 0, 2, 2], axis=0),
-                                               np.arange(4) % 2))
-
-
-def _alice_tables(policy: str) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """An Alice round's tables for one resend policy: the bound of her resend
-    draw (none for ``collapsed``), then her guess and the check's Born
-    probability, by key = (2 * (2 * j + a) + bit) * draws + r for Bob's
-    choice j, her basis a, her outcome and her resend draw r of ``draws``
-    values (r = 0 of one where she makes none). The check's probability is
-    that of reading 1 on what she resends, encoded with Pauli code
-    2 * m0 + m1, in the basis of Bob's decoy id 2j, at 4 * key + code.
-
-    The simulator measures and resends each row once per key and code,
-    through :func:`adversary.alice_measure_resend` with a uniform that forces
-    the outcome. An outcome of probability 0 is not collapsed; its entries
-    are NaN, which no round reads, as no uniform reaches it.
-    """
-    bound = adversary.RESEND_DRAWS.get(policy)
-    rows = np.indices((4, 2, bound or 1, 4)).reshape(4, -1)
-    p1 = _ALICE_P1.take(rows[0])
-    # a uniform in [0, 1) reads 1 below a p1 above 0, and 0 from a p1 below 1
-    reachable = np.where(rows[1], p1 > 0.0, p1 < 1.0)
-    ja, bit, r, code = rows[:, reachable]
-    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(ja // 2 * 2, axis=0), ja % 2,
-                                                     np.where(bit, 0.0, 1.0), r, policy)
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(code, axis=0))
-    guess, check_p1 = np.full((2, len(reachable)), np.nan)
-    guess[reachable] = guesses
-    check_p1[reachable] = qsim.probability_of_one(encoded, ja // 2 == 1)
-    return (bound,) if bound else (), _read_only(guess[::4].copy()), _read_only(check_p1)
-
-
-#: an Alice round's tables by resend policy: see :func:`_alice_tables`
-_ALICE_TABLES = {policy: _alice_tables(policy) for policy in adversary.RESEND_POLICIES}
-
-
 def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     """Slots through Alice's measure-and-resend: the counts of conclusive
     guesses, wrong conclusive guesses, bit errors and dummy errors.
@@ -404,14 +381,15 @@ def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
     the message bits m0 and m1, then the check's and the dummy's uniforms,
     in a second. Alice reads 1 where her uniform is below her Born
     probability; her guess and the check's probability are read from
-    :func:`_alice_tables`."""
-    resend, guess, check_p1 = _ALICE_TABLES[policy]
+    :func:`_resend_tables` at Bob's decoy id 2j."""
+    guess, check_p1 = _RESEND_TABLES[policy]
+    draws = adversary.RESEND_DRAWS.get(policy)
     (j, a), (alice_u,) = rng.read((2, 2), 1)
-    ja = 2 * j + a
-    key = 2 * ja + (alice_u < _ALICE_P1.take(ja))
-    ints, (check_u, dummy_u) = rng.read((*resend, 2, 2), 2)
-    if resend:
-        key = resend[0] * key + ints[0]
+    db = 4 * j + a
+    key = 2 * db + (alice_u < _MEASURE_P1.take(db))
+    ints, (check_u, dummy_u) = rng.read((draws, 2, 2) if draws else (2, 2), 2)
+    if draws:
+        key = draws * key + ints[0]
     m0, m1 = ints[-2:]
     guesses = guess.take(key)
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped

@@ -29,14 +29,16 @@ class TestInterceptResend:
         g = rng(1)
         n = 40_000
         dids = g.integers(4, size=n)
-        attacked = adversary.eve_intercept_resend(protocol.DECOY_AMPS[dids], g.integers(2, size=n), g.random(n))
+        attacked = adversary.alice_measure_resend(protocol.DECOY_AMPS[dids], g.integers(2, size=n),
+                                                  g.random(n), None, "collapsed")[1]
         hits = int(np.count_nonzero(decoy_flips(attacked, dids, g.random(n))))
         se = np.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 4 * se
 
     def test_no_decoys_no_detection(self):
         g = rng(2)
-        attacked = adversary.eve_intercept_resend(block(qsim.ZERO), g.integers(2, size=1), g.random(1))
+        attacked = adversary.alice_measure_resend(block(qsim.ZERO), g.integers(2, size=1), g.random(1),
+                                                  None, "collapsed")[1]
         # payload disturbance is invisible to a check that publishes no decoys
         slots = [SequenceSlot(attacked[0], choice=0, payload_index=0)]
         check = protocol.check_published_decoys(slots, [], [], g)
@@ -44,16 +46,16 @@ class TestInterceptResend:
 
     def test_resent_states_are_basis_eigenstates(self):
         g = rng(3)
-        attacked = adversary.eve_intercept_resend(block(protocol.DECOY_AMPS[2], 50), g.integers(2, size=50),
-                                                  g.random(50))
+        attacked = adversary.alice_measure_resend(block(protocol.DECOY_AMPS[2], 50), g.integers(2, size=50),
+                                                  g.random(50), None, "collapsed")[1]
         for row in attacked:
             assert any(abs(abs(np.vdot(e, row)) - 1) < 1e-10 for e in protocol.DECOY_AMPS)
 
     def test_measures_in_the_given_bases_against_the_given_uniforms(self):
         # |+> in X reads 0 whatever u is; in Z it reads 1 iff u < 1/2
         states = block(protocol.DECOY_AMPS[2], 4)
-        attacked = adversary.eve_intercept_resend(states, np.array([1, 1, 0, 0]),
-                                                  np.array([0.1, 0.9, 0.4, 0.6]))
+        attacked = adversary.alice_measure_resend(states, np.array([1, 1, 0, 0]),
+                                                  np.array([0.1, 0.9, 0.4, 0.6]), None, "collapsed")[1]
         assert np.allclose(attacked, [qsim.PLUS, qsim.PLUS, qsim.ONE, qsim.ZERO], atol=1e-12)
 
 
@@ -62,7 +64,8 @@ class TestEmptyBlocks:
 
     def test_intercept_resend(self):
         empty = np.empty((0, 2), complex)
-        attacked = adversary.eve_intercept_resend(empty, rng().integers(2, size=0), rng().random(0))
+        attacked = adversary.alice_measure_resend(empty, rng().integers(2, size=0), rng().random(0),
+                                                  None, "collapsed")[1]
         assert attacked.shape == (0, 2) and attacked.dtype == complex
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)

@@ -444,11 +444,13 @@ class TestRawWordsOnly:
 
 def block_intercept_round(rng, n):
     """``experiments._intercept_round`` as it was when it returned the block
-    Eve resends, verbatim but for the names and its bound column, spelled
-    out."""
+    Eve resends, verbatim but for the names, its bound column, spelled out,
+    and Eve's measurement, the ``collapsed`` policy of the one
+    measure-and-resend."""
     ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
     eve_u, u = rng.random(size=(2, n))
-    return adversary.eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u), ids, u
+    resent = adversary.alice_measure_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u, None, "collapsed")[1]
+    return resent, ids, u
 
 
 def block_bell_round(rng, n):
@@ -518,7 +520,7 @@ def fancy_intercept_round(rng, n):
     ``take``."""
     ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
     eve_u, u = rng.random(size=(2, n))
-    return adversary.eve_intercept_resend(DECOY_AMPS[ids], basis, eve_u), ids, u
+    return adversary.alice_measure_resend(DECOY_AMPS[ids], basis, eve_u, None, "collapsed")[1], ids, u
 
 
 def fancy_entangling_round(params, rng, n):
@@ -573,11 +575,10 @@ class TestKernelGathers:
 
 
 def two_call_eve_intercept_resend(states, rng):
-    """``adversary.eve_intercept_resend`` as it was when it drew its own bases
-    and uniforms, verbatim but for the module prefix."""
+    """Eve's intercept-and-resend as it was when it drew its own bases and
+    uniforms, on the ``collapsed`` policy of the one measure-and-resend."""
     n = len(states)
-    _, collapsed = qsim.measure_batch(states, rng.integers(2, size=n), rng.random(n))
-    return collapsed
+    return adversary.alice_measure_resend(states, rng.integers(2, size=n), rng.random(n), None, "collapsed")[1]
 
 
 def two_call_intercept_round(rng, n):
@@ -762,7 +763,7 @@ def intercept_rows(draw):
     """An intercept row (id, Eve's basis, Eve's uniform), her uniform near
     her Born probability of reading 1 or anywhere."""
     did, basis = draw(st.integers(0, len(DECOY_AMPS) - 1)), draw(st.integers(0, 1))
-    return did, basis, draw(uniforms_near(experiments._EVE_P1[2 * did + basis]))
+    return did, basis, draw(uniforms_near(experiments._MEASURE_P1[2 * did + basis]))
 
 
 @st.composite
@@ -772,34 +773,58 @@ def alice_rows(draw, policy):
     reading 1 or anywhere, the check's near 1/2, where each check reads 1
     that does not read a certain bit."""
     j, a = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    alice_u = draw(uniforms_near(experiments._ALICE_P1[2 * j + a]))
+    alice_u = draw(uniforms_near(experiments._MEASURE_P1[4 * j + a]))
     resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
     m0, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     return j, a, alice_u, resend, m0, m1, draw(uniforms_near(0.5)), draw(uniforms_near(0.5))
 
 
 class TestBornTables:
-    def test_intercept_tables_rebuild_one_register_at_a_time(self):
-        eve_p1, check_p1 = [], []
+    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
+    def test_resend_tables_rebuild_one_register_at_a_time(self, policy):
+        draws = adversary.RESEND_DRAWS.get(policy, 1)
+        measure_p1, intercept_p1, guess, check_p1 = [], [], [], []
         for did, basis in itertools.product(range(len(DECOY_AMPS)), range(2)):
             state, x_basis = DECOY_AMPS[did:did + 1], np.array([basis])
             p1 = qsim.probability_of_one(state, x_basis)
-            eve_p1.append(p1[0])
+            measure_p1.append(p1[0])
             # the uniforms in [0, 1) likeliest to read 0 and 1
             for bit, u in ((0, TOP_UNIFORM), (1, 0.0)):
                 if (u < p1[0]) != bit:  # no uniform reads this bit
-                    check_p1.append(np.nan)
+                    intercept_p1.append(np.nan)
+                    guess += [np.nan] * draws
+                    check_p1 += [np.nan] * 4 * draws
                     continue
-                resent = adversary.eve_intercept_resend(state, x_basis, np.array([u]))
-                check_p1.append(qsim.probability_of_one(resent, np.array([did >= 2]))[0])
-        assert_same(experiments._EVE_P1, np.array(eve_p1))
+                eve = adversary.alice_measure_resend(state, x_basis, np.array([u]), None, "collapsed")[1]
+                intercept_p1.append(qsim.probability_of_one(eve, np.array([did >= 2]))[0])
+                for resend in range(draws):
+                    guesses, resent = adversary.alice_measure_resend(state, x_basis, np.array([u]),
+                                                                     np.array([resend]), policy)
+                    guess.append(guesses[0])
+                    for code in range(4):
+                        encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[code])
+                        check_p1.append(qsim.probability_of_one(encoded, np.array([did >= 2]))[0])
+        guess_table, check_table = experiments._RESEND_TABLES[policy]
+        # the key space the Alice round addresses, draws * key + r
+        assert guess_table.shape == (16 * draws,) and check_table.shape == (64 * draws,)
+        assert_same(experiments._MEASURE_P1, np.array(measure_p1))
+        assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
+        assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
+        # the intercept round's table is the collapsed policy's code-0 column
+        assert np.array_equal(experiments._CHECK_P1, np.array(intercept_p1), equal_nan=True)
+        assert experiments._CHECK_P1.tobytes() == experiments._RESEND_TABLES["collapsed"][1][::4].tobytes()
         # the NaN entries are the outcomes of probability 0: id 0 reads no 1
-        # in Z, id 1 no 0 in Z and id 2 no 1 in X
+        # in Z, id 1 no 0 in Z and id 2 no 1 in X. |-> in X reads 0 with
+        # probability 2^-51, not 0 (its p1 is 1 - 2^-51), so its entries are finite
         assert np.flatnonzero(np.isnan(experiments._CHECK_P1)).tolist() == [1, 4, 11]
-        assert np.array_equal(experiments._CHECK_P1, np.array(check_p1), equal_nan=True)
+        nan_keys = [(2 * (2 * did + basis) + bit) * draws + r
+                    for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1)) for r in range(draws)]
+        assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
+        nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
+        assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
 
     def test_intercept_tables_flip_a_quarter_of_the_checks(self):
-        eve_p1 = np.repeat(experiments._EVE_P1, 2)
+        eve_p1 = np.repeat(experiments._MEASURE_P1, 2)
         outcome = np.where(np.arange(16) % 2, eve_p1, 1.0 - eve_p1)
         reachable = outcome > 0
         flip = np.where(np.arange(16) // 4 % 2, 1.0 - experiments._CHECK_P1, experiments._CHECK_P1)
@@ -818,58 +843,29 @@ class TestBornTables:
         assert_same(experiments._entangling_p1(params), np.array(want))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
-    def test_alice_tables_rebuild_one_register_at_a_time(self, policy):
-        bound = adversary.RESEND_DRAWS.get(policy)
-        alice_p1, guess, check_p1 = [], [], []
-        for j, a in itertools.product(range(2), range(2)):
-            state, basis = DECOY_AMPS[2 * j:2 * j + 1], np.array([a])
-            p1 = qsim.probability_of_one(state, basis)
-            alice_p1.append(p1[0])
-            for (bit, u), resend in itertools.product(((0, TOP_UNIFORM), (1, 0.0)), range(bound or 1)):
-                if (u < p1[0]) != bit:  # no uniform reads this bit
-                    guess.append(np.nan)
-                    check_p1 += [np.nan] * 4
-                    continue
-                guesses, resent = adversary.alice_measure_resend(state, basis, np.array([u]),
-                                                                 np.array([resend]), policy)
-                guess.append(guesses[0])
-                for code in range(4):
-                    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[code])
-                    check_p1.append(qsim.probability_of_one(encoded, np.array([j == 1]))[0])
-        resend_bound, guess_table, check_table = experiments._ALICE_TABLES[policy]
-        assert resend_bound == ((bound,) if bound else ())
-        assert_same(experiments._ALICE_P1, np.array(alice_p1))
-        assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
-        assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
-        # the NaN entries are the outcomes of probability 0: Bob's |0> reads
-        # no 1 in Z and his |+> none in X
-        draws = bound or 1
-        nan_keys = [(2 * ja + 1) * draws + r for ja in (0, 3) for r in range(draws)]
-        assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
-        nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
-        assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
-
-    @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     def test_alice_tables_give_the_closed_forms(self, policy):
-        resend, guess, check_p1 = experiments._ALICE_TABLES[policy]
-        draws = resend[0] if resend else 1
-        ja, bit = np.divmod(np.arange(len(guess)) // draws, 2)
-        # the weight of each key: j, a and the resend draw uniform, the outcome by Born
-        weight = np.where(bit, experiments._ALICE_P1[ja], 1.0 - experiments._ALICE_P1[ja]) / (4 * draws)
+        guess, check_p1 = experiments._RESEND_TABLES[policy]
+        draws = adversary.RESEND_DRAWS.get(policy, 1)
+        db, bit = np.divmod(np.arange(len(guess)) // draws, 2)
+        j, odd = np.divmod(db // 2, 2)
+        # the weight of each key: j (decoy id 2j, so no odd id), a and the
+        # resend draw uniform, the outcome by Born
+        born = np.where(bit, experiments._MEASURE_P1[db], 1.0 - experiments._MEASURE_P1[db])
+        weight = np.where(odd, 0.0, born / (4 * draws))
         reachable = weight > 0
         code = np.arange(4)
         # Bob reads 1 where the check does, and errs where that is not m_j
-        m_j = np.where((ja // 2)[:, None] == 1, code % 2, code // 2)
+        m_j = np.where(j[:, None] == 1, code % 2, code // 2)
         p1 = check_p1.reshape(-1, 4)
         error = np.where(m_j == 1, 1.0 - p1, p1).mean(axis=1)
         closed = experiments.ALICE_CLOSED_FORMS[policy]
         assert np.sum(weight[reachable & (guess >= 0)]) == pytest.approx(closed["conclusive"], abs=1e-12)
-        assert not np.any(reachable & (guess >= 0) & (guess != ja // 2))
+        assert not np.any(reachable & (guess >= 0) & (guess != j))
         assert np.sum(weight[reachable] * error[reachable]) == pytest.approx(closed["bit_error"], abs=1e-12)
 
-    @pytest.mark.parametrize("table", [experiments._EVE_P1, experiments._CHECK_P1, experiments._BELL_P1,
-                                       experiments._entangling_p1(UE_PARAMS), experiments._ALICE_P1,
-                                       *(table for _, *tables in experiments._ALICE_TABLES.values()
+    @pytest.mark.parametrize("table", [experiments._MEASURE_P1, experiments._CHECK_P1, experiments._BELL_P1,
+                                       experiments._entangling_p1(UE_PARAMS),
+                                       *(table for tables in experiments._RESEND_TABLES.values()
                                          for table in tables)])
     def test_tables_are_read_only(self, table):
         assert not table.flags.writeable
@@ -934,7 +930,7 @@ class TestBornTables:
             assert got == ref
 
     def test_a_fresh_import_warns_nothing(self):
-        # the intercept and Bell tables are filled at import
+        # the measure-and-resend and Bell tables are filled at import
         src = str(Path(experiments.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

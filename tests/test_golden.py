@@ -251,6 +251,23 @@ def test_csvs_past_a_chunk_group_are_pinned(capsys):
     assert digest.hexdigest() == GROUPED_CHUNK_SHA256
 
 
+#: sha256 of the concatenated stdout of ``attack --scenario entangling`` with
+#: the ``mixed`` then the ``constrained`` parameter file, each run with
+#: ``--trials 16641 --seed 7``, past one group of simulated chunks
+ENTANGLING_GROUPED_SHA256 = "52d93b1471133ac81812199525742a82c7c17f846491f3c214255344eda28b81"
+
+
+def test_entangling_csvs_past_a_chunk_group_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for name in ("mixed", "constrained"):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(UE_FILES[name])
+        args = ["attack", "--scenario", "entangling", "--ue-file", str(path), "--trials", "16641", "--seed", "7"]
+        assert cli.main(args) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ENTANGLING_GROUPED_SHA256
+
+
 #: sha256 over chained seeded bits and collapsed amplitude bytes on random
 #: one- to three-qubit registers, 2n qubit-0 measurements of each n-qubit
 #: register (one-row ``qsim.measure_batch``), then over the Bell cheat's

@@ -8,9 +8,10 @@ are simulated together as one block (a row per trial) through the Born rule,
 each drawing its rows from its own stream's PCG64 raw words. Every register a
 measurement reads is one of a few, so each reads its Born probability from a
 table the simulator fills once per register at import (per estimate for Eve's
-entangling attack). Eve's intercept round and Alice's round read the tables
-of one measure-and-resend, :func:`adversary.alice_measure_resend`.
-"""
+entangling attack). A detection scenario's round is a :class:`Program` of
+such tables, all drawn by one round function; Eve's intercept and Alice's
+round read the tables of one measure-and-resend,
+:func:`adversary.alice_measure_resend`."""
 
 from __future__ import annotations
 
@@ -83,13 +84,9 @@ CSV_HEADER = "parameter,empirical,closed_form,stderr,trials"
 ALICE_CSV_HEADER = "metric,empirical,closed_form,stderr,trials"
 
 
-def _wald_stderr(rate: float, trials: int) -> float:
-    """Standard error of a rate estimated from ``trials`` Bernoulli trials."""
-    return float(np.sqrt(rate * (1.0 - rate) / trials))
-
-
 def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials: int) -> EstimateRow:
-    return EstimateRow(parameter, rate, closed_form, _wald_stderr(rate, trials), trials)
+    """A rate with its Wald standard error over ``trials`` Bernoulli trials."""
+    return EstimateRow(parameter, rate, closed_form, float(np.sqrt(rate * (1.0 - rate) / trials)), trials)
 
 
 def _bound_bits(high: int) -> int:
@@ -201,21 +198,49 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
     return counts.tolist()
 
 
-def _first_flip_chunk(draw, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
-    """Sequential decoy checks: [unflipped, flipped] counts.
+@dataclass(frozen=True)
+class Program:
+    """One detection round as data, drawn by :func:`_round`: the first key is
+    the mixed-radix index of one integer row per power-of-two bound, and
+    ``ids[key]`` the decoy id checked. Each Born table in ``stages`` reads
+    one uniform and sets key = 2 * key + (uniform < stage[key]); ``check``
+    at the last key is the check's p1 in the basis of that id. Every table
+    is made read-only."""
 
-    Each of up to ``rounds`` rounds draws the checks of the trials not yet
-    flipped, ``draw(rng) -> (p1, ids, u)``: the Born probability that each
-    checked qubit reads 1 in the basis of its decoy id, the ids and the
-    check's uniforms. A check reads 1 iff its uniform is below its p1, as in
-    :func:`qsim.measure_batch`; the round drops the flipped rows from
-    ``rng``, so a trial stops at its first flip.
-    """
+    bounds: tuple[int, ...]
+    ids: np.ndarray
+    stages: tuple[np.ndarray, ...]
+    check: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.ids, *self.stages, self.check):
+            table.flags.writeable = False
+
+
+def _round(program: Program, rng: _ChunkStreams):
+    """``program``'s round on each live row in one read, integer rows, then a
+    uniform row per stage, then the check's: ``(p1, ids, u)``, the check's
+    Born probability of reading 1, the checked ids and its uniforms."""
+    ints, (*stage_rows, u) = rng.read(program.bounds, len(program.stages) + 1)
+    key = ints[0]
+    for bound, row in zip(program.bounds[1:], ints[1:]):
+        key = bound * key + row
+    ids = program.ids.take(key)
+    for stage, stage_u in zip(program.stages, stage_rows):
+        key = 2 * key + (stage_u < stage.take(key))
+    return program.check.take(key), ids, u
+
+
+def _first_flip_chunk(program: Program, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
+    """Sequential decoy checks: [unflipped, flipped] counts. Each of up to
+    ``rounds`` rounds of ``program`` checks the trials not yet flipped; a
+    check reads 1 iff its uniform is below its p1, as in
+    :func:`qsim.measure_batch`, and a trial stops at its first flip."""
     active = trials
     for _ in range(rounds):
         if not active:
             break
-        p1, ids, u = draw(rng)
+        p1, ids, u = _round(program, rng)
         flips = protocol.decoy_flipped(ids, u < p1)
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
@@ -262,58 +287,32 @@ _RESEND_TABLES = {policy: _resend_tables(policy) for policy in adversary.RESEND_
 #: the check's Born probability in an intercept round, at 2 * (2 * d + b) + bit:
 #: the ``collapsed`` policy's unencoded entries
 _CHECK_P1 = _read_only(_RESEND_TABLES["collapsed"][1][::4].copy())
-#: the bounds of an intercept round's decoy ids and Eve's bases
-_ID_AND_BASIS = (len(DECOY_AMPS), 2)
+
+#: random decoys, each measured and resent by Eve in a random basis: the key
+#: 2 * d + b of decoy id d and her basis b, her outcome from its Born
+#: probability, and the check on the eigenstate she resends
+_INTERCEPT = Program((len(DECOY_AMPS), 2), np.arange(len(_MEASURE_P1)) // 2, (_MEASURE_P1,), _CHECK_P1)
+#: loyalty tests of a cheating Bob's Bell slots, each checked against the id
+#: 2c of the uniformly random choice c he declares; the transmitted half is
+#: maximally mixed, so each test fails with probability 1/2
+_BELL = Program((2,), 2 * np.arange(2), (), qsim.probability_of_one(
+    np.broadcast_to(adversary.BELL_SLOT, (2, 4)), np.arange(2) == 1))
 
 
-def _intercept_round(rng: _ChunkStreams):
-    """Random decoys, each measured and resent by Eve in a random basis.
-
-    Each chunk stream gives its ids, then Eve's bases, then Eve's uniforms,
-    then the check's, as four separate draw calls would. Eve reads 1 where
-    her uniform is below her Born probability, and the check's probability
-    is that of the eigenstate she resends."""
-    (ids, basis), (eve_u, u) = rng.read(_ID_AND_BASIS, 2)
-    key = 2 * ids + basis
-    bit = eve_u < _MEASURE_P1.take(key)
-    return _CHECK_P1.take(2 * key + bit), ids, u
-
-
-#: the check's Born probability of reading 1 on a cheating Bob's Bell slot,
-#: by the choice c he declares, in the basis of its decoy id 2c
-_BELL_P1 = _read_only(qsim.probability_of_one(np.broadcast_to(adversary.BELL_SLOT, (2, 4)),
-                                              2 * np.arange(2) >= 2))
-
-
-def _bell_round(rng: _ChunkStreams):
-    """Loyalty tests of a cheating Bob's Bell slots, each checked against the
-    id 2c of the uniformly random choice c he declares; the transmitted half
-    is maximally mixed, so each test fails with probability 1/2."""
-    (declared,), (u,) = rng.read((2,), 1)
-    return _BELL_P1.take(declared), 2 * declared, u
-
-
-def _entangling_p1(params) -> np.ndarray:
-    """The check's Born probability of reading 1 on each decoy id, in the id's
-    own basis, after Eve's entangling attack: one call of her isometry."""
+def _entangling_program(params) -> Program:
+    """Random decoys through Eve's entangling attack: each id's check on what
+    one call of her isometry makes of the four decoys."""
     ids = np.arange(len(DECOY_AMPS))
-    return _read_only(qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS, params),
-                                              ids >= 2))
-
-
-def _entangling_round(p1: np.ndarray, rng: _ChunkStreams):
-    """Random decoys through Eve's entangling attack, ``p1`` the table of
-    :func:`_entangling_p1`."""
-    (ids,), (u,) = rng.read((len(DECOY_AMPS),), 1)
-    return p1.take(ids), ids, u
+    return Program((len(ids),), ids, (), qsim.probability_of_one(
+        adversary.eve_entangling_attack(DECOY_AMPS, params), ids >= 2))
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
 #: gives its number of checks, the probability q that one check flips, and the
-#: round drawer of :func:`_first_flip_chunk`
+#: :class:`Program` of one check
 DETECTION = {
-    AttackScenario.INTERCEPT_RESEND: ("M", 0.25, _intercept_round),
-    AttackScenario.BOB_BELL_CHEAT: ("K", 0.5, _bell_round),
+    AttackScenario.INTERCEPT_RESEND: ("M", 0.25, _INTERCEPT),
+    AttackScenario.BOB_BELL_CHEAT: ("K", 0.5, _BELL),
 }
 
 
@@ -321,9 +320,9 @@ def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
     """Monte Carlo detection estimate with its matching closed form."""
     if spec.scenario not in DETECTION:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
-    _, q, draw = DETECTION[spec.scenario]
+    _, q, program = DETECTION[spec.scenario]
     n = spec.parameter
-    hits = _tally(partial(_first_flip_chunk, draw, n), spec.trials, spec.seed, n)[1]
+    hits = _tally(partial(_first_flip_chunk, program, n), spec.trials, spec.seed, n)[1]
     return _estimate_row(n, hits / spec.trials, detection_rate(q, n), spec.trials)
 
 
@@ -420,8 +419,7 @@ def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: in
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
     trials = protocol.as_integer("trials", trials)  # the row holds an int
-    kernel = partial(_first_flip_chunk, partial(_entangling_round, _entangling_p1(params)), 1)
-    flips = _tally(kernel, trials, seed)[1]
+    flips = _tally(partial(_first_flip_chunk, _entangling_program(params), 1), trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
 
 

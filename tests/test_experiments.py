@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -6,20 +7,22 @@ import sys
 from dataclasses import astuple
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qotsim import adversary, cli, experiments, protocol, qsim
 from qotsim.adversary import AttackScenario
 from qotsim.experiments import EstimateRow, ExperimentSpec
 from qotsim.protocol import DECOY_AMPS, ProtocolConfig, ProtocolError
-from test_adversary import drawing_alice_measure_resend, fancy_alice_measure_resend
+from test_adversary import drawing_alice_measure_resend
 from test_protocol import decoy_flips
 
 UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
+NO_DETECTION = adversary.UeParams.no_detection_point()
 
 
 class TestClosedForms:
@@ -159,11 +162,10 @@ class TestSweep:
 
 #: each chunk kernel, bound to its argument
 CHUNK_KERNELS = {
-    "intercept": partial(experiments._first_flip_chunk, experiments._intercept_round, 3),
-    "bell": partial(experiments._first_flip_chunk, experiments._bell_round, 2),
+    "intercept": partial(experiments._first_flip_chunk, experiments._INTERCEPT, 3),
+    "bell": partial(experiments._first_flip_chunk, experiments._BELL, 2),
     "alice": partial(experiments._alice_chunk, "guess"),
-    "entangling": partial(experiments._first_flip_chunk,
-                          partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)), 1),
+    "entangling": partial(experiments._first_flip_chunk, experiments._entangling_program(UE_PARAMS), 1),
 }
 
 
@@ -443,26 +445,26 @@ class TestRawWordsOnly:
 
 
 def block_intercept_round(rng, n):
-    """``experiments._intercept_round`` as it was when it returned the block
-    Eve resends, verbatim but for the names, its bound column, spelled out,
-    and Eve's measurement, the ``collapsed`` policy of the one
-    measure-and-resend."""
-    ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
-    eve_u, u = rng.random(size=(2, n))
+    """Eve's intercept-and-resend on amplitude blocks, each value drawn by a
+    ``Generator`` call of its own: the ids, Eve's bases, her uniforms, then
+    the check's. Eve measures and resends through the ``collapsed`` policy
+    of the one measure-and-resend."""
+    ids, basis = rng.integers(len(DECOY_AMPS), size=n), rng.integers(2, size=n)
+    eve_u, u = rng.random(n), rng.random(n)
     resent = adversary.alice_measure_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u, None, "collapsed")[1]
     return resent, ids, u
 
 
 def block_bell_round(rng, n):
-    """``experiments._bell_round`` as it was when it returned Bob's Bell
-    slots, verbatim but for the name and ``adversary.bell_slots``, inlined."""
+    """The Bell round as it was when it returned Bob's Bell slots, verbatim
+    but for the name and ``adversary.bell_slots``, inlined."""
     block, declared = np.broadcast_to(adversary.BELL_SLOT, (n, 4)), rng.integers(2, size=n)
     return block, 2 * declared, rng.random(n)
 
 
 def block_entangling_round(params, rng, n):
-    """``experiments._entangling_round`` as it was when it ran Eve's
-    isometry on every round's block, verbatim but for the name."""
+    """The entangling round as it was when it ran Eve's isometry on every
+    round's block, verbatim but for the name."""
     ids = rng.integers(len(DECOY_AMPS), size=n)
     return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
 
@@ -504,103 +506,14 @@ def assert_same(a, b):
 
 
 def assert_round_matches_block(got, ref):
-    """A round's ``(p1, ids, u)`` against a block round's ``(block, ids, u)``
-    (or ``(block, ids)``): p1 is the check's Born probability of the block,
-    bit for bit, and the rest is equal."""
+    """A program round's ``(p1, ids, u)`` against a block round's ``(block,
+    ids, u)``: p1 is the check's Born probability of the block, bit for bit,
+    and the rest is equal."""
     p1, ids, u = got
-    block, ref_ids, *ref_u = ref
+    block, ref_ids, ref_u = ref
     assert_same(p1, qsim.probability_of_one(block, ref_ids >= 2))
     assert_same(ids, ref_ids)
-    for ref_u in ref_u:
-        assert_same(u, ref_u)
-
-
-def fancy_intercept_round(rng, n):
-    """``block_intercept_round`` with a fancy-index gather in place of
-    ``take``."""
-    ids, basis = rng.integers([[len(DECOY_AMPS)], [2]], size=(2, n))
-    eve_u, u = rng.random(size=(2, n))
-    return adversary.alice_measure_resend(DECOY_AMPS[ids], basis, eve_u, None, "collapsed")[1], ids, u
-
-
-def fancy_entangling_round(params, rng, n):
-    """``block_entangling_round`` with a fancy-index gather in place of
-    ``take``."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS[ids], params), ids, rng.random(n)
-
-
-def fancy_alice_chunk(policy, rng, trials):
-    """``experiments._alice_chunk`` before its two gathers used ``take``, on
-    the test references for the functions it called."""
-    j = rng.integers(2, size=trials)
-    guesses, resent = fancy_alice_measure_resend(DECOY_AMPS[2 * j], rng, policy)
-    m0, m1 = rng.integers(2, size=(2, trials))
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[2 * m0 + m1])
-    bit_error = decoy_flips(encoded, 2 * j, rng.random(trials)) != np.choose(j, (m0, m1))
-    dummy_error = bit_error & (rng.random(trials) < 0.5)
-    conclusive = guesses >= 0
-    return [int(np.count_nonzero(event)) for event in
-            (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
-
-
-#: each kernel step that gathered table rows, and its fancy-index body
-GATHERING_STEPS = {
-    "intercept": (experiments._intercept_round, fancy_intercept_round),
-    "entangling": (partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)),
-                   partial(fancy_entangling_round, UE_PARAMS)),
-    "alice": (partial(experiments._alice_chunk, "guess"), partial(fancy_alice_chunk, "guess")),
-    "alice-random": (partial(experiments._alice_chunk, "random"), partial(fancy_alice_chunk, "random")),
-}
-
-
-class TestKernelGathers:
-    @pytest.mark.parametrize("name", sorted(GATHERING_STEPS))
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_take_matches_fancy_index_body(self, name, rows, seed):
-        assume(sum(rows))
-        step, fancy = GATHERING_STEPS[name]
-
-        def stand_in(cls):
-            return cls([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-
-        streams, twins = stand_in(experiments._ChunkStreams), stand_in(TwinStreams)
-        if name.startswith("alice"):
-            assert step(streams, sum(rows)) == fancy(twins, sum(rows))
-        else:
-            got, ref = step(streams), fancy(twins, sum(rows))
-            assert len(got) == len(ref) == 3
-            assert_round_matches_block(got, ref)
-
-
-def two_call_eve_intercept_resend(states, rng):
-    """Eve's intercept-and-resend as it was when it drew its own bases and
-    uniforms, on the ``collapsed`` policy of the one measure-and-resend."""
-    n = len(states)
-    return adversary.alice_measure_resend(states, rng.integers(2, size=n), rng.random(n), None, "collapsed")[1]
-
-
-def two_call_intercept_round(rng, n):
-    """``experiments._intercept_round`` as it was when it drew its ids and
-    Eve her bases in two ``integers`` calls, verbatim but for the names."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return two_call_eve_intercept_resend(DECOY_AMPS.take(ids, axis=0), rng), ids
-
-
-def two_call_first_flip_chunk(draw, rounds, rng, trials):
-    """``experiments._first_flip_chunk`` as it was when it drew its check's
-    uniforms itself, verbatim but for ``decoy_flips``, now a test
-    reference."""
-    active = trials
-    for _ in range(rounds):
-        if not active:
-            break
-        block, ids = draw(rng, active)
-        flips = decoy_flips(block, ids, rng.random(active))
-        rng.keep(~flips)
-        active -= int(np.count_nonzero(flips))
-    return [active, trials - active]
+    assert_same(u, ref_u)
 
 
 class Kept:
@@ -653,17 +566,19 @@ def logged(draw, log):
     return step
 
 
-def assert_kernels_agree(draw, ref_kernel, ref_draw, rows, rounds, buffered, seed):
-    """``experiments._first_flip_chunk`` over ``draw``, and ``ref_kernel`` over
-    the block round ``ref_draw`` on the twin streams' ``Generator`` methods,
-    each on a stand-in over twin streams: each round matches its block round
-    (:func:`assert_round_matches_block`), each round's ``keep`` mask and the
-    counts are equal, and each twin stream's next draws agree afterwards."""
+def assert_kernels_agree(program, ref_draw, rows, rounds, buffered, seed):
+    """``experiments._first_flip_chunk`` over ``program``, and the block kernel
+    over the block round ``ref_draw`` on the twin streams' ``Generator``
+    methods, each on a stand-in over twin streams: each round matches its
+    block round (:func:`assert_round_matches_block`), each round's ``keep``
+    mask and the counts are equal, and each twin stream's next draws agree
+    afterwards."""
     trials = sum(rows)
     got_rng, ref_rng = twin_stand_ins(rows, buffered, seed, (KeptStreams, KeptTwins))
     got_log, ref_log = [], []
-    got = experiments._first_flip_chunk(logged(draw, got_log), rounds, got_rng, trials)
-    ref = ref_kernel(logged(ref_draw, ref_log), rounds, ref_rng, trials)
+    with mock.patch.object(experiments, "_round", logged(experiments._round, got_log)):
+        got = experiments._first_flip_chunk(program, rounds, got_rng, trials)
+    ref = block_first_flip_chunk(logged(ref_draw, ref_log), rounds, ref_rng, trials)
     assert got == ref
     assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
     for round_out, ref_out in zip(got_log, ref_log):
@@ -675,46 +590,31 @@ def assert_kernels_agree(draw, ref_kernel, ref_draw, rows, rounds, buffered, see
 
 #: chunk stand-ins: live rows per chunk stream (zero and odd counts
 #: included), rounds, whether an odd pre-draw leaves halves buffered, a seed
-TWIN_RUNS = (st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(1, 8),
+TWIN_RUNS = (st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 8),
              st.booleans(), st.integers(0, 2 ** 32 - 1))
 
-
-class TestFusedInterceptRound:
-    """The intercept round's one read gives each chunk stream's draws as the
-    two-call round and its kernel made them."""
-
-    @given(*TWIN_RUNS)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_the_two_call_round(self, rows, rounds, buffered, seed):
-        assume(sum(rows))
-        assert_kernels_agree(experiments._intercept_round, two_call_first_flip_chunk,
-                             two_call_intercept_round, rows, rounds, buffered, seed)
-
-
-#: each table round, and the block round it replaces
+#: each detection program, and the block round it replaces
 BLOCK_ROUNDS = {
-    "intercept": (experiments._intercept_round, block_intercept_round),
-    "bell": (experiments._bell_round, block_bell_round),
-    "entangling": (partial(experiments._entangling_round, experiments._entangling_p1(UE_PARAMS)),
-                   partial(block_entangling_round, UE_PARAMS)),
-    "entangling-undetected": (
-        partial(experiments._entangling_round,
-                experiments._entangling_p1(adversary.UeParams.no_detection_point())),
-        partial(block_entangling_round, adversary.UeParams.no_detection_point())),
+    "intercept": (experiments._INTERCEPT, block_intercept_round),
+    "bell": (experiments._BELL, block_bell_round),
+    "entangling": (experiments._entangling_program(UE_PARAMS), partial(block_entangling_round, UE_PARAMS)),
+    "entangling-undetected": (experiments._entangling_program(NO_DETECTION),
+                              partial(block_entangling_round, NO_DETECTION)),
 }
 
 
 class TestTableRounds:
-    """Each round reads the Born probabilities the block round computed,
-    from its table, and leaves every stream as the block round did."""
+    """Each program round reads the Born probabilities the block round
+    computed, from its tables, and leaves every stream as the block round
+    did."""
 
     @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
     @given(*TWIN_RUNS)
     @settings(max_examples=100, deadline=None)
     def test_matches_the_block_round(self, name, rows, rounds, buffered, seed):
         assume(sum(rows))
-        draw, block_draw = BLOCK_ROUNDS[name]
-        assert_kernels_agree(draw, block_first_flip_chunk, block_draw, rows, rounds, buffered, seed)
+        program, block_draw = BLOCK_ROUNDS[name]
+        assert_kernels_agree(program, block_draw, rows, rounds, buffered, seed)
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -758,6 +658,11 @@ def uniforms_near(p1):
         st.floats(0.0, 1.0, exclude_max=True)).map(lambda u: min(max(float(u), 0.0), TOP_UNIFORM))
 
 
+def any_uniforms(data, n):
+    """``n`` uniforms in [0, 1), drawn from ``data``."""
+    return np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+
+
 @st.composite
 def intercept_rows(draw):
     """An intercept row (id, Eve's basis, Eve's uniform), her uniform near
@@ -777,6 +682,33 @@ def alice_rows(draw, policy):
     resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
     m0, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     return j, a, alice_u, resend, m0, m1, draw(uniforms_near(0.5)), draw(uniforms_near(0.5))
+
+
+def exact_flip_rate(program):
+    """The probability that one round of ``program`` flips its check, summed
+    over its keys with no sampling: each first key weighs 1 / prod(bounds),
+    each stage's bit p or 1 - p of its table entry (a branch of weight 0,
+    which no uniform reaches, is skipped), and the check flips with its p1,
+    or with 1 - p1 where the checked id is odd."""
+    first = math.prod(program.bounds)
+    branches = [(key, program.ids[key], 1.0 / first) for key in range(first)]
+    for stage in program.stages:
+        branches = [(2 * key + bit, did, weight * p) for key, did, weight in branches
+                    for bit, p in ((0, 1.0 - stage[key]), (1, stage[key])) if p > 0]
+    return sum(weight * (1.0 - program.check[key] if did % 2 else program.check[key])
+               for key, did, weight in branches)
+
+
+#: every Born table by name, each program's ids, stages and check, an
+#: entangling program's among them
+TABLES = {"measure": experiments._MEASURE_P1,
+          **{f"{policy}.{kind}": table for policy, tables in experiments._RESEND_TABLES.items()
+             for kind, table in zip(("guess", "check"), tables)},
+          **{f"{name}.{field}": table
+             for name, program in (("intercept", experiments._INTERCEPT), ("bell", experiments._BELL),
+                                   ("entangling", experiments._entangling_program(UE_PARAMS)))
+             for field, table in (("ids", program.ids), *(("stage", s) for s in program.stages),
+                                  ("check", program.check))}}
 
 
 class TestBornTables:
@@ -810,7 +742,10 @@ class TestBornTables:
         assert_same(experiments._MEASURE_P1, np.array(measure_p1))
         assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
         assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
-        # the intercept round's table is the collapsed policy's code-0 column
+        # the intercept program's stage and check: the measurement and the
+        # collapsed policy's code-0 column
+        assert experiments._INTERCEPT.stages == (experiments._MEASURE_P1,)
+        assert experiments._INTERCEPT.check is experiments._CHECK_P1
         assert np.array_equal(experiments._CHECK_P1, np.array(intercept_p1), equal_nan=True)
         assert experiments._CHECK_P1.tobytes() == experiments._RESEND_TABLES["collapsed"][1][::4].tobytes()
         # the NaN entries are the outcomes of probability 0: id 0 reads no 1
@@ -823,24 +758,35 @@ class TestBornTables:
         nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
         assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
 
-    def test_intercept_tables_flip_a_quarter_of_the_checks(self):
-        eve_p1 = np.repeat(experiments._MEASURE_P1, 2)
-        outcome = np.where(np.arange(16) % 2, eve_p1, 1.0 - eve_p1)
-        reachable = outcome > 0
-        flip = np.where(np.arange(16) // 4 % 2, 1.0 - experiments._CHECK_P1, experiments._CHECK_P1)
-        assert np.sum(outcome[reachable] * flip[reachable]) / 8 == pytest.approx(0.25, abs=1e-12)
-
     def test_bell_table_rebuilds(self):
         want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
-        assert_same(experiments._BELL_P1, np.array(want))
+        assert_same(experiments._BELL.check, np.array(want))
 
-    @pytest.mark.parametrize("params", [adversary.UeParams.no_detection_point(), UE_PARAMS,
+    @pytest.mark.parametrize("params", [NO_DETECTION, UE_PARAMS,
                                         *(adversary.sample_ue_params(np.random.default_rng(s))
                                           for s in range(5))])
     def test_entangling_table_rebuilds_one_register_at_a_time(self, params):
         want = [qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS[i:i + 1], params),
                                         np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
-        assert_same(experiments._entangling_p1(params), np.array(want))
+        assert_same(experiments._entangling_program(params).check, np.array(want))
+
+    # the honest control reads each decoy in its own basis with no attack
+    @pytest.mark.parametrize("program, q", [
+        (experiments._INTERCEPT, 0.25), (experiments._BELL, 0.5),
+        (experiments.Program((4,), np.arange(4), (), experiments._MEASURE_P1[[0, 2, 5, 7]]), 0.0)],
+        ids=["intercept", "bell", "honest"])
+    def test_detection_programs_flip_at_their_closed_form(self, program, q):
+        assert exact_flip_rate(program) == pytest.approx(q, abs=1e-12)
+
+    @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)))
+    @example(None).via("the no-detection point")
+    @example(4).via("UE_PARAMS")
+    @settings(max_examples=100, deadline=None)
+    def test_entangling_programs_flip_at_the_analytic_rate(self, params_seed):
+        params = (NO_DETECTION if params_seed is None
+                  else adversary.sample_ue_params(np.random.default_rng(params_seed)))
+        assert (exact_flip_rate(experiments._entangling_program(params))
+                == pytest.approx(adversary.ue_detection_probability(params), abs=1e-12))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     def test_alice_tables_give_the_closed_forms(self, policy):
@@ -863,11 +809,9 @@ class TestBornTables:
         assert not np.any(reachable & (guess >= 0) & (guess != j))
         assert np.sum(weight[reachable] * error[reachable]) == pytest.approx(closed["bit_error"], abs=1e-12)
 
-    @pytest.mark.parametrize("table", [experiments._MEASURE_P1, experiments._CHECK_P1, experiments._BELL_P1,
-                                       experiments._entangling_p1(UE_PARAMS),
-                                       *(table for tables in experiments._RESEND_TABLES.values()
-                                         for table in tables)])
-    def test_tables_are_read_only(self, table):
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_tables_are_read_only(self, name):
+        table = TABLES[name]
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
@@ -876,41 +820,27 @@ class TestBornTables:
     @settings(max_examples=300, deadline=None)
     def test_intercept_round_reads_the_block_path(self, rows, data):
         ids, basis, eve_u = (np.array(col) for col in zip(*rows))
-        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                                        min_size=len(rows), max_size=len(rows))))
-
-        def script():
-            return Scripted(np.array([ids, basis]), np.array([eve_u, u]))
-
-        got = experiments._intercept_round(script())
-        assert_round_matches_block(got, block_intercept_round(script(), len(rows)))
+        u = any_uniforms(data, len(rows))
+        got = experiments._round(experiments._INTERCEPT, Scripted(np.array([ids, basis]), np.array([eve_u, u])))
+        assert_round_matches_block(got, block_intercept_round(Scripted(ids, basis, eve_u, u), len(rows)))
         assert not np.isnan(got[0]).any()
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data())
     @settings(max_examples=50, deadline=None)
     def test_bell_round_reads_the_block_path(self, declared, data):
-        n = len(declared)
-        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
-
-        def script():
-            return Scripted(np.array(declared), u)
-
-        assert_round_matches_block(experiments._bell_round(script()), block_bell_round(script(), n))
+        declared, u = np.array(declared), any_uniforms(data, len(declared))
+        assert_round_matches_block(experiments._round(experiments._BELL, Scripted(declared, u)),
+                                   block_bell_round(Scripted(declared, u), len(declared)))
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
            st.lists(st.integers(0, len(DECOY_AMPS) - 1), min_size=1, max_size=20), st.data())
     @settings(max_examples=100, deadline=None)
     def test_entangling_round_reads_the_block_path(self, params_seed, ids, data):
-        params = (adversary.UeParams.no_detection_point() if params_seed is None
+        params = (NO_DETECTION if params_seed is None
                   else adversary.sample_ue_params(np.random.default_rng(params_seed)))
-        n = len(ids)
-        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
-
-        def script():
-            return Scripted(np.array(ids), u)
-
-        got = experiments._entangling_round(experiments._entangling_p1(params), script())
-        assert_round_matches_block(got, block_entangling_round(params, script(), n))
+        ids, u = np.array(ids), any_uniforms(data, len(ids))
+        got = experiments._round(experiments._entangling_program(params), Scripted(ids, u))
+        assert_round_matches_block(got, block_entangling_round(params, Scripted(ids, u), len(ids)))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.data())

@@ -329,50 +329,6 @@ class TestMeasureBatch:
         assert bits.tolist() == [True, False, True, False]
 
 
-
-def fancy_probability_of_one(amps, x_basis):
-    """``qsim.probability_of_one`` as it was before it gathered its bras with
-    ``take``, verbatim: a fancy-index row gather."""
-    return np.square(np.abs(qsim._project(amps, qsim.EIGENSTATES[2 * x_basis + 1]))).sum(axis=1)
-
-
-def fancy_measure_batch(amps, x_basis, u):
-    """``qsim.measure_batch`` as it was before it gathered its eigenstates
-    with ``take``, verbatim but for the module prefix."""
-    p1 = fancy_probability_of_one(amps, x_basis)
-    bits = u < p1
-    eigen = qsim.EIGENSTATES[2 * x_basis + bits]
-    rest = qsim._project(amps, eigen) / np.sqrt(np.where(bits, p1, 1.0 - p1))[:, None]
-    return bits, (eigen[:, :, None] * rest[:, None, :]).reshape(len(amps), -1)
-
-
-class TestTakeGathers:
-    """``take`` gathers the same table rows as fancy indexing, so the block
-    functions return the same bytes."""
-
-    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_block_functions_match_fancy_index_bodies(self, n_qubits, rows, seed, as_bool):
-        g = rng(seed)
-        amps = np.array([random_state(n_qubits, s) for s in g.integers(2**32, size=rows)],
-                        dtype=complex).reshape(rows, 1 << n_qubits)
-        x_basis = g.integers(2, size=rows)
-        if as_bool:
-            x_basis = x_basis.astype(bool)
-        u = g.random(rows)
-        assert np.array_equal(qsim.probability_of_one(amps, x_basis),
-                              fancy_probability_of_one(amps, x_basis))
-        for got, ref in zip(qsim.measure_batch(amps, x_basis, u), fancy_measure_batch(amps, x_basis, u)):
-            assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("x_basis", [False, True])
-    def test_scalar_basis_matches_fancy_index_body(self, x_basis):
-        # qsim._born passes one bool for its one-row block
-        for state in (*EXACT_STATES, *(random_state(n, 5) for n in (1, 2, 3))):
-            got = qsim.probability_of_one(state[None], x_basis)
-            assert np.array_equal(got, fancy_probability_of_one(state[None], x_basis))
-            assert qsim._born(state.tobytes(), x_basis) == got[0]
-
 def take_probability_of_one(amps, x_basis):
     """``qsim.probability_of_one`` as it was when it gathered its bras from
     the whole eigenstate table at ``2 * x_basis + 1``, verbatim."""
@@ -395,13 +351,22 @@ class TestOneBras:
             x_basis = x_basis.astype(bool)
         got, ref = qsim.probability_of_one(amps, x_basis), take_probability_of_one(amps, x_basis)
         assert got.dtype == ref.dtype and got.shape == ref.shape == (rows,) and np.array_equal(got, ref)
+        # the block measurement of distinct rows reads each as the reference
+        u = g.random(rows)
+        bits, collapsed = qsim.measure_batch(amps, x_basis, u)
+        assert bits.dtype == bool and bits.shape == (rows,)
+        assert collapsed.dtype == complex and collapsed.shape == amps.shape
+        for t in range(rows):
+            ref_bit, ref_post = reference_measure(amps[t], x_basis[t], u[t])
+            assert bits[t] == ref_bit and np.array_equal(collapsed[t], ref_post)
 
     @pytest.mark.parametrize("x_basis", [False, True])
     def test_scalar_basis_matches_the_whole_table_gather(self, x_basis):
         # qsim._born passes one bool for its one-row block
-        for state in (*EXACT_STATES, *(random_state(n, 7) for n in (1, 2, 3))):
+        for state in (*EXACT_STATES, *(random_state(n, seed) for n in (1, 2, 3) for seed in (5, 7))):
             got = qsim.probability_of_one(state[None], x_basis)
             assert np.array_equal(got, take_probability_of_one(state[None], x_basis))
+            assert qsim._born(state.tobytes(), x_basis) == got[0]
 
     def test_table_is_a_read_only_view_of_the_outcome_one_rows(self):
         assert np.array_equal(qsim._ONE_BRAS, [qsim.ONE, qsim.MINUS])

@@ -528,6 +528,18 @@ class Kept:
         super().keep(rows)
 
 
+class ReadLog(experiments._ChunkStreams):
+    """Chunk streams that record the bounds and unit count of each read."""
+
+    def __init__(self, streams, rows):
+        super().__init__(streams, rows)
+        self.reads = []
+
+    def read(self, bounds, units):
+        self.reads.append((bounds, units))
+        return super().read(bounds, units)
+
+
 class KeptStreams(Kept, experiments._ChunkStreams):
     pass
 
@@ -615,6 +627,19 @@ class TestTableRounds:
         assume(sum(rows))
         program, block_draw = BLOCK_ROUNDS[name]
         assert_kernels_agree(program, block_draw, rows, rounds, buffered, seed)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_a_round_makes_one_read(self, name, rows, seed):
+        # the program's integer rows and a uniform row per stage and for the
+        # check, in one read of one row per live trial
+        assume(sum(rows))
+        program = BLOCK_ROUNDS[name][0]
+        rng = ReadLog([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
+        p1, ids, u = experiments._round(program, rng)
+        assert rng.reads == [(program.bounds, len(program.stages) + 1)]
+        assert p1.shape == ids.shape == u.shape == (sum(rows),)
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))

@@ -275,7 +275,7 @@ def _resend_tables(policy: str) -> tuple[np.ndarray, np.ndarray]:
     db, bit, r, code = rows[:, reachable]
     guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(db // 2, axis=0), db % 2,
                                                      np.where(bit, 0.0, 1.0), r, policy)
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(code, axis=0))
+    encoded = qsim.apply_batch(resent, qsim.PAULIS.take(code, axis=0))
     guess, check_p1 = np.full((2, len(reachable)), np.nan)
     guess[reachable] = guesses
     check_p1[reachable] = qsim.probability_of_one(encoded, db >= 4)
@@ -345,11 +345,9 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
     on a basis eigenstate, so the distance is exactly zero.
     """
     carrier = protocol.choice_state(choice)
-    if choice == 0:
-        variants = [(chosen_bit, 0), (chosen_bit, 1)]
-    else:
-        variants = [(0, chosen_bit), (1, chosen_bit)]
-    encoded = [qsim.apply_gate(carrier, protocol.PAULI_CODE[pair]) for pair in variants]
+    # Pauli code 2 * m0 + m1 with m_choice the chosen bit and the other one u
+    codes = [2 * chosen_bit + u if choice == 0 else 2 * u + chosen_bit for u in (0, 1)]
+    encoded = [qsim.apply_gate(carrier, code) for code in codes]
     return qsim.trace_distance(*(np.outer(v, v.conj()) for v in encoded))
 
 

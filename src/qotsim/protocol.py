@@ -1,9 +1,9 @@
 """Honest-party state machines for the six-step oblivious transfer run.
 
-Bob encodes his per-slot choice j as decoy state 2j, |0> or |+>. Alice encodes a message pair (m0, m1) with a Pauli gate:
-00 -> I, 01 -> Z, 10 -> X, 11 -> Y. Bob measures each payload slot in the basis
-he prepared, so a Z-basis slot yields m0 and an X-basis slot yields m1; the
-other bit only ever shows up as a global phase on the carrier.
+Bob encodes his per-slot choice j as decoy state 2j, |0> or |+>. Alice encodes a message pair
+(m0, m1) with Pauli gate 2 * m0 + m1 of ``qsim.PAULIS``: 00 -> I, 01 -> Z, 10 -> X, 11 -> Y.
+Bob measures each payload slot in the basis he prepared, so a Z-basis slot yields m0 and an
+X-basis slot yields m1; the other bit only ever shows up as a global phase on the carrier.
 """
 
 from __future__ import annotations
@@ -27,17 +27,6 @@ MAX_QUBITS_USED = 100_000
 DECOY_AMPS = qsim.EIGENSTATES
 #: the decoy ids a published id list may name
 _DECOY_IDS = frozenset(range(len(DECOY_AMPS)))
-
-#: message-pair to gate encoding
-PAULI_CODE: dict[tuple[int, int], str] = {
-    (0, 0): "I",
-    (0, 1): "Z",
-    (1, 0): "X",
-    (1, 1): "Y",
-}
-#: the same gates as matrices, indexed 2 * m0 + m1
-PAULI_MATRICES = np.array([qsim.GATES[PAULI_CODE[divmod(code, 2)]] for code in range(4)])
-PAULI_MATRICES.flags.writeable = False
 
 
 def decoy_flipped(decoy_id, bit):
@@ -307,15 +296,15 @@ def bob_reorder(slots: list[SequenceSlot], permutation, n_keep: int) -> list[Seq
 
 
 def alice_encode(slots: list[SequenceSlot], pairs) -> list[SequenceSlot]:
-    """Step 4: apply the Pauli encoding of each message pair to qubit 0 of
-    its slot, a register of any width, through :func:`qsim.apply_gate`."""
+    """Step 4: apply Pauli gate 2 * m0 + m1 of each message pair (m0, m1) to
+    qubit 0 of its slot, a register of any width, through :func:`qsim.apply_gate`."""
     pairs = [(int(m0), int(m1)) for m0, m1 in pairs]
     if len(pairs) != len(slots):
         raise ProtocolError(f"{len(pairs)} message pairs for {len(slots)} slots")
-    if any(pair not in PAULI_CODE for pair in pairs):
+    if not all(m0 in (0, 1) and m1 in (0, 1) for m0, m1 in pairs):
         raise ProtocolError("message pairs must be pairs of bits")
-    return [replace(slot, state=qsim.apply_gate(slot.state, PAULI_CODE[pair]))
-            for slot, pair in zip(slots, pairs)]
+    return [replace(slot, state=qsim.apply_gate(slot.state, 2 * m0 + m1))
+            for slot, (m0, m1) in zip(slots, pairs)]
 
 
 def alice_insert_decoys(slots, M2: int, rng) -> tuple[list[SequenceSlot], list[int], list[int]]:

@@ -8,13 +8,15 @@ register's bytes read back as complex, so both reject a row of any other dtype.
 
 Conventions:
   * qubit 0 is the leftmost tensor factor (most significant amplitude index bit);
-  * the Y gate is the real matrix [[0, 1], [-1, 0]] (= ZX), so Y|0> = -|1>;
+  * a Pauli gate is named by the code c = 2 * m0 + m1 of the message pair it
+    encodes: ``PAULIS[c]`` is Z^m1 X^m0, so I, Z, X and Y, the real matrix
+    [[0, 1], [-1, 0]] (= ZX), with Y|0> = -|1>;
   * a basis is named by the bit ``x_basis`` (0 for Z, 1 for X); Z-basis outcomes
     map |0> -> 0, |1> -> 1 and X-basis outcomes map |+> -> 0, |-> -> 1, so the
     eigenstate of outcome ``bit`` is ``EIGENSTATES[2 * x_basis + bit]``;
   * a Bell state is named by b = 2 * [the two qubits differ] + [minus sign]:
-    0 -> Phi+, 1 -> Phi-, 2 -> Psi+, 3 -> Psi-. X^x then Z^z on either qubit
-    of Phi+ gives Bell state 2x + z;
+    0 -> Phi+, 1 -> Phi-, 2 -> Psi+, 3 -> Psi-. Pauli gate c on either qubit
+    of Phi+ gives Bell state c;
   * a density matrix is a square complex array.
 
 All operations are pure functions of their arguments. A measurement takes
@@ -35,7 +37,7 @@ import numpy as np
 NORM_ATOL = 1e-10
 
 #: distinct (register, basis) Born probabilities :func:`measure` keeps, and
-#: distinct (register, gate) results :func:`apply_gate` keeps;
+#: distinct (register, Pauli code) results :func:`apply_gate` keeps;
 #: bounds memory when many random registers pass through either
 OUTCOME_CACHE = 256
 
@@ -43,14 +45,10 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 #: the one dtype a register may have: the memos read its bytes back as complex
 _COMPLEX = np.dtype(complex)
 
-GATES: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    # real Y (= ZX); the dense-coding identities below rely on this form
-    "Y": np.array([[0, 1], [-1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-}
+#: the Pauli gates I, Z, X and the real Y (= ZX), indexed by code 2 * m0 + m1
+PAULIS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+                  dtype=complex)
+PAULIS.flags.writeable = False
 
 #: qubit-0 outcome eigenstates as rows, indexed 2 * (X basis) + bit
 EIGENSTATES = np.array([[1, 0], [0, 1], [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
@@ -86,17 +84,17 @@ def apply_batch(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)
-def _gated(amps_bytes: bytes, gate: str) -> np.ndarray:
-    """The read-only register with these amplitude bytes after ``gate`` on qubit 0."""
-    out = apply_batch(np.frombuffer(amps_bytes, complex)[None], GATES[gate])[0]
+def _gated(amps_bytes: bytes, code: int) -> np.ndarray:
+    """The read-only register with these amplitude bytes after Pauli gate ``code`` on qubit 0."""
+    out = apply_batch(np.frombuffer(amps_bytes, complex)[None], PAULIS[code])[0]
     out.flags.writeable = False
     return out
 
 
-def apply_gate(amps: np.ndarray, gate: str) -> np.ndarray:
-    """Apply one of the named 2x2 gates to qubit 0 of a register; returns a
-    read-only register, computed once per register and gate and shared."""
-    return _gated(_key(amps), gate)
+def apply_gate(amps: np.ndarray, code: int) -> np.ndarray:
+    """Apply Pauli gate ``code``, ``PAULIS[code]``, to qubit 0 of a register; returns
+    a read-only register, computed once per register and code and shared."""
+    return _gated(_key(amps), code)
 
 
 def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
@@ -140,9 +138,7 @@ def measure_batch(amps: np.ndarray, x_basis: np.ndarray, u: np.ndarray) -> tuple
 #: the Bell states as rows, indexed 2 * [the two qubits differ] + [minus sign]
 _BELL_AMPS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
                       dtype=complex) * _INV_SQRT2
-# every call that applies a gate or names a Bell state shares these arrays
-for _shared in (*GATES.values(), _BELL_AMPS):
-    _shared.flags.writeable = False
+_BELL_AMPS.flags.writeable = False
 
 
 def make_bell(b: int) -> np.ndarray:

@@ -125,9 +125,9 @@ def test_criterion_8_dense_coding():
     g = np.random.default_rng(808)
     errors = 0
     for _ in range(1_000):
-        for pair, gate in protocol.PAULI_CODE.items():
-            encoded = qsim.apply_gate(qsim.make_bell(0), gate)
-            if adversary.bob_bell_cheat_readout(encoded) != pair:
+        for code in range(4):
+            encoded = qsim.apply_gate(qsim.make_bell(0), code)
+            if adversary.bob_bell_cheat_readout(encoded) != divmod(code, 2):
                 errors += 1
         g.integers(2)  # keep the stream moving; readout itself is deterministic
     report(8, errors == 0, f"{errors} readout errors over 4 gates x 1000 trials")

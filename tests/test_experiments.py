@@ -490,7 +490,7 @@ def block_alice_chunk(policy, rng, trials):
     j = rng.integers(2, size=trials)
     guesses, resent = drawing_alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
-    encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES.take(2 * m0 + m1, axis=0))
+    encoded = qsim.apply_batch(resent, qsim.PAULIS.take(2 * m0 + m1, axis=0))
     check_u, dummy_u = rng.random(size=(2, trials))
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
     bit_error = decoy_flips(encoded, 2 * j, check_u) != np.choose(j, (m0, m1))
@@ -759,7 +759,7 @@ class TestBornTables:
                                                                      np.array([resend]), policy)
                     guess.append(guesses[0])
                     for code in range(4):
-                        encoded = qsim.apply_batch(resent, protocol.PAULI_MATRICES[code])
+                        encoded = qsim.apply_batch(resent, qsim.PAULIS[code])
                         check_p1.append(qsim.probability_of_one(encoded, np.array([did >= 2]))[0])
         guess_table, check_table = experiments._RESEND_TABLES[policy]
         # the key space the Alice round addresses, draws * key + r
@@ -910,16 +910,15 @@ class TestObliviousness:
     @pytest.mark.parametrize("choice", [0, 1])
     @pytest.mark.parametrize("bit", [0, 1])
     def test_compares_encodings_differing_only_in_the_unchosen_bit(self, monkeypatch, choice, bit):
-        gates, original = [], qsim.apply_gate
+        codes, original = [], qsim.apply_gate
 
-        def apply_gate(state, gate):
-            gates.append(gate)
-            return original(state, gate)
+        def apply_gate(state, code):
+            codes.append(code)
+            return original(state, code)
 
         monkeypatch.setattr(qsim, "apply_gate", apply_gate)
         assert experiments.obliviousness_report(choice, bit) <= 1e-12
-        pair_of = {gate: pair for pair, gate in protocol.PAULI_CODE.items()}
-        first, second = (pair_of[gate] for gate in gates)
+        first, second = (divmod(code, 2) for code in codes)
         assert first[choice] == second[choice] == bit and first[1 - choice] != second[1 - choice]
 
     def test_chosen_bit_is_visible(self):
@@ -930,7 +929,7 @@ class TestObliviousness:
             densities = []
             for bit in (0, 1):
                 pair = (bit, unchosen) if choice == 0 else (unchosen, bit)
-                v = qsim.apply_gate(carrier, protocol.PAULI_CODE[pair])
+                v = qsim.apply_gate(carrier, 2 * pair[0] + pair[1])
                 densities.append(np.outer(v, v.conj()))
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
@@ -968,7 +967,7 @@ class TestAliceAttackReport:
                             conc += p_event
                         for resent, pr in resends(policy, x_basis, bit):
                             for pair in itertools.product((0, 1), (0, 1)):
-                                enc = qsim.apply_gate(resent, protocol.PAULI_CODE[pair])
+                                enc = qsim.apply_gate(resent, 2 * pair[0] + pair[1])
                                 pb = born(enc, j)
                                 err += p_event * pr * 0.25 * sum(
                                     q for b, q in pb.items() if b != pair[j])

@@ -34,44 +34,31 @@ def collapse(state, x_basis, u):
     return int(bits[0]), block[0]
 
 
-def gate_on(state, gate, qubit):
-    """``gate`` on one qubit of a two-qubit register: ``qsim.apply_gate`` on
-    qubit 0, and the oracle kron(I, G) on qubit 1, where qsim has no gate."""
+def gate_on(state, code, qubit):
+    """Pauli gate ``code`` on one qubit of a two-qubit register:
+    ``qsim.apply_gate`` on qubit 0, and the oracle kron(I, P) on qubit 1,
+    where qsim has no gate."""
     if qubit == 0:
-        return qsim.apply_gate(state, gate)
-    return np.kron(qsim.GATES["I"], qsim.GATES[gate]) @ state
+        return qsim.apply_gate(state, code)
+    return np.kron(np.eye(2), qsim.PAULIS[code]) @ state
 
 
 class TestGates:
     def test_matrices_are_unitary(self):
-        for name, g in qsim.GATES.items():
-            assert np.max(np.abs(g.conj().T @ g - np.eye(2))) <= 1e-12, name
+        for code, g in enumerate(qsim.PAULIS):
+            assert np.max(np.abs(g.conj().T @ g - np.eye(2))) <= 1e-12, code
 
     def test_y_is_real_zx(self):
-        assert np.array_equal(qsim.GATES["Y"], np.array([[0, 1], [-1, 0]]))
-        assert np.allclose(qsim.GATES["Y"], qsim.GATES["Z"] @ qsim.GATES["X"])
-
-    def test_h_is_self_inverse_and_real(self):
-        h = qsim.GATES["H"]
-        assert np.max(np.abs(h @ h - np.eye(2))) <= 1e-12
-        assert np.array_equal(h, h.conj())
+        assert np.array_equal(qsim.PAULIS[3], np.array([[0, 1], [-1, 0]]))
+        assert np.allclose(qsim.PAULIS[3], qsim.PAULIS[1] @ qsim.PAULIS[2])
 
     def test_y_on_zero_gives_minus_one(self):
-        out = qsim.apply_gate(qsim.ZERO, "Y")
+        out = qsim.apply_gate(qsim.ZERO, 3)
         assert np.allclose(out, [0, -1])
 
-    def test_h_on_zero_gives_plus(self):
-        out = qsim.apply_gate(qsim.ZERO, "H")
-        assert np.allclose(out, qsim.PLUS)
-
     def test_identity_preserves_minus(self):
-        out = qsim.apply_gate(qsim.MINUS, "I")
+        out = qsim.apply_gate(qsim.MINUS, 0)
         assert np.allclose(out, qsim.MINUS)
-
-    def test_h_swaps_z_and_x_eigenstates(self):
-        for a, b in [(qsim.ZERO, qsim.PLUS), (qsim.ONE, qsim.MINUS)]:
-            assert np.allclose(qsim.apply_gate(a, "H"), b)
-            assert np.allclose(qsim.apply_gate(b, "H"), a)
 
 
 class TestPureState:
@@ -84,7 +71,7 @@ class TestPureState:
             with pytest.raises(ValueError):
                 amps[0] = 0.6
         mine = np.array([0.6, 0.8], dtype=complex)
-        out = qsim.apply_gate(mine, "I")
+        out = qsim.apply_gate(mine, 0)
         mine[0] = 0.8  # the caller's own array stays writable
         assert out[0] == 0.6
         # an entangling isometry copies the arrays it validates too
@@ -95,16 +82,16 @@ class TestPureState:
         assert adversary.ue_detection_probability(params) == 0.0
 
     @pytest.mark.parametrize("array", [
-        *qsim.GATES.values(),
+        *qsim.PAULIS,
         *(qsim.make_bell(b) for b in range(4)),
-        protocol.PAULI_MATRICES,
+        qsim.PAULIS,
         *(getattr(adversary.UeParams.no_detection_point(), name) for name in ("e00", "e01", "e10", "e11")),
         qsim.ZERO, qsim.ONE, qsim.PLUS, qsim.MINUS,
-        qsim.apply_gate(qsim.ZERO, "H"),
+        qsim.apply_gate(qsim.ZERO, 2),
         qsim.make_bell(3),
-        qsim.apply_gate(qsim.make_bell(0), "Y"),
-    ], ids=[*(f"gate-{name}" for name in qsim.GATES), *BELL_NAMES,
-            "pauli-matrices", "e00", "e01", "e10", "e11",
+        qsim.apply_gate(qsim.make_bell(0), 3),
+    ], ids=[*(f"pauli-{code}" for code in range(4)), *BELL_NAMES,
+            "paulis", "e00", "e01", "e10", "e11",
             "zero", "one", "plus", "minus", "apply-gate", "make-bell", "encoded"])
     def test_shared_arrays_are_read_only(self, array):
         """Module tables are shared by every call that reads them, and a
@@ -163,16 +150,17 @@ class TestMeasure:
         assert abs(np.vdot(post, post).real - 1.0) <= 1e-10
 
     def test_immunity_of_encodings(self):
-        # I and Z leave Z eigenstates fixed; I and X leave X eigenstates fixed
-        for gate in ("I", "Z"):
+        # I and Z (codes 0 and 1) leave Z eigenstates fixed;
+        # I and X (codes 0 and 2) leave X eigenstates fixed
+        for code in (0, 1):
             for state, bit in [(qsim.ZERO, 0), (qsim.ONE, 1)]:
                 for seed in range(5):
-                    out = qsim.apply_gate(state, gate)
+                    out = qsim.apply_gate(state, code)
                     assert qsim.measure(out, False, rng(seed).random()) == bit
-        for gate in ("I", "X"):
+        for code in (0, 2):
             for state, bit in [(qsim.PLUS, 0), (qsim.MINUS, 1)]:
                 for seed in range(5):
-                    out = qsim.apply_gate(state, gate)
+                    out = qsim.apply_gate(state, code)
                     assert qsim.measure(out, True, rng(seed).random()) == bit
 
 
@@ -270,33 +258,46 @@ class TestMeasureMemo:
             assert type(bit) is int and bit == int(u < p1)
 
 
-def assert_gates_as_batch(states, gates):
+def assert_gates_as_batch(states, codes):
     """Each ``apply_gate`` result is the pre-memo arithmetic, one row of
     ``apply_batch``, and read-only."""
-    for state, gate in zip(states, gates, strict=True):
-        out = qsim.apply_gate(state, gate)
-        assert np.array_equal(out, qsim.apply_batch(state[None], qsim.GATES[gate])[0])
+    for state, code in zip(states, codes, strict=True):
+        out = qsim.apply_gate(state, code)
+        assert np.array_equal(out, qsim.apply_batch(state[None], qsim.PAULIS[code])[0])
         assert not out.flags.writeable
 
 
 class TestGateMemo:
     """``apply_gate`` computes each gated register once, keyed by its
-    amplitude bytes and gate; every call must still read as unmemoized."""
+    amplitude bytes and Pauli code; every call must still read as unmemoized."""
 
     @given(st.one_of(st.sampled_from([*EXACT_STATES, qsim.make_bell(0)]),
                      st.builds(random_state, st.integers(1, 3), st.integers(0, 2**32 - 1))),
-           st.sampled_from(sorted(qsim.GATES)), st.integers(0, 2**32 - 1))
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_batch_arithmetic(self, state, gate, seed):
+    def test_matches_the_batch_arithmetic(self, state, code, seed):
         # first call, then a byte-equal copy, which finds the cached register
-        assert_gates_as_batch([state], [gate])
-        assert_gates_as_batch([state.copy()], [gate])
-        # more distinct registers than the cache holds, every gate among them
+        assert_gates_as_batch([state], [code])
+        assert_gates_as_batch([state.copy()], [code])
+        # more distinct registers than the cache holds, every code among them
         others = [random_state(1 + t % 3, seed + t) for t in range(qsim.OUTCOME_CACHE + 1)]
-        names = sorted(qsim.GATES)
-        assert_gates_as_batch(others, [names[t % len(names)] for t in range(len(others))])
+        assert_gates_as_batch(others, [t % 4 for t in range(len(others))])
         assert qsim._gated.cache_info().currsize <= qsim.OUTCOME_CACHE
-        assert_gates_as_batch([state], [gate])
+        assert_gates_as_batch([state], [code])
+
+    def test_honest_runs_fill_eight_gated_registers_and_five_born_keys(self):
+        """Step 4 encodes |0> or |+> with one of four codes, and every check
+        measures an eigenstate or an encoded payload: at the criterion-1 and
+        the paper shape, the memos hold 8 gated registers and 5 Born keys,
+        far under ``OUTCOME_CACHE``."""
+        qsim._gated.cache_clear()
+        qsim._born.cache_clear()
+        for seed in range(100):
+            protocol.run_honest(protocol.ProtocolConfig(N=1 + seed % 16, M=1, M2=1, K=1, seed=seed))
+        for seed in range(10):
+            protocol.run_honest(protocol.ProtocolConfig(N=50, M=50, M2=50, K=20, seed=seed))
+        assert qsim._gated.cache_info().currsize == 8
+        assert qsim._born.cache_info().currsize == 5
 
 
 class TestMeasureBatch:
@@ -384,15 +385,8 @@ class TestBell:
                 ip = np.vdot(qsim.make_bell(i), qsim.make_bell(j))
                 assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-12
 
-    def test_phi_plus_in_x_basis(self):
-        # H (x) H maps Z eigenbasis to X eigenbasis; Phi+ keeps the same form
-        b = qsim.make_bell(0)
-        rotated = gate_on(qsim.apply_gate(b, "H"), "H", 1)
-        assert np.allclose(rotated, b, atol=1e-12)
-
     def test_dense_coding_states_pairwise_orthogonal(self):
-        states = [qsim.apply_gate(qsim.make_bell(0), g)
-                  for g in ("I", "X", "Y", "Z")]
+        states = [qsim.apply_gate(qsim.make_bell(0), code) for code in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(np.vdot(states[i], states[j])) <= 1e-12
@@ -405,12 +399,12 @@ class TestBell:
             for x, z in itertools.product((0, 1), (0, 1)):
                 state = b
                 if x:
-                    state = gate_on(state, "X", qubit)
+                    state = gate_on(state, 2, qubit)
                 if z:
-                    state = gate_on(state, "Z", qubit)
+                    state = gate_on(state, 1, qubit)
                 assert qsim.bell_measure(state) == 2 * x + z, (qubit, x, z)
-            # Y = ZX is the one gate Alice applies for the pair (1, 1)
-            assert qsim.bell_measure(gate_on(b, "Y", qubit)) == 3, qubit
+            # Y = ZX, code 3, is the one gate Alice applies for the pair (1, 1)
+            assert qsim.bell_measure(gate_on(b, 3, qubit)) == 3, qubit
 
     @pytest.mark.parametrize("b", range(4), ids=BELL_NAMES)
     def test_bell_measure_ignores_qubit_order(self, b):
@@ -464,8 +458,8 @@ class TestTraceDistance:
 
     def test_global_phase_invisible_in_density(self):
         # X|0> = |1>, Y|0> = -|1>: identical density matrices
-        dx = projector(qsim.apply_gate(qsim.ZERO, "X"))
-        dy = projector(qsim.apply_gate(qsim.ZERO, "Y"))
+        dx = projector(qsim.apply_gate(qsim.ZERO, 2))
+        dy = projector(qsim.apply_gate(qsim.ZERO, 3))
         assert qsim.trace_distance(dx, dy) <= 1e-12
 
     def test_dimension_mismatch(self):

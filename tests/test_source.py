@@ -45,14 +45,20 @@ READERS = sorted(MODULES + [*TESTS.glob("*.py"), *(TESTS.parent / "perfbench").g
 
 
 def module_definitions(tree):
-    """Each module-level function, class and constant of ``tree`` (dunder
-    names such as ``__all__`` excepted), with the lines its definition spans."""
+    """Each module-level function, class and constant of ``tree``, and each
+    name a module-level ``for`` or ``with`` statement binds (dunder names such
+    as ``__all__`` excepted), with the lines its definition spans: for a loop
+    or ``with`` block, the whole statement, body included."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.For, ast.With)):
+            targets = [node.target] if isinstance(node, ast.For) else [i.optional_vars for i in node.items]
+            names = [n.id for t in targets if t is not None for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
         else:
             continue
         for name in names:
@@ -93,7 +99,9 @@ def test_every_module_level_definition_is_read():
 def test_an_unread_helper_is_reported(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("LIMIT = 3\n\n\ndef helper(n):\n    return helper(n - 1) if n else LIMIT\n\n\n"
-                      "def used():\n    return 1\n")
+                      "def used():\n    return 1\n\n\nfor _row, _col in [(LIMIT, 0)]:\n    print(_row, _col)\n")
     reader = tmp_path / "reader.py"
     reader.write_text("from module import used\n")
-    assert dead_definitions([module], [module, reader]) == ["module.py:4: helper"]
+    # a loop's targets are read only inside the loop, so it reports both
+    assert dead_definitions([module], [module, reader]) == [
+        "module.py:4: helper", "module.py:12: _row", "module.py:12: _col"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -369,10 +370,14 @@ class TestBobBellCheat:
         assert abs(detections / n - expected) <= 4 * se
 
     def test_readout_recovers_every_pair(self):
-        # four distinct codes each read back as their own pair: a bijection
         for code in range(4):
             encoded = qsim.apply_gate(qsim.make_bell(0), code)
             assert adversary.bob_bell_cheat_readout(encoded) == divmod(code, 2)
+
+    def test_readout_is_bijection(self):
+        seen = {adversary.bob_bell_cheat_readout(qsim.apply_gate(qsim.make_bell(0), code))
+                for code in range(4)}
+        assert seen == set(itertools.product((0, 1), (0, 1)))
 
     def test_untested_cheat_reads_all_messages(self):
         g = rng(4)

@@ -34,6 +34,10 @@ def collapse(state, x_basis, u):
     return int(bits[0]), block[0]
 
 
+#: the Hadamard (Z + X) / sqrt(2), a test oracle only: qsim has no H gate
+HADAMARD = (qsim.PAULIS[1] + qsim.PAULIS[2]) / math.sqrt(2)
+
+
 def gate_on(state, code, qubit):
     """Pauli gate ``code`` on one qubit of a two-qubit register:
     ``qsim.apply_gate`` on qubit 0, and the oracle kron(I, P) on qubit 1,
@@ -51,6 +55,27 @@ class TestGates:
     def test_y_is_real_zx(self):
         assert np.array_equal(qsim.PAULIS[3], np.array([[0, 1], [-1, 0]]))
         assert np.allclose(qsim.PAULIS[3], qsim.PAULIS[1] @ qsim.PAULIS[2])
+
+    def test_code_is_z_power_m1_times_x_power_m0(self):
+        z = np.array([[1, 0], [0, -1]])
+        x = np.array([[0, 1], [1, 0]])
+        for m0, m1 in itertools.product((0, 1), (0, 1)):
+            expected = np.linalg.matrix_power(z, m1) @ np.linalg.matrix_power(x, m0)
+            assert np.array_equal(qsim.PAULIS[2 * m0 + m1], expected), (m0, m1)
+
+    def test_codes_compose_by_xor_up_to_sign(self):
+        # with the real Y, every product of two gates is +-1 times the gate
+        # whose code is the XOR of theirs: YY = -I, XZ = -Y
+        for a, b in itertools.product(range(4), range(4)):
+            product = qsim.PAULIS[a] @ qsim.PAULIS[b]
+            assert (np.array_equal(product, qsim.PAULIS[a ^ b])
+                    or np.array_equal(product, -qsim.PAULIS[a ^ b])), (a, b)
+
+    def test_x_eigenstates_are_the_hadamard_of_z_eigenstates(self):
+        assert np.max(np.abs(HADAMARD @ HADAMARD - np.eye(2))) <= 1e-12
+        for z_state, x_state in [(qsim.ZERO, qsim.PLUS), (qsim.ONE, qsim.MINUS)]:
+            assert np.allclose(HADAMARD @ z_state, x_state, atol=1e-12)
+            assert np.allclose(HADAMARD @ x_state, z_state, atol=1e-12)
 
     def test_y_on_zero_gives_minus_one(self):
         out = qsim.apply_gate(qsim.ZERO, 3)
@@ -384,6 +409,12 @@ class TestBell:
             for j in range(4):
                 ip = np.vdot(qsim.make_bell(i), qsim.make_bell(j))
                 assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-12
+
+    def test_phi_plus_in_x_basis(self):
+        # H (x) H maps Z eigenbasis to X eigenbasis; Phi+ keeps the same form
+        b = qsim.make_bell(0)
+        rotated = np.kron(HADAMARD, HADAMARD) @ b
+        assert np.allclose(rotated, b, atol=1e-12)
 
     def test_dense_coding_states_pairwise_orthogonal(self):
         states = [qsim.apply_gate(qsim.make_bell(0), code) for code in range(4)]

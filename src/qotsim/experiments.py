@@ -8,9 +8,9 @@ are simulated together as one block (a row per trial) through the Born rule,
 each drawing its rows from its own stream's PCG64 raw words. Every register a
 measurement reads is one of a few, so each reads its Born probability from a
 table the simulator fills once per register at import (per estimate for Eve's
-entangling attack). A detection scenario's round is a :class:`Program` of
-such tables, all drawn by one round function; Eve's intercept and Alice's
-round read the tables of one measure-and-resend,
+entangling attack). Every scenario's round is a :class:`Program` of such
+tables, all drawn by one round function; Eve's intercept and Alice's round
+read the tables of one measure-and-resend,
 :func:`adversary.alice_measure_resend`."""
 
 from __future__ import annotations
@@ -200,51 +200,50 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
 
 @dataclass(frozen=True)
 class Program:
-    """One detection round as data, drawn by :func:`_round`: the first key is
-    the mixed-radix index of one integer row per power-of-two bound, and
-    ``ids[key]`` the decoy id checked. Each Born table in ``stages`` reads
-    one uniform and sets key = 2 * key + (uniform < stage[key]); ``check``
-    at the last key is the check's p1 in the basis of that id. Every table
-    is made read-only."""
+    """A Monte Carlo round as data, drawn by :func:`_round`. Each of ``reads``
+    is one ``(bounds, stages)`` read: each integer row of bound b sets key =
+    b * key + row, then each Born table in ``stages`` reads one uniform and
+    sets key = 2 * key + (uniform < stage[key]). ``events[e, key]`` at the
+    last key says whether event e happened. Every table is made read-only."""
 
-    bounds: tuple[int, ...]
-    ids: np.ndarray
-    stages: tuple[np.ndarray, ...]
-    check: np.ndarray
+    reads: tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]
+    events: np.ndarray
 
     def __post_init__(self):
-        for table in (self.ids, *self.stages, self.check):
+        for table in (*(stage for _, stages in self.reads for stage in stages), self.events):
             table.flags.writeable = False
 
 
-def _round(program: Program, rng: _ChunkStreams):
-    """``program``'s round on each live row in one read, integer rows, then a
-    uniform row per stage, then the check's: ``(p1, ids, u)``, the check's
-    Born probability of reading 1, the checked ids and its uniforms."""
-    ints, (*stage_rows, u) = rng.read(program.bounds, len(program.stages) + 1)
-    key = ints[0]
-    for bound, row in zip(program.bounds[1:], ints[1:]):
-        key = bound * key + row
-    ids = program.ids.take(key)
-    for stage, stage_u in zip(program.stages, stage_rows):
-        key = 2 * key + (stage_u < stage.take(key))
-    return program.check.take(key), ids, u
+def _round(program: Program, rng: _ChunkStreams) -> np.ndarray:
+    """Each live row's last key: one ``rng.read`` per read of ``program``, and
+    a stage reads 1 iff its uniform is below its p1, as ``measure_batch`` does."""
+    key = 0
+    for bounds, stages in program.reads:
+        ints, uniforms = rng.read(bounds, len(stages))
+        for bound, row in zip(bounds, ints):
+            key = bound * key + row
+        for stage, u in zip(stages, uniforms):
+            key = 2 * key + (u < stage.take(key))
+    return key
 
 
 def _first_flip_chunk(program: Program, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
     """Sequential decoy checks: [unflipped, flipped] counts. Each of up to
-    ``rounds`` rounds of ``program`` checks the trials not yet flipped; a
-    check reads 1 iff its uniform is below its p1, as in
-    :func:`qsim.measure_batch`, and a trial stops at its first flip."""
+    ``rounds`` rounds of ``program`` checks the trials not yet flipped, and a
+    trial stops at its first flip, the program's event 0."""
     active = trials
     for _ in range(rounds):
         if not active:
             break
-        p1, ids, u = _round(program, rng)
-        flips = protocol.decoy_flipped(ids, u < p1)
+        flips = program.events[0].take(_round(program, rng))
         rng.keep(~flips)
         active -= int(np.count_nonzero(flips))
     return [active, trials - active]
+
+
+def _event_chunk(program: Program, rng: _ChunkStreams, trials: int) -> list[int]:
+    """One round of ``program`` on every trial: the count of each event."""
+    return np.count_nonzero(program.events[:, _round(program, rng)], axis=1).tolist()
 
 
 #: the Born probability of reading 1 on decoy id d measured in basis b (X
@@ -284,27 +283,34 @@ def _resend_tables(policy: str) -> tuple[np.ndarray, np.ndarray]:
 
 #: a measure-and-resend round's tables by resend policy: see :func:`_resend_tables`
 _RESEND_TABLES = {policy: _resend_tables(policy) for policy in adversary.RESEND_POLICIES}
-#: the check's Born probability in an intercept round, at 2 * (2 * d + b) + bit:
-#: the ``collapsed`` policy's unencoded entries
-_CHECK_P1 = _read_only(_RESEND_TABLES["collapsed"][1][::4].copy())
+
+
+def _detection_program(bounds: tuple[int, ...], ids: np.ndarray, stages: tuple) -> Program:
+    """A detection round of one read: ``ids[key]`` is the decoy id checked at
+    the first key, and the last Born table of ``stages`` is the check's. Its
+    one event is the flip: the check's bit is not the bit of that id."""
+    key = np.arange(2 * len(stages[-1]))
+    return Program(((bounds, stages),), protocol.decoy_flipped(ids[key >> len(stages)], key % 2 == 1)[None])
+
 
 #: random decoys, each measured and resent by Eve in a random basis: the key
-#: 2 * d + b of decoy id d and her basis b, her outcome from its Born
-#: probability, and the check on the eigenstate she resends
-_INTERCEPT = Program((len(DECOY_AMPS), 2), np.arange(len(_MEASURE_P1)) // 2, (_MEASURE_P1,), _CHECK_P1)
+#: 2 * d + b of decoy id d and her basis b, her outcome from its Born p1, and the
+#: check on the eigenstate she resends, the ``collapsed`` policy's code-0 column
+_INTERCEPT = _detection_program((len(DECOY_AMPS), 2), np.arange(len(_MEASURE_P1)) // 2,
+                                (_MEASURE_P1, _RESEND_TABLES["collapsed"][1][::4].copy()))
 #: loyalty tests of a cheating Bob's Bell slots, each checked against the id
 #: 2c of the uniformly random choice c he declares; the transmitted half is
 #: maximally mixed, so each test fails with probability 1/2
-_BELL = Program((2,), 2 * np.arange(2), (), qsim.probability_of_one(
-    np.broadcast_to(adversary.BELL_SLOT, (2, 4)), np.arange(2) == 1))
+_BELL = _detection_program((2,), 2 * np.arange(2), (qsim.probability_of_one(
+    np.broadcast_to(adversary.BELL_SLOT, (2, 4)), np.arange(2) == 1),))
 
 
 def _entangling_program(params) -> Program:
     """Random decoys through Eve's entangling attack: each id's check on what
     one call of her isometry makes of the four decoys."""
     ids = np.arange(len(DECOY_AMPS))
-    return Program((len(ids),), ids, (), qsim.probability_of_one(
-        adversary.eve_entangling_attack(DECOY_AMPS, params), ids >= 2))
+    return _detection_program((len(ids),), ids, (qsim.probability_of_one(
+        adversary.eve_entangling_attack(DECOY_AMPS, params), ids >= 2),))
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -369,33 +375,27 @@ class AliceAttackReport:
                 for name, closed in ALICE_CLOSED_FORMS[self.policy].items()]
 
 
-def _alice_chunk(policy: str, rng: _ChunkStreams, trials: int) -> list[int]:
-    """Slots through Alice's measure-and-resend: the counts of conclusive
-    guesses, wrong conclusive guesses, bit errors and dummy errors.
-
-    Each chunk stream gives Bob's choices j and Alice's bases, then her
-    uniforms, in one read; then her resend draws (if her policy makes one),
-    the message bits m0 and m1, then the check's and the dummy's uniforms,
-    in a second. Alice reads 1 where her uniform is below her Born
-    probability; her guess and the check's probability are read from
-    :func:`_resend_tables` at Bob's decoy id 2j."""
-    guess, check_p1 = _RESEND_TABLES[policy]
+def _alice_program(policy: str) -> Program:
+    """Slots through Alice's measure-and-resend, read from its tables at Bob's
+    decoy ids 2j. One read draws Bob's choice j, Alice's basis and her outcome; a
+    second her resend draw (if her policy makes one), m0 and m1, the check on
+    what she resent, encoded with code 2 * m0 + m1, and the dummy coin. Its
+    events: a conclusive guess, a wrong one, a bit error, a dummy error."""
     draws = adversary.RESEND_DRAWS.get(policy)
-    (j, a), (alice_u,) = rng.read((2, 2), 1)
-    db = 4 * j + a
-    key = 2 * db + (alice_u < _MEASURE_P1.take(db))
-    ints, (check_u, dummy_u) = rng.read((draws, 2, 2) if draws else (2, 2), 2)
-    if draws:
-        key = draws * key + ints[0]
-    m0, m1 = ints[-2:]
-    guesses = guess.take(key)
+    measure_p1, guess, check_p1 = (t.reshape(2, 2, -1)[:, 0].ravel()
+                                   for t in (_MEASURE_P1, *_RESEND_TABLES[policy]))
+    j, *_, m0, m1, check, coin = np.indices((2, 2, 2, draws or 1, 2, 2, 2, 2)).reshape(8, -1)
+    guesses = guess.repeat(16)  # a key's guess for each m0, m1, check bit and coin
     # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
-    flipped = protocol.decoy_flipped(2 * j, check_u < check_p1.take(4 * key + 2 * m0 + m1))
-    bit_error = flipped != np.choose(j, (m0, m1))
-    dummy_error = bit_error & (dummy_u < 0.5)
+    bit_error = protocol.decoy_flipped(2 * j, check) != np.choose(j, (m0, m1))
     conclusive = guesses >= 0
-    return [int(np.count_nonzero(event)) for event in
-            (conclusive, conclusive & (guesses != j), bit_error, dummy_error)]
+    return Program((((2, 2), (measure_p1,)),
+                    ((draws, 2, 2) if draws else (2, 2), (check_p1, np.full(2 * len(check_p1), 0.5)))),
+                   np.array([conclusive, conclusive & (guesses != j), bit_error, bit_error & coin], bool))
+
+
+#: a dishonest Alice's round by resend policy: see :func:`_alice_program`
+_ALICE = {policy: _alice_program(policy) for policy in adversary.RESEND_POLICIES}
 
 
 def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> AliceAttackReport:
@@ -408,9 +408,9 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     (probability one half).
     """
     trials = protocol.as_integer("trials", trials)  # the report holds an int
-    conclusive, wrong, bit_errors, dummy_errors = _tally(partial(_alice_chunk, policy), trials, seed)
+    conclusive, wrong, bit_errors, dummies = _tally(partial(_event_chunk, _ALICE[policy]), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
-                             dummy_errors / trials, trials, policy)
+                             dummies / trials, trials, policy)
 
 
 def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: int = 0) -> EstimateRow:

@@ -83,9 +83,11 @@ def apply_batch(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return _project(amps[:, None, :], mats).reshape(amps.shape)
 
 
-@functools.lru_cache(maxsize=OUTCOME_CACHE)
+@functools.lru_cache(maxsize=OUTCOME_CACHE, typed=True)
 def _gated(amps_bytes: bytes, code: int) -> np.ndarray:
     """The read-only register with these amplitude bytes after Pauli gate ``code`` on qubit 0."""
+    if type(code) is not int or not 0 <= code <= 3:  # the memo is typed, so True or 1.0 gets here
+        raise ValueError(f"a Pauli code must be an int from 0 to 3, got {code!r}")
     out = apply_batch(np.frombuffer(amps_bytes, complex)[None], PAULIS[code])[0]
     out.flags.writeable = False
     return out
@@ -93,7 +95,8 @@ def _gated(amps_bytes: bytes, code: int) -> np.ndarray:
 
 def apply_gate(amps: np.ndarray, code: int) -> np.ndarray:
     """Apply Pauli gate ``code``, ``PAULIS[code]``, to qubit 0 of a register; returns
-    a read-only register, computed once per register and code and shared."""
+    a read-only register, computed once per register and code and shared. A code
+    that is not an int from 0 to 3 (a bool included) is a ValueError."""
     return _gated(_key(amps), code)
 
 

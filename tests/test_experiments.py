@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import re
 import subprocess
@@ -164,7 +163,7 @@ class TestSweep:
 CHUNK_KERNELS = {
     "intercept": partial(experiments._first_flip_chunk, experiments._INTERCEPT, 3),
     "bell": partial(experiments._first_flip_chunk, experiments._BELL, 2),
-    "alice": partial(experiments._alice_chunk, "guess"),
+    "alice": partial(experiments._event_chunk, experiments._ALICE["guess"]),
     "entangling": partial(experiments._first_flip_chunk, experiments._entangling_program(UE_PARAMS), 1),
 }
 
@@ -484,9 +483,9 @@ def block_first_flip_chunk(draw, rounds, rng, trials):
 
 
 def block_alice_chunk(policy, rng, trials):
-    """``experiments._alice_chunk`` as it was when it measured and encoded
-    amplitude blocks, verbatim but for ``alice_measure_resend`` as it drew
-    its own values and ``decoy_flips``, both now test references."""
+    """Alice's round as it was when it measured and encoded amplitude blocks,
+    verbatim but for the name, ``alice_measure_resend`` as it drew its own
+    values and ``decoy_flips``, both now test references."""
     j = rng.integers(2, size=trials)
     guesses, resent = drawing_alice_measure_resend(DECOY_AMPS.take(2 * j, axis=0), rng, policy)
     m0, m1 = rng.integers(2, size=(2, trials))
@@ -505,15 +504,18 @@ def assert_same(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
-def assert_round_matches_block(got, ref):
-    """A program round's ``(p1, ids, u)`` against a block round's ``(block,
-    ids, u)``: p1 is the check's Born probability of the block, bit for bit,
-    and the rest is equal."""
-    p1, ids, u = got
+def assert_round_matches_block(program, ids, key, ref):
+    """A detection round's last keys against a block round's ``(block, ids,
+    u)``: the check's p1 (its stage at the key before its bit) is the block's
+    Born probability, bit for bit, and the checked ``ids`` (by first key),
+    the check's bit and the program's flip are the block's."""
     block, ref_ids, ref_u = ref
-    assert_same(p1, qsim.probability_of_one(block, ref_ids >= 2))
-    assert_same(ids, ref_ids)
-    assert_same(u, ref_u)
+    ((_, stages),) = program.reads
+    p1 = qsim.probability_of_one(block, ref_ids >= 2)
+    assert_same(stages[-1].take(key >> 1), p1)
+    assert_same(ids.take(key >> len(stages)), ref_ids)
+    assert_same(key % 2 == 1, ref_u < p1)
+    assert_same(program.events[0].take(key), decoy_flips(block, ref_ids, ref_u))
 
 
 class Kept:
@@ -578,13 +580,13 @@ def logged(draw, log):
     return step
 
 
-def assert_kernels_agree(program, ref_draw, rows, rounds, buffered, seed):
+def assert_kernels_agree(program, ids, ref_draw, rows, rounds, buffered, seed):
     """``experiments._first_flip_chunk`` over ``program``, and the block kernel
     over the block round ``ref_draw`` on the twin streams' ``Generator``
     methods, each on a stand-in over twin streams: each round matches its
-    block round (:func:`assert_round_matches_block`), each round's ``keep``
-    mask and the counts are equal, and each twin stream's next draws agree
-    afterwards."""
+    block round (:func:`assert_round_matches_block`, ``ids`` by first key),
+    each round's ``keep`` mask and the counts are equal, and each twin
+    stream's next draws agree afterwards."""
     trials = sum(rows)
     got_rng, ref_rng = twin_stand_ins(rows, buffered, seed, (KeptStreams, KeptTwins))
     got_log, ref_log = [], []
@@ -593,8 +595,8 @@ def assert_kernels_agree(program, ref_draw, rows, rounds, buffered, seed):
     ref = block_first_flip_chunk(logged(ref_draw, ref_log), rounds, ref_rng, trials)
     assert got == ref
     assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
-    for round_out, ref_out in zip(got_log, ref_log):
-        assert_round_matches_block(round_out, ref_out)
+    for key, ref_out in zip(got_log, ref_log):
+        assert_round_matches_block(program, ids, key, ref_out)
     for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
         assert np.array_equal(kept, ref_kept)
     assert_next_reads_agree(got_rng, ref_rng, len(rows))
@@ -605,14 +607,21 @@ def assert_kernels_agree(program, ref_draw, rows, rounds, buffered, seed):
 TWIN_RUNS = (st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 8),
              st.booleans(), st.integers(0, 2 ** 32 - 1))
 
-#: each detection program, and the block round it replaces
+#: the decoy id each detection program checks at each first key
+INTERCEPT_IDS, BELL_IDS, ENTANGLING_IDS = np.arange(8) // 2, 2 * np.arange(2), np.arange(4)
+
+#: each detection program, its checked ids, and the block round it replaces
 BLOCK_ROUNDS = {
-    "intercept": (experiments._INTERCEPT, block_intercept_round),
-    "bell": (experiments._BELL, block_bell_round),
-    "entangling": (experiments._entangling_program(UE_PARAMS), partial(block_entangling_round, UE_PARAMS)),
-    "entangling-undetected": (experiments._entangling_program(NO_DETECTION),
+    "intercept": (experiments._INTERCEPT, INTERCEPT_IDS, block_intercept_round),
+    "bell": (experiments._BELL, BELL_IDS, block_bell_round),
+    "entangling": (experiments._entangling_program(UE_PARAMS), ENTANGLING_IDS,
+                   partial(block_entangling_round, UE_PARAMS)),
+    "entangling-undetected": (experiments._entangling_program(NO_DETECTION), ENTANGLING_IDS,
                               partial(block_entangling_round, NO_DETECTION)),
 }
+#: every program: the detection programs and Alice's, one per resend policy
+PROGRAMS = {**{name: entry[0] for name, entry in BLOCK_ROUNDS.items()},
+            **{f"alice-{policy}": program for policy, program in experiments._ALICE.items()}}
 
 
 class TestTableRounds:
@@ -625,21 +634,19 @@ class TestTableRounds:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_block_round(self, name, rows, rounds, buffered, seed):
         assume(sum(rows))
-        program, block_draw = BLOCK_ROUNDS[name]
-        assert_kernels_agree(program, block_draw, rows, rounds, buffered, seed)
+        assert_kernels_agree(*BLOCK_ROUNDS[name], rows, rounds, buffered, seed)
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_a_round_makes_one_read(self, name, rows, seed):
-        # the program's integer rows and a uniform row per stage and for the
-        # check, in one read of one row per live trial
+        # one read per entry of reads, and one last key per live trial
         assume(sum(rows))
-        program = BLOCK_ROUNDS[name][0]
+        program = PROGRAMS[name]
         rng = ReadLog([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-        p1, ids, u = experiments._round(program, rng)
-        assert rng.reads == [(program.bounds, len(program.stages) + 1)]
-        assert p1.shape == ids.shape == u.shape == (sum(rows),)
+        key = experiments._round(program, rng)
+        assert rng.reads == [(bounds, len(stages)) for bounds, stages in program.reads]
+        assert key.shape == (sum(rows),)
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -647,7 +654,7 @@ class TestTableRounds:
     def test_alice_matches_the_block_chunk(self, policy, rows, buffered, seed):
         assume(sum(rows))
         got_rng, ref_rng = twin_stand_ins(rows, buffered, seed)
-        assert (experiments._alice_chunk(policy, got_rng, sum(rows))
+        assert (experiments._event_chunk(experiments._ALICE[policy], got_rng, sum(rows))
                 == block_alice_chunk(policy, ref_rng, sum(rows)))
         assert_next_reads_agree(got_rng, ref_rng, len(rows))
 
@@ -709,31 +716,27 @@ def alice_rows(draw, policy):
     return j, a, alice_u, resend, m0, m1, draw(uniforms_near(0.5)), draw(uniforms_near(0.5))
 
 
-def exact_flip_rate(program):
-    """The probability that one round of ``program`` flips its check, summed
-    over its keys with no sampling: each first key weighs 1 / prod(bounds),
-    each stage's bit p or 1 - p of its table entry (a branch of weight 0,
-    which no uniform reaches, is skipped), and the check flips with its p1,
-    or with 1 - p1 where the checked id is odd."""
-    first = math.prod(program.bounds)
-    branches = [(key, program.ids[key], 1.0 / first) for key in range(first)]
-    for stage in program.stages:
-        branches = [(2 * key + bit, did, weight * p) for key, did, weight in branches
-                    for bit, p in ((0, 1.0 - stage[key]), (1, stage[key])) if p > 0]
-    return sum(weight * (1.0 - program.check[key] if did % 2 else program.check[key])
-               for key, did, weight in branches)
+def exact_events(program):
+    """The probability of each event of one round of ``program``, summed over
+    its keys with no sampling: each value of an integer row of bound b weighs
+    1 / b, and each stage's bit p or 1 - p of its table entry (a branch of
+    weight 0, which no uniform reaches, is skipped)."""
+    branches = [(0, 1.0)]
+    for bounds, stages in program.reads:
+        for b in bounds:
+            branches = [(b * key + row, weight / b) for key, weight in branches for row in range(b)]
+        for stage in stages:
+            branches = [(2 * key + bit, weight * p) for key, weight in branches
+                        for bit, p in ((0, 1.0 - stage[key]), (1, stage[key])) if p > 0]
+    return sum(weight * program.events[:, key] for key, weight in branches)
 
 
-#: every Born table by name, each program's ids, stages and check, an
-#: entangling program's among them
+#: every Born table by name, and each program's stages and then its events
 TABLES = {"measure": experiments._MEASURE_P1,
           **{f"{policy}.{kind}": table for policy, tables in experiments._RESEND_TABLES.items()
              for kind, table in zip(("guess", "check"), tables)},
-          **{f"{name}.{field}": table
-             for name, program in (("intercept", experiments._INTERCEPT), ("bell", experiments._BELL),
-                                   ("entangling", experiments._entangling_program(UE_PARAMS)))
-             for field, table in (("ids", program.ids), *(("stage", s) for s in program.stages),
-                                  ("check", program.check))}}
+          **{f"{name}.{i}": table for name, program in PROGRAMS.items()
+             for i, table in enumerate([*(s for _, stages in program.reads for s in stages), program.events])}}
 
 
 class TestBornTables:
@@ -767,16 +770,21 @@ class TestBornTables:
         assert_same(experiments._MEASURE_P1, np.array(measure_p1))
         assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
         assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
-        # the intercept program's stage and check: the measurement and the
+        # the intercept program's stages: the measurement, then the check, the
         # collapsed policy's code-0 column
-        assert experiments._INTERCEPT.stages == (experiments._MEASURE_P1,)
-        assert experiments._INTERCEPT.check is experiments._CHECK_P1
-        assert np.array_equal(experiments._CHECK_P1, np.array(intercept_p1), equal_nan=True)
-        assert experiments._CHECK_P1.tobytes() == experiments._RESEND_TABLES["collapsed"][1][::4].tobytes()
+        ((bounds, (measure, check)),) = experiments._INTERCEPT.reads
+        assert bounds == (4, 2) and measure is experiments._MEASURE_P1
+        assert np.array_equal(check, np.array(intercept_p1), equal_nan=True)
+        assert check.tobytes() == experiments._RESEND_TABLES["collapsed"][1][::4].tobytes()
+        # Alice's program reads the rows of Bob's ids 0 and 2, then a dummy coin of 1/2
+        (_, (alice_p1,)), (_, (alice_check, coin)) = experiments._ALICE[policy].reads
+        assert_same(alice_p1, experiments._MEASURE_P1[[0, 1, 4, 5]])
+        assert np.array_equal(alice_check, check_table[np.r_[:16 * draws, 32 * draws:48 * draws]], equal_nan=True)
+        assert coin.shape == (2 * len(alice_check),) and np.all(coin == 0.5)
         # the NaN entries are the outcomes of probability 0: id 0 reads no 1
         # in Z, id 1 no 0 in Z and id 2 no 1 in X. |-> in X reads 0 with
         # probability 2^-51, not 0 (its p1 is 1 - 2^-51), so its entries are finite
-        assert np.flatnonzero(np.isnan(experiments._CHECK_P1)).tolist() == [1, 4, 11]
+        assert np.flatnonzero(np.isnan(check)).tolist() == [1, 4, 11]
         nan_keys = [(2 * (2 * did + basis) + bit) * draws + r
                     for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1)) for r in range(draws)]
         assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
@@ -785,7 +793,7 @@ class TestBornTables:
 
     def test_bell_table_rebuilds(self):
         want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
-        assert_same(experiments._BELL.check, np.array(want))
+        assert_same(experiments._BELL.reads[0][1][-1], np.array(want))
 
     @pytest.mark.parametrize("params", [NO_DETECTION, UE_PARAMS,
                                         *(adversary.sample_ue_params(np.random.default_rng(s))
@@ -793,15 +801,16 @@ class TestBornTables:
     def test_entangling_table_rebuilds_one_register_at_a_time(self, params):
         want = [qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS[i:i + 1], params),
                                         np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
-        assert_same(experiments._entangling_program(params).check, np.array(want))
+        assert_same(experiments._entangling_program(params).reads[0][1][-1], np.array(want))
 
     # the honest control reads each decoy in its own basis with no attack
     @pytest.mark.parametrize("program, q", [
         (experiments._INTERCEPT, 0.25), (experiments._BELL, 0.5),
-        (experiments.Program((4,), np.arange(4), (), experiments._MEASURE_P1[[0, 2, 5, 7]]), 0.0)],
+        (experiments._detection_program((4,), np.arange(4), (experiments._MEASURE_P1[[0, 2, 5, 7]],)), 0.0)],
         ids=["intercept", "bell", "honest"])
     def test_detection_programs_flip_at_their_closed_form(self, program, q):
-        assert exact_flip_rate(program) == pytest.approx(q, abs=1e-12)
+        (flip,) = exact_events(program)
+        assert flip == pytest.approx(q, abs=1e-12)
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)))
     @example(None).via("the no-detection point")
@@ -810,29 +819,17 @@ class TestBornTables:
     def test_entangling_programs_flip_at_the_analytic_rate(self, params_seed):
         params = (NO_DETECTION if params_seed is None
                   else adversary.sample_ue_params(np.random.default_rng(params_seed)))
-        assert (exact_flip_rate(experiments._entangling_program(params))
+        assert (exact_events(experiments._entangling_program(params))[0]
                 == pytest.approx(adversary.ue_detection_probability(params), abs=1e-12))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     def test_alice_tables_give_the_closed_forms(self, policy):
-        guess, check_p1 = experiments._RESEND_TABLES[policy]
-        draws = adversary.RESEND_DRAWS.get(policy, 1)
-        db, bit = np.divmod(np.arange(len(guess)) // draws, 2)
-        j, odd = np.divmod(db // 2, 2)
-        # the weight of each key: j (decoy id 2j, so no odd id), a and the
-        # resend draw uniform, the outcome by Born
-        born = np.where(bit, experiments._MEASURE_P1[db], 1.0 - experiments._MEASURE_P1[db])
-        weight = np.where(odd, 0.0, born / (4 * draws))
-        reachable = weight > 0
-        code = np.arange(4)
-        # Bob reads 1 where the check does, and errs where that is not m_j
-        m_j = np.where(j[:, None] == 1, code % 2, code // 2)
-        p1 = check_p1.reshape(-1, 4)
-        error = np.where(m_j == 1, 1.0 - p1, p1).mean(axis=1)
+        conclusive, wrong, bit_error, dummy_error = exact_events(experiments._ALICE[policy])
         closed = experiments.ALICE_CLOSED_FORMS[policy]
-        assert np.sum(weight[reachable & (guess >= 0)]) == pytest.approx(closed["conclusive"], abs=1e-12)
-        assert not np.any(reachable & (guess >= 0) & (guess != j))
-        assert np.sum(weight[reachable] * error[reachable]) == pytest.approx(closed["bit_error"], abs=1e-12)
+        assert conclusive == pytest.approx(closed["conclusive"], abs=1e-12)
+        assert wrong == 0.0
+        assert bit_error == pytest.approx(closed["bit_error"], abs=1e-12)
+        assert dummy_error == pytest.approx(closed["dummy_error"], abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_tables_are_read_only(self, name):
@@ -846,15 +843,16 @@ class TestBornTables:
     def test_intercept_round_reads_the_block_path(self, rows, data):
         ids, basis, eve_u = (np.array(col) for col in zip(*rows))
         u = any_uniforms(data, len(rows))
-        got = experiments._round(experiments._INTERCEPT, Scripted(np.array([ids, basis]), np.array([eve_u, u])))
-        assert_round_matches_block(got, block_intercept_round(Scripted(ids, basis, eve_u, u), len(rows)))
-        assert not np.isnan(got[0]).any()
+        key = experiments._round(experiments._INTERCEPT, Scripted(np.array([ids, basis]), np.array([eve_u, u])))
+        assert_round_matches_block(experiments._INTERCEPT, INTERCEPT_IDS, key,
+                                   block_intercept_round(Scripted(ids, basis, eve_u, u), len(rows)))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data())
     @settings(max_examples=50, deadline=None)
     def test_bell_round_reads_the_block_path(self, declared, data):
         declared, u = np.array(declared), any_uniforms(data, len(declared))
-        assert_round_matches_block(experiments._round(experiments._BELL, Scripted(declared, u)),
+        key = experiments._round(experiments._BELL, Scripted(declared, u))
+        assert_round_matches_block(experiments._BELL, BELL_IDS, key,
                                    block_bell_round(Scripted(declared, u), len(declared)))
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
@@ -864,8 +862,9 @@ class TestBornTables:
         params = (NO_DETECTION if params_seed is None
                   else adversary.sample_ue_params(np.random.default_rng(params_seed)))
         ids, u = np.array(ids), any_uniforms(data, len(ids))
-        got = experiments._round(experiments._entangling_program(params), Scripted(ids, u))
-        assert_round_matches_block(got, block_entangling_round(params, Scripted(ids, u), len(ids)))
+        program = experiments._entangling_program(params)
+        assert_round_matches_block(program, ENTANGLING_IDS, experiments._round(program, Scripted(ids, u)),
+                                   block_entangling_round(params, Scripted(ids, u), len(ids)))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.data())
@@ -876,7 +875,7 @@ class TestBornTables:
         resend = [resend] if policy in adversary.RESEND_DRAWS else []
         # all rows together, then each alone, so each row's events match
         for t in [slice(None), *(slice(i, i + 1) for i in range(len(rows)))]:
-            got = experiments._alice_chunk(policy, Scripted(
+            got = experiments._event_chunk(experiments._ALICE[policy], Scripted(
                 np.array([j[t], a[t]]), alice_u[t], np.array([*(r[t] for r in resend), m0[t], m1[t]]),
                 np.array([check_u[t], dummy_u[t]])), len(j[t]))
             ref = block_alice_chunk(policy, Scripted(

@@ -324,6 +324,17 @@ class TestGateMemo:
         assert qsim._gated.cache_info().currsize == 8
         assert qsim._born.cache_info().currsize == 5
 
+    @pytest.mark.parametrize("code", [-1, 4, True, 1.0], ids=["-1", "4", "True", "1.0"])
+    def test_rejects_a_code_not_an_int_from_0_to_3(self, code):
+        # before and after the register's code-1 result is cached: a bool or
+        # a float equal to 1 must not find it, and nothing else is cached
+        qsim._gated.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^a Pauli code must be an int from 0 to 3, got {code!r}$"):
+                qsim.apply_gate(qsim.ZERO, code)
+            assert np.array_equal(qsim.apply_gate(qsim.ZERO, 1), qsim.ZERO)
+        assert qsim._gated.cache_info().currsize == 1
+
 
 class TestMeasureBatch:
     @given(st.one_of(st.sampled_from(EXACT_STATES),

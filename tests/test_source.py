@@ -105,3 +105,15 @@ def test_an_unread_helper_is_reported(tmp_path):
     # a loop's targets are read only inside the loop, so it reports both
     assert dead_definitions([module], [module, reader]) == [
         "module.py:4: helper", "module.py:12: _row", "module.py:12: _col"]
+
+
+#: the longest line in ``src/`` when this check was added, so that a line
+#: count cannot fall by packing code into wider lines
+MAX_LINE = 108
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_source_line_is_wider_than_the_limit(path):
+    wide = [f"{path.name}:{n}: {len(line)}" for n, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert wide == []

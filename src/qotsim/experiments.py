@@ -1,13 +1,12 @@
 """Monte Carlo harness comparing empirical rates against their closed forms.
 
-Trials are drawn in chunks of CHUNK_TRIALS, the stream unit: chunk c of an
+Trials are drawn in blocks of BLOCK_TRIALS, the stream unit: block b of an
 estimate at point p (its M or K; 0 for the scenarios without one) draws from
-its own stream (seed, p, c), so results do not depend on how chunks are
-grouped, and no two points or seeds share a stream. Up to GROUP_CHUNKS chunks
-are simulated together as one block (a row per trial) through the Born rule,
-each drawing its rows from its own stream's PCG64 raw words. Every register a
-measurement reads is one of a few, so each reads its Born probability from a
-table the simulator fills once per register at import (per estimate for Eve's
+its own PCG64 stream (seed, p, b), so no two points or seeds share a stream.
+A block's trials are simulated together (a row per trial) through the Born
+rule, one 64-bit raw word per drawn value. Every register a measurement reads
+is one of a few, so each reads its Born probability from a table the
+simulator fills once per register at import (per estimate for Eve's
 entangling attack). Every scenario's round is a :class:`Program` of such
 tables, all drawn by one round function; Eve's intercept and Alice's round
 read the tables of one measure-and-resend,
@@ -16,8 +15,8 @@ read the tables of one measure-and-resend,
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,12 +25,10 @@ from .adversary import AttackScenario
 from .protocol import DECOY_AMPS, ProtocolError
 
 DEFAULT_TRIALS = 100_000
-#: trials per stream: chunk c of an estimate draws from its own stream
-CHUNK_TRIALS = 256
-#: chunks simulated together as one block; bounds the kernels' working set
-#: (a few MB) for any trial count while spreading numpy's per-call cost over
-#: many rows
-GROUP_CHUNKS = 64
+#: trials per stream: block b of an estimate draws from its own stream; bounds
+#: the kernels' working set (a few MB) for any trial count while spreading
+#: numpy's per-call cost over many rows
+BLOCK_TRIALS = 16_384
 
 
 def detection_rate(q: float, n: int) -> float:
@@ -89,9 +86,10 @@ def _estimate_row(parameter: int | str, rate: float, closed_form: float, trials:
     return EstimateRow(parameter, rate, closed_form, float(np.sqrt(rate * (1.0 - rate) / trials)), trials)
 
 
-def _bound_bits(high: int) -> int:
+def _bound_bits(high) -> int:
     """k of an integer bound ``high`` = 2^k, k in 1..32; any other bound is a
-    ValueError."""
+    ValueError, and one that is not an integer a TypeError."""
+    high = operator.index(high)
     k = high.bit_length() - 1
     if not 1 <= k <= 32 or high != 1 << k:
         raise ValueError(f"bound must be a power of two from 2 to 2**32, got {high}")
@@ -103,98 +101,31 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=32)
-def _shift_column(bounds: tuple[int, ...]) -> np.ndarray:
-    """The read-only ``(rows, 1)`` column of the shifts 32 - k of a read's
-    integer rows, ``bounds`` their 2^k, built once per tuple of bounds."""
-    return _read_only(np.array([32 - _bound_bits(b) for b in bounds], np.uint32).reshape(-1, 1))
-
-
-class _ChunkStreams:
-    """Generator stand-in for chunks simulated as one block.
-
-    ``rows[i]`` of the block's live rows belong to chunk i, in chunk order.
-    :meth:`read` draws each chunk's rows from that chunk's own stream and
-    concatenates them along the trial axis, the last, so each stream sees
-    the draws it would see if its chunk ran alone. A chunk with no live rows
-    is not drawn from.
-
-    It reads each stream's PCG64 raw words itself, as ``Generator.integers``
-    and ``Generator.random`` would (see :meth:`read`), so each stream must be
-    fresh, with no 32-bit half buffered, as ``default_rng`` makes it.
-    """
-
-    def __init__(self, streams: list[np.random.Generator], rows: list[int]):
-        self._bits = [g.bit_generator for g in streams]
-        self._rows = rows
-        #: the chunk of each live row, filtered by :meth:`keep`
-        self._chunk = np.repeat(np.arange(len(rows)), rows)
-        #: each stream's buffered high 32-bit half, as PCG64's next32 keeps it
-        self._halves = [np.empty(0, "<u4")] * len(streams)
-
-    def read(self, bounds: tuple, units: int) -> tuple[np.ndarray, np.ndarray]:
-        """One integer row per bound, then ``units`` rows of uniforms in
-        [0, 1), each row one value per live row: for each chunk of m live
-        rows, the ``(len(bounds), m)`` int64 and ``(units, m)`` float values
-        that ``Generator.integers([[b] for b in bounds], size=(len(bounds),
-        m))`` and then ``Generator.random(size=(units, m))`` would give.
-
-        Each bound is 2^k, k in 1..32, a Python or numpy integer, and every
-        bound is checked before any word is read. One ``random_raw`` call per
-        live chunk reads its words. The first give the 32-bit values of the
-        integer rows: the buffered half, then each word's low half followed
-        by its high half; an odd word's high half left over is buffered. Each
-        value keeps its row's top k bits, which is what Lemire's method
-        returns for a power-of-two bound, where it never rejects. Each next
-        word is one uniform, its top 53 bits times 2^-53, as
-        ``Generator.random`` makes it for PCG64."""
-        shift = _shift_column(tuple(map(operator.index, bounds)))
-        count = len(shift)
-        ints, words = [], []
-        for i, n in enumerate(self._rows):
-            if not n:
-                continue
-            half = self._halves[i]
-            int_words = (count * n - len(half) + 1) // 2
-            raw = self._bits[i].random_raw(int_words + units * n)
-            # little-endian words, so each word's low half comes first on any host
-            u = raw[:int_words].astype("<u8", copy=False).view("<u4")
-            if len(half):
-                u = np.concatenate((half, u))
-            self._halves[i] = u[count * n:]
-            ints.append(u[:count * n].reshape(count, n))
-            words.append(raw[int_words:].reshape(units, n))
-        return ((np.concatenate(ints, axis=-1) >> shift).astype(np.int64),
-                (np.concatenate(words, axis=-1) >> 11) * 2.0 ** -53)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the live rows where the boolean ``rows`` is set."""
-        self._chunk = self._chunk[rows]
-        self._rows = np.bincount(self._chunk, minlength=len(self._rows)).tolist()
+def _thresholds(stage: np.ndarray) -> np.ndarray:
+    """A Born table as uint64 thresholds ceil(p * 2^53), so that a word w reads
+    1 iff (w >> 11) < threshold, exactly when its uniform (w >> 11) * 2^-53 is
+    below p. A NaN entry, which no uniform reaches, is 0, which no word is below."""
+    return _read_only(np.ceil(np.ldexp(np.nan_to_num(stage, nan=0.0), 53)).astype(np.uint64))
 
 
 def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
-    """Run ``kernel(streams, T)`` on groups of up to GROUP_CHUNKS chunks of at
-    most CHUNK_TRIALS trials, ``streams`` a :class:`_ChunkStreams` over the
-    group's T trials, and sum the counts it returns for each group.
+    """Run ``kernel(bits, n)`` on each block of n <= BLOCK_TRIALS trials and
+    sum the counts it returns.
 
-    Chunk c draws from its own stream ``default_rng([seed, point, c])``, so
-    results do not depend on how chunks are grouped. A detection estimate's
-    point is its parameter, so the rows of a sweep share no stream with each
-    other or with another seed.
+    Block b draws from its own stream, ``default_rng([seed, point, b])``'s
+    PCG64, passed as ``bits``. A detection estimate's point is its
+    parameter, so the rows of a sweep share no stream with each other or with
+    another seed.
     """
     trials, seed = protocol.as_integer("trials", trials), protocol.as_integer("seed", seed)
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
     if seed < 0:
         raise ProtocolError("seed must be >= 0")
-    chunks = -(-trials // CHUNK_TRIALS)
     counts = 0
-    for first in range(0, chunks, GROUP_CHUNKS):
-        group = range(first, min(first + GROUP_CHUNKS, chunks))
-        rows = [min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS) for c in group]
-        streams = _ChunkStreams([np.random.default_rng([seed, point, c]) for c in group], rows)
-        counts += np.asarray(kernel(streams, sum(rows)), dtype=np.int64)
+    for b, first in enumerate(range(0, trials, BLOCK_TRIALS)):
+        bits = np.random.default_rng([seed, point, b]).bit_generator
+        counts += np.asarray(kernel(bits, min(BLOCK_TRIALS, trials - first)), dtype=np.int64)
     return counts.tolist()
 
 
@@ -204,30 +135,40 @@ class Program:
     is one ``(bounds, stages)`` read: each integer row of bound b sets key =
     b * key + row, then each Born table in ``stages`` reads one uniform and
     sets key = 2 * key + (uniform < stage[key]). ``events[e, key]`` at the
-    last key says whether event e happened. Every table is made read-only."""
+    last key says whether event e happened. Every table is made read-only.
+
+    Each bound must be a power of two from 2 to 2^32 (a ValueError
+    otherwise). ``draws`` holds, per read, the shift 64 - k of each bound
+    2^k and each stage's :func:`_thresholds`, built once here."""
 
     reads: tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]
     events: np.ndarray
+    draws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for table in (*(stage for _, stages in self.reads for stage in stages), self.events):
             table.flags.writeable = False
+        object.__setattr__(self, "draws", tuple(
+            (tuple(64 - _bound_bits(b) for b in bounds), tuple(map(_thresholds, stages)))
+            for bounds, stages in self.reads))
 
 
-def _round(program: Program, rng: _ChunkStreams) -> np.ndarray:
-    """Each live row's last key: one ``rng.read`` per read of ``program``, and
-    a stage reads 1 iff its uniform is below its p1, as ``measure_batch`` does."""
+def _round(program: Program, bits, n: int) -> np.ndarray:
+    """The last key of each of n trials. Each read of ``program`` is one
+    ``bits.random_raw`` call, a row of n words per value: an integer of bound
+    2^k is a word's top k bits, and a stage reads 1 iff the word's uniform,
+    its top 53 bits times 2^-53, is below its p1, as ``measure_batch`` reads."""
     key = 0
-    for bounds, stages in program.reads:
-        ints, uniforms = rng.read(bounds, len(stages))
-        for bound, row in zip(bounds, ints):
-            key = bound * key + row
-        for stage, u in zip(stages, uniforms):
-            key = 2 * key + (u < stage.take(key))
+    for (bounds, _), (shifts, thresholds) in zip(program.reads, program.draws):
+        words = bits.random_raw((len(shifts) + len(thresholds)) * n).reshape(-1, n)
+        for bound, shift, word in zip(bounds, shifts, words):
+            key = bound * key + (word >> shift).view(np.int64)
+        for threshold, top in zip(thresholds, words[len(shifts):] >> 11):
+            key = 2 * key + (top < threshold.take(key))
     return key
 
 
-def _first_flip_chunk(program: Program, rounds: int, rng: _ChunkStreams, trials: int) -> list[int]:
+def _first_flip_block(program: Program, rounds: int, bits, trials: int) -> list[int]:
     """Sequential decoy checks: [unflipped, flipped] counts. Each of up to
     ``rounds`` rounds of ``program`` checks the trials not yet flipped, and a
     trial stops at its first flip, the program's event 0."""
@@ -235,21 +176,18 @@ def _first_flip_chunk(program: Program, rounds: int, rng: _ChunkStreams, trials:
     for _ in range(rounds):
         if not active:
             break
-        flips = program.events[0].take(_round(program, rng))
-        rng.keep(~flips)
-        active -= int(np.count_nonzero(flips))
+        active -= int(np.count_nonzero(program.events[0].take(_round(program, bits, active))))
     return [active, trials - active]
 
 
-def _event_chunk(program: Program, rng: _ChunkStreams, trials: int) -> list[int]:
+def _event_block(program: Program, bits, trials: int) -> list[int]:
     """One round of ``program`` on every trial: the count of each event."""
-    return np.count_nonzero(program.events[:, _round(program, rng)], axis=1).tolist()
+    return np.count_nonzero(program.events[:, _round(program, bits, trials)], axis=1).tolist()
 
 
 #: the Born probability of reading 1 on decoy id d measured in basis b (X
-#: where b is set), at 2 * d + b. The unbiased entries are 0.5 - 2^-53 and
-#: |-> in X is 1 - 2^-51, from 1/sqrt(2) squared, so an exact sum over these
-#: tables matches its closed form within 1e-12, not bitwise
+#: where b is set), at 2 * d + b: exactly 0, 1/2 or 1, as
+#: :func:`qsim.probability_of_one` normalises by both outcomes
 _MEASURE_P1 = _read_only(qsim.probability_of_one(DECOY_AMPS.repeat(2, axis=0), np.arange(8) % 2))
 
 
@@ -328,7 +266,7 @@ def estimate_detection_rate(spec: ExperimentSpec) -> EstimateRow:
         raise ProtocolError(f"no closed-form detection rate for scenario {spec.scenario.value}")
     _, q, program = DETECTION[spec.scenario]
     n = spec.parameter
-    hits = _tally(partial(_first_flip_chunk, program, n), spec.trials, spec.seed, n)[1]
+    hits = _tally(partial(_first_flip_block, program, n), spec.trials, spec.seed, n)[1]
     return _estimate_row(n, hits / spec.trials, detection_rate(q, n), spec.trials)
 
 
@@ -408,7 +346,7 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     (probability one half).
     """
     trials = protocol.as_integer("trials", trials)  # the report holds an int
-    conclusive, wrong, bit_errors, dummies = _tally(partial(_event_chunk, _ALICE[policy]), trials, seed)
+    conclusive, wrong, bit_errors, dummies = _tally(partial(_event_block, _ALICE[policy]), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,
                              dummies / trials, trials, policy)
 
@@ -417,7 +355,7 @@ def entangling_detection_estimate(params, trials: int = DEFAULT_TRIALS, seed: in
     """Monte Carlo decoy-flip rate under the entangling attack, against the
     analytic value from the isometry amplitudes."""
     trials = protocol.as_integer("trials", trials)  # the row holds an int
-    flips = _tally(partial(_first_flip_chunk, _entangling_program(params), 1), trials, seed)[1]
+    flips = _tally(partial(_first_flip_block, _entangling_program(params), 1), trials, seed)[1]
     return _estimate_row(0, flips / trials, adversary.ue_detection_probability(params), trials)
 
 

@@ -56,8 +56,9 @@ EIGENSTATES = np.array([[1, 0], [0, 1], [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -
 EIGENSTATES.flags.writeable = False
 # single-qubit constants, read-only views of the table
 ZERO, ONE, PLUS, MINUS = EIGENSTATES
-#: the outcome-1 eigenstates |1> and |->, a read-only view indexed by x_basis
-_ONE_BRAS = EIGENSTATES[1::2]
+#: the outcome-0 eigenstates |0> and |+>, and the outcome-1 eigenstates |1>
+#: and |->, read-only views indexed by x_basis
+_ZERO_BRAS, _ONE_BRAS = EIGENSTATES[0::2], EIGENSTATES[1::2]
 
 
 def _key(amps: np.ndarray) -> bytes:
@@ -102,10 +103,13 @@ def apply_gate(amps: np.ndarray, code: int) -> np.ndarray:
 
 def probability_of_one(amps: np.ndarray, x_basis) -> np.ndarray:
     """Born probability that qubit 0 of each row of a ``(T, 2^n)`` block
-    reads 1: the squared norm of its projection onto |1> (Z basis) or |->
-    (``x_basis``, a bool per row). Nothing is collapsed."""
-    bras = _ONE_BRAS.take(x_basis, axis=0)
-    return np.square(np.abs(_project(amps, bras))).sum(axis=1)
+    reads 1: p1 / (p0 + p1), with p1 the squared norm of its projection onto
+    |1> (Z basis) or |-> (``x_basis``, a bool per row) and p0 that onto |0>
+    or |+>. Dividing by the sum makes it exactly 0, 1/2 or 1 on the
+    eigenstates, where 1/sqrt(2) squared alone is not. Nothing is collapsed."""
+    p0, p1 = (np.square(np.abs(_project(amps, bras.take(x_basis, axis=0)))).sum(axis=1)
+              for bras in (_ZERO_BRAS, _ONE_BRAS))
+    return p1 / (p0 + p1)
 
 
 @functools.lru_cache(maxsize=OUTCOME_CACHE)

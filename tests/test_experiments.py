@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotsim import adversary, cli, experiments, protocol, qsim
@@ -159,49 +160,53 @@ class TestSweep:
         assert any(m2_detects_fewer(seed) for seed in range(60))
 
 
-#: each chunk kernel, bound to its argument
-CHUNK_KERNELS = {
-    "intercept": partial(experiments._first_flip_chunk, experiments._INTERCEPT, 3),
-    "bell": partial(experiments._first_flip_chunk, experiments._BELL, 2),
-    "alice": partial(experiments._event_chunk, experiments._ALICE["guess"]),
-    "entangling": partial(experiments._first_flip_chunk, experiments._entangling_program(UE_PARAMS), 1),
+#: each block kernel, bound to its argument
+BLOCK_KERNELS = {
+    "intercept": partial(experiments._first_flip_block, experiments._INTERCEPT, 3),
+    "bell": partial(experiments._first_flip_block, experiments._BELL, 2),
+    "alice": partial(experiments._event_block, experiments._ALICE["guess"]),
+    "entangling": partial(experiments._first_flip_block, experiments._entangling_program(UE_PARAMS), 1),
 }
 
 
-def one_stream(key, trials):
-    """A chunk run alone: the kernels' stream stand-in over one stream."""
-    return experiments._ChunkStreams([np.random.default_rng(key)], [trials])
+def block_bits(key):
+    """The PCG64 of block stream ``key``, as ``_tally`` makes it."""
+    return np.random.default_rng(key).bit_generator
 
 
-class TestChunks:
-    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
-    def test_tallies_add_over_chunks(self, name):
-        kernel = CHUNK_KERNELS[name]
-        chunk = experiments.CHUNK_TRIALS
-        first = experiments._tally(kernel, chunk, seed=5)
-        second = kernel(one_stream([5, 0, 1], chunk), chunk)
-        both = experiments._tally(kernel, 2 * chunk, seed=5)
-        assert both == [a + b for a, b in zip(first, second)]
-        if name == "alice":
-            # conclusive, wrong, bit-error and dummy-error counts: a wrong
-            # guess is conclusive and a dummy error is a bit error
-            assert chunk >= first[0] >= first[1] and chunk >= first[2] >= first[3]
-        else:
-            # [unflipped, flipped]: every trial is counted once
-            assert sum(first) == sum(second) == chunk
+def assert_counts_each_trial(name, counts, trials):
+    """A block's counts are consistent: for Alice's conclusive, wrong,
+    bit-error and dummy-error counts, a wrong guess is conclusive and a dummy
+    error is a bit error; for [unflipped, flipped], every trial is counted once."""
+    if name == "alice":
+        assert trials >= counts[0] >= counts[1] and trials >= counts[2] >= counts[3]
+    else:
+        assert sum(counts) == trials
 
-    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
-    def test_a_group_sums_its_chunks_run_alone(self, name):
-        # 65 chunks, the last partial: one full group and a group of one
-        kernel = CHUNK_KERNELS[name]
-        chunk = experiments.CHUNK_TRIALS
-        trials = experiments.GROUP_CHUNKS * chunk + 100
-        rows = [min(chunk, trials - c * chunk) for c in range(experiments.GROUP_CHUNKS + 1)]
-        alone = [kernel(one_stream([5, 0, c], n), n) for c, n in enumerate(rows)]
-        assert experiments._tally(kernel, trials, seed=5) == [sum(col) for col in zip(*alone)]
 
-    @pytest.mark.parametrize("name", sorted(CHUNK_KERNELS))
-    def test_one_stream_per_chunk(self, monkeypatch, name):
+class TestBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    def test_tallies_add_over_blocks(self, monkeypatch, name):
+        # blocks of 50 trials: one, then three, the last partial
+        monkeypatch.setattr(experiments, "BLOCK_TRIALS", 50)
+        kernel = BLOCK_KERNELS[name]
+        alone = [kernel(block_bits([5, 0, b]), n) for b, n in enumerate((50, 50, 7))]
+        assert experiments._tally(kernel, 50, seed=5) == alone[0]
+        assert experiments._tally(kernel, 107, seed=5) == [sum(col) for col in zip(*alone)]
+        for counts, n in zip(alone, (50, 50, 7)):
+            assert_counts_each_trial(name, counts, n)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    def test_a_tally_sums_its_blocks_run_alone(self, name):
+        # one full block and a block of 100
+        kernel = BLOCK_KERNELS[name]
+        block = experiments.BLOCK_TRIALS
+        alone = [kernel(block_bits([5, 0, 0]), block), kernel(block_bits([5, 0, 1]), 100)]
+        assert experiments._tally(kernel, block + 100, seed=5) == [sum(col) for col in zip(*alone)]
+        assert_counts_each_trial(name, alone[0], block)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    def test_one_stream_per_block(self, monkeypatch, name):
         keys = []
         real = np.random.default_rng
 
@@ -210,16 +215,16 @@ class TestChunks:
             return real(key)
 
         monkeypatch.setattr(experiments.np.random, "default_rng", counted)
-        chunks = experiments.GROUP_CHUNKS + 1
-        experiments._tally(CHUNK_KERNELS[name], chunks * experiments.CHUNK_TRIALS, seed=5, point=3)
-        assert keys == [[5, 3, c] for c in range(chunks)]
+        experiments._tally(BLOCK_KERNELS[name], 2 * experiments.BLOCK_TRIALS + 1, seed=5, point=3)
+        assert keys == [[5, 3, b] for b in range(3)]
 
-    def test_one_past_a_chunk_runs(self):
-        trials = experiments.CHUNK_TRIALS + 1
+    def test_one_past_a_block_runs(self):
+        trials = experiments.BLOCK_TRIALS + 1
         rows = [experiments.estimate_detection_rate(ExperimentSpec(scenario, 2, trials, seed=1))
-                for scenario in (AttackScenario.INTERCEPT_RESEND, AttackScenario.BOB_BELL_CHEAT)]
+                for scenario in experiments.DETECTION]
         rows.append(experiments.entangling_detection_estimate(UE_PARAMS, trials, seed=1))
-        rows += experiments.alice_attack_report(trials, seed=1).rows()
+        for policy in adversary.RESEND_POLICIES:
+            rows += experiments.alice_attack_report(trials, seed=1, policy=policy).rows()
         for row in rows:
             assert row.trials == trials
             assert 0.0 <= row.empirical <= 1.0
@@ -227,196 +232,17 @@ class TestChunks:
 
 
 class NoDraws(np.random.Generator):
-    """A chunk stream whose own draw methods must never be called: only its
+    """A block stream whose own draw methods must never be called: only its
     bit generator's raw words may be read."""
 
     def integers(self, *args, **kwargs):
-        raise AssertionError("Generator.integers called on a chunk stream")
+        raise AssertionError("Generator.integers called on a block stream")
 
     def random(self, *args, **kwargs):
-        raise AssertionError("Generator.random called on a chunk stream")
+        raise AssertionError("Generator.random called on a block stream")
 
     def choice(self, *args, **kwargs):
-        raise AssertionError("Generator.choice called on a chunk stream")
-
-
-class RawWords:
-    """A pure-Python reference on ``PCG64.random_raw`` alone: the 32-bit
-    values are each raw word's low half, then its high half; a bound 2^k
-    keeps a value's top k bits, and a uniform is a whole word's top 53 bits
-    times 2^-53."""
-
-    def __init__(self, key):
-        self.bits = np.random.PCG64(key)
-        self.half = None
-
-    def u32(self) -> int:
-        if self.half is not None:
-            value, self.half = self.half, None
-            return value
-        word = int(self.bits.random_raw())
-        self.half = word >> 32
-        return word & 0xFFFF_FFFF
-
-    def integers(self, high: int, count: int) -> list[int]:
-        return [self.u32() >> (33 - high.bit_length()) for _ in range(count)]
-
-    def random(self, count: int) -> list[float]:
-        return [(int(self.bits.random_raw()) >> 11) * 2.0 ** -53 for _ in range(count)]
-
-
-def each_live(draw, streams, rows, lead=()):
-    """``draw(stream, n)`` for each stream with n > 0 live rows, shaped
-    ``(*lead, n)`` and concatenated along the trial axis."""
-    return np.concatenate([np.asarray(draw(g, n)).reshape(*lead, n)
-                           for g, n in zip(streams, rows) if n], axis=-1)
-
-
-def twin_read(g, bounds, units, n):
-    """What ``_ChunkStreams.read(bounds, units)`` gives a chunk of ``n`` live
-    rows: its ``Generator.integers`` rows, one per bound, then its
-    ``Generator.random`` rows."""
-    ints = g.integers([[b] for b in bounds], size=(len(bounds), n)) if bounds else np.empty((0, n), np.int64)
-    return ints, g.random(size=(units, n))
-
-
-def assert_reads_equal(got, want):
-    """Two reads' integer and uniform rows: equal, of one dtype and shape."""
-    for a, b in zip(got, want, strict=True):
-        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-
-
-class TwinStreams:
-    """The stream stand-in on ``Generator`` methods, with the interface it had
-    before ``read``: ``integers`` and ``random`` draw each chunk's live rows
-    from its own Generator, as that chunk alone would, and concatenate them
-    along the trial axis. The reference rounds draw from it."""
-
-    def __init__(self, streams, rows):
-        self._streams, self._rows = streams, list(rows)
-        self._chunk = np.repeat(np.arange(len(rows)), rows)
-
-    def integers(self, high, size):
-        lead = size[:-1] if isinstance(size, tuple) else ()
-        return each_live(lambda g, n: g.integers(high, size=(*lead, n)), self._streams, self._rows, lead)
-
-    def random(self, size):
-        lead = size[:-1] if isinstance(size, tuple) else ()
-        return each_live(lambda g, n: g.random(size=(*lead, n)), self._streams, self._rows, lead)
-
-    def read(self, bounds, units):
-        """``_ChunkStreams.read`` as its chunks' twin Generator calls."""
-        reads = [twin_read(g, bounds, units, n) for g, n in zip(self._streams, self._rows) if n]
-        return tuple(np.concatenate(part, axis=-1) for part in zip(*reads))
-
-    def keep(self, rows):
-        self._chunk = self._chunk[rows]
-        self._rows = np.bincount(self._chunk, minlength=len(self._rows)).tolist()
-
-
-#: what a kernel does with its stream stand-in: a read of integer rows, one
-#: per bound (mixed bounds included), then of uniform rows, or dropping rows
-STREAM_OPS = st.lists(st.one_of(
-    st.tuples(st.just("read"), st.lists(st.sampled_from([2, 4, 2 ** 32]), max_size=3).map(tuple),
-              st.integers(0, 3)),
-    st.just(("keep",))), max_size=10)
-
-
-class TestChunkStreamDraws:
-    """``_ChunkStreams.read`` reads PCG64's raw words and gives the draws
-    ``Generator.integers`` and then ``Generator.random`` give, buffered halves
-    included."""
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=4), STREAM_OPS,
-           st.integers(0, 2 ** 32 - 1), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_reads_match_generator_and_raw_words(self, rows, ops, seed, data):
-        assume(sum(rows))
-        keys = [[seed, c] for c in range(len(rows))]
-        streams = experiments._ChunkStreams([NoDraws(np.random.PCG64(k)) for k in keys], list(rows))
-        gens = [np.random.default_rng(k) for k in keys]
-        twins = TwinStreams(gens, rows)
-        raws = [RawWords(k) for k in keys]
-        live = list(rows)
-        for op, *args in ops:
-            total = sum(live)
-            if not total:  # a kernel stops once no row is live
-                break
-            if op == "keep":
-                mask = np.array(data.draw(st.lists(st.booleans(), min_size=total, max_size=total)))
-                streams.keep(mask)
-                twins.keep(mask)
-                chunk = np.repeat(np.arange(len(live)), live)
-                live = [int(np.count_nonzero(mask[chunk == c])) for c in range(len(live))]
-            else:
-                bounds, units = args
-                got = streams.read(bounds, units)
-                assert got[0].dtype == np.int64 and got[0].shape == (len(bounds), total)
-                assert_reads_equal(got, twins.read(bounds, units))
-                # each chunk's integer rows, each after the one before, then its uniforms
-                raw_ints = each_live(lambda r, n: [r.integers(b, n) for b in bounds], raws, live,
-                                     (len(bounds),))
-                raw_uniforms = each_live(lambda r, n: r.random(units * n), raws, live, (units,))
-                assert np.array_equal(got[0], raw_ints) and np.array_equal(got[1], raw_uniforms)
-        # every stream live again: its next draws still follow its twin's, so
-        # a half left buffered by an odd count was carried exactly
-        streams._rows = [1] * len(rows)
-        streams._chunk = np.arange(len(rows))
-        ints, uniforms = streams.read((4,), 1)
-        assert ints[0].tolist() == [int(g.integers(4)) for g in gens]
-        assert uniforms[0].tolist() == [g.random() for g in gens]
-
-    @pytest.mark.parametrize("high", [0, 1, 3, 6, 2 ** 32 + 2, 2 ** 33])
-    def test_rejects_a_bound_not_a_power_of_two_before_any_draw(self, high):
-        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        # an odd count leaves a half buffered
-        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
-        state = streams._bits[0].state
-        with pytest.raises(ValueError, match=f"power of two.*got {high}$"):
-            streams.read((high,), 1)
-        assert streams._bits[0].state == state
-        assert_reads_equal(streams.read((2, 2), 1), twin_read(twin, (2, 2), 1, 3))
-
-    @pytest.mark.parametrize("bounds, bad", [((4, 3), 3), ((0, 2), 0), ((2, 4, 2 ** 33), 2 ** 33)])
-    def test_rejects_bounds_with_one_bad_bound_before_any_draw(self, bounds, bad):
-        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
-        state = streams._bits[0].state
-        with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
-            streams.read(bounds, 2)
-        assert streams._bits[0].state == state
-        # the buffered half is still next
-        assert_reads_equal(streams.read((4, 2), 1), twin_read(twin, (4, 2), 1, 3))
-
-    @pytest.mark.parametrize("bounds", [([4], [2]), (np.array([4, 2]),), (4.0,), ("4",)])
-    def test_rejects_a_bound_not_an_integer_before_any_draw(self, bounds):
-        # a bound column given for one bound, a float or a string
-        streams = one_stream([5, 0, 0], 3)
-        state = streams._bits[0].state
-        with pytest.raises(TypeError):
-            streams.read(bounds, 1)
-        assert streams._bits[0].state == state
-
-    @pytest.mark.parametrize("bounds", [
-        (np.int64(4),), (np.uint32(2), np.uint32(2)), (np.array(8),), (np.uint64(2 ** 32),),
-        tuple(np.array([4, 2])), (np.int8(2), np.int64(4))])
-    def test_numpy_integer_bounds_draw_as_generator(self, bounds):
-        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        # an odd count leaves a half buffered
-        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
-        assert_reads_equal(streams.read(bounds, 1), twin_read(twin, bounds, 1, 3))
-        assert_reads_equal(streams.read((4,), 1), twin_read(twin, (4,), 1, 3))
-
-    @pytest.mark.parametrize("bounds, bad", [((np.int64(3),), 3), ((np.array(6),), 6), ((np.uint8(1),), 1),
-                                             (tuple(np.array([4, 3])), 3)])
-    def test_rejects_a_bad_numpy_integer_bound_before_any_draw(self, bounds, bad):
-        streams, twin = one_stream([5, 0, 0], 3), np.random.default_rng([5, 0, 0])
-        assert_reads_equal(streams.read((4,), 0), twin_read(twin, (4,), 0, 3))
-        state = streams._bits[0].state
-        with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
-            streams.read(bounds, 1)
-        assert streams._bits[0].state == state
-        assert_reads_equal(streams.read((2, 2), 1), twin_read(twin, (2, 2), 1, 3))
+        raise AssertionError("Generator.choice called on a block stream")
 
 
 class TestRawWordsOnly:
@@ -425,8 +251,8 @@ class TestRawWordsOnly:
     method."""
 
     def test_every_estimate_reads_raw_words_alone(self, monkeypatch):
-        # three chunk groups, the last chunk of odd size
-        trials = 2 * experiments.GROUP_CHUNKS * experiments.CHUNK_TRIALS + 7
+        # three blocks, the last of odd size
+        trials = 2 * experiments.BLOCK_TRIALS + 7
 
         def estimates():
             rows = [experiments.estimate_detection_rate(ExperimentSpec(scenario, 3, trials, seed=1))
@@ -441,6 +267,27 @@ class TestRawWordsOnly:
             with pytest.raises(AssertionError, match=f"Generator.{method} called"):
                 getattr(experiments.np.random.default_rng([1, 0, 0]), method)(2)
         assert estimates() == want
+
+
+class WordDraws:
+    """A pure-Python reference on ``PCG64.random_raw`` alone, with the
+    ``integers`` and ``random`` calls the reference rounds make: each value,
+    in call order, is one raw word; an integer below 2^k is the word's top k
+    bits, and a uniform is its top 53 bits times 2^-53."""
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def _words(self, size) -> list[int]:
+        return [int(w) for w in self.bits.random_raw(int(np.prod(size)))]
+
+    def integers(self, high, size):
+        k = high.bit_length() - 1
+        assert high == 1 << k
+        return np.array([w >> (64 - k) for w in self._words(size)], np.int64).reshape(size)
+
+    def random(self, size):
+        return np.array([(w >> 11) * 2.0 ** -53 for w in self._words(size)]).reshape(size)
 
 
 def block_intercept_round(rng, n):
@@ -468,21 +315,20 @@ def block_entangling_round(params, rng, n):
     return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
 
 
-def block_first_flip_chunk(draw, rounds, rng, trials):
-    """``experiments._first_flip_chunk`` as it was when its rounds returned
-    blocks, verbatim but for ``decoy_flips``, now a test reference."""
+def block_first_flip(draw, rounds, rng, trials):
+    """``experiments._first_flip_block`` as it was when its rounds returned
+    blocks, verbatim but for ``decoy_flips``, now a test reference, and its
+    live trials, now a count."""
     active = trials
     for _ in range(rounds):
         if not active:
             break
         block, ids, u = draw(rng, active)
-        flips = decoy_flips(block, ids, u)
-        rng.keep(~flips)
-        active -= int(np.count_nonzero(flips))
+        active -= int(np.count_nonzero(decoy_flips(block, ids, u)))
     return [active, trials - active]
 
 
-def block_alice_chunk(policy, rng, trials):
+def block_alice_events(policy, rng, trials):
     """Alice's round as it was when it measured and encoded amplitude blocks,
     verbatim but for the name, ``alice_measure_resend`` as it drew its own
     values and ``decoy_flips``, both now test references."""
@@ -518,55 +364,15 @@ def assert_round_matches_block(program, ids, key, ref):
     assert_same(program.events[0].take(key), decoy_flips(block, ref_ids, ref_u))
 
 
-class Kept:
-    """A stream stand-in that records each round's ``keep`` mask."""
+class RawLog:
+    """A bit generator stand-in that records the size of each ``random_raw`` call."""
 
-    def __init__(self, streams, rows):
-        super().__init__(streams, rows)
-        self.kept = []
+    def __init__(self, bits):
+        self.bits, self.sizes = bits, []
 
-    def keep(self, rows):
-        self.kept.append(rows.copy())
-        super().keep(rows)
-
-
-class ReadLog(experiments._ChunkStreams):
-    """Chunk streams that record the bounds and unit count of each read."""
-
-    def __init__(self, streams, rows):
-        super().__init__(streams, rows)
-        self.reads = []
-
-    def read(self, bounds, units):
-        self.reads.append((bounds, units))
-        return super().read(bounds, units)
-
-
-class KeptStreams(Kept, experiments._ChunkStreams):
-    pass
-
-
-class KeptTwins(Kept, TwinStreams):
-    pass
-
-
-def twin_stand_ins(rows, buffered, seed, kinds=(experiments._ChunkStreams, TwinStreams)):
-    """A stand-in of each kind over twin streams ``(seed, c)``, chunk c with
-    ``rows[c]`` live rows; where ``buffered``, an odd pre-draw leaves each
-    chunk with an odd row count a half buffered."""
-    stand_ins = [kind([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-                 for kind in kinds]
-    if buffered:
-        for streams in stand_ins:
-            streams.read((2,), 0)
-    return stand_ins
-
-
-def assert_next_reads_agree(got_rng, ref_rng, chunks):
-    """Every twin stream live again: each stand-in's next draws agree."""
-    for streams in (got_rng, ref_rng):
-        streams._rows, streams._chunk = [1] * chunks, np.arange(chunks)
-    assert_reads_equal(got_rng.read((4,), 1), ref_rng.read((4,), 1))
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bits.random_raw(size)
 
 
 def logged(draw, log):
@@ -580,32 +386,26 @@ def logged(draw, log):
     return step
 
 
-def assert_kernels_agree(program, ids, ref_draw, rows, rounds, buffered, seed):
-    """``experiments._first_flip_chunk`` over ``program``, and the block kernel
-    over the block round ``ref_draw`` on the twin streams' ``Generator``
-    methods, each on a stand-in over twin streams: each round matches its
-    block round (:func:`assert_round_matches_block`, ``ids`` by first key),
-    each round's ``keep`` mask and the counts are equal, and each twin
-    stream's next draws agree afterwards."""
-    trials = sum(rows)
-    got_rng, ref_rng = twin_stand_ins(rows, buffered, seed, (KeptStreams, KeptTwins))
+def assert_kernels_agree(program, ids, ref_draw, trials, rounds, seed):
+    """``experiments._first_flip_block`` over ``program``, and the block
+    kernel over the block round ``ref_draw`` on :class:`WordDraws`, each on
+    its own twin of stream ``seed``: each round matches its block round
+    (:func:`assert_round_matches_block`, ``ids`` by first key), the counts
+    are equal, and the two streams read the same number of words."""
+    got_bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
     got_log, ref_log = [], []
     with mock.patch.object(experiments, "_round", logged(experiments._round, got_log)):
-        got = experiments._first_flip_chunk(program, rounds, got_rng, trials)
-    ref = block_first_flip_chunk(logged(ref_draw, ref_log), rounds, ref_rng, trials)
+        got = experiments._first_flip_block(program, rounds, got_bits, trials)
+    ref = block_first_flip(logged(ref_draw, ref_log), rounds, WordDraws(ref_bits), trials)
     assert got == ref
-    assert len(got_log) == len(ref_log) == len(got_rng.kept) == len(ref_rng.kept) >= 1
+    assert len(got_log) == len(ref_log) >= 1
     for key, ref_out in zip(got_log, ref_log):
         assert_round_matches_block(program, ids, key, ref_out)
-    for kept, ref_kept in zip(got_rng.kept, ref_rng.kept):
-        assert np.array_equal(kept, ref_kept)
-    assert_next_reads_agree(got_rng, ref_rng, len(rows))
+    assert got_bits.state == ref_bits.state
 
 
-#: chunk stand-ins: live rows per chunk stream (zero and odd counts
-#: included), rounds, whether an odd pre-draw leaves halves buffered, a seed
-TWIN_RUNS = (st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 8),
-             st.booleans(), st.integers(0, 2 ** 32 - 1))
+#: a block kernel's run: trials, rounds and a seed
+BLOCK_RUNS = (st.integers(1, 160), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 
 #: the decoy id each detection program checks at each first key
 INTERCEPT_IDS, BELL_IDS, ENTANGLING_IDS = np.arange(8) // 2, 2 * np.arange(2), np.arange(4)
@@ -626,43 +426,41 @@ PROGRAMS = {**{name: entry[0] for name, entry in BLOCK_ROUNDS.items()},
 
 class TestTableRounds:
     """Each program round reads the Born probabilities the block round
-    computed, from its tables, and leaves every stream as the block round
-    did."""
+    computed, from its tables, and reads as many words as the block round."""
 
     @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
-    @given(*TWIN_RUNS)
+    @given(*BLOCK_RUNS)
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_block_round(self, name, rows, rounds, buffered, seed):
-        assume(sum(rows))
-        assert_kernels_agree(*BLOCK_ROUNDS[name], rows, rounds, buffered, seed)
+    def test_matches_the_block_round(self, name, trials, rounds, seed):
+        assert_kernels_agree(*BLOCK_ROUNDS[name], trials, rounds, seed)
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_a_round_makes_one_read(self, name, rows, seed):
-        # one read per entry of reads, and one last key per live trial
-        assume(sum(rows))
+    def test_a_round_makes_one_read(self, name, n, seed):
+        # one random_raw call per entry of reads, a word per value, and one
+        # last key per trial
         program = PROGRAMS[name]
-        rng = ReadLog([np.random.default_rng([seed, c]) for c in range(len(rows))], list(rows))
-        key = experiments._round(program, rng)
-        assert rng.reads == [(bounds, len(stages)) for bounds, stages in program.reads]
-        assert key.shape == (sum(rows),)
+        bits = RawLog(np.random.PCG64(seed))
+        key = experiments._round(program, bits, n)
+        assert bits.sizes == [(len(bounds) + len(stages)) * n for bounds, stages in program.reads]
+        assert key.dtype == np.int64 and key.shape == (n,)
+        assert 0 <= key.min() and key.max() < program.events.shape[1]
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_alice_matches_the_block_chunk(self, policy, rows, buffered, seed):
-        assume(sum(rows))
-        got_rng, ref_rng = twin_stand_ins(rows, buffered, seed)
-        assert (experiments._event_chunk(experiments._ALICE[policy], got_rng, sum(rows))
-                == block_alice_chunk(policy, ref_rng, sum(rows)))
-        assert_next_reads_agree(got_rng, ref_rng, len(rows))
+    def test_alice_matches_the_block_round(self, policy, trials, seed):
+        got_bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
+        assert (experiments._event_block(experiments._ALICE[policy], got_bits, trials)
+                == block_alice_events(policy, WordDraws(ref_bits), trials))
+        assert got_bits.state == ref_bits.state
 
 
 class Scripted:
     """A stream stand-in that returns the given draws, in order, whatever the
-    call asks for: one per ``integers`` or ``random`` call, and two per
-    ``read``, its integer rows and its uniform rows."""
+    call asks for: one per ``integers``, ``random`` or ``random_raw`` call,
+    the last a read's words, one row per value."""
 
     def __init__(self, *draws):
         self._draws = list(draws)
@@ -673,47 +471,72 @@ class Scripted:
     def random(self, size):
         return self._draws.pop(0)
 
-    def read(self, bounds, units):
-        ints, uniforms = self._draws.pop(0), self._draws.pop(0)
-        return ints.reshape(len(bounds), -1), uniforms.reshape(units, -1)
+    def random_raw(self, size):
+        words = self._draws.pop(0)
+        assert words.dtype == np.uint64 and words.size == size
+        return words.ravel()
 
 
+#: the top 53 bits of the largest word: its uniform is the largest below 1
+TOP = 2 ** 53 - 1
 #: the largest uniform below 1
-TOP_UNIFORM = 1.0 - 2.0 ** -53
+TOP_UNIFORM = TOP * 2.0 ** -53
 
 
-def uniforms_near(p1):
-    """A uniform in [0, 1): 0, ``p1`` or a float next to it, the top uniform
-    or any uniform, each clipped to [0, 1)."""
-    return st.one_of(
-        st.sampled_from([0.0, p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0), TOP_UNIFORM]),
-        st.floats(0.0, 1.0, exclude_max=True)).map(lambda u: min(max(float(u), 0.0), TOP_UNIFORM))
+def int_words(values, bound, low):
+    """Words whose top k bits are ``values`` (below ``bound`` = 2^k) and
+    whose other bits are those of ``low``."""
+    shift = 65 - bound.bit_length()
+    return (np.array(values, np.uint64) << np.uint64(shift)) | np.uint64(low % (1 << shift))
 
 
-def any_uniforms(data, n):
-    """``n`` uniforms in [0, 1), drawn from ``data``."""
-    return np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+def uniform_words(tops, low):
+    """Words whose top 53 bits are ``tops`` and whose other 11 bits are those
+    of ``low``; each word's uniform is its top times 2^-53."""
+    return (np.array(tops, np.uint64) << np.uint64(11)) | np.uint64(low % (1 << 11))
+
+
+def uniforms(tops):
+    """The uniforms of words with these top 53 bits."""
+    return np.array(tops, float) * 2.0 ** -53
+
+
+def tops_near(p1):
+    """The top 53 bits of a word: 0, the largest, either side of where its
+    uniform reaches ``p1``, or any."""
+    edge = math.ceil(p1 * 2 ** 53)
+    return st.one_of(st.sampled_from([0, TOP, *(t for t in (edge - 1, edge) if 0 <= t <= TOP)]),
+                     st.integers(0, TOP))
+
+
+def any_tops(data, n):
+    """``n`` words' top 53 bits, drawn from ``data``."""
+    return data.draw(st.lists(st.integers(0, TOP), min_size=n, max_size=n))
+
+
+#: a word's bits that no value reads, where the scripted rounds set junk
+LOW_BITS = st.integers(0, 2 ** 64 - 1)
 
 
 @st.composite
 def intercept_rows(draw):
-    """An intercept row (id, Eve's basis, Eve's uniform), her uniform near
-    her Born probability of reading 1 or anywhere."""
+    """An intercept row (id, Eve's basis, Eve's word top), her word's uniform
+    near her Born probability of reading 1 or anywhere."""
     did, basis = draw(st.integers(0, len(DECOY_AMPS) - 1)), draw(st.integers(0, 1))
-    return did, basis, draw(uniforms_near(experiments._MEASURE_P1[2 * did + basis]))
+    return did, basis, draw(tops_near(experiments._MEASURE_P1[2 * did + basis]))
 
 
 @st.composite
 def alice_rows(draw, policy):
-    """An Alice row (j, a, her uniform, her resend draw, m0, m1, the check's
-    and the dummy's uniforms): her uniform near her Born probability of
+    """An Alice row (j, a, her word top, her resend draw, m0, m1, the check's
+    and the dummy's word tops): her uniform near her Born probability of
     reading 1 or anywhere, the check's near 1/2, where each check reads 1
     that does not read a certain bit."""
     j, a = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    alice_u = draw(uniforms_near(experiments._MEASURE_P1[4 * j + a]))
+    alice_top = draw(tops_near(experiments._MEASURE_P1[4 * j + a]))
     resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
     m0, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    return j, a, alice_u, resend, m0, m1, draw(uniforms_near(0.5)), draw(uniforms_near(0.5))
+    return j, a, alice_top, resend, m0, m1, draw(tops_near(0.5)), draw(tops_near(0.5))
 
 
 def exact_events(program):
@@ -731,12 +554,76 @@ def exact_events(program):
     return sum(weight * program.events[:, key] for key, weight in branches)
 
 
-#: every Born table by name, and each program's stages and then its events
+#: every stage of every program by name, with its thresholds
+STAGES = {f"{name}.{r}.{s}": (stage, program.draws[r][1][s])
+          for name, program in PROGRAMS.items()
+          for r, (_, stages) in enumerate(program.reads) for s, stage in enumerate(stages)}
+
+#: every Born table by name, and each program's stages, thresholds and events
 TABLES = {"measure": experiments._MEASURE_P1,
           **{f"{policy}.{kind}": table for policy, tables in experiments._RESEND_TABLES.items()
              for kind, table in zip(("guess", "check"), tables)},
           **{f"{name}.{i}": table for name, program in PROGRAMS.items()
-             for i, table in enumerate([*(s for _, stages in program.reads for s in stages), program.events])}}
+             for i, table in enumerate([*(s for _, stages in program.reads for s in stages), program.events])},
+          **{f"{name}.threshold": thresholds for name, (_, thresholds) in STAGES.items()}}
+
+
+def reads_one(top, p):
+    """The bit a word of top 53 bits ``top`` reads against Born probability
+    ``p``: its uniform is below p (never, where p is NaN)."""
+    return top * 2.0 ** -53 < p
+
+
+class TestThresholds:
+    """A stage compares a word's top 53 bits with its uint64 threshold, which
+    reads what comparing the word's uniform with the stage's p reads."""
+
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    @given(st.data(), LOW_BITS)
+    @settings(max_examples=100, deadline=None)
+    def test_integer_compare_is_the_uniform_compare(self, name, data, low):
+        stage, thresholds = STAGES[name]
+        i = data.draw(st.integers(0, len(stage) - 1))
+        p = float(stage[i])
+        top = data.draw(st.integers(0, TOP) if math.isnan(p) else tops_near(p))
+        (word,) = uniform_words([top], low)
+        assert bool((word >> np.uint64(11)) < thresholds[i]) == reads_one(top, p)
+
+    def test_every_entry_at_its_edge_words(self):
+        for name, (stage, thresholds) in STAGES.items():
+            assert thresholds.dtype == np.uint64 and thresholds.shape == stage.shape, name
+            for i, p in enumerate(stage.tolist()):
+                edges = [] if math.isnan(p) else [math.ceil(p * 2 ** 53) + d for d in (-1, 0, 1)]
+                for top in {0, TOP, *(t for t in edges if 0 <= t <= TOP)}:
+                    assert (top < int(thresholds[i])) == reads_one(top, p), (name, i, top)
+
+
+class TestProgramBounds:
+    @pytest.mark.parametrize("bounds, bad", [
+        ((0,), 0), ((1,), 1), ((3,), 3), ((6,), 6), ((2 ** 32 + 2,), 2 ** 32 + 2), ((2 ** 33,), 2 ** 33),
+        ((4, 3), 3), ((2, 4, 2 ** 33), 2 ** 33), ((np.int64(3),), 3), ((np.uint8(1),), 1)])
+    def test_a_bound_not_a_power_of_two_raises_when_built(self, bounds, bad):
+        with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
+            experiments.Program(((bounds, ()),), np.zeros((1, 2), bool))
+
+    @pytest.mark.parametrize("bounds", [(4.0,), ("4",), ([4],), (np.array([4, 2]),)])
+    def test_a_bound_not_an_integer_raises_when_built(self, bounds):
+        with pytest.raises(TypeError):
+            experiments.Program(((bounds, ()),), np.zeros((1, 2), bool))
+
+    @pytest.mark.parametrize("bounds", [(2,), (2 ** 32,), (4, 2), (np.int64(4), np.uint32(2)),
+                                        (np.uint64(2 ** 32),), tuple(np.array([8, 2]))])
+    @given(st.data(), LOW_BITS)
+    @settings(max_examples=20, deadline=None)
+    def test_a_round_reads_each_bound_from_top_bits(self, bounds, data, low):
+        highs = [int(b) for b in bounds]
+        values = [data.draw(st.integers(0, high - 1)) for high in highs]
+        program = experiments.Program(((bounds, ()),), np.zeros((1, math.prod(highs)), bool))
+        words = np.array([int_words([v], high, low) for v, high in zip(values, highs)])
+        want = 0
+        for high, v in zip(highs, values):
+            want = high * want + v
+        assert experiments._round(program, Scripted(words), 1).tolist() == [want]
 
 
 class TestBornTables:
@@ -781,15 +668,24 @@ class TestBornTables:
         assert_same(alice_p1, experiments._MEASURE_P1[[0, 1, 4, 5]])
         assert np.array_equal(alice_check, check_table[np.r_[:16 * draws, 32 * draws:48 * draws]], equal_nan=True)
         assert coin.shape == (2 * len(alice_check),) and np.all(coin == 0.5)
-        # the NaN entries are the outcomes of probability 0: id 0 reads no 1
-        # in Z, id 1 no 0 in Z and id 2 no 1 in X. |-> in X reads 0 with
-        # probability 2^-51, not 0 (its p1 is 1 - 2^-51), so its entries are finite
-        assert np.flatnonzero(np.isnan(check)).tolist() == [1, 4, 11]
+        # the NaN entries are the outcomes of probability 0: each decoy
+        # measured in its own basis reads its own bit, so id 0 reads no 1 in
+        # Z, id 1 no 0 in Z, id 2 no 1 in X and id 3 no 0 in X
+        assert np.flatnonzero(np.isnan(check)).tolist() == [1, 4, 11, 14]
         nan_keys = [(2 * (2 * did + basis) + bit) * draws + r
-                    for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1)) for r in range(draws)]
+                    for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1), (3, 1, 0)) for r in range(draws)]
         assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
         nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
         assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
+
+    def test_measure_table_is_exact(self):
+        # decoy id d in basis b at 2 * d + b: |0>, |1>, |+>, |-> in Z, then X
+        assert experiments._MEASURE_P1.tolist() == [0.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.5, 1.0]
+        # so every honest check, a decoy in its own basis, reads its own bit
+        # for every uniform in [0, 1)
+        own = experiments._MEASURE_P1[[0, 2, 5, 7]]
+        assert own.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert ((0.0 < own) == (TOP_UNIFORM < own)).all()
 
     def test_bell_table_rebuilds(self):
         want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
@@ -809,8 +705,10 @@ class TestBornTables:
         (experiments._detection_program((4,), np.arange(4), (experiments._MEASURE_P1[[0, 2, 5, 7]],)), 0.0)],
         ids=["intercept", "bell", "honest"])
     def test_detection_programs_flip_at_their_closed_form(self, program, q):
+        # the measure-and-resend and Bell tables hold exactly 0, 1/2 and 1,
+        # so the exact sum is the closed form, bit for bit
         (flip,) = exact_events(program)
-        assert flip == pytest.approx(q, abs=1e-12)
+        assert flip == q
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)))
     @example(None).via("the no-detection point")
@@ -826,10 +724,8 @@ class TestBornTables:
     def test_alice_tables_give_the_closed_forms(self, policy):
         conclusive, wrong, bit_error, dummy_error = exact_events(experiments._ALICE[policy])
         closed = experiments.ALICE_CLOSED_FORMS[policy]
-        assert conclusive == pytest.approx(closed["conclusive"], abs=1e-12)
-        assert wrong == 0.0
-        assert bit_error == pytest.approx(closed["bit_error"], abs=1e-12)
-        assert dummy_error == pytest.approx(closed["dummy_error"], abs=1e-12)
+        assert [conclusive, wrong, bit_error, dummy_error] == [
+            closed["conclusive"], 0.0, closed["bit_error"], closed["dummy_error"]]
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_tables_are_read_only(self, name):
@@ -838,49 +734,57 @@ class TestBornTables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
 
-    @given(st.lists(intercept_rows(), min_size=1, max_size=20), st.data())
+    @given(st.lists(intercept_rows(), min_size=1, max_size=20), st.data(), LOW_BITS)
     @settings(max_examples=300, deadline=None)
-    def test_intercept_round_reads_the_block_path(self, rows, data):
-        ids, basis, eve_u = (np.array(col) for col in zip(*rows))
-        u = any_uniforms(data, len(rows))
-        key = experiments._round(experiments._INTERCEPT, Scripted(np.array([ids, basis]), np.array([eve_u, u])))
-        assert_round_matches_block(experiments._INTERCEPT, INTERCEPT_IDS, key,
-                                   block_intercept_round(Scripted(ids, basis, eve_u, u), len(rows)))
+    def test_intercept_round_reads_the_block_path(self, rows, data, low):
+        ids, basis, eve_top = (np.array(col) for col in zip(*rows))
+        top = any_tops(data, len(rows))
+        words = np.array([int_words(ids, 4, low), int_words(basis, 2, low),
+                          uniform_words(eve_top, low), uniform_words(top, low)])
+        key = experiments._round(experiments._INTERCEPT, Scripted(words), len(rows))
+        assert_round_matches_block(experiments._INTERCEPT, INTERCEPT_IDS, key, block_intercept_round(
+            Scripted(ids, basis, uniforms(eve_top), uniforms(top)), len(rows)))
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data())
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data(), LOW_BITS)
     @settings(max_examples=50, deadline=None)
-    def test_bell_round_reads_the_block_path(self, declared, data):
-        declared, u = np.array(declared), any_uniforms(data, len(declared))
-        key = experiments._round(experiments._BELL, Scripted(declared, u))
+    def test_bell_round_reads_the_block_path(self, declared, data, low):
+        top = any_tops(data, len(declared))
+        words = np.array([int_words(declared, 2, low), uniform_words(top, low)])
+        key = experiments._round(experiments._BELL, Scripted(words), len(declared))
         assert_round_matches_block(experiments._BELL, BELL_IDS, key,
-                                   block_bell_round(Scripted(declared, u), len(declared)))
+                                   block_bell_round(Scripted(np.array(declared), uniforms(top)), len(declared)))
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
-           st.lists(st.integers(0, len(DECOY_AMPS) - 1), min_size=1, max_size=20), st.data())
+           st.lists(st.integers(0, len(DECOY_AMPS) - 1), min_size=1, max_size=20), st.data(), LOW_BITS)
     @settings(max_examples=100, deadline=None)
-    def test_entangling_round_reads_the_block_path(self, params_seed, ids, data):
+    def test_entangling_round_reads_the_block_path(self, params_seed, ids, data, low):
         params = (NO_DETECTION if params_seed is None
                   else adversary.sample_ue_params(np.random.default_rng(params_seed)))
-        ids, u = np.array(ids), any_uniforms(data, len(ids))
+        top = any_tops(data, len(ids))
         program = experiments._entangling_program(params)
-        assert_round_matches_block(program, ENTANGLING_IDS, experiments._round(program, Scripted(ids, u)),
-                                   block_entangling_round(params, Scripted(ids, u), len(ids)))
+        key = experiments._round(program, Scripted(np.array([int_words(ids, 4, low), uniform_words(top, low)])),
+                                 len(ids))
+        assert_round_matches_block(program, ENTANGLING_IDS, key, block_entangling_round(
+            params, Scripted(np.array(ids), uniforms(top)), len(ids)))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
-    @given(st.data())
+    @given(st.data(), LOW_BITS)
     @settings(max_examples=100, deadline=None)
-    def test_alice_round_reads_the_block_path(self, policy, data):
+    def test_alice_round_reads_the_block_path(self, policy, data, low):
         rows = data.draw(st.lists(alice_rows(policy), min_size=1, max_size=20))
-        j, a, alice_u, resend, m0, m1, check_u, dummy_u = (np.array(col) for col in zip(*rows))
-        resend = [resend] if policy in adversary.RESEND_DRAWS else []
+        j, a, alice_top, resend, m0, m1, check_top, dummy_top = (np.array(col) for col in zip(*rows))
+        draws = adversary.RESEND_DRAWS.get(policy)
+        resend = [(resend, draws)] if draws else []
         # all rows together, then each alone, so each row's events match
         for t in [slice(None), *(slice(i, i + 1) for i in range(len(rows)))]:
-            got = experiments._event_chunk(experiments._ALICE[policy], Scripted(
-                np.array([j[t], a[t]]), alice_u[t], np.array([*(r[t] for r in resend), m0[t], m1[t]]),
-                np.array([check_u[t], dummy_u[t]])), len(j[t]))
-            ref = block_alice_chunk(policy, Scripted(
-                j[t], a[t], alice_u[t], *(r[t] for r in resend), np.array([m0[t], m1[t]]),
-                np.array([check_u[t], dummy_u[t]])), len(j[t]))
+            first = np.array([int_words(j[t], 2, low), int_words(a[t], 2, low), uniform_words(alice_top[t], low)])
+            second = np.array([*(int_words(r[t], bound, low) for r, bound in resend), int_words(m0[t], 2, low),
+                               int_words(m1[t], 2, low), uniform_words(check_top[t], low),
+                               uniform_words(dummy_top[t], low)])
+            got = experiments._event_block(experiments._ALICE[policy], Scripted(first, second), len(j[t]))
+            ref = block_alice_events(policy, Scripted(
+                j[t], a[t], uniforms(alice_top[t]), *(r[t] for r, _ in resend), np.array([m0[t], m1[t]]),
+                uniforms([check_top[t], dummy_top[t]])), len(j[t]))
             assert got == ref
 
     def test_a_fresh_import_warns_nothing(self):
@@ -1020,8 +924,8 @@ class TestEntanglingEstimate:
         assert row.empirical == 0.0 and row.closed_form == 0.0
 
     def test_calls_the_isometry_once_per_estimate(self, monkeypatch):
-        # 65 chunks: two chunk groups
-        trials = experiments.GROUP_CHUNKS * experiments.CHUNK_TRIALS + 1
+        # two blocks
+        trials = experiments.BLOCK_TRIALS + 1
         calls = []
         real = adversary.eve_entangling_attack
 

@@ -1,9 +1,14 @@
 """Output bytes pinned for a fixed seed: within one package version a
 refactor may not change a single byte of a transcript or a CSV row.
 
-The transcript line is unchanged since 0.1.0; the Monte Carlo CSVs were
-regenerated at 0.2.0, whose trial-batched kernels draw different streams (the
-intercept row happens to read as it did at 0.1.0)."""
+The transcript line and every transcript digest are unchanged since 0.1.0.
+The Monte Carlo CSVs were regenerated at 0.2.0, whose trial-batched kernels
+draw different streams (the intercept row happened to read as it did at
+0.1.0), and again at 0.3.0, whose kernels draw one stream per block of
+``experiments.BLOCK_TRIALS`` trials and one raw word per value. The
+multi-qubit measurement digest was regenerated at 0.3.0 too, where
+``qsim.probability_of_one`` became p1 / (p0 + p1), which renormalises each
+collapsed row by a p that can differ in its last bits."""
 
 import hashlib
 import itertools
@@ -58,7 +63,7 @@ GOLDEN_ABORTS = {
 
 GOLDEN_INTERCEPT_CSV = (
     "parameter,empirical,closed_form,stderr,trials\n"
-    "5,0.735,0.7626953125,0.03120697038,200\n"
+    "5,0.775,0.7626953125,0.02952752953,200\n"
 )
 
 #: the constrained no-detection point and a leaking isometry with complex amplitudes
@@ -70,33 +75,33 @@ UE_FILES = {
 }
 
 ALICE_HEADER = "metric,empirical,closed_form,stderr,trials\n"
-ALICE_CONCLUSIVE = "conclusive,0.255,0.25,0.03082004218,200\n"
+ALICE_CONCLUSIVE = "conclusive,0.25,0.25,0.03061862178,200\n"
 
 #: ``attack ... --trials 200 --seed 7`` output by extra arguments
 GOLDEN_ATTACK_CSVS = {
     "bell": (["--scenario", "bell", "--K", "3"],
              "parameter,empirical,closed_form,stderr,trials\n"
-             "3,0.88,0.875,0.02297825059,200\n"),
+             "3,0.855,0.875,0.02489728901,200\n"),
     "alice-guess": (["--scenario", "alice", "--policy", "guess"],
                     ALICE_HEADER + ALICE_CONCLUSIVE
-                    + "bit_error,0.2,0.1875,0.02828427125,200\n"),
+                    + "bit_error,0.205,0.1875,0.02854601548,200\n"),
     "alice-collapsed": (["--scenario", "alice", "--policy", "collapsed"],
                         ALICE_HEADER + ALICE_CONCLUSIVE
-                        + "bit_error,0.235,0.25,0.02998124414,200\n"),
+                        + "bit_error,0.295,0.25,0.03224709289,200\n"),
     "alice-random": (["--scenario", "alice", "--policy", "random"],
                      ALICE_HEADER + ALICE_CONCLUSIVE
-                     + "bit_error,0.515,0.5,0.03533942558,200\n"),
+                     + "bit_error,0.53,0.5,0.03529164207,200\n"),
     "alice-dummy": (["--scenario", "alice-dummy"],
                     ALICE_HEADER + ALICE_CONCLUSIVE
-                    + "bit_error,0.2,0.1875,0.02828427125,200\n"
-                    "dummy_error,0.085,0.09375,0.01971991379,200\n"),
+                    + "bit_error,0.205,0.1875,0.02854601548,200\n"
+                    "dummy_error,0.09,0.09375,0.02023610634,200\n"),
     "entangling-constrained": (["--scenario", "entangling", "--ue-file", "constrained"],
                                "parameter,empirical,closed_form,stderr,trials\n"
                                "detection,0,0,0,200\n"
                                "leakage,0,0,0,200\n"),
     "entangling-mixed": (["--scenario", "entangling", "--ue-file", "mixed"],
                          "parameter,empirical,closed_form,stderr,trials\n"
-                         "detection,0.52,0.57,0.03532704347,200\n"
+                         "detection,0.57,0.57,0.03500714213,200\n"
                          "leakage,0.693108938,0.693108938,0,200\n"),
 }
 
@@ -148,13 +153,13 @@ def test_oblivious_csv_is_pinned(capsys):
     assert code == 0 and capsys.readouterr().out == GOLDEN_OBLIVIOUS_CSV
 
 
-#: full argv -> output, for the sequential-check paths: zero rounds, a round
-#: count that every trial exits early from, and more than one trial chunk
+#: full argv -> output, for the sequential-check paths: zero rounds, and a
+#: round count that every trial exits early from
 GOLDEN_CLI_CSVS = {
     "sweep-intercept": (["sweep", "--scenario", "intercept", "--values", "0,1,50"],
                         "parameter,empirical,closed_form,stderr,trials\n"
                         "0,0,0,0,600\n"
-                        "1,0.235,0.25,0.01730967937,600\n"
+                        "1,0.2233333333,0.25,0.01700272309,600\n"
                         "50,1,0.9999994337,0,600\n"),
     "sweep-bell": (["sweep", "--scenario", "bell", "--values", "0,20"],
                    "parameter,empirical,closed_form,stderr,trials\n"
@@ -162,7 +167,7 @@ GOLDEN_CLI_CSVS = {
                    "20,1,0.9999990463,0,600\n"),
     "attack-entangling-mixed": (["attack", "--scenario", "entangling", "--ue-file", "mixed"],
                                 "parameter,empirical,closed_form,stderr,trials\n"
-                                "detection,0.595,0.57,0.02004058382,600\n"
+                                "detection,0.5583333333,0.57,0.02027302075,600\n"
                                 "leakage,0.693108938,0.693108938,0,600\n"),
 }
 
@@ -232,50 +237,52 @@ def test_supplied_input_transcripts_are_pinned():
 
 
 #: sha256 of the concatenated stdout of these commands, each run with
-#: ``--trials 16641 --seed 7``: 65 chunks, past one group of simulated chunks
-GROUPED_CHUNK_COMMANDS = (
+#: ``--trials 16641 --seed 7``: two blocks, the second of 257 trials
+TWO_BLOCK_COMMANDS = (
     ["sweep", "--scenario", "intercept", "--values", "1,5,50"],
     ["sweep", "--scenario", "bell", "--values", "1,20"],
     ["attack", "--scenario", "alice-dummy"],
     ["attack", "--scenario", "alice", "--policy", "collapsed"],
     ["attack", "--scenario", "alice", "--policy", "random"],
 )
-GROUPED_CHUNK_SHA256 = "a9bc80538d45b2232c9eee1aef241102120539097039b1b56360a5c4a04755e0"
+TWO_BLOCK_SHA256 = "17494f79d2332982fb21130fafaeba8ae734f7d514f68aabb9b15aef57c58c2d"
 
 
-def test_csvs_past_a_chunk_group_are_pinned(capsys):
+def test_csvs_past_a_block_are_pinned(capsys):
     digest = hashlib.sha256()
-    for args in GROUPED_CHUNK_COMMANDS:
+    for args in TWO_BLOCK_COMMANDS:
         assert cli.main([*args, "--trials", "16641", "--seed", "7"]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == GROUPED_CHUNK_SHA256
+    assert digest.hexdigest() == TWO_BLOCK_SHA256
 
 
 #: sha256 of the stdout of ``attack --scenario entangling`` with each
-#: parameter file, run with ``--trials 16641 --seed 7``, past one group of
-#: simulated chunks
-ENTANGLING_GROUPED_SHA256 = {
-    "mixed": "0d59d9c3b6a7238fba934e31d1694b0a4d488a38da43ee6c44a295c3f92daa03",
+#: parameter file, run with ``--trials 16641 --seed 7``: two blocks
+ENTANGLING_TWO_BLOCK_SHA256 = {
+    "mixed": "025dd7d1b57b9eb390392e22d60e5bfeebbd69f7b9567a8536f2d3993f8caf3e",
     "constrained": "5a9fc7a2c2acc06050a5d99d67c7ec955f581077c55c07123d2ed771370139d1",
 }
 
 
-@pytest.mark.parametrize("name", ENTANGLING_GROUPED_SHA256)
-def test_entangling_csvs_past_a_chunk_group_are_pinned(capsys, tmp_path, name):
+@pytest.mark.parametrize("name", ENTANGLING_TWO_BLOCK_SHA256)
+def test_entangling_csvs_past_a_block_are_pinned(capsys, tmp_path, name):
     path = tmp_path / f"{name}.txt"
     path.write_text(UE_FILES[name])
     args = ["attack", "--scenario", "entangling", "--ue-file", str(path), "--trials", "16641", "--seed", "7"]
     assert cli.main(args) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ENTANGLING_GROUPED_SHA256[name]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ENTANGLING_TWO_BLOCK_SHA256[name]
 
 
 #: sha256 over chained seeded bits and collapsed amplitude bytes on random
 #: one- to three-qubit registers, 2n qubit-0 measurements of each n-qubit
 #: register (one-row ``qsim.measure_batch``), then over the Bell cheat's
-#: protocol path: channel check, loyalty positions and outcomes. Computed at
-#: b0cdeba with ``qsim.measure``, which then took a target and returned the
-#: collapsed register, with the target set to 0
-MULTI_QUBIT_SHA256 = "314a910f8f6a4470eb37bdd25c465e29680a0a46d6ed3b651ee918f3f7581c86"
+#: protocol path: channel check, loyalty positions and outcomes. First
+#: computed at b0cdeba with ``qsim.measure``, which then took a target and
+#: returned the collapsed register, with the target set to 0 (0.2.0:
+#: 314a910f...); regenerated at 0.3.0, where the Born probability became
+#: p1 / (p0 + p1): the bits are unchanged and the collapsed rows move in
+#: their last bits from the 4th of 480 measurements on
+MULTI_QUBIT_SHA256 = "fe03366b0ead516dbfdd7871aa9b1862cdcc437b06b9df747bf99be4e5747148"
 
 
 def test_multi_qubit_measurements_are_pinned():

@@ -197,11 +197,13 @@ def random_state(n_qubits, seed):
 
 def reference_measure(state, x_basis, u):
     """``qsim.measure`` as it was before its outcomes were memoized, verbatim
-    but for its register type, its target, fixed at qubit 0, and its draw,
-    the uniform ``u`` in place of ``rng.random()``."""
+    but for its register type, its target, fixed at qubit 0, its draw, the
+    uniform ``u`` in place of ``rng.random()``, and its p1, over both
+    outcomes' squared norms."""
     pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = qsim._project(state.reshape(1, 1, -1), pair)
-    p1 = float(np.square(np.abs(proj[:, 1])).sum())
+    p0, p1 = (float(np.square(np.abs(proj[:, bit])).sum()) for bit in (0, 1))
+    p1 /= p0 + p1
     bit = 1 if u < p1 else 0
     rest = proj[:, bit] / math.sqrt(p1 if bit else 1.0 - p1)
     return bit, (rest[:, None, :] * pair[bit][:, None]).reshape(-1)
@@ -213,7 +215,8 @@ def boundary_uniforms(state, x_basis):
     ``random()`` can return (in [0, 1))."""
     pair = qsim.EIGENSTATES[2 * x_basis:2 * x_basis + 2]
     proj = qsim._project(state.reshape(1, 1, -1), pair)
-    p1 = float(np.square(np.abs(proj[:, 1])).sum())
+    p0, p1 = (float(np.square(np.abs(proj[:, bit])).sum()) for bit in (0, 1))
+    p1 /= p0 + p1
     return [u for u in (p1, np.nextafter(p1, 0.0), np.nextafter(p1, 1.0)) if 0.0 <= u < 1.0]
 
 
@@ -368,14 +371,16 @@ class TestMeasureBatch:
 
 def take_probability_of_one(amps, x_basis):
     """``qsim.probability_of_one`` as it was when it gathered its bras from
-    the whole eigenstate table at ``2 * x_basis + 1``, verbatim."""
-    bras = qsim.EIGENSTATES.take(2 * x_basis + 1, axis=0)
-    return np.square(np.abs(qsim._project(amps, bras))).sum(axis=1)
+    the whole eigenstate table at ``2 * x_basis + 1``, verbatim but for the
+    outcome-0 bras at ``2 * x_basis`` and the division by both outcomes."""
+    p0, p1 = (np.square(np.abs(qsim._project(amps, qsim.EIGENSTATES.take(2 * x_basis + bit, axis=0))))
+              .sum(axis=1) for bit in (0, 1))
+    return p1 / (p0 + p1)
 
 
 class TestOneBras:
-    """The outcome-1 bras gathered from their own table are the rows the
-    eigenstate table gives at ``2 * x_basis + 1``."""
+    """The outcome-0 and outcome-1 bras gathered from their own tables are
+    the rows the eigenstate table gives at ``2 * x_basis`` and ``2 * x_basis + 1``."""
 
     @given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -405,9 +410,10 @@ class TestOneBras:
             assert np.array_equal(got, take_probability_of_one(state[None], x_basis))
             assert qsim._born(state.tobytes(), x_basis) == got[0]
 
-    def test_table_is_a_read_only_view_of_the_outcome_one_rows(self):
+    def test_tables_are_read_only_views_of_the_outcome_rows(self):
+        assert np.array_equal(qsim._ZERO_BRAS, [qsim.ZERO, qsim.PLUS])
         assert np.array_equal(qsim._ONE_BRAS, [qsim.ONE, qsim.MINUS])
-        assert not qsim._ONE_BRAS.flags.writeable
+        assert not qsim._ZERO_BRAS.flags.writeable and not qsim._ONE_BRAS.flags.writeable
 
 
 class TestBell:

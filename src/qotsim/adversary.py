@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import protocol, qsim
-from .protocol import DECOY_AMPS, ProtocolError, SequenceSlot, insert_decoys
+from .protocol import DECOY_AMPS, ProtocolError, SequenceSlot
 
 ISOMETRY_ATOL = 1e-9
 
@@ -176,7 +176,7 @@ def bob_bell_cheat(config, rng: np.random.Generator) -> tuple[list[SequenceSlot]
     declared = rng.integers(2, size=config.N + 2 * config.K)
     slots = [SequenceSlot(BELL_SLOT, choice=int(c), payload_index=i if i < config.N else None)
              for i, c in enumerate(declared)]
-    return insert_decoys(slots, config.M, rng)
+    return protocol.insert_decoys(slots, config.M, rng)
 
 
 def bob_bell_cheat_readout(state: np.ndarray) -> tuple[int, int]:

@@ -216,7 +216,9 @@ def _cmd_replay(args) -> int:
     # is decoded on its own, so bytes that are not UTF-8 fail their own record
     count = 0
     with open(args.transcript, "rb") as fh:
-        for count, line in enumerate((ln for ln in fh if ln.strip()), start=1):
+        # a UTF-8 byte-order mark at the start of the file, which some editors write, is skipped
+        lines = (ln.removeprefix(b"\xef\xbb\xbf") if i == 0 else ln for i, ln in enumerate(fh))
+        for count, line in enumerate((ln for ln in lines if ln.strip()), start=1):
             try:
                 ok, detail = protocol.replay_transcript(line.decode("utf-8"))
             except (ProtocolError, UnicodeDecodeError) as exc:

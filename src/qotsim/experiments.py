@@ -4,19 +4,20 @@ Trials are drawn in blocks of BLOCK_TRIALS, the stream unit: block b of an
 estimate at point p (its M or K; 0 for the scenarios without one) draws from
 its own PCG64 stream (seed, p, b), so no two points or seeds share a stream.
 A block's trials are simulated together (a row per trial) through the Born
-rule, one 64-bit raw word per drawn value. Every register a measurement reads
-is one of a few, so each reads its Born probability from a table the
-simulator fills once per register at import (per estimate for Eve's
-entangling attack). Every scenario's round is a :class:`Program` of such
-tables, all drawn by one round function; Eve's intercept and Alice's round
-read the tables of one measure-and-resend,
+rule. Every scenario's round is a :class:`Program`, a flat tuple of steps:
+integer draws, and Born tables the simulator fills once per register at
+import (per estimate for Eve's entangling attack). A round is one
+``random_raw`` call, one 64-bit word per step and trial. Each table and event
+is written over the round's named draws and laid out by :func:`_table`; Eve's
+intercept and Alice's round measure and resend through one function,
 :func:`adversary.alice_measure_resend`."""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,42 +130,52 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
     return counts.tolist()
 
 
-@dataclass(frozen=True)
-class Program:
-    """A Monte Carlo round as data, drawn by :func:`_round`. Each of ``reads``
-    is one ``(bounds, stages)`` read: each integer row of bound b sets key =
-    b * key + row, then each Born table in ``stages`` reads one uniform and
-    sets key = 2 * key + (uniform < stage[key]). ``events[e, key]`` at the
-    last key says whether event e happened. Every table is made read-only.
+class Program(NamedTuple):
+    """A Monte Carlo round as data, built by :func:`_program` and drawn by
+    :func:`_round`. Each of ``steps`` is an int bound b, which draws a row
+    (key = b * key + row), or a Born table, which reads one uniform (key = 2 *
+    key + (uniform < table[key])). ``events[e, key]`` at the last key says
+    whether event e happened. ``draws``: each bound 2^k's shift 64 - k, each
+    table's :func:`_thresholds`."""
 
-    Each bound must be a power of two from 2 to 2^32 (a ValueError
-    otherwise). ``draws`` holds, per read, the shift 64 - k of each bound
-    2^k and each stage's :func:`_thresholds`, built once here."""
-
-    reads: tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]
+    steps: tuple
     events: np.ndarray
-    draws: tuple = field(init=False, repr=False, compare=False)
+    draws: tuple
 
-    def __post_init__(self):
-        for table in (*(stage for _, stages in self.reads for stage in stages), self.events):
-            table.flags.writeable = False
-        object.__setattr__(self, "draws", tuple(
-            (tuple(64 - _bound_bits(b) for b in bounds), tuple(map(_thresholds, stages)))
-            for bounds, stages in self.reads))
+
+def _table(steps: dict, fn) -> np.ndarray:
+    """``fn`` of the named draws of ``steps`` (a bound's row, a Born table's
+    bit), elementwise over every key of a round of those steps, in key order."""
+    draws = np.indices([s if isinstance(s, int) else 2 for s in steps.values()]).reshape(len(steps), -1)
+    return fn(**dict(zip(steps, draws)))
+
+
+def _program(steps: dict, events) -> Program:
+    """The :class:`Program` of ``steps``, each an integer bound (a power of two
+    from 2 to 2^32: a ValueError otherwise, a TypeError if not an integer) or
+    a function of the named draws before it, whose :func:`_table` is its Born
+    table, and of the table of ``events`` (one event, or a list) over them
+    all. Every table is made read-only."""
+    built = {}
+    for name, step in steps.items():
+        built[name] = _read_only(_table(built, step)) if callable(step) else 1 << _bound_bits(step)
+    steps = tuple(built.values())
+    return Program(steps, _read_only(np.array(_table(built, events), bool, ndmin=2)),
+                   tuple(64 - _bound_bits(s) if isinstance(s, int) else _thresholds(s) for s in steps))
 
 
 def _round(program: Program, bits, n: int) -> np.ndarray:
-    """The last key of each of n trials. Each read of ``program`` is one
-    ``bits.random_raw`` call, a row of n words per value: an integer of bound
-    2^k is a word's top k bits, and a stage reads 1 iff the word's uniform,
-    its top 53 bits times 2^-53, is below its p1, as ``measure_batch`` reads."""
+    """The last key of each of n trials, from one ``bits.random_raw`` call, a
+    row of n words per step: an integer of bound 2^k is a word's top k bits,
+    and a table reads 1 iff the word's uniform, its top 53 bits times 2^-53,
+    is below its p1, as ``measure_batch`` reads."""
     key = 0
-    for (bounds, _), (shifts, thresholds) in zip(program.reads, program.draws):
-        words = bits.random_raw((len(shifts) + len(thresholds)) * n).reshape(-1, n)
-        for bound, shift, word in zip(bounds, shifts, words):
-            key = bound * key + (word >> shift).view(np.int64)
-        for threshold, top in zip(thresholds, words[len(shifts):] >> 11):
-            key = 2 * key + (top < threshold.take(key))
+    for step, draw, word in zip(program.steps, program.draws,
+                                bits.random_raw(len(program.steps) * n).reshape(-1, n)):
+        if isinstance(step, int):
+            key = step * key + (word >> draw).view(np.int64)
+        else:
+            key = 2 * key + ((word >> 11) < draw.take(key))
     return key
 
 
@@ -185,70 +196,52 @@ def _event_block(program: Program, bits, trials: int) -> list[int]:
     return np.count_nonzero(program.events[:, _round(program, bits, trials)], axis=1).tolist()
 
 
-#: the Born probability of reading 1 on decoy id d measured in basis b (X
-#: where b is set), at 2 * d + b: exactly 0, 1/2 or 1, as
-#: :func:`qsim.probability_of_one` normalises by both outcomes
-_MEASURE_P1 = _read_only(qsim.probability_of_one(DECOY_AMPS.repeat(2, axis=0), np.arange(8) % 2))
+def _measure(d, b) -> np.ndarray:
+    """The Born probability of reading 1 on decoy id d in basis b (X where b is
+    set), elementwise: exactly 0, 1/2 or 1, as ``probability_of_one`` reads."""
+    return qsim.probability_of_one(DECOY_AMPS.take(d, axis=0), b)
 
 
-def _resend_tables(policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of a measure-and-resend round for one resend policy: the
-    choice guess, and the check's Born probability, by key = (2 * (2 * d +
-    b) + bit) * draws + r for decoy id d measured in basis b, the outcome
-    bit and the resend draw r of :data:`adversary.RESEND_DRAWS` (r = 0 of
-    one for ``collapsed``). The check's probability is that of reading 1 on
-    the resent state, encoded with Pauli code 2 * m0 + m1, in the basis of
-    id d, at 4 * key + code.
-
-    The simulator measures and resends each row once per key and code,
-    through :func:`adversary.alice_measure_resend` with a uniform that forces
-    the outcome. An outcome of probability 0 is not collapsed; its entries
-    are NaN, which no round reads, as no uniform reaches it.
-    """
-    rows = np.indices((len(_MEASURE_P1), 2, adversary.RESEND_DRAWS.get(policy, 1), 4)).reshape(4, -1)
-    p1 = _MEASURE_P1.take(rows[0])
+def _resend(policy: str, d, b, bit, r, code) -> tuple[np.ndarray, np.ndarray]:
+    """A measure-and-resend per ``policy``, elementwise: the choice guess and
+    the check's Born probability of reading 1, in the basis of decoy id d, on
+    what is resent after measuring id d in basis b reads ``bit``, with resend
+    draw r of :data:`adversary.RESEND_DRAWS` (``collapsed`` reads none),
+    encoded with Pauli code ``code``. Each row goes through
+    :func:`adversary.alice_measure_resend` with a uniform forcing ``bit``; a
+    bit of probability 0, which no uniform reaches, is NaN in both."""
+    p1 = _measure(d, b)
     # a uniform in [0, 1) reads 1 below a p1 above 0, and 0 from a p1 below 1
-    reachable = np.where(rows[1], p1 > 0.0, p1 < 1.0)
-    db, bit, r, code = rows[:, reachable]
-    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(db // 2, axis=0), db % 2,
-                                                     np.where(bit, 0.0, 1.0), r, policy)
-    encoded = qsim.apply_batch(resent, qsim.PAULIS.take(code, axis=0))
+    reachable = np.where(bit, p1 > 0.0, p1 < 1.0)
+    d, b, bit, r, code = (np.broadcast_to(x, reachable.shape)[reachable] for x in (d, b, bit, r, code))
+    guesses, resent = adversary.alice_measure_resend(DECOY_AMPS.take(d, axis=0), b, 1.0 - bit, r, policy)
     guess, check_p1 = np.full((2, len(reachable)), np.nan)
     guess[reachable] = guesses
-    check_p1[reachable] = qsim.probability_of_one(encoded, db >= 4)
-    return _read_only(guess[::4].copy()), _read_only(check_p1)
+    encoded = qsim.apply_batch(resent, qsim.PAULIS.take(code, axis=0))
+    check_p1[reachable] = qsim.probability_of_one(encoded, d >= 2)
+    return guess, check_p1
 
 
-#: a measure-and-resend round's tables by resend policy: see :func:`_resend_tables`
-_RESEND_TABLES = {policy: _resend_tables(policy) for policy in adversary.RESEND_POLICIES}
+def _flip(d, check, **_) -> np.ndarray:
+    """A detection round's one event: the check's bit is not the bit of decoy id d."""
+    return protocol.decoy_flipped(d, check)
 
 
-def _detection_program(bounds: tuple[int, ...], ids: np.ndarray, stages: tuple) -> Program:
-    """A detection round of one read: ``ids[key]`` is the decoy id checked at
-    the first key, and the last Born table of ``stages`` is the check's. Its
-    one event is the flip: the check's bit is not the bit of that id."""
-    key = np.arange(2 * len(stages[-1]))
-    return Program(((bounds, stages),), protocol.decoy_flipped(ids[key >> len(stages)], key % 2 == 1)[None])
-
-
-#: random decoys, each measured and resent by Eve in a random basis: the key
-#: 2 * d + b of decoy id d and her basis b, her outcome from its Born p1, and the
-#: check on the eigenstate she resends, the ``collapsed`` policy's code-0 column
-_INTERCEPT = _detection_program((len(DECOY_AMPS), 2), np.arange(len(_MEASURE_P1)) // 2,
-                                (_MEASURE_P1, _RESEND_TABLES["collapsed"][1][::4].copy()))
-#: loyalty tests of a cheating Bob's Bell slots, each checked against the id
-#: 2c of the uniformly random choice c he declares; the transmitted half is
-#: maximally mixed, so each test fails with probability 1/2
-_BELL = _detection_program((2,), 2 * np.arange(2), (qsim.probability_of_one(
-    np.broadcast_to(adversary.BELL_SLOT, (2, 4)), np.arange(2) == 1),))
+#: random decoys d, each measured by Eve in a random basis b and resent as
+#: the eigenstate she read, the ``collapsed`` policy
+_INTERCEPT = _program({"d": len(DECOY_AMPS), "b": 2, "bit": _measure,
+                       "check": lambda d, b, bit: _resend("collapsed", d, b, bit, 0, 0)[1]}, _flip)
+#: loyalty tests of a cheating Bob's Bell slots, each checked against the id 2c
+#: of the random choice c he declares: each fails with probability 1/2
+_BELL = _program({"c": 2, "check": lambda c: qsim.probability_of_one(
+    np.broadcast_to(adversary.BELL_SLOT, (len(c), 4)), c == 1)}, lambda c, check: _flip(2 * c, check))
 
 
 def _entangling_program(params) -> Program:
     """Random decoys through Eve's entangling attack: each id's check on what
     one call of her isometry makes of the four decoys."""
-    ids = np.arange(len(DECOY_AMPS))
-    return _detection_program((len(ids),), ids, (qsim.probability_of_one(
-        adversary.eve_entangling_attack(DECOY_AMPS, params), ids >= 2),))
+    return _program({"d": len(DECOY_AMPS), "check": lambda d: qsim.probability_of_one(
+        adversary.eve_entangling_attack(DECOY_AMPS.take(d, axis=0), params), d >= 2)}, _flip)
 
 
 #: the scenarios with a detection closed form: each maps to the CLI flag that
@@ -314,22 +307,26 @@ class AliceAttackReport:
 
 
 def _alice_program(policy: str) -> Program:
-    """Slots through Alice's measure-and-resend, read from its tables at Bob's
-    decoy ids 2j. One read draws Bob's choice j, Alice's basis and her outcome; a
-    second her resend draw (if her policy makes one), m0 and m1, the check on
-    what she resent, encoded with code 2 * m0 + m1, and the dummy coin. Its
-    events: a conclusive guess, a wrong one, a bit error, a dummy error."""
+    """Slots through Alice's measure-and-resend at Bob's decoy ids 2j: Bob's
+    choice j, Alice's basis a and her outcome bit, her resend draw r (if her
+    policy makes one), m0 and m1, the check on what she resent, encoded with
+    code 2 * m0 + m1, and the dummy coin. Its events: a conclusive guess, a
+    wrong one, a bit error, a dummy error."""
+
+    def resend(j, a, bit, m0, m1, r=0, **_):
+        return _resend(policy, 2 * j, a, bit, r, 2 * m0 + m1)
+
+    def events(j, m0, m1, check, coin, **drawn):
+        guess = resend(j=j, m0=m0, m1=m1, **drawn)[0]
+        # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
+        bit_error = protocol.decoy_flipped(2 * j, check) != np.choose(j, (m0, m1))
+        conclusive = guess >= 0
+        return [conclusive, conclusive & (guess != j), bit_error, bit_error & coin]
+
     draws = adversary.RESEND_DRAWS.get(policy)
-    measure_p1, guess, check_p1 = (t.reshape(2, 2, -1)[:, 0].ravel()
-                                   for t in (_MEASURE_P1, *_RESEND_TABLES[policy]))
-    j, *_, m0, m1, check, coin = np.indices((2, 2, 2, draws or 1, 2, 2, 2, 2)).reshape(8, -1)
-    guesses = guess.repeat(16)  # a key's guess for each m0, m1, check bit and coin
-    # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
-    bit_error = protocol.decoy_flipped(2 * j, check) != np.choose(j, (m0, m1))
-    conclusive = guesses >= 0
-    return Program((((2, 2), (measure_p1,)),
-                    ((draws, 2, 2) if draws else (2, 2), (check_p1, np.full(2 * len(check_p1), 0.5)))),
-                   np.array([conclusive, conclusive & (guesses != j), bit_error, bit_error & coin], bool))
+    measured = {"j": 2, "a": 2, "bit": lambda j, a: _measure(2 * j, a), **({"r": draws} if draws else {})}
+    return _program({**measured, "m0": 2, "m1": 2, "check": lambda **drawn: resend(**drawn)[1],
+                     "coin": lambda check, **_: np.full(check.shape, 0.5)}, events)
 
 
 #: a dishonest Alice's round by resend policy: see :func:`_alice_program`
@@ -345,6 +342,8 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
+    if policy not in _ALICE:
+        raise ProtocolError(f"unknown resend policy {policy!r}")
     trials = protocol.as_integer("trials", trials)  # the report holds an int
     conclusive, wrong, bit_errors, dummies = _tally(partial(_event_block, _ALICE[policy]), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,

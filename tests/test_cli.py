@@ -157,6 +157,23 @@ class TestHonest:
         code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
         assert code == 2 and out == "" and err.startswith("error: record 2:") and "utf-8" in err
 
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\xef\xbb\xbf\n"], ids=["first-record", "own-line"])
+    def test_replay_skips_a_byte_order_mark(self, capsys, tmp_path, prefix):
+        # editors that save "UTF-8 with BOM" write U+FEFF at the start of the file
+        path = tmp_path / "runs.jsonl"
+        run_cli(capsys, "honest", "--runs", "2", "--seed", "3", "--transcript", str(path))
+        path.write_bytes(prefix + path.read_bytes())
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert (code, out, err) == (0, "verified 2 transcript(s)\n", "")
+
+    def test_replay_rejects_a_byte_order_mark_after_the_start(self, capsys, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        run_cli(capsys, "honest", "--runs", "2", "--seed", "3", "--transcript", str(path))
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + b"\xef\xbb\xbf" + second)
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 2 and out == "" and err.startswith("error: record 2:") and "BOM" in err
+
     def test_replay_stops_reading_at_the_first_failed_record(self, capsys, tmp_path):
         """Records are read one at a time: bytes well past a failed record,
         beyond any read-ahead buffer, are never read, even ones that are not

@@ -23,6 +23,9 @@ from test_protocol import decoy_flips
 
 UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
 NO_DETECTION = adversary.UeParams.no_detection_point()
+#: the intercept's measurement: the Born probability of reading 1 on decoy id
+#: d in basis b, at key 2d + b
+MEASURE_P1 = experiments._INTERCEPT.steps[2]
 
 
 class TestClosedForms:
@@ -356,7 +359,7 @@ def assert_round_matches_block(program, ids, key, ref):
     Born probability, bit for bit, and the checked ``ids`` (by first key),
     the check's bit and the program's flip are the block's."""
     block, ref_ids, ref_u = ref
-    ((_, stages),) = program.reads
+    stages = [step for step in program.steps if not isinstance(step, int)]
     p1 = qsim.probability_of_one(block, ref_ids >= 2)
     assert_same(stages[-1].take(key >> 1), p1)
     assert_same(ids.take(key >> len(stages)), ref_ids)
@@ -438,12 +441,12 @@ class TestTableRounds:
     @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_a_round_makes_one_read(self, name, n, seed):
-        # one random_raw call per entry of reads, a word per value, and one
-        # last key per trial
+        # one random_raw call, a word per step and trial, and one last key
+        # per trial
         program = PROGRAMS[name]
         bits = RawLog(np.random.PCG64(seed))
         key = experiments._round(program, bits, n)
-        assert bits.sizes == [(len(bounds) + len(stages)) * n for bounds, stages in program.reads]
+        assert bits.sizes == [len(program.steps) * n]
         assert key.dtype == np.int64 and key.shape == (n,)
         assert 0 <= key.min() and key.max() < program.events.shape[1]
 
@@ -523,7 +526,7 @@ def intercept_rows(draw):
     """An intercept row (id, Eve's basis, Eve's word top), her word's uniform
     near her Born probability of reading 1 or anywhere."""
     did, basis = draw(st.integers(0, len(DECOY_AMPS) - 1)), draw(st.integers(0, 1))
-    return did, basis, draw(tops_near(experiments._MEASURE_P1[2 * did + basis]))
+    return did, basis, draw(tops_near(MEASURE_P1[2 * did + basis]))
 
 
 @st.composite
@@ -533,7 +536,7 @@ def alice_rows(draw, policy):
     reading 1 or anywhere, the check's near 1/2, where each check reads 1
     that does not read a certain bit."""
     j, a = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    alice_top = draw(tops_near(experiments._MEASURE_P1[4 * j + a]))
+    alice_top = draw(tops_near(MEASURE_P1[4 * j + a]))
     resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
     m0, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     return j, a, alice_top, resend, m0, m1, draw(tops_near(0.5)), draw(tops_near(0.5))
@@ -545,26 +548,39 @@ def exact_events(program):
     1 / b, and each stage's bit p or 1 - p of its table entry (a branch of
     weight 0, which no uniform reaches, is skipped)."""
     branches = [(0, 1.0)]
-    for bounds, stages in program.reads:
-        for b in bounds:
-            branches = [(b * key + row, weight / b) for key, weight in branches for row in range(b)]
-        for stage in stages:
+    for step in program.steps:
+        if isinstance(step, int):
+            branches = [(step * key + row, weight / step) for key, weight in branches for row in range(step)]
+        else:
             branches = [(2 * key + bit, weight * p) for key, weight in branches
-                        for bit, p in ((0, 1.0 - stage[key]), (1, stage[key])) if p > 0]
+                        for bit, p in ((0, 1.0 - step[key]), (1, step[key])) if p > 0]
     return sum(weight * program.events[:, key] for key, weight in branches)
 
 
-#: every stage of every program by name, with its thresholds
-STAGES = {f"{name}.{r}.{s}": (stage, program.draws[r][1][s])
-          for name, program in PROGRAMS.items()
-          for r, (_, stages) in enumerate(program.reads) for s, stage in enumerate(stages)}
+def stage_ids(program):
+    """Each Born table step's index and its id r.s: its run of draws r (a
+    bound after a table starts the next run) and its place s after the run's
+    bounds, the read and stage it was when a round made one call per run."""
+    r, s, ids = 0, 0, {}
+    for i, step in enumerate(program.steps):
+        if not isinstance(step, int):
+            ids[i], s = f"{r}.{s}", s + 1
+        elif s:
+            r, s = r + 1, 0
+    return ids
 
-#: every Born table by name, and each program's stages, thresholds and events
-TABLES = {"measure": experiments._MEASURE_P1,
-          **{f"{policy}.{kind}": table for policy, tables in experiments._RESEND_TABLES.items()
-             for kind, table in zip(("guess", "check"), tables)},
+
+#: every stage of every program by name, with its thresholds
+STAGES = {f"{name}.{stage_id}": (program.steps[i], program.draws[i])
+          for name, program in PROGRAMS.items() for i, stage_id in stage_ids(program).items()}
+
+#: the measure-and-resend tables: the measurement, and each policy's check as
+#: Alice's program reads it; then each program's stages and events, and the
+#: stages' thresholds
+TABLES = {"measure": MEASURE_P1,
+          **{f"{policy}.check": experiments._ALICE[policy].steps[-2] for policy in adversary.RESEND_POLICIES},
           **{f"{name}.{i}": table for name, program in PROGRAMS.items()
-             for i, table in enumerate([*(s for _, stages in program.reads for s in stages), program.events])},
+             for i, table in enumerate([*(s for s in program.steps if not isinstance(s, int)), program.events])},
           **{f"{name}.threshold": thresholds for name, (_, thresholds) in STAGES.items()}}
 
 
@@ -598,18 +614,32 @@ class TestThresholds:
                     assert (top < int(thresholds[i])) == reads_one(top, p), (name, i, top)
 
 
+def named(steps):
+    """``steps`` by the names v0, v1, ..., as :func:`experiments._program`
+    and :func:`experiments._table` take them."""
+    return {f"v{i}": step for i, step in enumerate(steps)}
+
+
+def key_of(steps, draws):
+    """The key at which :func:`experiments._table` lays out one trial's
+    ``draws`` of ``steps``."""
+    (key,) = np.flatnonzero(experiments._table(named(steps), lambda **drawn: np.all(
+        [drawn[f"v{i}"] == v for i, v in enumerate(draws)], axis=0)))
+    return key
+
+
 class TestProgramBounds:
     @pytest.mark.parametrize("bounds, bad", [
         ((0,), 0), ((1,), 1), ((3,), 3), ((6,), 6), ((2 ** 32 + 2,), 2 ** 32 + 2), ((2 ** 33,), 2 ** 33),
         ((4, 3), 3), ((2, 4, 2 ** 33), 2 ** 33), ((np.int64(3),), 3), ((np.uint8(1),), 1)])
     def test_a_bound_not_a_power_of_two_raises_when_built(self, bounds, bad):
         with pytest.raises(ValueError, match=f"power of two.*got {bad}$"):
-            experiments.Program(((bounds, ()),), np.zeros((1, 2), bool))
+            experiments._program(named(bounds), lambda **_: False)
 
     @pytest.mark.parametrize("bounds", [(4.0,), ("4",), ([4],), (np.array([4, 2]),)])
     def test_a_bound_not_an_integer_raises_when_built(self, bounds):
         with pytest.raises(TypeError):
-            experiments.Program(((bounds, ()),), np.zeros((1, 2), bool))
+            experiments._program(named(bounds), lambda **_: False)
 
     @pytest.mark.parametrize("bounds", [(2,), (2 ** 32,), (4, 2), (np.int64(4), np.uint32(2)),
                                         (np.uint64(2 ** 32),), tuple(np.array([8, 2]))])
@@ -618,12 +648,44 @@ class TestProgramBounds:
     def test_a_round_reads_each_bound_from_top_bits(self, bounds, data, low):
         highs = [int(b) for b in bounds]
         values = [data.draw(st.integers(0, high - 1)) for high in highs]
-        program = experiments.Program(((bounds, ()),), np.zeros((1, math.prod(highs)), bool))
+        # a bound 2^k reads a word's top k bits: its shift is 64 - k. A program
+        # tabulates its events at every key, so a bound of 2^32 is read by a
+        # round built here, and the smaller ones by _program's too
+        program = experiments.Program(tuple(highs), None, tuple(64 - int(math.log2(high)) for high in highs))
+        if math.prod(highs) <= 2 ** 8:
+            built = experiments._program(named(bounds), lambda **_: False)
+            assert (built.steps, built.draws) == (program.steps, program.draws)
+            assert all(type(step) is int for step in built.steps)
         words = np.array([int_words([v], high, low) for v, high in zip(values, highs)])
         want = 0
         for high, v in zip(highs, values):
             want = high * want + v
         assert experiments._round(program, Scripted(words), 1).tolist() == [want]
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @given(st.data(), LOW_BITS)
+    @settings(max_examples=50, deadline=None)
+    def test_a_round_keys_its_draws_where_table_lays_them_out(self, name, data, low):
+        # scripted words for each trial's draws: a bound's row, or a word
+        # near the Born probability its table reads, found where _table lays
+        # out the draws before it; the round's key is where _table lays out
+        # all of them
+        program = PROGRAMS[name]
+        trials = [[] for _ in range(data.draw(st.integers(1, 6)))]
+        words = []
+        for i, step in enumerate(program.steps):
+            if isinstance(step, int):
+                values = data.draw(st.lists(st.integers(0, step - 1), min_size=len(trials), max_size=len(trials)))
+                words.append(int_words(values, step, low))
+            else:
+                p1 = [float(step[key_of(program.steps[:i], drawn)]) for drawn in trials]
+                tops = [data.draw(tops_near(p)) for p in p1]
+                values = [int(reads_one(top, p)) for top, p in zip(tops, p1)]
+                words.append(uniform_words(tops, low))
+            for drawn, value in zip(trials, values):
+                drawn.append(value)
+        key = experiments._round(program, Scripted(np.array(words)), len(trials))
+        assert key.tolist() == [key_of(program.steps, drawn) for drawn in trials]
 
 
 class TestBornTables:
@@ -651,45 +713,53 @@ class TestBornTables:
                     for code in range(4):
                         encoded = qsim.apply_batch(resent, qsim.PAULIS[code])
                         check_p1.append(qsim.probability_of_one(encoded, np.array([did >= 2]))[0])
-        guess_table, check_table = experiments._RESEND_TABLES[policy]
-        # the key space the Alice round addresses, draws * key + r
-        assert guess_table.shape == (16 * draws,) and check_table.shape == (64 * draws,)
-        assert_same(experiments._MEASURE_P1, np.array(measure_p1))
-        assert np.array_equal(guess_table, np.array(guess), equal_nan=True)
-        assert np.array_equal(check_table, np.array(check_p1), equal_nan=True)
-        # the intercept program's stages: the measurement, then the check, the
-        # collapsed policy's code-0 column
-        ((bounds, (measure, check)),) = experiments._INTERCEPT.reads
-        assert bounds == (4, 2) and measure is experiments._MEASURE_P1
+        # the intercept program: decoy id, Eve's basis, her measurement, then
+        # the check on the eigenstate she resends (the collapsed policy)
+        bounds, measure, check = experiments._INTERCEPT.steps[:2], *experiments._INTERCEPT.steps[2:]
+        assert bounds == (4, 2)
+        assert_same(measure, np.array(measure_p1))
         assert np.array_equal(check, np.array(intercept_p1), equal_nan=True)
-        assert check.tobytes() == experiments._RESEND_TABLES["collapsed"][1][::4].tobytes()
-        # Alice's program reads the rows of Bob's ids 0 and 2, then a dummy coin of 1/2
-        (_, (alice_p1,)), (_, (alice_check, coin)) = experiments._ALICE[policy].reads
-        assert_same(alice_p1, experiments._MEASURE_P1[[0, 1, 4, 5]])
-        assert np.array_equal(alice_check, check_table[np.r_[:16 * draws, 32 * draws:48 * draws]], equal_nan=True)
+        # Alice's program: j, her basis, her measurement of Bob's id 2j, her
+        # resend draw (if her policy makes one), m0 and m1, the check on what
+        # she resent encoded with code 2 * m0 + m1, and a dummy coin of 1/2
+        program = experiments._ALICE[policy]
+        alice_p1, *resend, alice_check, coin = program.steps[2:]
+        assert program.steps[:2] == (2, 2) and resend == ([draws] if policy != "collapsed" else []) + [2, 2]
+        assert_same(alice_p1, measure[[0, 1, 4, 5]])
+        # the rows of Bob's ids 0 and 2, each key a (basis, bit, resend, code)
+        rows = np.array(check_p1).reshape(4, -1)[[0, 2]].ravel()
+        assert np.array_equal(alice_check, rows, equal_nan=True)
         assert coin.shape == (2 * len(alice_check),) and np.all(coin == 0.5)
+        # Alice's guess at each key, for each m0, m1, check bit and coin: her
+        # first two events are a conclusive guess and a wrong one
+        guesses = np.array(guess).reshape(4, -1)[[0, 2]].ravel().repeat(16)
+        j = np.arange(len(guesses)) // (len(guesses) // 2)
+        assert_same(program.events[0], guesses >= 0)
+        assert_same(program.events[1], (guesses >= 0) & (guesses != j))
         # the NaN entries are the outcomes of probability 0: each decoy
         # measured in its own basis reads its own bit, so id 0 reads no 1 in
         # Z, id 1 no 0 in Z, id 2 no 1 in X and id 3 no 0 in X
         assert np.flatnonzero(np.isnan(check)).tolist() == [1, 4, 11, 14]
-        nan_keys = [(2 * (2 * did + basis) + bit) * draws + r
-                    for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1), (3, 1, 0)) for r in range(draws)]
-        assert np.flatnonzero(np.isnan(guess_table)).tolist() == nan_keys
-        nan_rows = [4 * k + code for k in nan_keys for code in range(4)]
-        assert np.flatnonzero(np.isnan(check_table)).tolist() == nan_rows
+        assert np.flatnonzero(np.isnan(guess)).tolist() == [
+            (2 * (2 * did + basis) + bit) * draws + r
+            for did, basis, bit in ((0, 0, 1), (1, 0, 0), (2, 1, 1), (3, 1, 0)) for r in range(draws)]
+        # in Alice's check, id 0 (j = 0) reads no 1 in Z and id 2 (j = 1) no 1 in X
+        assert np.flatnonzero(np.isnan(alice_check)).tolist() == [
+            ((2 * (2 * j + a) + 1) * draws + r) * 4 + code
+            for j, a in ((0, 0), (1, 1)) for r in range(draws) for code in range(4)]
 
     def test_measure_table_is_exact(self):
         # decoy id d in basis b at 2 * d + b: |0>, |1>, |+>, |-> in Z, then X
-        assert experiments._MEASURE_P1.tolist() == [0.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.5, 1.0]
+        assert MEASURE_P1.tolist() == [0.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.5, 1.0]
         # so every honest check, a decoy in its own basis, reads its own bit
         # for every uniform in [0, 1)
-        own = experiments._MEASURE_P1[[0, 2, 5, 7]]
+        own = MEASURE_P1[[0, 2, 5, 7]]
         assert own.tolist() == [0.0, 1.0, 0.0, 1.0]
         assert ((0.0 < own) == (TOP_UNIFORM < own)).all()
 
     def test_bell_table_rebuilds(self):
         want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
-        assert_same(experiments._BELL.reads[0][1][-1], np.array(want))
+        assert_same(experiments._BELL.steps[-1], np.array(want))
 
     @pytest.mark.parametrize("params", [NO_DETECTION, UE_PARAMS,
                                         *(adversary.sample_ue_params(np.random.default_rng(s))
@@ -697,12 +767,13 @@ class TestBornTables:
     def test_entangling_table_rebuilds_one_register_at_a_time(self, params):
         want = [qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS[i:i + 1], params),
                                         np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
-        assert_same(experiments._entangling_program(params).reads[0][1][-1], np.array(want))
+        assert_same(experiments._entangling_program(params).steps[-1], np.array(want))
 
     # the honest control reads each decoy in its own basis with no attack
     @pytest.mark.parametrize("program, q", [
         (experiments._INTERCEPT, 0.25), (experiments._BELL, 0.5),
-        (experiments._detection_program((4,), np.arange(4), (experiments._MEASURE_P1[[0, 2, 5, 7]],)), 0.0)],
+        (experiments._program({"d": 4, "check": lambda d: experiments._measure(d, d >= 2)}, experiments._flip),
+         0.0)],
         ids=["intercept", "bell", "honest"])
     def test_detection_programs_flip_at_their_closed_form(self, program, q):
         # the measure-and-resend and Bell tables hold exactly 0, 1/2 and 1,
@@ -777,11 +848,11 @@ class TestBornTables:
         resend = [(resend, draws)] if draws else []
         # all rows together, then each alone, so each row's events match
         for t in [slice(None), *(slice(i, i + 1) for i in range(len(rows)))]:
-            first = np.array([int_words(j[t], 2, low), int_words(a[t], 2, low), uniform_words(alice_top[t], low)])
-            second = np.array([*(int_words(r[t], bound, low) for r, bound in resend), int_words(m0[t], 2, low),
-                               int_words(m1[t], 2, low), uniform_words(check_top[t], low),
-                               uniform_words(dummy_top[t], low)])
-            got = experiments._event_block(experiments._ALICE[policy], Scripted(first, second), len(j[t]))
+            words = np.array([int_words(j[t], 2, low), int_words(a[t], 2, low), uniform_words(alice_top[t], low),
+                              *(int_words(r[t], bound, low) for r, bound in resend), int_words(m0[t], 2, low),
+                              int_words(m1[t], 2, low), uniform_words(check_top[t], low),
+                              uniform_words(dummy_top[t], low)])
+            got = experiments._event_block(experiments._ALICE[policy], Scripted(words), len(j[t]))
             ref = block_alice_events(policy, Scripted(
                 j[t], a[t], uniforms(alice_top[t]), *(r[t] for r, _ in resend), np.array([m0[t], m1[t]]),
                 uniforms([check_top[t], dummy_top[t]])), len(j[t]))
@@ -915,6 +986,12 @@ class TestAliceAttackReport:
     def test_zero_trials_rejected(self):
         with pytest.raises(ProtocolError):
             experiments.alice_attack_report(0)
+
+    @pytest.mark.parametrize("trials, seed", [(10, 0), (0, -1), (2.5, "x")])
+    def test_an_unknown_policy_is_rejected_first(self, trials, seed):
+        # as alice_measure_resend rejects it, before the trials and seed
+        with pytest.raises(ProtocolError, match="^unknown resend policy 'bogus'$"):
+            experiments.alice_attack_report(trials, seed, "bogus")
 
 
 class TestEntanglingEstimate:

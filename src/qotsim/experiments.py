@@ -6,9 +6,11 @@ its own PCG64 stream (seed, p, b), so no two points or seeds share a stream.
 A block's trials are simulated together (a row per trial) through the Born
 rule. Every scenario's round is a :class:`Program`, a flat tuple of steps:
 integer draws, and Born tables the simulator fills once per register at
-import (per estimate for Eve's entangling attack). A round is one
-``random_raw`` call, one 64-bit word per step and trial. Each table and event
-is written over the round's named draws and laid out by :func:`_table`; Eve's
+import (per estimate for Eve's entangling attack). A round of n trials is
+one ``random_raw`` call, a (steps, n) matrix of 64-bit words that
+:func:`_round` shifts and keys in place; a lone live trial of a detection
+estimate reads its next rounds in one call. Each table and event is written
+over the round's named draws and laid out by :func:`_table`; Eve's
 intercept and Alice's round measure and resend through one function,
 :func:`adversary.alice_measure_resend`."""
 
@@ -134,12 +136,16 @@ class Program(NamedTuple):
     """A Monte Carlo round as data, built by :func:`_program` and drawn by
     :func:`_round`. Each of ``steps`` is an int bound b, which draws a row
     (key = b * key + row), or a Born table, which reads one uniform (key = 2 *
-    key + (uniform < table[key])). ``events[e, key]`` at the last key says
-    whether event e happened. ``draws``: each bound 2^k's shift 64 - k, each
-    table's :func:`_thresholds`."""
+    key + (uniform < table[key])); a table is a function of the draws before
+    it, so the first step is a bound. ``events[e, key]`` at the last key says
+    whether event e happened. ``shifts`` is the (steps, 1) column a round
+    shifts its words by: a bound 2^k's 64 - k, which leaves its top k bits,
+    and a table's 11, which leaves its 53-bit uniform. ``draws``: each bound
+    itself, each table's :func:`_thresholds`."""
 
     steps: tuple
     events: np.ndarray
+    shifts: np.ndarray
     draws: tuple
 
 
@@ -160,40 +166,65 @@ def _program(steps: dict, events) -> Program:
     for name, step in steps.items():
         built[name] = _read_only(_table(built, step)) if callable(step) else 1 << _bound_bits(step)
     steps = tuple(built.values())
-    return Program(steps, _read_only(np.array(_table(built, events), bool, ndmin=2)),
-                   tuple(64 - _bound_bits(s) if isinstance(s, int) else _thresholds(s) for s in steps))
+    shifts = np.array([[64 - _bound_bits(s) if isinstance(s, int) else 11] for s in steps], np.uint64)
+    return Program(steps, _read_only(np.array(_table(built, events), bool, ndmin=2)), _read_only(shifts),
+                   tuple(s if isinstance(s, int) else _thresholds(s) for s in steps))
 
 
-def _round(program: Program, bits, n: int) -> np.ndarray:
-    """The last key of each of n trials, from one ``bits.random_raw`` call, a
-    row of n words per step: an integer of bound 2^k is a word's top k bits,
-    and a table reads 1 iff the word's uniform, its top 53 bits times 2^-53,
-    is below its p1, as ``measure_batch`` reads."""
-    key = 0
-    for step, draw, word in zip(program.steps, program.draws,
-                                bits.random_raw(len(program.steps) * n).reshape(-1, n)):
-        if isinstance(step, int):
-            key = step * key + (word >> draw).view(np.int64)
+def _round(program: Program, words: np.ndarray) -> np.ndarray:
+    """The last key of each of n trials from their ``(steps, n)`` words, a row
+    per step: an integer of bound 2^k is a word's top k bits, and a table
+    reads 1 iff the word's uniform, its top 53 bits times 2^-53, is below its
+    p1, as ``measure_batch`` reads. ``words`` is shifted in place by the
+    program's ``shifts``, and its first row, the first bound's draws, is
+    updated in place into the keys and returned (uint64)."""
+    words >>= program.shifts
+    key = words[0]
+    for draw, row in zip(program.draws[1:], words[1:]):
+        if isinstance(draw, int):
+            key *= draw
+            key += row
         else:
-            key = 2 * key + ((word >> 11) < draw.take(key))
+            bit = row < draw.take(key)
+            key += key
+            key += bit
     return key
 
 
 def _first_flip_block(program: Program, rounds: int, bits, trials: int) -> list[int]:
     """Sequential decoy checks: [unflipped, flipped] counts. Each of up to
     ``rounds`` rounds of ``program`` checks the trials not yet flipped, and a
-    trial stops at its first flip, the program's event 0."""
-    active = trials
-    for _ in range(rounds):
-        if not active:
-            break
-        active -= int(np.count_nonzero(program.events[0].take(_round(program, bits, active))))
+    trial stops at its first flip, the program's event 0.
+
+    A round of n live trials reads ``bits.random_raw(steps * n)``, step-major.
+    A lone live trial reads ``steps`` consecutive words a round, so it reads
+    its next rounds in one call, round-major: as many as the block has run
+    (at least one, at most those left), so its reads at most double. Its
+    first flip decides it, and the stream steps back over the words of the
+    rounds after that one, so every count and the stream's final state are
+    those of reading round by round."""
+    steps, flips = len(program.steps), program.events[0]
+    active, done = trials, 0
+    while active > 1 and done < rounds:
+        key = _round(program, bits.random_raw(steps * active).reshape(steps, active))
+        active -= int(np.count_nonzero(flips.take(key)))
+        done += 1
+    while active and done < rounds:
+        ahead = min(max(done, 1), rounds - done)
+        flipped = flips.take(_round(program, bits.random_raw(steps * ahead).reshape(ahead, steps).T))
+        first = int(flipped.argmax())
+        done += ahead
+        if flipped[first]:
+            active = 0
+            if unused := steps * (ahead - 1 - first):
+                bits.advance((1 << 128) - unused)
     return [active, trials - active]
 
 
 def _event_block(program: Program, bits, trials: int) -> list[int]:
     """One round of ``program`` on every trial: the count of each event."""
-    return np.count_nonzero(program.events[:, _round(program, bits, trials)], axis=1).tolist()
+    key = _round(program, bits.random_raw(len(program.steps) * trials).reshape(-1, trials))
+    return np.count_nonzero(program.events[:, key], axis=1).tolist()
 
 
 def _measure(d, b) -> np.ndarray:
@@ -288,6 +319,12 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
     return qsim.trace_distance(*(np.outer(v, v.conj()) for v in encoded))
 
 
+def _check_policy(policy: str) -> None:
+    """A resend policy without closed forms is a ProtocolError."""
+    if policy not in ALICE_CLOSED_FORMS:
+        raise ProtocolError(f"unknown resend policy {policy!r}")
+
+
 @dataclass(frozen=True)
 class AliceAttackReport:
     conclusive_rate: float
@@ -296,6 +333,9 @@ class AliceAttackReport:
     dummy_error_rate: float
     trials: int
     policy: str = "guess"
+
+    def __post_init__(self):
+        _check_policy(self.policy)
 
     def rows(self) -> list[EstimateRow]:
         """The conclusive, bit-error and dummy-error rates against the
@@ -342,8 +382,7 @@ def alice_attack_report(trials: int, seed: int = 0, policy: str = "guess") -> Al
     carrier decoded wrong and the flipped carrier lands on the wrong dummy bit
     (probability one half).
     """
-    if policy not in _ALICE:
-        raise ProtocolError(f"unknown resend policy {policy!r}")
+    _check_policy(policy)
     trials = protocol.as_integer("trials", trials)  # the report holds an int
     conclusive, wrong, bit_errors, dummies = _tally(partial(_event_block, _ALICE[policy]), trials, seed)
     return AliceAttackReport(conclusive / trials, wrong, bit_errors / trials,

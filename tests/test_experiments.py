@@ -368,14 +368,19 @@ def assert_round_matches_block(program, ids, key, ref):
 
 
 class RawLog:
-    """A bit generator stand-in that records the size of each ``random_raw`` call."""
+    """A bit generator stand-in that records the size of each ``random_raw``
+    call and the delta of each ``advance``."""
 
     def __init__(self, bits):
-        self.bits, self.sizes = bits, []
+        self.bits, self.sizes, self.advances = bits, [], []
 
     def random_raw(self, size):
         self.sizes.append(size)
         return self.bits.random_raw(size)
+
+    def advance(self, delta):
+        self.advances.append(delta)
+        self.bits.advance(delta)
 
 
 def logged(draw, log):
@@ -389,26 +394,99 @@ def logged(draw, log):
     return step
 
 
+def rounds_of(program, keys, live):
+    """Each round of a first-flip block's ``_round`` calls, given their last
+    keys and, per round, the live trials the reference round drew: a call of
+    more than one live trial is one round, and a lone live trial's read-ahead
+    is a round per key, up to its first flip (the program's event 0)."""
+    rounds = []
+    for key in keys:
+        if live[len(rounds)] > 1:
+            rounds.append(key)
+        else:
+            flips = program.events[0].take(key)
+            through = int(flips.argmax()) + 1 if flips.any() else len(key)
+            rounds += [key[i:i + 1] for i in range(through)]
+    return rounds
+
+
 def assert_kernels_agree(program, ids, ref_draw, trials, rounds, seed):
     """``experiments._first_flip_block`` over ``program``, and the block
     kernel over the block round ``ref_draw`` on :class:`WordDraws`, each on
     its own twin of stream ``seed``: each round matches its block round
-    (:func:`assert_round_matches_block`, ``ids`` by first key), the counts
-    are equal, and the two streams read the same number of words."""
+    (:func:`assert_round_matches_block`, ``ids`` by first key; a read-ahead
+    split by :func:`rounds_of`), the counts and the number of rounds are
+    equal, and the two streams end in the same state."""
     got_bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
     got_log, ref_log = [], []
     with mock.patch.object(experiments, "_round", logged(experiments._round, got_log)):
         got = experiments._first_flip_block(program, rounds, got_bits, trials)
     ref = block_first_flip(logged(ref_draw, ref_log), rounds, WordDraws(ref_bits), trials)
     assert got == ref
-    assert len(got_log) == len(ref_log) >= 1
-    for key, ref_out in zip(got_log, ref_log):
+    got_rounds = rounds_of(program, got_log, [len(ids) for _, ids, _ in ref_log])
+    assert len(got_rounds) == len(ref_log) >= 1
+    for key, ref_out in zip(got_rounds, ref_log):
         assert_round_matches_block(program, ids, key, ref_out)
     assert got_bits.state == ref_bits.state
 
 
-#: a block kernel's run: trials, rounds and a seed
-BLOCK_RUNS = (st.integers(1, 160), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def logged_reads(program, rounds, trials, seed):
+    """A block of ``program`` on stream ``seed`` through :class:`RawLog`:
+    :func:`experiments._first_flip_block` of ``rounds`` rounds, or
+    :func:`experiments._event_block` where ``rounds`` is None. Its counts,
+    the log, and each ``_round`` call's words shape and last keys."""
+    bits, calls, real = RawLog(np.random.PCG64(seed)), [], experiments._round
+
+    def logged_round(program, words):
+        shape = words.shape
+        key = real(program, words)
+        calls.append((shape, key))
+        return key
+
+    with mock.patch.object(experiments, "_round", logged_round):
+        counts = (experiments._event_block(program, bits, trials) if rounds is None
+                  else experiments._first_flip_block(program, rounds, bits, trials))
+    return counts, bits, calls
+
+
+def walk_reads(program, rounds, trials, calls):
+    """The counts and ``advance`` deltas of a first-flip block's ``_round``
+    calls, each asserted to be a round of every live trial or, for a lone
+    live trial, a read-ahead of at most as many rounds as the block has run
+    (one, if none) and no more than are left."""
+    live, done, advances = trials, 0, []
+    for (steps, n), key in calls:
+        flips = program.events[0].take(key)
+        if live > 1:
+            assert n == live
+            live -= int(np.count_nonzero(flips))
+            done += 1
+        else:
+            assert live == 1 and 1 <= n <= max(done, 1) and done + n <= rounds
+            done += n
+            if flips.any():
+                live, unused = 0, steps * (n - 1 - int(flips.argmax()))
+                advances += [2 ** 128 - unused] if unused else []
+    assert live == 0 or done == rounds
+    return [live, trials - live], advances
+
+
+def round_by_round(program, rounds, bits, trials):
+    """:func:`experiments._first_flip_block` reading one round per call, as
+    it did before a lone live trial read ahead."""
+    steps, active = len(program.steps), trials
+    for _ in range(rounds):
+        if not active:
+            break
+        key = experiments._round(program, bits.random_raw(steps * active).reshape(steps, active))
+        active -= int(np.count_nonzero(program.events[0].take(key)))
+    return [active, trials - active]
+
+
+#: a block kernel's run: trials and rounds, either many trials and a few
+#: rounds or a few trials and many rounds, whose lone live trials read ahead
+BLOCK_RUNS = st.one_of(st.tuples(st.integers(1, 160), st.integers(1, 8)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 60)))
 
 #: the decoy id each detection program checks at each first key
 INTERCEPT_IDS, BELL_IDS, ENTANGLING_IDS = np.arange(8) // 2, 2 * np.arange(2), np.arange(4)
@@ -432,23 +510,48 @@ class TestTableRounds:
     computed, from its tables, and reads as many words as the block round."""
 
     @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
-    @given(*BLOCK_RUNS)
+    @given(BLOCK_RUNS, st.integers(0, 2 ** 32 - 1))
+    @example((1, 10 ** 4), 0).via("a lone trial's reads up to M = 10^4")
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_block_round(self, name, trials, rounds, seed):
-        assert_kernels_agree(*BLOCK_ROUNDS[name], trials, rounds, seed)
+    def test_matches_the_block_round(self, name, run, seed):
+        assert_kernels_agree(*BLOCK_ROUNDS[name], *run, seed)
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
+    @given(BLOCK_RUNS, st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_a_round_makes_one_read(self, name, n, seed):
-        # one random_raw call, a word per step and trial, and one last key
-        # per trial
-        program = PROGRAMS[name]
-        bits = RawLog(np.random.PCG64(seed))
-        key = experiments._round(program, bits, n)
-        assert bits.sizes == [len(program.steps) * n]
-        assert key.dtype == np.int64 and key.shape == (n,)
-        assert 0 <= key.min() and key.max() < program.events.shape[1]
+    def test_a_round_makes_one_read(self, name, run, seed):
+        # each _round call is one random_raw call, a word per step and
+        # column, and gives one last key per column: a round of n live
+        # trials is n columns, and a lone live trial's read-ahead is a column
+        # per round
+        program, (trials, rounds) = PROGRAMS[name], run
+        alice = name.startswith("alice")
+        counts, bits, calls = logged_reads(program, None if alice else rounds, trials, seed)
+        assert bits.sizes == [len(program.steps) * n for (_, n), _ in calls]
+        for (steps, n), key in calls:
+            assert steps == len(program.steps)
+            assert key.dtype == np.uint64 and key.shape == (n,)
+            assert 0 <= key.min() and key.max() < program.events.shape[1]
+        if alice:
+            assert [n for (_, n), _ in calls] == [trials]
+        else:
+            assert counts == walk_reads(program, rounds, trials, calls)[0]
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @given(st.integers(1, 3), st.one_of(st.integers(1, 60), st.just(10 ** 4)), st.integers(0, 2 ** 32 - 1))
+    @example(1000, 10 ** 4, 0).via("the intercept estimate at M = 10^4")
+    @settings(max_examples=50, deadline=None)
+    def test_a_read_ahead_reads_at_most_the_rounds_run(self, name, trials, rounds, seed):
+        # walk_reads asserts the bound on each read; the stream then steps
+        # back over the words after a lone trial's first flip, so the counts
+        # and the stream's final state are those of reading round by round
+        program = BLOCK_ROUNDS[name][0]
+        counts, bits, calls = logged_reads(program, rounds, trials, seed)
+        want, advances = walk_reads(program, rounds, trials, calls)
+        assert counts == want and bits.advances == advances
+        ref_bits = np.random.PCG64(seed)
+        assert counts == round_by_round(program, rounds, ref_bits, trials)
+        assert bits.bits.state == ref_bits.state
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
     @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
@@ -651,16 +754,22 @@ class TestProgramBounds:
         # a bound 2^k reads a word's top k bits: its shift is 64 - k. A program
         # tabulates its events at every key, so a bound of 2^32 is read by a
         # round built here, and the smaller ones by _program's too
-        program = experiments.Program(tuple(highs), None, tuple(64 - int(math.log2(high)) for high in highs))
+        shifts = np.array([[64 - int(math.log2(high))] for high in highs], np.uint64)
+        program = experiments.Program(tuple(highs), None, shifts, tuple(highs))
         if math.prod(highs) <= 2 ** 8:
             built = experiments._program(named(bounds), lambda **_: False)
             assert (built.steps, built.draws) == (program.steps, program.draws)
+            assert_same(built.shifts, shifts)
             assert all(type(step) is int for step in built.steps)
         words = np.array([int_words([v], high, low) for v, high in zip(values, highs)])
         want = 0
         for high, v in zip(highs, values):
             want = high * want + v
-        assert experiments._round(program, Scripted(words), 1).tolist() == [want]
+        # the round shifts its words in place and keys them in their first row
+        shifted = words >> shifts
+        key = experiments._round(program, words)
+        assert key.tolist() == [want]
+        assert np.shares_memory(key, words) and (words[1:] == shifted[1:]).all()
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @given(st.data(), LOW_BITS)
@@ -684,7 +793,7 @@ class TestProgramBounds:
                 words.append(uniform_words(tops, low))
             for drawn, value in zip(trials, values):
                 drawn.append(value)
-        key = experiments._round(program, Scripted(np.array(words)), len(trials))
+        key = experiments._round(program, np.array(words))
         assert key.tolist() == [key_of(program.steps, drawn) for drawn in trials]
 
 
@@ -812,7 +921,7 @@ class TestBornTables:
         top = any_tops(data, len(rows))
         words = np.array([int_words(ids, 4, low), int_words(basis, 2, low),
                           uniform_words(eve_top, low), uniform_words(top, low)])
-        key = experiments._round(experiments._INTERCEPT, Scripted(words), len(rows))
+        key = experiments._round(experiments._INTERCEPT, words)
         assert_round_matches_block(experiments._INTERCEPT, INTERCEPT_IDS, key, block_intercept_round(
             Scripted(ids, basis, uniforms(eve_top), uniforms(top)), len(rows)))
 
@@ -821,7 +930,7 @@ class TestBornTables:
     def test_bell_round_reads_the_block_path(self, declared, data, low):
         top = any_tops(data, len(declared))
         words = np.array([int_words(declared, 2, low), uniform_words(top, low)])
-        key = experiments._round(experiments._BELL, Scripted(words), len(declared))
+        key = experiments._round(experiments._BELL, words)
         assert_round_matches_block(experiments._BELL, BELL_IDS, key,
                                    block_bell_round(Scripted(np.array(declared), uniforms(top)), len(declared)))
 
@@ -833,8 +942,7 @@ class TestBornTables:
                   else adversary.sample_ue_params(np.random.default_rng(params_seed)))
         top = any_tops(data, len(ids))
         program = experiments._entangling_program(params)
-        key = experiments._round(program, Scripted(np.array([int_words(ids, 4, low), uniform_words(top, low)])),
-                                 len(ids))
+        key = experiments._round(program, np.array([int_words(ids, 4, low), uniform_words(top, low)]))
         assert_round_matches_block(program, ENTANGLING_IDS, key, block_entangling_round(
             params, Scripted(np.array(ids), uniforms(top)), len(ids)))
 
@@ -992,6 +1100,12 @@ class TestAliceAttackReport:
         # as alice_measure_resend rejects it, before the trials and seed
         with pytest.raises(ProtocolError, match="^unknown resend policy 'bogus'$"):
             experiments.alice_attack_report(trials, seed, "bogus")
+
+    @pytest.mark.parametrize("policy", ["bogus", "", "Guess", None])
+    def test_a_report_of_an_unknown_policy_is_not_built(self, policy):
+        # with alice_attack_report's message, not a KeyError from rows()
+        with pytest.raises(ProtocolError, match=f"^unknown resend policy {re.escape(repr(policy))}$"):
+            experiments.AliceAttackReport(0.25, 0, 0.1, 0.05, 10, policy=policy)
 
 
 class TestEntanglingEstimate:

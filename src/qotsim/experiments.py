@@ -8,11 +8,11 @@ rule. Every scenario's round is a :class:`Program`, a flat tuple of steps:
 integer draws, and Born tables the simulator fills once per register at
 import (per estimate for Eve's entangling attack). A round of n trials is
 one ``random_raw`` call, a (steps, n) matrix of 64-bit words that
-:func:`_round` shifts and keys in place; a lone live trial of a detection
-estimate reads its next rounds in one call. Each table and event is written
-over the round's named draws and laid out by :func:`_table`; Eve's
-intercept and Alice's round measure and resend through one function,
-:func:`adversary.alice_measure_resend`."""
+:func:`_round` shifts and keys in place; few live trials of a detection
+estimate read a wave of their next rounds in one call (see :data:`WAVE`).
+Each table and event is written over the round's named draws and laid out
+by :func:`_table`; Eve's intercept and Alice's round measure and resend
+through one function, :func:`adversary.alice_measure_resend`."""
 
 from __future__ import annotations
 
@@ -32,6 +32,10 @@ DEFAULT_TRIALS = 100_000
 #: the kernels' working set (a few MB) for any trial count while spreading
 #: numpy's per-call cost over many rows
 BLOCK_TRIALS = 16_384
+#: columns of a detection wave: with n live trials a wave reads WAVE // n
+#: rounds (at least one) in one call, so few live trials do not pay numpy's
+#: per-call cost once a round
+WAVE = 1024
 
 
 def detection_rate(q: float, n: int) -> float:
@@ -108,7 +112,7 @@ def _thresholds(stage: np.ndarray) -> np.ndarray:
     """A Born table as uint64 thresholds ceil(p * 2^53), so that a word w reads
     1 iff (w >> 11) < threshold, exactly when its uniform (w >> 11) * 2^-53 is
     below p. A NaN entry, which no uniform reaches, is 0, which no word is below."""
-    return _read_only(np.ceil(np.ldexp(np.nan_to_num(stage, nan=0.0), 53)).astype(np.uint64))
+    return _read_only(np.ceil(np.ldexp(np.fmax(stage, 0.0), 53)).astype(np.uint64))
 
 
 def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
@@ -196,28 +200,21 @@ def _first_flip_block(program: Program, rounds: int, bits, trials: int) -> list[
     ``rounds`` rounds of ``program`` checks the trials not yet flipped, and a
     trial stops at its first flip, the program's event 0.
 
-    A round of n live trials reads ``bits.random_raw(steps * n)``, step-major.
-    A lone live trial reads ``steps`` consecutive words a round, so it reads
-    its next rounds in one call, round-major: as many as the block has run
-    (at least one, at most those left), so its reads at most double. Its
-    first flip decides it, and the stream steps back over the words of the
-    rounds after that one, so every count and the stream's final state are
-    those of reading round by round."""
+    The live trials are read in waves of rounds: with n live, a wave reads
+    the next ``ahead`` = min(max(WAVE // n, 1), rounds left) rounds of all n
+    in one ``bits.random_raw(steps * ahead * n)`` call, step-major, whose
+    column j is round j // n of trial j % n. A trial that flips in any of
+    them is dropped; its words in the wave's later rounds are read unused.
+    A wave reads at most ``steps * max(WAVE, n)`` words."""
     steps, flips = len(program.steps), program.events[0]
     active, done = trials, 0
-    while active > 1 and done < rounds:
-        key = _round(program, bits.random_raw(steps * active).reshape(steps, active))
-        active -= int(np.count_nonzero(flips.take(key)))
-        done += 1
     while active and done < rounds:
-        ahead = min(max(done, 1), rounds - done)
-        flipped = flips.take(_round(program, bits.random_raw(steps * ahead).reshape(ahead, steps).T))
-        first = int(flipped.argmax())
+        ahead = min(max(WAVE // active, 1), rounds - done)
+        flipped = flips.take(_round(program, bits.random_raw(steps * ahead * active).reshape(steps, -1)))
+        if ahead > 1:
+            flipped = flipped.reshape(ahead, active).any(axis=0)
+        active -= int(np.count_nonzero(flipped))
         done += ahead
-        if flipped[first]:
-            active = 0
-            if unused := steps * (ahead - 1 - first):
-                bits.advance((1 << 128) - unused)
     return [active, trials - active]
 
 
@@ -320,8 +317,8 @@ def obliviousness_report(choice: int, chosen_bit: int) -> float:
 
 
 def _check_policy(policy: str) -> None:
-    """A resend policy without closed forms is a ProtocolError."""
-    if policy not in ALICE_CLOSED_FORMS:
+    """A resend policy without closed forms, or not a string, is a ProtocolError."""
+    if not isinstance(policy, str) or policy not in ALICE_CLOSED_FORMS:
         raise ProtocolError(f"unknown resend policy {policy!r}")
 
 

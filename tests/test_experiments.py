@@ -318,16 +318,25 @@ def block_entangling_round(params, rng, n):
     return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
 
 
+def wave_rounds(live, done, rounds):
+    """The rounds a wave of ``live`` trials reads after ``done`` of
+    ``rounds``: WAVE // live, at least one and at most those left."""
+    return min(max(experiments.WAVE // live, 1), rounds - done)
+
+
 def block_first_flip(draw, rounds, rng, trials):
     """``experiments._first_flip_block`` as it was when its rounds returned
-    blocks, verbatim but for ``decoy_flips``, now a test reference, and its
-    live trials, now a count."""
-    active = trials
-    for _ in range(rounds):
-        if not active:
-            break
-        block, ids, u = draw(rng, active)
-        active -= int(np.count_nonzero(decoy_flips(block, ids, u)))
+    blocks, but for ``decoy_flips``, now a test reference, its live trials,
+    now a count, and its waves: a wave is one block round of ``ahead`` times
+    the live trials, round-major (column j is round j // live of trial
+    j % live), and a trial that flips in any of its rounds is dropped."""
+    active, done = trials, 0
+    while active and done < rounds:
+        ahead = wave_rounds(active, done, rounds)
+        block, ids, u = draw(rng, ahead * active)
+        flipped = decoy_flips(block, ids, u).reshape(ahead, active)
+        active -= int(np.count_nonzero(flipped.any(axis=0)))
+        done += ahead
     return [active, trials - active]
 
 
@@ -369,18 +378,14 @@ def assert_round_matches_block(program, ids, key, ref):
 
 class RawLog:
     """A bit generator stand-in that records the size of each ``random_raw``
-    call and the delta of each ``advance``."""
+    call; it has no other method, so a kernel can only read forward."""
 
     def __init__(self, bits):
-        self.bits, self.sizes, self.advances = bits, [], []
+        self.bits, self.sizes = bits, []
 
     def random_raw(self, size):
         self.sizes.append(size)
         return self.bits.random_raw(size)
-
-    def advance(self, delta):
-        self.advances.append(delta)
-        self.bits.advance(delta)
 
 
 def logged(draw, log):
@@ -394,38 +399,21 @@ def logged(draw, log):
     return step
 
 
-def rounds_of(program, keys, live):
-    """Each round of a first-flip block's ``_round`` calls, given their last
-    keys and, per round, the live trials the reference round drew: a call of
-    more than one live trial is one round, and a lone live trial's read-ahead
-    is a round per key, up to its first flip (the program's event 0)."""
-    rounds = []
-    for key in keys:
-        if live[len(rounds)] > 1:
-            rounds.append(key)
-        else:
-            flips = program.events[0].take(key)
-            through = int(flips.argmax()) + 1 if flips.any() else len(key)
-            rounds += [key[i:i + 1] for i in range(through)]
-    return rounds
-
-
 def assert_kernels_agree(program, ids, ref_draw, trials, rounds, seed):
     """``experiments._first_flip_block`` over ``program``, and the block
     kernel over the block round ``ref_draw`` on :class:`WordDraws`, each on
-    its own twin of stream ``seed``: each round matches its block round
-    (:func:`assert_round_matches_block`, ``ids`` by first key; a read-ahead
-    split by :func:`rounds_of`), the counts and the number of rounds are
-    equal, and the two streams end in the same state."""
+    its own twin of stream ``seed``: each wave matches its block round
+    (:func:`assert_round_matches_block`, ``ids`` by first key), the counts
+    and the number of waves are equal, and the two streams end in the same
+    state."""
     got_bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
     got_log, ref_log = [], []
     with mock.patch.object(experiments, "_round", logged(experiments._round, got_log)):
         got = experiments._first_flip_block(program, rounds, got_bits, trials)
     ref = block_first_flip(logged(ref_draw, ref_log), rounds, WordDraws(ref_bits), trials)
     assert got == ref
-    got_rounds = rounds_of(program, got_log, [len(ids) for _, ids, _ in ref_log])
-    assert len(got_rounds) == len(ref_log) >= 1
-    for key, ref_out in zip(got_rounds, ref_log):
+    assert len(got_log) == len(ref_log) >= 1
+    for key, ref_out in zip(got_log, ref_log):
         assert_round_matches_block(program, ids, key, ref_out)
     assert got_bits.state == ref_bits.state
 
@@ -449,44 +437,26 @@ def logged_reads(program, rounds, trials, seed):
     return counts, bits, calls
 
 
-def walk_reads(program, rounds, trials, calls):
-    """The counts and ``advance`` deltas of a first-flip block's ``_round``
-    calls, each asserted to be a round of every live trial or, for a lone
-    live trial, a read-ahead of at most as many rounds as the block has run
-    (one, if none) and no more than are left."""
-    live, done, advances = trials, 0, []
-    for (steps, n), key in calls:
-        flips = program.events[0].take(key)
-        if live > 1:
-            assert n == live
-            live -= int(np.count_nonzero(flips))
-            done += 1
-        else:
-            assert live == 1 and 1 <= n <= max(done, 1) and done + n <= rounds
-            done += n
-            if flips.any():
-                live, unused = 0, steps * (n - 1 - int(flips.argmax()))
-                advances += [2 ** 128 - unused] if unused else []
+def walk_waves(program, rounds, trials, calls):
+    """The counts of a first-flip block's ``_round`` calls, each asserted to
+    be a wave of :func:`wave_rounds` rounds of every live trial, no more than
+    ``max(WAVE, live)`` columns."""
+    live, done = trials, 0
+    for (_, n), key in calls:
+        ahead = wave_rounds(live, done, rounds)
+        assert live and n == ahead * live <= max(experiments.WAVE, live)
+        live -= int(np.count_nonzero(program.events[0].take(key).reshape(ahead, live).any(axis=0)))
+        done += ahead
     assert live == 0 or done == rounds
-    return [live, trials - live], advances
-
-
-def round_by_round(program, rounds, bits, trials):
-    """:func:`experiments._first_flip_block` reading one round per call, as
-    it did before a lone live trial read ahead."""
-    steps, active = len(program.steps), trials
-    for _ in range(rounds):
-        if not active:
-            break
-        key = experiments._round(program, bits.random_raw(steps * active).reshape(steps, active))
-        active -= int(np.count_nonzero(program.events[0].take(key)))
-    return [active, trials - active]
+    return [live, trials - live]
 
 
 #: a block kernel's run: trials and rounds, either many trials and a few
-#: rounds or a few trials and many rounds, whose lone live trials read ahead
+#: rounds, a few trials and many rounds, which read many rounds a wave, or
+#: up to three waves of trials and up to 60 rounds
 BLOCK_RUNS = st.one_of(st.tuples(st.integers(1, 160), st.integers(1, 8)),
-                       st.tuples(st.integers(1, 3), st.integers(1, 60)))
+                       st.tuples(st.integers(1, 3), st.integers(1, 60)),
+                       st.tuples(st.integers(1, 3 * experiments.WAVE), st.integers(1, 60)))
 
 #: the decoy id each detection program checks at each first key
 INTERCEPT_IDS, BELL_IDS, ENTANGLING_IDS = np.arange(8) // 2, 2 * np.arange(2), np.arange(4)
@@ -511,7 +481,10 @@ class TestTableRounds:
 
     @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
     @given(BLOCK_RUNS, st.integers(0, 2 ** 32 - 1))
-    @example((1, 10 ** 4), 0).via("a lone trial's reads up to M = 10^4")
+    @example((1, 10 ** 4), 0).via("a lone trial's waves up to M = 10^4")
+    @example((experiments.WAVE // 2, 60), 0).via("the last live count read two rounds a wave")
+    @example((experiments.WAVE // 2 + 1, 60), 0).via("the first live count read one round a wave")
+    @example((experiments.WAVE + 1, 60), 0).via("one live trial past a wave")
     @settings(max_examples=100, deadline=None)
     def test_matches_the_block_round(self, name, run, seed):
         assert_kernels_agree(*BLOCK_ROUNDS[name], *run, seed)
@@ -521,9 +494,8 @@ class TestTableRounds:
     @settings(max_examples=20, deadline=None)
     def test_a_round_makes_one_read(self, name, run, seed):
         # each _round call is one random_raw call, a word per step and
-        # column, and gives one last key per column: a round of n live
-        # trials is n columns, and a lone live trial's read-ahead is a column
-        # per round
+        # column, and gives one last key per column: a wave of ahead rounds
+        # of n live trials is ahead * n columns
         program, (trials, rounds) = PROGRAMS[name], run
         alice = name.startswith("alice")
         counts, bits, calls = logged_reads(program, None if alice else rounds, trials, seed)
@@ -535,22 +507,23 @@ class TestTableRounds:
         if alice:
             assert [n for (_, n), _ in calls] == [trials]
         else:
-            assert counts == walk_reads(program, rounds, trials, calls)[0]
+            assert counts == walk_waves(program, rounds, trials, calls)
 
     @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
-    @given(st.integers(1, 3), st.one_of(st.integers(1, 60), st.just(10 ** 4)), st.integers(0, 2 ** 32 - 1))
+    @given(st.one_of(st.integers(1, 3), st.integers(1, 3 * experiments.WAVE)),
+           st.one_of(st.integers(1, 60), st.just(10 ** 4)), st.integers(0, 2 ** 32 - 1))
     @example(1000, 10 ** 4, 0).via("the intercept estimate at M = 10^4")
     @settings(max_examples=50, deadline=None)
-    def test_a_read_ahead_reads_at_most_the_rounds_run(self, name, trials, rounds, seed):
-        # walk_reads asserts the bound on each read; the stream then steps
-        # back over the words after a lone trial's first flip, so the counts
-        # and the stream's final state are those of reading round by round
+    def test_a_wave_reads_its_rounds_forward(self, name, trials, rounds, seed):
+        # each random_raw call is steps * ahead * live words (walk_waves
+        # asserts ahead and live), and RawLog cannot step the stream back, so
+        # it ends as many words on as were read
         program = BLOCK_ROUNDS[name][0]
         counts, bits, calls = logged_reads(program, rounds, trials, seed)
-        want, advances = walk_reads(program, rounds, trials, calls)
-        assert counts == want and bits.advances == advances
+        assert counts == walk_waves(program, rounds, trials, calls)
+        assert bits.sizes == [len(program.steps) * n for (_, n), _ in calls]
         ref_bits = np.random.PCG64(seed)
-        assert counts == round_by_round(program, rounds, ref_bits, trials)
+        ref_bits.advance(sum(bits.sizes))
         assert bits.bits.state == ref_bits.state
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)
@@ -708,6 +681,17 @@ class TestThresholds:
         (word,) = uniform_words([top], low)
         assert bool((word >> np.uint64(11)) < thresholds[i]) == reads_one(top, p)
 
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_thresholds_are_the_nan_to_num_formula(self, seed):
+        # fmax(p, 0) is p for every p >= 0 and 0 for NaN, as nan_to_num is
+        programs = [experiments._INTERCEPT, experiments._BELL, *experiments._ALICE.values(),
+                    experiments._entangling_program(adversary.sample_ue_params(np.random.default_rng(seed)))]
+        for program in programs:
+            for step, draw in zip(program.steps, program.draws):
+                if not isinstance(step, int):
+                    assert_same(draw, parent_thresholds(step))
+
     def test_every_entry_at_its_edge_words(self):
         for name, (stage, thresholds) in STAGES.items():
             assert thresholds.dtype == np.uint64 and thresholds.shape == stage.shape, name
@@ -715,6 +699,11 @@ class TestThresholds:
                 edges = [] if math.isnan(p) else [math.ceil(p * 2 ** 53) + d for d in (-1, 0, 1)]
                 for top in {0, TOP, *(t for t in edges if 0 <= t <= TOP)}:
                     assert (top < int(thresholds[i])) == reads_one(top, p), (name, i, top)
+
+
+def parent_thresholds(stage):
+    """:func:`experiments._thresholds` as 0.3.0 wrote it, with ``nan_to_num``."""
+    return np.ceil(np.ldexp(np.nan_to_num(stage, nan=0.0), 53)).astype(np.uint64)
 
 
 def named(steps):
@@ -1016,6 +1005,10 @@ class TestObliviousness:
             assert qsim.trace_distance(*densities) == pytest.approx(1.0)
 
 
+#: resend policies that are not strings, two of them unhashable
+NOT_STRINGS = [["guess"], {"guess": 1}, b"guess"]
+
+
 class TestAliceAttackReport:
     def test_exact_rates_by_enumeration(self):
         # independent oracle: enumerate each resend policy's strategy exactly
@@ -1104,6 +1097,17 @@ class TestAliceAttackReport:
     @pytest.mark.parametrize("policy", ["bogus", "", "Guess", None])
     def test_a_report_of_an_unknown_policy_is_not_built(self, policy):
         # with alice_attack_report's message, not a KeyError from rows()
+        with pytest.raises(ProtocolError, match=f"^unknown resend policy {re.escape(repr(policy))}$"):
+            experiments.AliceAttackReport(0.25, 0, 0.1, 0.05, 10, policy=policy)
+
+    @pytest.mark.parametrize("policy", NOT_STRINGS)
+    def test_a_policy_not_a_string_is_rejected(self, policy):
+        # an unhashable policy is not a TypeError from the dict lookup
+        with pytest.raises(ProtocolError, match=f"^unknown resend policy {re.escape(repr(policy))}$"):
+            experiments.alice_attack_report(10, 0, policy)
+
+    @pytest.mark.parametrize("policy", NOT_STRINGS)
+    def test_a_report_of_a_policy_not_a_string_is_not_built(self, policy):
         with pytest.raises(ProtocolError, match=f"^unknown resend policy {re.escape(repr(policy))}$"):
             experiments.AliceAttackReport(0.25, 0, 0.1, 0.05, 10, policy=policy)
 

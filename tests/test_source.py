@@ -1,6 +1,7 @@
 """Checks on the package source itself, read with the stdlib ``ast`` module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,14 @@ import pytest
 import qotsim
 
 MODULES = sorted(Path(qotsim.__file__).resolve().parent.glob("*.py"))
+
+
+def test_version_matches_pyproject():
+    # the golden CSVs are pinned within a version, so the package and its
+    # metadata must name the same one (read without tomllib, which Python
+    # 3.10 lacks)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [qotsim.__version__]
 
 
 def imported_names(tree):

@@ -4,12 +4,12 @@ Trials are drawn in blocks of BLOCK_TRIALS, the stream unit: block b of an
 estimate at point p (its M or K; 0 for the scenarios without one) draws from
 its own PCG64 stream (seed, p, b), so no two points or seeds share a stream.
 A block's trials are simulated together (a row per trial) through the Born
-rule. Every scenario's round is a :class:`Program`, a flat tuple of steps:
-integer draws, and Born tables the simulator fills once per register at
-import (per estimate for Eve's entangling attack). A round of n trials is
-one ``random_raw`` call, a (steps, n) matrix of 64-bit words that
-:func:`_round` shifts and keys in place; few live trials of a detection
-estimate read a wave of their next rounds in one call (see :data:`WAVE`).
+rule. Every scenario's round is a :class:`Program`, a read-only mapping of
+named steps in draw order: integer draws, and Born tables the simulator
+fills once per register at import (per estimate for Eve's entangling
+attack). A round of n trials is one ``random_raw`` call, a (steps, n) matrix
+of 64-bit words that :func:`_round` shifts and keys in place; few live
+trials of a detection estimate read a wave of rounds per call (:data:`WAVE`).
 Each table and event is written over the round's named draws and laid out
 by :func:`_table`; Eve's intercept and Alice's round measure and resend
 through one function, :func:`adversary.alice_measure_resend`."""
@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -138,16 +139,15 @@ def _tally(kernel, trials: int, seed: int, point: int = 0) -> list[int]:
 
 class Program(NamedTuple):
     """A Monte Carlo round as data, built by :func:`_program` and drawn by
-    :func:`_round`. Each of ``steps`` is an int bound b, which draws a row
-    (key = b * key + row), or a Born table, which reads one uniform (key = 2 *
-    key + (uniform < table[key])); a table is a function of the draws before
-    it, so the first step is a bound. ``events[e, key]`` at the last key says
-    whether event e happened. ``shifts`` is the (steps, 1) column a round
-    shifts its words by: a bound 2^k's 64 - k, which leaves its top k bits,
-    and a table's 11, which leaves its 53-bit uniform. ``draws``: each bound
-    itself, each table's :func:`_thresholds`."""
+    :func:`_round`. ``steps`` maps each name, in draw order, to an int bound
+    b, which draws a row (key = b * key + row), or a Born table, which reads
+    one uniform (key = 2 * key + (uniform < table[key])), a function of the
+    draws before it. ``events[e, key]`` at the last key says whether event e
+    happened. Per step, in order: ``shifts``, the (steps, 1) column a round
+    shifts its words by (a bound 2^k's 64 - k keeps its top k bits, a table's
+    11 its 53-bit uniform), and ``draws``, each bound or its thresholds."""
 
-    steps: tuple
+    steps: MappingProxyType
     events: np.ndarray
     shifts: np.ndarray
     draws: tuple
@@ -161,18 +161,18 @@ def _table(steps: dict, fn) -> np.ndarray:
 
 
 def _program(steps: dict, events) -> Program:
-    """The :class:`Program` of ``steps``, each an integer bound (a power of two
-    from 2 to 2^32: a ValueError otherwise, a TypeError if not an integer) or
-    a function of the named draws before it, whose :func:`_table` is its Born
-    table, and of the table of ``events`` (one event, or a list) over them
-    all. Every table is made read-only."""
+    """The :class:`Program` of ``steps``, by name and in order, each an integer
+    bound (a power of two from 2 to 2^32: a ValueError otherwise, a TypeError
+    if not an integer) or a function of the named draws before it, whose
+    :func:`_table` is its Born table, and of the table of ``events`` (one
+    event, or a list) over them all. Its steps and tables are read-only."""
     built = {}
     for name, step in steps.items():
         built[name] = _read_only(_table(built, step)) if callable(step) else 1 << _bound_bits(step)
-    steps = tuple(built.values())
-    shifts = np.array([[64 - _bound_bits(s) if isinstance(s, int) else 11] for s in steps], np.uint64)
-    return Program(steps, _read_only(np.array(_table(built, events), bool, ndmin=2)), _read_only(shifts),
-                   tuple(s if isinstance(s, int) else _thresholds(s) for s in steps))
+    draws = tuple(s if isinstance(s, int) else _thresholds(s) for s in built.values())
+    shifts = np.array([[64 - _bound_bits(d) if isinstance(d, int) else 11] for d in draws], np.uint64)
+    return Program(MappingProxyType(built), _read_only(np.array(_table(built, events), bool, ndmin=2)),
+                   _read_only(shifts), draws)
 
 
 def _round(program: Program, words: np.ndarray) -> np.ndarray:
@@ -347,8 +347,8 @@ def _alice_program(policy: str) -> Program:
     """Slots through Alice's measure-and-resend at Bob's decoy ids 2j: Bob's
     choice j, Alice's basis a and her outcome bit, her resend draw r (if her
     policy makes one), m0 and m1, the check on what she resent, encoded with
-    code 2 * m0 + m1, and the dummy coin. Its events: a conclusive guess, a
-    wrong one, a bit error, a dummy error."""
+    code 2 * m0 + m1, and the dummy coin, a bound 2. Its events: a conclusive
+    guess, a wrong one, a bit error, and a bit error where the coin reads 0."""
 
     def resend(j, a, bit, m0, m1, r=0, **_):
         return _resend(policy, 2 * j, a, bit, r, 2 * m0 + m1)
@@ -358,12 +358,12 @@ def _alice_program(policy: str) -> Program:
         # Bob decodes bit 1 where his own preparation, decoy id 2j, came back flipped
         bit_error = protocol.decoy_flipped(2 * j, check) != np.choose(j, (m0, m1))
         conclusive = guess >= 0
-        return [conclusive, conclusive & (guess != j), bit_error, bit_error & coin]
+        return [conclusive, conclusive & (guess != j), bit_error, bit_error & (coin == 0)]
 
     draws = adversary.RESEND_DRAWS.get(policy)
     measured = {"j": 2, "a": 2, "bit": lambda j, a: _measure(2 * j, a), **({"r": draws} if draws else {})}
     return _program({**measured, "m0": 2, "m1": 2, "check": lambda **drawn: resend(**drawn)[1],
-                     "coin": lambda check, **_: np.full(check.shape, 0.5)}, events)
+                     "coin": 2}, events)
 
 
 #: a dishonest Alice's round by resend policy: see :func:`_alice_program`

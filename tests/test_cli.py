@@ -502,6 +502,14 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(path.read_text())["config"]["N"] == 5
 
+    def test_a_later_key_overrides_an_earlier_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 3\nN = 2\n# seed = 7\nseed = 11  # later wins\n")
+        path = tmp_path / "t.jsonl"
+        code, _, _ = run_cli(capsys, "honest", "--config", str(cfg), "--transcript", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["seed"] == 11
+
     def test_malformed_value_names_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
         cfg.write_text("N = x\n")

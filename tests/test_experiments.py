@@ -25,7 +25,7 @@ UE_PARAMS = adversary.sample_ue_params(np.random.default_rng(4))
 NO_DETECTION = adversary.UeParams.no_detection_point()
 #: the intercept's measurement: the Born probability of reading 1 on decoy id
 #: d in basis b, at key 2d + b
-MEASURE_P1 = experiments._INTERCEPT.steps[2]
+MEASURE_P1 = experiments._INTERCEPT.steps["bit"]
 
 
 class TestClosedForms:
@@ -368,10 +368,10 @@ def assert_round_matches_block(program, ids, key, ref):
     Born probability, bit for bit, and the checked ``ids`` (by first key),
     the check's bit and the program's flip are the block's."""
     block, ref_ids, ref_u = ref
-    stages = [step for step in program.steps if not isinstance(step, int)]
+    tables = [step for step in program.steps.values() if not isinstance(step, int)]
     p1 = qsim.probability_of_one(block, ref_ids >= 2)
-    assert_same(stages[-1].take(key >> 1), p1)
-    assert_same(ids.take(key >> len(stages)), ref_ids)
+    assert_same(program.steps["check"].take(key >> 1), p1)
+    assert_same(ids.take(key >> len(tables)), ref_ids)
     assert_same(key % 2 == 1, ref_u < p1)
     assert_same(program.events[0].take(key), decoy_flips(block, ref_ids, ref_u))
 
@@ -608,9 +608,10 @@ def intercept_rows(draw):
 @st.composite
 def alice_rows(draw, policy):
     """An Alice row (j, a, her word top, her resend draw, m0, m1, the check's
-    and the dummy's word tops): her uniform near her Born probability of
+    and the dummy coin's word tops): her uniform near her Born probability of
     reading 1 or anywhere, the check's near 1/2, where each check reads 1
-    that does not read a certain bit."""
+    that does not read a certain bit, and the coin's near 1/2, where its top
+    bit turns."""
     j, a = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     alice_top = draw(tops_near(MEASURE_P1[4 * j + a]))
     resend = draw(st.integers(0, adversary.RESEND_DRAWS.get(policy, 1) - 1))
@@ -624,7 +625,7 @@ def exact_events(program):
     1 / b, and each stage's bit p or 1 - p of its table entry (a branch of
     weight 0, which no uniform reaches, is skipped)."""
     branches = [(0, 1.0)]
-    for step in program.steps:
+    for step in program.steps.values():
         if isinstance(step, int):
             branches = [(step * key + row, weight / step) for key, weight in branches for row in range(step)]
         else:
@@ -634,29 +635,36 @@ def exact_events(program):
 
 
 def stage_ids(program):
-    """Each Born table step's index and its id r.s: its run of draws r (a
+    """Each Born table step's name and its test id r.s: its run of draws r (a
     bound after a table starts the next run) and its place s after the run's
-    bounds, the read and stage it was when a round made one call per run."""
+    bounds, the read and stage it was when a round made one call per run.
+    These ids name the parametrized table tests, so they stay as they were."""
     r, s, ids = 0, 0, {}
-    for i, step in enumerate(program.steps):
+    for name, step in program.steps.items():
         if not isinstance(step, int):
-            ids[i], s = f"{r}.{s}", s + 1
+            ids[name], s = f"{r}.{s}", s + 1
         elif s:
             r, s = r + 1, 0
     return ids
 
 
-#: every stage of every program by name, with its thresholds
-STAGES = {f"{name}.{stage_id}": (program.steps[i], program.draws[i])
-          for name, program in PROGRAMS.items() for i, stage_id in stage_ids(program).items()}
+def draws_by_name(program):
+    """Each step's draw, a bound or a table's thresholds, by the step's name:
+    ``draws`` is laid out in the order of ``steps``."""
+    return dict(zip(program.steps, program.draws))
+
+
+#: every stage of every program by test id, with its thresholds
+STAGES = {f"{name}.{stage_id}": (program.steps[step], draws_by_name(program)[step])
+          for name, program in PROGRAMS.items() for step, stage_id in stage_ids(program).items()}
 
 #: the measure-and-resend tables: the measurement, and each policy's check as
-#: Alice's program reads it; then each program's stages and events, and the
+#: Alice's program reads it; then each program's tables and events, and the
 #: stages' thresholds
 TABLES = {"measure": MEASURE_P1,
-          **{f"{policy}.check": experiments._ALICE[policy].steps[-2] for policy in adversary.RESEND_POLICIES},
-          **{f"{name}.{i}": table for name, program in PROGRAMS.items()
-             for i, table in enumerate([*(s for s in program.steps if not isinstance(s, int)), program.events])},
+          **{f"{policy}.check": program.steps["check"] for policy, program in experiments._ALICE.items()},
+          **{f"{name}.{i}": table for name, program in PROGRAMS.items() for i, table in enumerate(
+              [*(s for s in program.steps.values() if not isinstance(s, int)), program.events])},
           **{f"{name}.threshold": thresholds for name, (_, thresholds) in STAGES.items()}}
 
 
@@ -688,7 +696,7 @@ class TestThresholds:
         programs = [experiments._INTERCEPT, experiments._BELL, *experiments._ALICE.values(),
                     experiments._entangling_program(adversary.sample_ue_params(np.random.default_rng(seed)))]
         for program in programs:
-            for step, draw in zip(program.steps, program.draws):
+            for step, draw in zip(program.steps.values(), program.draws):
                 if not isinstance(step, int):
                     assert_same(draw, parent_thresholds(step))
 
@@ -712,11 +720,11 @@ def named(steps):
     return {f"v{i}": step for i, step in enumerate(steps)}
 
 
-def key_of(steps, draws):
-    """The key at which :func:`experiments._table` lays out one trial's
-    ``draws`` of ``steps``."""
-    (key,) = np.flatnonzero(experiments._table(named(steps), lambda **drawn: np.all(
-        [drawn[f"v{i}"] == v for i, v in enumerate(draws)], axis=0)))
+def key_of(steps, drawn):
+    """The key at which :func:`experiments._table` lays out one trial's draws
+    ``drawn`` of ``steps``, each by its step's name."""
+    (key,) = np.flatnonzero(experiments._table(steps, lambda **values: np.all(
+        [values[name] == v for name, v in drawn.items()], axis=0)))
     return key
 
 
@@ -744,12 +752,12 @@ class TestProgramBounds:
         # tabulates its events at every key, so a bound of 2^32 is read by a
         # round built here, and the smaller ones by _program's too
         shifts = np.array([[64 - int(math.log2(high))] for high in highs], np.uint64)
-        program = experiments.Program(tuple(highs), None, shifts, tuple(highs))
+        program = experiments.Program(named(highs), None, shifts, tuple(highs))
         if math.prod(highs) <= 2 ** 8:
             built = experiments._program(named(bounds), lambda **_: False)
             assert (built.steps, built.draws) == (program.steps, program.draws)
             assert_same(built.shifts, shifts)
-            assert all(type(step) is int for step in built.steps)
+            assert all(type(step) is int for step in built.steps.values())
         words = np.array([int_words([v], high, low) for v, high in zip(values, highs)])
         want = 0
         for high, v in zip(highs, values):
@@ -769,21 +777,58 @@ class TestProgramBounds:
         # out the draws before it; the round's key is where _table lays out
         # all of them
         program = PROGRAMS[name]
-        trials = [[] for _ in range(data.draw(st.integers(1, 6)))]
-        words = []
-        for i, step in enumerate(program.steps):
+        trials = [{} for _ in range(data.draw(st.integers(1, 6)))]
+        words, before = [], {}
+        for step_name, step in program.steps.items():
             if isinstance(step, int):
                 values = data.draw(st.lists(st.integers(0, step - 1), min_size=len(trials), max_size=len(trials)))
                 words.append(int_words(values, step, low))
             else:
-                p1 = [float(step[key_of(program.steps[:i], drawn)]) for drawn in trials]
+                p1 = [float(step[key_of(before, drawn)]) for drawn in trials]
                 tops = [data.draw(tops_near(p)) for p in p1]
                 values = [int(reads_one(top, p)) for top, p in zip(tops, p1)]
                 words.append(uniform_words(tops, low))
+            before[step_name] = step
             for drawn, value in zip(trials, values):
-                drawn.append(value)
+                drawn[step_name] = value
         key = experiments._round(program, np.array(words))
         assert key.tolist() == [key_of(program.steps, drawn) for drawn in trials]
+
+
+def alice_layout(policy):
+    """Alice's step names in draw order, and her bounds by name, under ``policy``."""
+    resend = {"r": adversary.RESEND_DRAWS[policy]} if policy in adversary.RESEND_DRAWS else {}
+    bounds = {"j": 2, "a": 2, **resend, "m0": 2, "m1": 2, "coin": 2}
+    return ["j", "a", "bit", *resend, "m0", "m1", "check", "coin"], bounds
+
+
+#: each program's step names, in draw order, and its bounds by name
+LAYOUTS = {
+    "intercept": (experiments._INTERCEPT, ["d", "b", "bit", "check"], {"d": 4, "b": 2}),
+    "bell": (experiments._BELL, ["c", "check"], {"c": 2}),
+    "entangling": (experiments._entangling_program(UE_PARAMS), ["d", "check"], {"d": 4}),
+    **{f"alice-{policy}": (program, *alice_layout(policy)) for policy, program in experiments._ALICE.items()},
+}
+#: the decoy id each detection program checks, from its named draws
+CHECKED_ID = {"intercept": lambda d, **_: d, "bell": lambda c, **_: 2 * c, "entangling": lambda d, **_: d}
+
+
+class TestProgramLayout:
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_steps_keep_their_names_in_draw_order(self, name):
+        program, names, bounds = LAYOUTS[name]
+        assert list(program.steps) == names
+        assert {step: b for step, b in program.steps.items() if isinstance(b, int)} == bounds
+        assert all(type(program.steps[step]) is int for step in bounds)
+        # a detection program ends in its check, and its one event is the flip
+        if name in CHECKED_ID:
+            assert names[-1] == "check"
+            flip = experiments._table(program.steps, lambda check, **drawn: protocol.decoy_flipped(
+                CHECKED_ID[name](**drawn), check))
+            assert program.events.shape == (1, flip.size) and np.array_equal(program.events[0], flip)
+        for step in names:
+            with pytest.raises(TypeError):
+                program.steps[step] = 2
 
 
 class TestBornTables:
@@ -811,23 +856,19 @@ class TestBornTables:
                     for code in range(4):
                         encoded = qsim.apply_batch(resent, qsim.PAULIS[code])
                         check_p1.append(qsim.probability_of_one(encoded, np.array([did >= 2]))[0])
-        # the intercept program: decoy id, Eve's basis, her measurement, then
-        # the check on the eigenstate she resends (the collapsed policy)
-        bounds, measure, check = experiments._INTERCEPT.steps[:2], *experiments._INTERCEPT.steps[2:]
-        assert bounds == (4, 2)
+        # the intercept program's measurement, and its check on the eigenstate
+        # Eve resends (the collapsed policy); LAYOUTS pins every step's name
+        measure, check = experiments._INTERCEPT.steps["bit"], experiments._INTERCEPT.steps["check"]
         assert_same(measure, np.array(measure_p1))
         assert np.array_equal(check, np.array(intercept_p1), equal_nan=True)
-        # Alice's program: j, her basis, her measurement of Bob's id 2j, her
-        # resend draw (if her policy makes one), m0 and m1, the check on what
-        # she resent encoded with code 2 * m0 + m1, and a dummy coin of 1/2
+        # Alice's measurement of Bob's id 2j, and her check on what she resent
+        # encoded with code 2 * m0 + m1
         program = experiments._ALICE[policy]
-        alice_p1, *resend, alice_check, coin = program.steps[2:]
-        assert program.steps[:2] == (2, 2) and resend == ([draws] if policy != "collapsed" else []) + [2, 2]
-        assert_same(alice_p1, measure[[0, 1, 4, 5]])
+        assert_same(program.steps["bit"], measure[[0, 1, 4, 5]])
         # the rows of Bob's ids 0 and 2, each key a (basis, bit, resend, code)
         rows = np.array(check_p1).reshape(4, -1)[[0, 2]].ravel()
+        alice_check = program.steps["check"]
         assert np.array_equal(alice_check, rows, equal_nan=True)
-        assert coin.shape == (2 * len(alice_check),) and np.all(coin == 0.5)
         # Alice's guess at each key, for each m0, m1, check bit and coin: her
         # first two events are a conclusive guess and a wrong one
         guesses = np.array(guess).reshape(4, -1)[[0, 2]].ravel().repeat(16)
@@ -857,7 +898,7 @@ class TestBornTables:
 
     def test_bell_table_rebuilds(self):
         want = [qsim.probability_of_one(adversary.BELL_SLOT[None], np.array([c == 1]))[0] for c in (0, 1)]
-        assert_same(experiments._BELL.steps[-1], np.array(want))
+        assert_same(experiments._BELL.steps["check"], np.array(want))
 
     @pytest.mark.parametrize("params", [NO_DETECTION, UE_PARAMS,
                                         *(adversary.sample_ue_params(np.random.default_rng(s))
@@ -865,7 +906,7 @@ class TestBornTables:
     def test_entangling_table_rebuilds_one_register_at_a_time(self, params):
         want = [qsim.probability_of_one(adversary.eve_entangling_attack(DECOY_AMPS[i:i + 1], params),
                                         np.array([i >= 2]))[0] for i in range(len(DECOY_AMPS))]
-        assert_same(experiments._entangling_program(params).steps[-1], np.array(want))
+        assert_same(experiments._entangling_program(params).steps["check"], np.array(want))
 
     # the honest control reads each decoy in its own basis with no attack
     @pytest.mark.parametrize("program, q", [

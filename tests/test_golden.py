@@ -20,7 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from qotsim import adversary, cli, protocol, qsim
+from qotsim import adversary, cli, experiments, protocol, qsim
+from qotsim.adversary import AttackScenario
+from qotsim.experiments import ExperimentSpec
 from qotsim.protocol import ProtocolConfig
 
 GOLDEN_TRANSCRIPT = (
@@ -274,6 +276,28 @@ def test_entangling_csvs_past_a_block_are_pinned(capsys, tmp_path, name):
     args = ["attack", "--scenario", "entangling", "--ue-file", str(path), "--trials", "16641", "--seed", "7"]
     assert cli.main(args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ENTANGLING_TWO_BLOCK_SHA256[name]
+
+
+#: sha256 of the newline-joined reprs of 480 in-process estimates: for each
+#: trial count, then each seed, intercept at M in {0, 1, 3, 5, 20, 50} and Bell
+#: at K in {0, 1, 3, 20}, ``entangling_rows`` at a sampled point and at the
+#: no-detection point, and ``alice_attack_report`` for each resend policy.
+#: Recorded at 0.4.0, on a clean checkout of 119d0d7
+ESTIMATE_GRID_SHA256 = "9f2af7fe5c52dfbf20d820507896b3d52ea47bcce49ad732bb7876f59abc065c"
+
+
+def test_estimate_grid_is_pinned():
+    reprs = []
+    for trials, seed in itertools.product((1, 2, 7, 200, 1000, 16384, 16385, 40000), (0, 1, 7, 42)):
+        for scenario, points in ((AttackScenario.INTERCEPT_RESEND, (0, 1, 3, 5, 20, 50)),
+                                 (AttackScenario.BOB_BELL_CHEAT, (0, 1, 3, 20))):
+            reprs += [repr(experiments.estimate_detection_rate(ExperimentSpec(scenario, p, trials, seed)))
+                      for p in points]
+        for params in (adversary.sample_ue_params(np.random.default_rng(4)), adversary.UeParams.no_detection_point()):
+            reprs.append(repr(experiments.entangling_rows(params, trials, seed)))
+        reprs += [repr(experiments.alice_attack_report(trials, seed, policy)) for policy in adversary.RESEND_POLICIES]
+    assert len(reprs) == 480
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == ESTIMATE_GRID_SHA256
 
 
 #: sha256 over chained seeded bits and collapsed amplitude bytes on random

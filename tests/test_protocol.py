@@ -888,3 +888,11 @@ class TestConfigValidation:
             line = protocol.run_honest(cfg).to_json_line()
             assert json.loads(line)["config"]["tau"] == tau
             assert protocol.replay_transcript(line) == (True, "verified")
+
+
+class TestKeyValueFiles:
+    def test_comments_blank_lines_and_later_keys(self, tmp_path):
+        # the one parser behind --config and --ue-file: a value may hold "="
+        path = tmp_path / "run.conf"
+        path.write_text("# a comment-only line\n\nN = 2\nN = 5  # later wins\nue_file = a=b.txt\n")
+        assert protocol.read_key_values(path) == {"N": "5", "ue_file": "a=b.txt"}

@@ -51,9 +51,9 @@ def nonnegative_int(text: str) -> int:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers; empty items are skipped."""
+    """Comma-separated nonnegative integers; empty items are skipped."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [nonnegative_int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
@@ -115,19 +115,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return p
 
     p = command("honest", _cmd_honest, "honest protocol runs, JSONL transcripts")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--M", type=int, default=0)
-    p.add_argument("--M2", type=int, default=0)
-    p.add_argument("--K", type=int, default=0)
+    p.add_argument("--N", type=positive_int, default=2)
+    p.add_argument("--M", type=nonnegative_int, default=0)
+    p.add_argument("--M2", type=nonnegative_int, default=0)
+    p.add_argument("--K", type=nonnegative_int, default=0)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--runs", type=positive_int, default=1)
     p.add_argument("--transcript", default=None, help="alias for --out")
 
     p = command("attack", _cmd_attack, "single attack-scenario rate estimate")
     choice_flag(p, "--scenario", [s.value for s in AttackScenario])
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
+    p.add_argument("--M", type=nonnegative_int, default=None)
+    p.add_argument("--K", type=nonnegative_int, default=None)
+    p.add_argument("--trials", type=positive_int, default=experiments.DEFAULT_TRIALS)
     choice_flag(p, "--policy", adversary.RESEND_POLICIES)
     p.add_argument("--ue-file", default=None, help="entangling-attack parameter file")
 
@@ -135,7 +135,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     choice_flag(p, "--scenario", [s.value for s in experiments.DETECTION])
     p.add_argument("--values", type=int_list, default=None,
                    help="comma-separated parameter values")
-    p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=positive_int, default=experiments.DEFAULT_TRIALS)
 
     command("oblivious", _cmd_oblivious, "unchosen-bit trace distances")
 

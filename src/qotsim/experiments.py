@@ -221,7 +221,7 @@ def _first_flip_block(program: Program, rounds: int, bits, trials: int) -> list[
 def _event_block(program: Program, bits, trials: int) -> list[int]:
     """One round of ``program`` on every trial: the count of each event."""
     key = _round(program, bits.random_raw(len(program.steps) * trials).reshape(-1, trials))
-    return np.count_nonzero(program.events[:, key], axis=1).tolist()
+    return [int(np.count_nonzero(event.take(key))) for event in program.events]
 
 
 def _measure(d, b) -> np.ndarray:

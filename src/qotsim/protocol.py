@@ -9,6 +9,7 @@ X-basis slot yields m1; the other bit only ever shows up as a global phase on th
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -48,7 +49,8 @@ class ProtocolError(Exception):
 
 def read_key_values(path) -> dict[str, str]:
     """Read a ``key = value`` UTF-8 text file, skipping a leading byte-order
-    mark; ``#`` starts a comment and blank lines are skipped. Later keys
+    mark; ``#`` at the start of a line or after whitespace starts a comment,
+    so a value may hold ``#``, and blank lines are skipped. Later keys
     override earlier ones."""
     values: dict[str, str] = {}
     with open(path, "rb") as fh:
@@ -57,7 +59,7 @@ def read_key_values(path) -> dict[str, str]:
                 raw = data.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"{path}:{lineno}: {exc}") from None
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -318,7 +318,8 @@ class TestAttack:
                                       ["--scenario", "bell", "--K", "-2"]])
     def test_negative_parameter_is_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "attack", *argv, "--trials", "10")
-        assert code == 2 and out == "" and err.startswith("error:")
+        assert code == 2 and out == ""
+        assert "error:" in err and argv[2] in err
 
     def test_ue_file_wrong_scenario(self, capsys, tmp_path):
         path = tmp_path / "ue.txt"
@@ -549,6 +550,25 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert "error:" in err and "--policy" in err and "bogus" in err
 
+    def test_a_value_holding_a_hash_is_read_whole(self, capsys, tmp_path):
+        # "#" inside a value starts no comment, so "5#x" is checked as --N, not read as 5
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("N = 5#x\n")
+        code, out, err = run_cli(capsys, "honest", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "error:" in err and "--N" in err
+
+    def test_a_ue_file_path_may_hold_a_hash(self, capsys, tmp_path):
+        path = tmp_path / "d#2" / "ue.txt"
+        path.parent.mkdir()
+        path.write_text("a = 1+0j\nb = 0j\nc = 0j\nd = 1+0j\n"
+                        "e00 = 1,0,0,0\ne01 = 1,0,0,0\ne10 = 0,1,0,0\ne11 = 1,0,0,0\n")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"ue_file = {path}\n")
+        argv = ["attack", "--scenario", "entangling", "--trials", "10", "--seed", "3"]
+        from_flag = run_cli(capsys, *argv, "--ue-file", str(path))
+        assert from_flag[0] == 0 and run_cli(capsys, *argv, "--config", str(cfg)) == from_flag
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
         cfg.write_text("not a config\n")
@@ -636,6 +656,24 @@ class TestUsageErrors:
     def test_unknown_scenario(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["attack", "--scenario", "nope"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["honest", "--N", "0"], "--N"), (["honest", "--M", "-1"], "--M"), (["honest", "--M2", "-1"], "--M2"),
+        (["honest", "--K", "-1"], "--K"), (["attack", "--scenario", "intercept", "--M", "-3"], "--M"),
+        (["attack", "--scenario", "bell", "--trials", "0"], "--trials"),
+        (["sweep", "--scenario", "bell", "--values", "1,-2"], "--values"),
+        (["sweep", "--scenario", "bell", "--values", "1", "--trials", "0"], "--trials")],
+        ids=["honest-N", "honest-M", "honest-M2", "honest-K", "attack-M", "attack-trials", "sweep-values",
+             "sweep-trials"])
+    def test_out_of_range_integer_names_flag(self, capsys, tmp_path, argv, flag):
+        # as a flag, then as the same value from a --config file
+        at = argv.index(flag)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{flag[2:]} = {argv[at + 1]}\n")
+        for form in (argv, [*argv[:at], *argv[at + 2:], "--config", str(cfg)]):
+            code, out, err = run_cli(capsys, *form)
+            assert code == 2 and out == ""
+            assert f"error: argument {flag}: must be >= " in err, form
 
 
 class TestModuleEntryPoint:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import astuple
 from functools import partial
 from pathlib import Path
@@ -163,13 +164,74 @@ class TestSweep:
         assert any(m2_detects_fewer(seed) for seed in range(60))
 
 
-#: each block kernel, bound to its argument
-BLOCK_KERNELS = {
-    "intercept": partial(experiments._first_flip_block, experiments._INTERCEPT, 3),
-    "bell": partial(experiments._first_flip_block, experiments._BELL, 2),
-    "alice": partial(experiments._event_block, experiments._ALICE["guess"]),
-    "entangling": partial(experiments._first_flip_block, experiments._entangling_program(UE_PARAMS), 1),
+def block_intercept_round(rng, n):
+    """Eve's intercept-and-resend on amplitude blocks, each value drawn by a
+    ``Generator`` call of its own: the ids, Eve's bases, her uniforms, then
+    the check's. Eve measures and resends through the ``collapsed`` policy
+    of the one measure-and-resend."""
+    ids, basis = rng.integers(len(DECOY_AMPS), size=n), rng.integers(2, size=n)
+    eve_u, u = rng.random(n), rng.random(n)
+    resent = adversary.alice_measure_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u, None, "collapsed")[1]
+    return resent, ids, u
+
+
+def block_bell_round(rng, n):
+    """The Bell round as it was when it returned Bob's Bell slots, verbatim
+    but for the name and ``adversary.bell_slots``, inlined."""
+    block, declared = np.broadcast_to(adversary.BELL_SLOT, (n, 4)), rng.integers(2, size=n)
+    return block, 2 * declared, rng.random(n)
+
+
+def block_entangling_round(params, rng, n):
+    """The entangling round as it was when it ran Eve's isometry on every
+    round's block, verbatim but for the name."""
+    ids = rng.integers(len(DECOY_AMPS), size=n)
+    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
+
+
+#: a Monte Carlo program under test: its step names in draw order and its
+#: bounds by name, literals that pin its layout; the block kernel
+#: ``kernel(bits, n)`` that TestBlocks runs; and, for a detection program only,
+#: the decoy id its check reads as a function of its named draws, and the
+#: amplitude-block round it replaces
+Case = namedtuple("Case", "program names bounds kernel checked_id block_round", defaults=(None, None))
+
+
+def detection_case(program, names, bounds, rounds, checked_id, block_round):
+    """A detection program's row, its kernel ``rounds`` sequential checks."""
+    return Case(program, names, bounds, partial(experiments._first_flip_block, program, rounds),
+                checked_id, block_round)
+
+
+def alice_case(policy):
+    """Alice's row under ``policy``, her kernel one round of her events."""
+    program = experiments._ALICE[policy]
+    resend = {"r": adversary.RESEND_DRAWS[policy]} if policy in adversary.RESEND_DRAWS else {}
+    return Case(program, ["j", "a", "bit", *resend, "m0", "m1", "check", "coin"],
+                {"j": 2, "a": 2, **resend, "m0": 2, "m1": 2, "coin": 2},
+                partial(experiments._event_block, program))
+
+
+#: one row per program: every per-program test reads it
+CASES = {
+    "intercept": detection_case(experiments._INTERCEPT, ["d", "b", "bit", "check"], {"d": 4, "b": 2}, 3,
+                                lambda d, **_: d, block_intercept_round),
+    "bell": detection_case(experiments._BELL, ["c", "check"], {"c": 2}, 2, lambda c, **_: 2 * c, block_bell_round),
+    "entangling": detection_case(experiments._entangling_program(UE_PARAMS), ["d", "check"], {"d": 4}, 1,
+                                 lambda d, **_: d, partial(block_entangling_round, UE_PARAMS)),
+    "entangling-undetected": detection_case(experiments._entangling_program(NO_DETECTION), ["d", "check"],
+                                            {"d": 4}, 1, lambda d, **_: d,
+                                            partial(block_entangling_round, NO_DETECTION)),
+    **{f"alice-{policy}": alice_case(policy) for policy in adversary.RESEND_POLICIES},
 }
+#: the rows of the detection programs
+DETECTION_CASES = [name for name, case in CASES.items() if case.checked_id]
+
+
+def checked_ids(case):
+    """The decoy id a detection row's check reads at each first key: its
+    ``checked_id`` over its bound steps."""
+    return experiments._table(case.bounds, case.checked_id)
 
 
 def block_bits(key):
@@ -181,34 +243,34 @@ def assert_counts_each_trial(name, counts, trials):
     """A block's counts are consistent: for Alice's conclusive, wrong,
     bit-error and dummy-error counts, a wrong guess is conclusive and a dummy
     error is a bit error; for [unflipped, flipped], every trial is counted once."""
-    if name == "alice":
+    if name.startswith("alice-"):
         assert trials >= counts[0] >= counts[1] and trials >= counts[2] >= counts[3]
     else:
         assert sum(counts) == trials
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    @pytest.mark.parametrize("name", CASES)
     def test_tallies_add_over_blocks(self, monkeypatch, name):
         # blocks of 50 trials: one, then three, the last partial
         monkeypatch.setattr(experiments, "BLOCK_TRIALS", 50)
-        kernel = BLOCK_KERNELS[name]
+        kernel = CASES[name].kernel
         alone = [kernel(block_bits([5, 0, b]), n) for b, n in enumerate((50, 50, 7))]
         assert experiments._tally(kernel, 50, seed=5) == alone[0]
         assert experiments._tally(kernel, 107, seed=5) == [sum(col) for col in zip(*alone)]
         for counts, n in zip(alone, (50, 50, 7)):
             assert_counts_each_trial(name, counts, n)
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    @pytest.mark.parametrize("name", CASES)
     def test_a_tally_sums_its_blocks_run_alone(self, name):
         # one full block and a block of 100
-        kernel = BLOCK_KERNELS[name]
+        kernel = CASES[name].kernel
         block = experiments.BLOCK_TRIALS
         alone = [kernel(block_bits([5, 0, 0]), block), kernel(block_bits([5, 0, 1]), 100)]
         assert experiments._tally(kernel, block + 100, seed=5) == [sum(col) for col in zip(*alone)]
         assert_counts_each_trial(name, alone[0], block)
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    @pytest.mark.parametrize("name", CASES)
     def test_one_stream_per_block(self, monkeypatch, name):
         keys = []
         real = np.random.default_rng
@@ -218,7 +280,7 @@ class TestBlocks:
             return real(key)
 
         monkeypatch.setattr(experiments.np.random, "default_rng", counted)
-        experiments._tally(BLOCK_KERNELS[name], 2 * experiments.BLOCK_TRIALS + 1, seed=5, point=3)
+        experiments._tally(CASES[name].kernel, 2 * experiments.BLOCK_TRIALS + 1, seed=5, point=3)
         assert keys == [[5, 3, b] for b in range(3)]
 
     def test_one_past_a_block_runs(self):
@@ -291,31 +353,6 @@ class WordDraws:
 
     def random(self, size):
         return np.array([(w >> 11) * 2.0 ** -53 for w in self._words(size)]).reshape(size)
-
-
-def block_intercept_round(rng, n):
-    """Eve's intercept-and-resend on amplitude blocks, each value drawn by a
-    ``Generator`` call of its own: the ids, Eve's bases, her uniforms, then
-    the check's. Eve measures and resends through the ``collapsed`` policy
-    of the one measure-and-resend."""
-    ids, basis = rng.integers(len(DECOY_AMPS), size=n), rng.integers(2, size=n)
-    eve_u, u = rng.random(n), rng.random(n)
-    resent = adversary.alice_measure_resend(DECOY_AMPS.take(ids, axis=0), basis, eve_u, None, "collapsed")[1]
-    return resent, ids, u
-
-
-def block_bell_round(rng, n):
-    """The Bell round as it was when it returned Bob's Bell slots, verbatim
-    but for the name and ``adversary.bell_slots``, inlined."""
-    block, declared = np.broadcast_to(adversary.BELL_SLOT, (n, 4)), rng.integers(2, size=n)
-    return block, 2 * declared, rng.random(n)
-
-
-def block_entangling_round(params, rng, n):
-    """The entangling round as it was when it ran Eve's isometry on every
-    round's block, verbatim but for the name."""
-    ids = rng.integers(len(DECOY_AMPS), size=n)
-    return adversary.eve_entangling_attack(DECOY_AMPS.take(ids, axis=0), params), ids, rng.random(n)
 
 
 def wave_rounds(live, done, rounds):
@@ -399,22 +436,22 @@ def logged(draw, log):
     return step
 
 
-def assert_kernels_agree(program, ids, ref_draw, trials, rounds, seed):
-    """``experiments._first_flip_block`` over ``program``, and the block
-    kernel over the block round ``ref_draw`` on :class:`WordDraws`, each on
-    its own twin of stream ``seed``: each wave matches its block round
-    (:func:`assert_round_matches_block`, ``ids`` by first key), the counts
+def assert_kernels_agree(case, trials, rounds, seed):
+    """``experiments._first_flip_block`` over a detection row's program, and
+    the block kernel over its block round on :class:`WordDraws`, each on its
+    own twin of stream ``seed``: each wave matches its block round
+    (:func:`assert_round_matches_block`, the row's checked ids), the counts
     and the number of waves are equal, and the two streams end in the same
     state."""
     got_bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
     got_log, ref_log = [], []
     with mock.patch.object(experiments, "_round", logged(experiments._round, got_log)):
-        got = experiments._first_flip_block(program, rounds, got_bits, trials)
-    ref = block_first_flip(logged(ref_draw, ref_log), rounds, WordDraws(ref_bits), trials)
+        got = experiments._first_flip_block(case.program, rounds, got_bits, trials)
+    ref = block_first_flip(logged(case.block_round, ref_log), rounds, WordDraws(ref_bits), trials)
     assert got == ref
     assert len(got_log) == len(ref_log) >= 1
     for key, ref_out in zip(got_log, ref_log):
-        assert_round_matches_block(program, ids, key, ref_out)
+        assert_round_matches_block(case.program, checked_ids(case), key, ref_out)
     assert got_bits.state == ref_bits.state
 
 
@@ -458,28 +495,11 @@ BLOCK_RUNS = st.one_of(st.tuples(st.integers(1, 160), st.integers(1, 8)),
                        st.tuples(st.integers(1, 3), st.integers(1, 60)),
                        st.tuples(st.integers(1, 3 * experiments.WAVE), st.integers(1, 60)))
 
-#: the decoy id each detection program checks at each first key
-INTERCEPT_IDS, BELL_IDS, ENTANGLING_IDS = np.arange(8) // 2, 2 * np.arange(2), np.arange(4)
-
-#: each detection program, its checked ids, and the block round it replaces
-BLOCK_ROUNDS = {
-    "intercept": (experiments._INTERCEPT, INTERCEPT_IDS, block_intercept_round),
-    "bell": (experiments._BELL, BELL_IDS, block_bell_round),
-    "entangling": (experiments._entangling_program(UE_PARAMS), ENTANGLING_IDS,
-                   partial(block_entangling_round, UE_PARAMS)),
-    "entangling-undetected": (experiments._entangling_program(NO_DETECTION), ENTANGLING_IDS,
-                              partial(block_entangling_round, NO_DETECTION)),
-}
-#: every program: the detection programs and Alice's, one per resend policy
-PROGRAMS = {**{name: entry[0] for name, entry in BLOCK_ROUNDS.items()},
-            **{f"alice-{policy}": program for policy, program in experiments._ALICE.items()}}
-
-
 class TestTableRounds:
     """Each program round reads the Born probabilities the block round
     computed, from its tables, and reads as many words as the block round."""
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @pytest.mark.parametrize("name", DETECTION_CASES)
     @given(BLOCK_RUNS, st.integers(0, 2 ** 32 - 1))
     @example((1, 10 ** 4), 0).via("a lone trial's waves up to M = 10^4")
     @example((experiments.WAVE // 2, 60), 0).via("the last live count read two rounds a wave")
@@ -487,17 +507,17 @@ class TestTableRounds:
     @example((experiments.WAVE + 1, 60), 0).via("one live trial past a wave")
     @settings(max_examples=100, deadline=None)
     def test_matches_the_block_round(self, name, run, seed):
-        assert_kernels_agree(*BLOCK_ROUNDS[name], *run, seed)
+        assert_kernels_agree(CASES[name], *run, seed)
 
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("name", CASES)
     @given(BLOCK_RUNS, st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_a_round_makes_one_read(self, name, run, seed):
         # each _round call is one random_raw call, a word per step and
         # column, and gives one last key per column: a wave of ahead rounds
         # of n live trials is ahead * n columns
-        program, (trials, rounds) = PROGRAMS[name], run
-        alice = name.startswith("alice")
+        program, (trials, rounds) = CASES[name].program, run
+        alice = name.startswith("alice-")
         counts, bits, calls = logged_reads(program, None if alice else rounds, trials, seed)
         assert bits.sizes == [len(program.steps) * n for (_, n), _ in calls]
         for (steps, n), key in calls:
@@ -509,7 +529,7 @@ class TestTableRounds:
         else:
             assert counts == walk_waves(program, rounds, trials, calls)
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_ROUNDS))
+    @pytest.mark.parametrize("name", DETECTION_CASES)
     @given(st.one_of(st.integers(1, 3), st.integers(1, 3 * experiments.WAVE)),
            st.one_of(st.integers(1, 60), st.just(10 ** 4)), st.integers(0, 2 ** 32 - 1))
     @example(1000, 10 ** 4, 0).via("the intercept estimate at M = 10^4")
@@ -518,7 +538,7 @@ class TestTableRounds:
         # each random_raw call is steps * ahead * live words (walk_waves
         # asserts ahead and live), and RawLog cannot step the stream back, so
         # it ends as many words on as were read
-        program = BLOCK_ROUNDS[name][0]
+        program = CASES[name].program
         counts, bits, calls = logged_reads(program, rounds, trials, seed)
         assert counts == walk_waves(program, rounds, trials, calls)
         assert bits.sizes == [len(program.steps) * n for (_, n), _ in calls]
@@ -634,37 +654,16 @@ def exact_events(program):
     return sum(weight * program.events[:, key] for key, weight in branches)
 
 
-def stage_ids(program):
-    """Each Born table step's name and its test id r.s: its run of draws r (a
-    bound after a table starts the next run) and its place s after the run's
-    bounds, the read and stage it was when a round made one call per run.
-    These ids name the parametrized table tests, so they stay as they were."""
-    r, s, ids = 0, 0, {}
-    for name, step in program.steps.items():
-        if not isinstance(step, int):
-            ids[name], s = f"{r}.{s}", s + 1
-        elif s:
-            r, s = r + 1, 0
-    return ids
+#: every stage of every program, by ``<program>.<step>``, with its thresholds
+#: (``draws`` is laid out in the order of ``steps``)
+STAGES = {f"{name}.{step}": (stage, draw) for name, case in CASES.items()
+          for (step, stage), draw in zip(case.program.steps.items(), case.program.draws)
+          if not isinstance(stage, int)}
 
-
-def draws_by_name(program):
-    """Each step's draw, a bound or a table's thresholds, by the step's name:
-    ``draws`` is laid out in the order of ``steps``."""
-    return dict(zip(program.steps, program.draws))
-
-
-#: every stage of every program by test id, with its thresholds
-STAGES = {f"{name}.{stage_id}": (program.steps[step], draws_by_name(program)[step])
-          for name, program in PROGRAMS.items() for step, stage_id in stage_ids(program).items()}
-
-#: the measure-and-resend tables: the measurement, and each policy's check as
-#: Alice's program reads it; then each program's tables and events, and the
-#: stages' thresholds
-TABLES = {"measure": MEASURE_P1,
-          **{f"{policy}.check": program.steps["check"] for policy, program in experiments._ALICE.items()},
-          **{f"{name}.{i}": table for name, program in PROGRAMS.items() for i, table in enumerate(
-              [*(s for s in program.steps.values() if not isinstance(s, int)), program.events])},
+#: every program's tables, its events and its stages' thresholds, by
+#: ``<program>.<step>``, ``<program>.events`` and ``<program>.<step>.threshold``
+TABLES = {**{name: stage for name, (stage, _) in STAGES.items()},
+          **{f"{name}.events": case.program.events for name, case in CASES.items()},
           **{f"{name}.threshold": thresholds for name, (_, thresholds) in STAGES.items()}}
 
 
@@ -678,7 +677,7 @@ class TestThresholds:
     """A stage compares a word's top 53 bits with its uint64 threshold, which
     reads what comparing the word's uniform with the stage's p reads."""
 
-    @pytest.mark.parametrize("name", sorted(STAGES))
+    @pytest.mark.parametrize("name", STAGES)
     @given(st.data(), LOW_BITS)
     @settings(max_examples=100, deadline=None)
     def test_integer_compare_is_the_uniform_compare(self, name, data, low):
@@ -693,7 +692,7 @@ class TestThresholds:
     @settings(max_examples=25, deadline=None)
     def test_thresholds_are_the_nan_to_num_formula(self, seed):
         # fmax(p, 0) is p for every p >= 0 and 0 for NaN, as nan_to_num is
-        programs = [experiments._INTERCEPT, experiments._BELL, *experiments._ALICE.values(),
+        programs = [*(case.program for case in CASES.values()),
                     experiments._entangling_program(adversary.sample_ue_params(np.random.default_rng(seed)))]
         for program in programs:
             for step, draw in zip(program.steps.values(), program.draws):
@@ -768,7 +767,7 @@ class TestProgramBounds:
         assert key.tolist() == [want]
         assert np.shares_memory(key, words) and (words[1:] == shifted[1:]).all()
 
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("name", CASES)
     @given(st.data(), LOW_BITS)
     @settings(max_examples=50, deadline=None)
     def test_a_round_keys_its_draws_where_table_lays_them_out(self, name, data, low):
@@ -776,7 +775,7 @@ class TestProgramBounds:
         # near the Born probability its table reads, found where _table lays
         # out the draws before it; the round's key is where _table lays out
         # all of them
-        program = PROGRAMS[name]
+        program = CASES[name].program
         trials = [{} for _ in range(data.draw(st.integers(1, 6)))]
         words, before = [], {}
         for step_name, step in program.steps.items():
@@ -795,40 +794,31 @@ class TestProgramBounds:
         assert key.tolist() == [key_of(program.steps, drawn) for drawn in trials]
 
 
-def alice_layout(policy):
-    """Alice's step names in draw order, and her bounds by name, under ``policy``."""
-    resend = {"r": adversary.RESEND_DRAWS[policy]} if policy in adversary.RESEND_DRAWS else {}
-    bounds = {"j": 2, "a": 2, **resend, "m0": 2, "m1": 2, "coin": 2}
-    return ["j", "a", "bit", *resend, "m0", "m1", "check", "coin"], bounds
-
-
-#: each program's step names, in draw order, and its bounds by name
-LAYOUTS = {
-    "intercept": (experiments._INTERCEPT, ["d", "b", "bit", "check"], {"d": 4, "b": 2}),
-    "bell": (experiments._BELL, ["c", "check"], {"c": 2}),
-    "entangling": (experiments._entangling_program(UE_PARAMS), ["d", "check"], {"d": 4}),
-    **{f"alice-{policy}": (program, *alice_layout(policy)) for policy, program in experiments._ALICE.items()},
-}
-#: the decoy id each detection program checks, from its named draws
-CHECKED_ID = {"intercept": lambda d, **_: d, "bell": lambda c, **_: 2 * c, "entangling": lambda d, **_: d}
-
-
 class TestProgramLayout:
-    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    @pytest.mark.parametrize("name", CASES)
     def test_steps_keep_their_names_in_draw_order(self, name):
-        program, names, bounds = LAYOUTS[name]
+        program, names, bounds, _, checked_id, _ = CASES[name]
         assert list(program.steps) == names
         assert {step: b for step, b in program.steps.items() if isinstance(b, int)} == bounds
         assert all(type(program.steps[step]) is int for step in bounds)
         # a detection program ends in its check, and its one event is the flip
-        if name in CHECKED_ID:
+        if checked_id:
             assert names[-1] == "check"
             flip = experiments._table(program.steps, lambda check, **drawn: protocol.decoy_flipped(
-                CHECKED_ID[name](**drawn), check))
+                checked_id(**drawn), check))
             assert program.events.shape == (1, flip.size) and np.array_equal(program.events[0], flip)
         for step in names:
             with pytest.raises(TypeError):
                 program.steps[step] = 2
+
+    def test_every_program_built_at_import_has_a_row(self):
+        # a program that experiments builds at import without a CASES row fails here
+        built = {**{name: value for name, value in vars(experiments).items()
+                    if isinstance(value, experiments.Program)},
+                 **{scenario.value: entry[2] for scenario, entry in experiments.DETECTION.items()},
+                 **{f"_ALICE[{policy!r}]": program for policy, program in experiments._ALICE.items()}}
+        rows = {id(case.program) for case in CASES.values()}
+        assert built and [name for name, program in built.items() if id(program) not in rows] == []
 
 
 class TestBornTables:
@@ -857,7 +847,7 @@ class TestBornTables:
                         encoded = qsim.apply_batch(resent, qsim.PAULIS[code])
                         check_p1.append(qsim.probability_of_one(encoded, np.array([did >= 2]))[0])
         # the intercept program's measurement, and its check on the eigenstate
-        # Eve resends (the collapsed policy); LAYOUTS pins every step's name
+        # Eve resends (the collapsed policy); CASES pins every step's name
         measure, check = experiments._INTERCEPT.steps["bit"], experiments._INTERCEPT.steps["check"]
         assert_same(measure, np.array(measure_p1))
         assert np.array_equal(check, np.array(intercept_p1), equal_nan=True)
@@ -937,7 +927,7 @@ class TestBornTables:
         assert [conclusive, wrong, bit_error, dummy_error] == [
             closed["conclusive"], 0.0, closed["bit_error"], closed["dummy_error"]]
 
-    @pytest.mark.parametrize("name", sorted(TABLES))
+    @pytest.mark.parametrize("name", TABLES)
     def test_tables_are_read_only(self, name):
         table = TABLES[name]
         assert not table.flags.writeable
@@ -952,8 +942,9 @@ class TestBornTables:
         words = np.array([int_words(ids, 4, low), int_words(basis, 2, low),
                           uniform_words(eve_top, low), uniform_words(top, low)])
         key = experiments._round(experiments._INTERCEPT, words)
-        assert_round_matches_block(experiments._INTERCEPT, INTERCEPT_IDS, key, block_intercept_round(
-            Scripted(ids, basis, uniforms(eve_top), uniforms(top)), len(rows)))
+        assert_round_matches_block(experiments._INTERCEPT, checked_ids(CASES["intercept"]), key,
+                                   block_intercept_round(Scripted(ids, basis, uniforms(eve_top), uniforms(top)),
+                                                         len(rows)))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=20), st.data(), LOW_BITS)
     @settings(max_examples=50, deadline=None)
@@ -961,7 +952,7 @@ class TestBornTables:
         top = any_tops(data, len(declared))
         words = np.array([int_words(declared, 2, low), uniform_words(top, low)])
         key = experiments._round(experiments._BELL, words)
-        assert_round_matches_block(experiments._BELL, BELL_IDS, key,
+        assert_round_matches_block(experiments._BELL, checked_ids(CASES["bell"]), key,
                                    block_bell_round(Scripted(np.array(declared), uniforms(top)), len(declared)))
 
     @given(st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
@@ -973,7 +964,7 @@ class TestBornTables:
         top = any_tops(data, len(ids))
         program = experiments._entangling_program(params)
         key = experiments._round(program, np.array([int_words(ids, 4, low), uniform_words(top, low)]))
-        assert_round_matches_block(program, ENTANGLING_IDS, key, block_entangling_round(
+        assert_round_matches_block(program, checked_ids(CASES["entangling"]), key, block_entangling_round(
             params, Scripted(np.array(ids), uniforms(top)), len(ids)))
 
     @pytest.mark.parametrize("policy", adversary.RESEND_POLICIES)

@@ -896,3 +896,9 @@ class TestKeyValueFiles:
         path = tmp_path / "run.conf"
         path.write_text("# a comment-only line\n\nN = 2\nN = 5  # later wins\nue_file = a=b.txt\n")
         assert protocol.read_key_values(path) == {"N": "5", "ue_file": "a=b.txt"}
+
+    def test_a_value_may_hold_a_hash(self, tmp_path):
+        # "#" starts a comment only at the start of a line or after whitespace
+        path = tmp_path / "run.conf"
+        path.write_text("ue_file = d#2/ue.txt\nN = 5#x\n\t# an indented comment\nM = 3\t# tab\n")
+        assert protocol.read_key_values(path) == {"ue_file": "d#2/ue.txt", "N": "5#x", "M": "3"}
